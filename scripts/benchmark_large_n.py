@@ -5,7 +5,7 @@ The defaults walk up the highly-composite ladder; 360360 gives 2n with
 
 Usage:
     python3 scripts/benchmark_large_n.py
-    python3 scripts/benchmark_large_n.py --n 720720 2162160 --parallel
+    python3 scripts/benchmark_large_n.py --n 720720 2162160
 """
 
 import argparse
@@ -14,13 +14,13 @@ import time
 from u6n import GroupParams, build_lattice, chain_counts, compute_chain_table
 
 
-def bench(n: int, parallel: bool) -> None:
+def bench(n: int) -> None:
     params = GroupParams(n)
     for mode in ("all", "normal"):
         start = time.perf_counter()
         lat = build_lattice(params, mode)
         built = time.perf_counter()
-        counts = chain_counts(compute_chain_table(lat, parallel=parallel))
+        counts = chain_counts(compute_chain_table(lat))
         done = time.perf_counter()
         print(
             f"n={n} mode={mode}: {len(lat.nodes)} nodes, "
@@ -33,10 +33,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, nargs="+",
                         default=[5040, 55440, 360360])
-    parser.add_argument("--parallel", action="store_true")
     args = parser.parse_args()
     for n in args.n:
-        bench(n, args.parallel)
+        bench(n)
 
 
 if __name__ == "__main__":

@@ -7,12 +7,7 @@ Usage:
 
 import argparse
 
-from u6n import (
-    GroupParams,
-    build_lattice,
-    count_fuzzy_subgroups,
-    count_normal_fuzzy_subgroups,
-)
+from u6n import GroupParams, build_lattice, count_chains
 
 
 def main() -> None:
@@ -28,8 +23,8 @@ def main() -> None:
         params = GroupParams(n)
         nodes_all = len(build_lattice(params, "all").nodes)
         nodes_normal = len(build_lattice(params, "normal").nodes)
-        nf = count_fuzzy_subgroups(params).fuzzy_count
-        nnf = count_normal_fuzzy_subgroups(params).fuzzy_count
+        nf = count_chains(params, "all").fuzzy_count
+        nnf = count_chains(params, "normal").fuzzy_count
         rows.append((n, params.order, nodes_all + 1, nodes_normal + 1, nf, nnf))
 
     widths = [

@@ -6,7 +6,8 @@ structure of 2n, orders them by containment, counts subgroup chains by
 dynamic programming, and derives from those chains the number of fuzzy
 subgroups (and normal fuzzy subgroups) up to the grade-comparison
 equivalence.  A brute-force oracle recomputes everything the slow way
-for small n so the closed forms never go unchecked.
+for small n so the closed forms never go unchecked; import it from
+`u6n.oracle` and `u6n.verify`, which the counting path never loads.
 """
 
 from .chains import (
@@ -14,9 +15,7 @@ from .chains import (
     ChainTable,
     chain_counts,
     compute_chain_table,
-    count_fuzzy_subgroups,
-    count_normal_fuzzy_subgroups,
-    murali_makamba_count,
+    count_chains,
 )
 from .group import (
     DEFAULT_ORACLE_LIMIT,
@@ -41,22 +40,6 @@ from .lattice import (
     hasse_edges,
     height,
 )
-from .oracle import (
-    FuzzyMap,
-    chain_to_representative,
-    equivalent,
-    equivalent_by_pairs,
-    is_fuzzy_subgroup,
-    is_normal_fuzzy,
-    oracle_all_subgroups,
-    oracle_count_chains,
-    oracle_count_equivalence_classes,
-    oracle_count_set_chains,
-    oracle_is_normal,
-    oracle_normal_subgroups,
-    rank_signature,
-    representative_from_sets,
-)
 from .subgroups import (
     Kind,
     SubgroupDescriptor,
@@ -75,15 +58,12 @@ from .subgroups import (
     twisted,
     twisted_exists,
 )
-from .verify import CheckResult, render_report, report_json, run_verification
 
 __all__ = [
     "ChainCounts",
     "ChainTable",
-    "CheckResult",
     "DEFAULT_ORACLE_LIMIT",
     "Element",
-    "FuzzyMap",
     "GroupParams",
     "Kind",
     "Lattice",
@@ -93,18 +73,14 @@ __all__ = [
     "build_lattice",
     "cayley_table",
     "chain_counts",
-    "chain_to_representative",
     "compute_chain_table",
+    "count_chains",
     "conjugate",
     "contains_element",
-    "count_fuzzy_subgroups",
-    "count_normal_fuzzy_subgroups",
     "cyclic",
     "divisors",
     "enumerate_normal_subgroups",
     "enumerate_subgroups",
-    "equivalent",
-    "equivalent_by_pairs",
     "export_dot",
     "export_json",
     "factorize",
@@ -115,24 +91,10 @@ __all__ = [
     "height",
     "identity",
     "inverse",
-    "is_fuzzy_subgroup",
-    "is_normal_fuzzy",
     "multiply",
-    "murali_makamba_count",
-    "oracle_all_subgroups",
-    "oracle_count_chains",
-    "oracle_count_equivalence_classes",
-    "oracle_count_set_chains",
-    "oracle_is_normal",
-    "oracle_normal_subgroups",
     "parse_descriptor",
     "parse_element",
     "power",
-    "rank_signature",
-    "render_report",
-    "report_json",
-    "representative_from_sets",
-    "run_verification",
     "subgroup_elements",
     "subgroup_leq",
     "subgroup_order",

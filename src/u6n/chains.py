@@ -16,8 +16,6 @@ less than twice that.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .group import GroupParams
@@ -67,64 +65,18 @@ class ChainCounts:
             "mm_count": str(self.mm_count),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChainCounts":
-        counts = cls(
-            n=int(data["n"]),
-            mode=str(data["mode"]),
-            per_length=tuple(int(c) for c in data["per_length"]),
-        )
-        for key in ("total", "fuzzy_count", "mm_count"):
-            if int(data[key]) != getattr(counts, key):
-                raise ValueError(f"inconsistent {key} in stored chain counts")
-        return counts
 
-
-def _next_level(
-    prev: tuple[int, ...],
-    succs: tuple[frozenset[int], ...],
-    executor: ThreadPoolExecutor | None,
-    workers: int,
-) -> tuple[int, ...]:
-    if executor is None:
-        return tuple(sum(map(prev.__getitem__, ups)) for ups in succs)
-
-    def chunk(bounds: tuple[int, int]) -> list[int]:
-        lo, hi = bounds
-        return [sum(map(prev.__getitem__, ups)) for ups in succs[lo:hi]]
-
-    n = len(succs)
-    spans = [(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
-    out: list[int] = []
-    for part in executor.map(chunk, spans):
-        out.extend(part)
-    return tuple(out)
-
-
-def compute_chain_table(
-    lat: Lattice, parallel: bool = False, max_workers: int | None = None
-) -> ChainTable:
-    """Run the level recurrence until the first empty level.
-
-    parallel=True splits each level's per-node sums across a thread pool;
-    the result is identical either way, levels are always sequential.
-    """
+def compute_chain_table(lat: Lattice) -> ChainTable:
+    """Run the level recurrence until the first empty level."""
     first = [0] * len(lat.nodes)
     first[lat.top_index] = 1
     levels = [tuple(first)]
-    workers = max_workers or min(4, os.cpu_count() or 1)
-    executor = None
-    if parallel and len(lat.nodes) > 1:
-        executor = ThreadPoolExecutor(workers)
-    try:
-        while True:
-            nxt = _next_level(levels[-1], lat.strictly_below, executor, workers)
-            if not any(nxt):
-                break
-            levels.append(nxt)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    while True:
+        prev = levels[-1]
+        nxt = tuple(sum(map(prev.__getitem__, ups)) for ups in lat.strictly_below)
+        if not any(nxt):
+            break
+        levels.append(nxt)
     return ChainTable(lattice=lat, levels=tuple(levels))
 
 
@@ -136,16 +88,6 @@ def chain_counts(table: ChainTable) -> ChainCounts:
     )
 
 
-def count_fuzzy_subgroups(params: GroupParams, parallel: bool = False) -> ChainCounts:
-    return chain_counts(compute_chain_table(build_lattice(params, "all"), parallel))
-
-
-def count_normal_fuzzy_subgroups(
-    params: GroupParams, parallel: bool = False
-) -> ChainCounts:
-    return chain_counts(compute_chain_table(build_lattice(params, "normal"), parallel))
-
-
-def murali_makamba_count(counts: ChainCounts) -> int:
-    """Class count for the historical support-distinguishing relation."""
-    return counts.mm_count
+def count_chains(params: GroupParams, mode: str) -> ChainCounts:
+    """Chain counts of the `mode` ("all" or "normal") lattice of U_6n."""
+    return chain_counts(compute_chain_table(build_lattice(params, mode)))

@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cache import cache_lookup_store
-from .chains import ChainCounts, chain_counts, compute_chain_table
+from .chains import count_chains
 from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
 from .lattice import build_lattice, export_dot, export_json
 from .subgroups import (
@@ -27,9 +25,6 @@ from .subgroups import (
     format_descriptor,
     subgroup_order,
 )
-from .verify import render_report, report_json, run_verification
-
-CACHE_ENV_VAR = "U6N_CACHE"
 
 _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
@@ -47,9 +42,7 @@ class RunConfig:
     relation: str = "tarnauceanu"
     fmt: str = "table"
     dot_path: str | None = None
-    cache_path: str | None = None
     oracle_limit: int = DEFAULT_ORACLE_LIMIT
-    parallel: bool = False
     fuzzy_n_max: int = 4
 
 
@@ -98,18 +91,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("chains", help="per-length chain count table")
     add_common(p)
-    p.add_argument("--cache", dest="cache_path", help="JSON cache file")
-    p.add_argument("--parallel", action="store_true",
-                   help="parallelize each DP level")
 
     p = sub.add_parser("count", help="fuzzy subgroup count")
     add_common(p)
     p.add_argument("--relation", choices=("tarnauceanu", "murali"),
                    default="tarnauceanu",
                    help="murali reports 2*count - 1 instead")
-    p.add_argument("--cache", dest="cache_path", help="JSON cache file")
-    p.add_argument("--parallel", action="store_true",
-                   help="parallelize each DP level")
 
     p = sub.add_parser("lattice", help="lattice JSON on stdout, optional DOT")
     add_common(p, fmt=False)
@@ -129,14 +116,10 @@ def build_parser() -> _Parser:
     p.add_argument("--range", required=True, dest="n_range",
                    help="inclusive range A..B (or a single N)")
     p.add_argument("--mode", choices=("all", "normal"), default="all")
-    p.add_argument("--cache", dest="cache_path", help="JSON cache file")
-    p.add_argument("--parallel", action="store_true",
-                   help="parallelize each DP level")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cache = getattr(args, "cache_path", None) or os.environ.get(CACHE_ENV_VAR)
     n_range = None
     if getattr(args, "n_range", None) is not None:
         n_range = _parse_range(args.n_range)
@@ -153,21 +136,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         relation=getattr(args, "relation", "tarnauceanu"),
         fmt=getattr(args, "fmt", "table"),
         dot_path=getattr(args, "dot_path", None),
-        cache_path=cache,
         oracle_limit=getattr(args, "oracle_limit", DEFAULT_ORACLE_LIMIT),
-        parallel=getattr(args, "parallel", False),
         fuzzy_n_max=getattr(args, "fuzzy_n_max", 4),
     )
-
-
-def _counts_for(config: RunConfig, n: int, mode: str) -> ChainCounts:
-    def compute() -> ChainCounts:
-        lat = build_lattice(_params(n), mode)
-        return chain_counts(compute_chain_table(lat, parallel=config.parallel))
-
-    if config.cache_path:
-        return cache_lookup_store(config.cache_path, n, mode, compute)
-    return compute()
 
 
 def _print_descriptor_listing(config: RunConfig, normal: bool) -> int:
@@ -199,7 +170,7 @@ def _print_descriptor_listing(config: RunConfig, normal: bool) -> int:
 
 
 def _cmd_chains(config: RunConfig) -> int:
-    counts = _counts_for(config, config.n, config.mode)
+    counts = count_chains(_params(config.n), config.mode)
     if config.fmt == "json":
         print(json.dumps(counts.to_json_dict(), indent=2))
     elif config.fmt == "csv":
@@ -219,7 +190,7 @@ def _cmd_chains(config: RunConfig) -> int:
 
 
 def _cmd_count(config: RunConfig) -> int:
-    counts = _counts_for(config, config.n, config.mode)
+    counts = count_chains(_params(config.n), config.mode)
     value = counts.mm_count if config.relation == "murali" else counts.fuzzy_count
     if config.fmt == "json":
         payload = {
@@ -240,13 +211,20 @@ def _cmd_count(config: RunConfig) -> int:
 
 def _cmd_lattice(config: RunConfig) -> int:
     lat = build_lattice(_params(config.n), config.mode)
-    print(json.dumps(export_json(lat), indent=2))
     if config.dot_path:
-        Path(config.dot_path).write_text(export_dot(lat))
+        try:
+            Path(config.dot_path).write_text(export_dot(lat))
+        except OSError as exc:
+            raise CliError(
+                f"cannot write DOT file {config.dot_path}: {exc.strerror or exc}"
+            ) from exc
+    print(json.dumps(export_json(lat), indent=2))
     return 0
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    from .verify import render_report, report_json, run_verification
+
     results = run_verification(
         config.n, fuzzy_n_max=config.fuzzy_n_max, oracle_limit=config.oracle_limit
     )
@@ -264,7 +242,7 @@ def _cmd_batch(config: RunConfig) -> int:
         ["n", "mode", "per_length", "total", "fuzzy_count", "mm_count"]
     )
     for n in range(lo, hi + 1):
-        counts = _counts_for(config, n, config.mode)
+        counts = count_chains(_params(n), config.mode)
         writer.writerow(
             [
                 n,

@@ -13,9 +13,10 @@ All of this is exponential in spirit and guarded by an order limit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .group import (
     DEFAULT_ORACLE_LIMIT,
@@ -133,28 +134,53 @@ def oracle_normal_subgroups(
     }
 
 
-def oracle_count_chains(lat: Lattice) -> list[int]:
-    """Per-length chain counts by explicit DFS over the lattice nodes.
+def _chains_from(
+    top: int, below: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Every strictly descending walk from top through the below lists.
 
-    Walks every strictly descending node sequence starting at the top;
-    index k counts the sequences with k+1 nodes.  No memoization, so it
-    is an independent check of the level recurrence, not a restatement.
+    This is the oracle's one chain enumerator: an explicit depth-first
+    search with no memoization, so counting what it yields is an
+    independent check of the level recurrence, not a restatement.  Each
+    chain is a tuple of indices in ascending order, ending at top.
     """
+
+    def dfs(at: int, chain: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        yield chain
+        for child in below[at]:
+            yield from dfs(child, (child,) + chain)
+
+    return dfs(top, (top,))
+
+
+def _per_length(chains: Iterator[tuple[int, ...]]) -> list[int]:
+    lengths = Counter(map(len, chains))
+    return [lengths[k] for k in range(1, max(lengths) + 1)]
+
+
+def _set_family_chains(
+    sets: Sequence[frozenset[Element]],
+) -> Iterator[tuple[int, ...]]:
+    """Chains of strict inclusion among sets that end at the largest one."""
+    subsets = [[j for j, t in enumerate(sets) if t < s] for s in sets]
+    whole = max(range(len(sets)), key=lambda i: len(sets[i]))
+    return _chains_from(whole, subsets)
+
+
+def lattice_chains(lat: Lattice) -> Iterator[tuple[int, ...]]:
+    """Every ascending chain of lattice nodes ending at the top, as node
+    indices, listed by explicit depth-first search."""
     below: list[list[int]] = [[] for _ in lat.nodes]
     for i, ups in enumerate(lat.strictly_below):
         for j in ups:
             below[j].append(i)
-    counts: list[int] = []
+    return _chains_from(lat.top_index, below)
 
-    def dfs(node: int, depth: int) -> None:
-        if depth == len(counts):
-            counts.append(0)
-        counts[depth] += 1
-        for child in below[node]:
-            dfs(child, depth + 1)
 
-    dfs(lat.top_index, 0)
-    return counts
+def oracle_count_chains(lat: Lattice) -> list[int]:
+    """Per-length chain counts by explicit DFS over the lattice nodes;
+    index k counts the chains with k+1 nodes."""
+    return _per_length(lattice_chains(lat))
 
 
 def oracle_count_set_chains(
@@ -175,21 +201,7 @@ def oracle_count_set_chains(
     if not include_trivial:
         family = {h for h in family if len(h) > 1}
     sets = sorted(family, key=lambda s: (len(s), sorted(s)))
-    whole = max(range(len(sets)), key=lambda i: len(sets[i]))
-    subsets: list[list[int]] = [
-        [j for j, t in enumerate(sets) if t < s] for s in sets
-    ]
-    counts: list[int] = []
-
-    def dfs(at: int, depth: int) -> None:
-        if depth == len(counts):
-            counts.append(0)
-        counts[depth] += 1
-        for child in subsets[at]:
-            dfs(child, depth + 1)
-
-    dfs(whole, 0)
-    return counts
+    return _per_length(_set_family_chains(sets))
 
 
 @dataclass(frozen=True)
@@ -325,21 +337,6 @@ def equivalent_by_pairs(mu: FuzzyMap, nu: FuzzyMap) -> bool:
     )
 
 
-def _all_set_chains(
-    sets: Sequence[frozenset[Element]], whole: int
-) -> list[tuple[int, ...]]:
-    subsets = [[j for j, t in enumerate(sets) if t < s] for s in sets]
-    chains: list[tuple[int, ...]] = []
-
-    def dfs(at: int, prefix: tuple[int, ...]) -> None:
-        chains.append(prefix)
-        for child in subsets[at]:
-            dfs(child, (child,) + prefix)
-
-    dfs(whole, (whole,))
-    return chains
-
-
 def oracle_count_equivalence_classes(
     params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> int:
@@ -354,8 +351,7 @@ def oracle_count_equivalence_classes(
     family = sorted(
         oracle_all_subgroups(params, limit), key=lambda s: (len(s), sorted(s))
     )
-    whole = max(range(len(family)), key=lambda i: len(family[i]))
-    chains = _all_set_chains(family, whole)
+    chains = list(_set_family_chains(family))
     reps = []
     for chain in chains:
         sets = [family[i] for i in chain]

@@ -12,12 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import (
-    chain_counts,
-    compute_chain_table,
-    count_fuzzy_subgroups,
-    count_normal_fuzzy_subgroups,
-)
+from .chains import chain_counts, compute_chain_table, count_chains
 from .group import (
     DEFAULT_ORACLE_LIMIT,
     GroupParams,
@@ -28,13 +23,14 @@ from .group import (
     multiply,
     power,
 )
-from .lattice import Lattice, build_lattice, hasse_edges, height
+from .lattice import build_lattice, hasse_edges, height
 from .oracle import (
     chain_to_representative,
     equivalent,
     equivalent_by_pairs,
     is_fuzzy_subgroup,
     is_normal_fuzzy,
+    lattice_chains,
     oracle_all_subgroups,
     oracle_count_chains,
     oracle_count_equivalence_classes,
@@ -339,9 +335,7 @@ def check_set_chains(params: GroupParams, mode: str, limit: int) -> CheckResult:
     with-trivial total is exactly twice the proper total."""
     name = f"set-chains[{mode}]"
     normal_only = mode == "normal"
-    counts = chain_counts(
-        compute_chain_table(build_lattice(params, mode))
-    )
+    counts = count_chains(params, mode)
     proper = oracle_count_set_chains(
         params, normal_only=normal_only, include_trivial=False, limit=limit
     )
@@ -362,22 +356,6 @@ def check_set_chains(params: GroupParams, mode: str, limit: int) -> CheckResult:
     return _ok(params.n, name)
 
 
-def _lattice_chains(lat: Lattice) -> list[tuple[int, ...]]:
-    below: list[list[int]] = [[] for _ in lat.nodes]
-    for i, ups in enumerate(lat.strictly_below):
-        for j in ups:
-            below[j].append(i)
-    chains: list[tuple[int, ...]] = []
-
-    def dfs(at: int, prefix: tuple[int, ...]) -> None:
-        chains.append(prefix)
-        for child in below[at]:
-            dfs(child, (child,) + prefix)
-
-    dfs(lat.top_index, (lat.top_index,))
-    return chains
-
-
 def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
     """Every chain representative is a fuzzy subgroup; normal chains give
     normal ones; distinct chains are inequivalent; re-leveling is neutral."""
@@ -385,7 +363,7 @@ def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
     lat = build_lattice(params, "all")
     seen: dict[tuple[int, ...], str] = {}
     reps = []
-    for chain in _lattice_chains(lat):
+    for chain in lattice_chains(lat):
         descs = [lat.nodes[i] for i in chain]
         label = " < ".join(str(d) for d in descs)
         rep = chain_to_representative(params, descs)
@@ -409,7 +387,7 @@ def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
                     params.n, name, "all-pairs equivalence cross-check failed"
                 )
     lat_n = build_lattice(params, "normal")
-    for chain in _lattice_chains(lat_n):
+    for chain in lattice_chains(lat_n):
         descs = [lat_n.nodes[i] for i in chain]
         rep = chain_to_representative(params, descs)
         if not is_normal_fuzzy(rep):
@@ -425,7 +403,7 @@ def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
 def check_equivalence_count(params: GroupParams, limit: int) -> CheckResult:
     """Materialized equivalence classes == doubled DP chain total."""
     name = "equivalence-classes"
-    want = count_fuzzy_subgroups(params).fuzzy_count
+    want = count_chains(params, "all").fuzzy_count
     got = oracle_count_equivalence_classes(params, limit)
     if got != want:
         return _fail(params.n, name, f"oracle {got} != DP {want}")
@@ -453,8 +431,8 @@ def check_divisor_shape_dependence(n_values: list[int]) -> list[CheckResult]:
     seen: dict[tuple, tuple[int, int, int]] = {}
     for n in n_values:
         params = GroupParams(n)
-        nf = count_fuzzy_subgroups(params).fuzzy_count
-        nnf = count_normal_fuzzy_subgroups(params).fuzzy_count
+        nf = count_chains(params, "all").fuzzy_count
+        nnf = count_chains(params, "normal").fuzzy_count
         shape = _shape(params.two_n)
         if shape in seen:
             m, m_nf, m_nnf = seen[shape]

@@ -15,28 +15,30 @@ from u6n import (
     all_elements,
     build_lattice,
     chain_counts,
-    chain_to_representative,
     compute_chain_table,
-    count_fuzzy_subgroups,
-    count_normal_fuzzy_subgroups,
+    count_chains,
     divisors,
     enumerate_normal_subgroups,
     enumerate_subgroups,
-    equivalent,
     identity,
     inverse,
+    multiply,
+    power,
+    subgroup_elements,
+    twisted_exists,
+)
+from u6n.oracle import (
+    chain_to_representative,
+    equivalent,
     is_fuzzy_subgroup,
     is_normal_fuzzy,
-    multiply,
+    lattice_chains,
     oracle_all_subgroups,
     oracle_count_chains,
     oracle_count_equivalence_classes,
     oracle_count_set_chains,
     oracle_is_normal,
-    power,
     rank_signature,
-    subgroup_elements,
-    twisted_exists,
 )
 from u6n.subgroups import Kind
 
@@ -44,22 +46,6 @@ from u6n.subgroups import Kind
 def _report(num: int, slug: str, ok: bool) -> bool:
     print(f"[acceptance] criterion {num} ({slug}): {'PASS' if ok else 'FAIL'}")
     return ok
-
-
-def _lattice_chains(lat):
-    below = [[] for _ in lat.nodes]
-    for i, ups in enumerate(lat.strictly_below):
-        for j in ups:
-            below[j].append(i)
-    chains = []
-
-    def dfs(at, prefix):
-        chains.append(prefix)
-        for child in below[at]:
-            dfs(child, (child,) + prefix)
-
-    dfs(lat.top_index, (lat.top_index,))
-    return chains
 
 
 def test_criterion_1_subgroup_enumeration_equivalence():
@@ -124,7 +110,7 @@ def test_criterion_4_fuzzy_axioms_end_to_end():
     for n in range(1, 5):
         params = GroupParams(n)
         lat = build_lattice(params, "all")
-        chains = _lattice_chains(lat)
+        chains = list(lattice_chains(lat))
         signatures = set()
         for chain in chains:
             descs = [lat.nodes[i] for i in chain]
@@ -138,12 +124,12 @@ def test_criterion_4_fuzzy_axioms_end_to_end():
         ok = ok and len(signatures) == len(chains)  # pairwise inequivalent
 
         lat_normal = build_lattice(params, "normal")
-        for chain in _lattice_chains(lat_normal):
+        for chain in lattice_chains(lat_normal):
             descs = [lat_normal.nodes[i] for i in chain]
             rep = chain_to_representative(params, descs)
             ok = ok and is_fuzzy_subgroup(rep) and is_normal_fuzzy(rep)
 
-        counts = count_fuzzy_subgroups(params)
+        counts = count_chains(params, "all")
         all_chains_total = sum(oracle_count_set_chains(params))
         ok = ok and all_chains_total == counts.fuzzy_count
         ok = ok and oracle_count_equivalence_classes(params) == counts.fuzzy_count
@@ -204,19 +190,17 @@ def test_criterion_7_scalability():
     n = 360360
     params = GroupParams(n)
     start = time.perf_counter()
-    first_all = count_fuzzy_subgroups(params)
-    first_normal = count_normal_fuzzy_subgroups(params)
-    second_all = count_fuzzy_subgroups(params)
-    second_normal = count_normal_fuzzy_subgroups(params)
-    parallel_all = count_fuzzy_subgroups(params, parallel=True)
-    parallel_normal = count_normal_fuzzy_subgroups(params, parallel=True)
+    first_all = count_chains(params, "all")
+    first_normal = count_chains(params, "normal")
+    second_all = count_chains(params, "all")
+    second_normal = count_chains(params, "normal")
     elapsed = time.perf_counter() - start
 
     ok = elapsed < 10.0
     ok = ok and first_all.fuzzy_count % 2 == 0
     ok = ok and first_normal.fuzzy_count % 2 == 0
-    ok = ok and first_all == second_all == parallel_all
-    ok = ok and first_normal == second_normal == parallel_normal
+    ok = ok and first_all == second_all
+    ok = ok and first_normal == second_normal
     ok = ok and first_normal.fuzzy_count <= first_all.fuzzy_count
     ok = ok and isinstance(first_all.fuzzy_count, int)
     ok = ok and first_all.fuzzy_count > 0
@@ -227,8 +211,8 @@ def test_criterion_8_murali_makamba_identity():
     ok = True
     for n in list(range(1, 31)) + [360360]:
         params = GroupParams(n)
-        for compute in (count_fuzzy_subgroups, count_normal_fuzzy_subgroups):
-            counts = compute(params)
+        for mode in ("all", "normal"):
+            counts = count_chains(params, mode)
             ok = ok and counts.mm_count == 2 * counts.fuzzy_count - 1
             payload = counts.to_json_dict()
             ok = ok and int(payload["mm_count"]) == 2 * int(payload["fuzzy_count"]) - 1

@@ -11,13 +11,11 @@ from u6n import (
     build_lattice,
     chain_counts,
     compute_chain_table,
-    count_fuzzy_subgroups,
-    count_normal_fuzzy_subgroups,
+    count_chains,
     full,
     height,
-    murali_makamba_count,
-    oracle_count_chains,
 )
+from u6n.oracle import oracle_count_chains
 
 # frozen anchor values, confirmed by the exhaustive DFS oracle
 ANCHORS = {
@@ -31,16 +29,15 @@ ANCHORS = {
 @pytest.mark.parametrize("n, mode", sorted(ANCHORS))
 def test_anchor_counts(n, mode):
     per_length, fuzzy = ANCHORS[(n, mode)]
-    compute = count_fuzzy_subgroups if mode == "all" else count_normal_fuzzy_subgroups
-    counts = compute(GroupParams(n))
+    counts = count_chains(GroupParams(n), mode)
     assert list(counts.per_length) == per_length
     assert counts.fuzzy_count == fuzzy
     assert counts.total == sum(per_length)
 
 
 def test_murali_makamba_examples():
-    assert murali_makamba_count(count_fuzzy_subgroups(GroupParams(1))) == 19
-    assert murali_makamba_count(count_normal_fuzzy_subgroups(GroupParams(1))) == 7
+    assert count_chains(GroupParams(1), "all").mm_count == 19
+    assert count_chains(GroupParams(1), "normal").mm_count == 7
 
 
 def test_level_table_boundary():
@@ -67,7 +64,7 @@ def test_single_node_lattice():
     counts = chain_counts(table)
     assert list(counts.per_length) == [1]
     assert counts.fuzzy_count == 2
-    assert murali_makamba_count(counts) == 3
+    assert counts.mm_count == 3
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -78,19 +75,10 @@ def test_dp_equals_dfs(n, mode):
     assert list(counts.per_length) == oracle_count_chains(lat)
 
 
-@pytest.mark.parametrize("n", [3, 6, 12, 5040])
-def test_parallel_matches_sequential(n):
-    lat = build_lattice(GroupParams(n), "all")
-    plain = compute_chain_table(lat)
-    threaded = compute_chain_table(lat, parallel=True, max_workers=3)
-    assert plain.levels == threaded.levels
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 60).map(GroupParams), st.sampled_from(["all", "normal"]))
 def test_count_invariants(params, mode):
-    compute = count_fuzzy_subgroups if mode == "all" else count_normal_fuzzy_subgroups
-    counts = compute(params)
+    counts = count_chains(params, mode)
     assert counts.per_length[0] == 1
     assert counts.per_length[-1] > 0
     assert counts.fuzzy_count == 2 * counts.total
@@ -101,20 +89,18 @@ def test_count_invariants(params, mode):
 @given(st.integers(1, 60).map(GroupParams))
 def test_normal_count_never_exceeds_all(params):
     assert (
-        count_normal_fuzzy_subgroups(params).fuzzy_count
-        <= count_fuzzy_subgroups(params).fuzzy_count
+        count_chains(params, "normal").fuzzy_count
+        <= count_chains(params, "all").fuzzy_count
     )
 
 
 def test_counts_depend_only_on_divisor_shape():
     # 2n = 2*5 vs 2*7, 2^2*5 vs 2^2*7, 2*3*5 vs 2*3*7
     for n_left, n_right in [(5, 7), (10, 14), (15, 21)]:
-        left = count_fuzzy_subgroups(GroupParams(n_left))
-        right = count_fuzzy_subgroups(GroupParams(n_right))
-        assert list(left.per_length) == list(right.per_length)
-        left_n = count_normal_fuzzy_subgroups(GroupParams(n_left))
-        right_n = count_normal_fuzzy_subgroups(GroupParams(n_right))
-        assert list(left_n.per_length) == list(right_n.per_length)
+        for mode in ("all", "normal"):
+            left = count_chains(GroupParams(n_left), mode)
+            right = count_chains(GroupParams(n_right), mode)
+            assert list(left.per_length) == list(right.per_length)
 
 
 def test_counts_validation():
@@ -129,15 +115,8 @@ def test_counts_validation():
 
 
 def test_json_round_trip():
-    counts = count_fuzzy_subgroups(GroupParams(6))
+    counts = count_chains(GroupParams(6), "all")
     payload = counts.to_json_dict()
     assert all(isinstance(c, str) for c in payload["per_length"])
     assert payload["total"] == str(counts.total)
-    assert ChainCounts.from_json_dict(payload) == counts
 
-
-def test_json_rejects_tampered_totals():
-    payload = count_fuzzy_subgroups(GroupParams(2)).to_json_dict()
-    payload["fuzzy_count"] = "999"
-    with pytest.raises(ValueError):
-        ChainCounts.from_json_dict(payload)

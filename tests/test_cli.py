@@ -1,12 +1,17 @@
-"""Command-line behavior: outputs, formats, exit codes, cache."""
+"""Command-line behavior: outputs, formats, exit codes, import footprint."""
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from u6n import GroupParams, build_lattice, count_fuzzy_subgroups, export_dot, export_json
+import u6n
+from u6n import GroupParams, build_lattice, count_chains, export_dot, export_json
 from u6n.cli import CliError, build_parser, config_from_args, main
 from u6n.verify import CheckResult
 
@@ -100,6 +105,15 @@ def test_lattice_json_and_dot(capsys, tmp_path):
     assert dot_path.read_text() == export_dot(lat)
 
 
+@pytest.mark.parametrize("target", ["missing/x.dot", "."])
+def test_lattice_unwritable_dot_exits_1(capsys, tmp_path, target):
+    code, _, err = run_cli(
+        capsys, "lattice", "--n", "1", "--dot", str(tmp_path / target)
+    )
+    assert code == 1
+    assert err and "Traceback" not in err
+
+
 def test_batch_csv(capsys):
     code, out, _ = run_cli(capsys, "batch", "--range", "1..3")
     assert code == 0
@@ -121,7 +135,7 @@ def test_batch_rows_recompute(capsys):
     code, out, _ = run_cli(capsys, "batch", "--range", "1..6")
     assert code == 0
     for row in list(csv.reader(io.StringIO(out)))[1:]:
-        counts = count_fuzzy_subgroups(GroupParams(int(row[0])))
+        counts = count_chains(GroupParams(int(row[0])), "all")
         assert row[2] == ";".join(str(c) for c in counts.per_length)
         assert row[4] == str(counts.fuzzy_count)
 
@@ -139,6 +153,8 @@ def test_batch_rows_recompute(capsys):
         ("batch", "--range", "a..b"),
         ("nonsense",),
         (),
+        ("count", "--n", "1", "--cache", "x"),
+        ("chains", "--n", "1", "--parallel"),
     ],
 )
 def test_invalid_input_exits_1(capsys, argv):
@@ -163,56 +179,15 @@ def test_verify_json(capsys):
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
-    import u6n.cli as cli_module
+    import u6n.verify as verify_module
 
     def fake(n_max, fuzzy_n_max, oracle_limit):
         return [CheckResult(n=1, check="doctored", passed=False, detail="boom")]
 
-    monkeypatch.setattr(cli_module, "run_verification", fake)
+    monkeypatch.setattr(verify_module, "run_verification", fake)
     code, out, _ = run_cli(capsys, "verify", "--n-max", "1")
     assert code == 2
     assert "FAIL" in out and "boom" in out
-
-
-def test_cache_round_trip(capsys, tmp_path):
-    cache = tmp_path / "cache.json"
-    code, first, _ = run_cli(
-        capsys, "count", "--n", "5", "--cache", str(cache)
-    )
-    assert code == 0
-    stored = json.loads(cache.read_text())
-    assert "5:all" in stored
-
-    # a hit returns the stored value: plant a sentinel and watch it surface
-    stored["5:all"]["per_length"] = ["1", "3"]
-    stored["5:all"]["total"] = "4"
-    stored["5:all"]["fuzzy_count"] = "8"
-    stored["5:all"]["mm_count"] = "15"
-    cache.write_text(json.dumps(stored))
-    code, second, _ = run_cli(
-        capsys, "count", "--n", "5", "--cache", str(cache)
-    )
-    assert code == 0
-    assert second == "8\n"
-
-
-def test_cache_corrupt_file_recomputes(capsys, tmp_path):
-    cache = tmp_path / "cache.json"
-    cache.write_text("{ not json")
-    code, out, err = run_cli(capsys, "count", "--n", "1", "--cache", str(cache))
-    assert code == 0
-    assert out == "10\n"
-    assert "warning" in err
-    assert json.loads(cache.read_text())["1:all"]["fuzzy_count"] == "10"
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "env-cache.json"
-    monkeypatch.setenv("U6N_CACHE", str(cache))
-    code, out, _ = run_cli(capsys, "count", "--n", "1")
-    assert code == 0
-    assert cache.exists()
-    assert "1:all" in json.loads(cache.read_text())
 
 
 def test_outputs_are_deterministic(capsys):
@@ -224,12 +199,6 @@ def test_outputs_are_deterministic(capsys):
     assert third == fourth
 
 
-def test_parallel_flag_same_output(capsys):
-    plain = run_cli(capsys, "chains", "--n", "12")
-    threaded = run_cli(capsys, "chains", "--n", "12", "--parallel")
-    assert plain == threaded
-
-
 def test_config_from_args_defaults():
     parser = build_parser()
     config = config_from_args(parser.parse_args(["count", "--n", "3"]))
@@ -238,9 +207,22 @@ def test_config_from_args_defaults():
     assert config.mode == "all"
     assert config.relation == "tarnauceanu"
     assert config.fmt == "table"
-    assert config.parallel is False
 
 
 def test_parser_error_is_cli_error():
     with pytest.raises(CliError):
         build_parser().parse_args(["count"])
+
+
+def test_cli_import_loads_only_the_counting_path():
+    code = (
+        "import sys, u6n.cli; "
+        "print(sorted(m for m in ('u6n.oracle', 'u6n.verify', 'u6n.cache', "
+        "'concurrent.futures', 'fractions') if m in sys.modules))"
+    )
+    src = str(Path(u6n.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"

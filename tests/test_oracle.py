@@ -6,20 +6,23 @@ import pytest
 
 from u6n import (
     Element,
-    FuzzyMap,
     GroupParams,
     OracleLimitExceeded,
     all_elements,
     build_lattice,
-    count_fuzzy_subgroups,
-    count_normal_fuzzy_subgroups,
-    chain_to_representative,
+    count_chains,
     cyclic,
     enumerate_normal_subgroups,
     enumerate_subgroups,
+    full,
+    subgroup_elements,
+    twisted,
+)
+from u6n.oracle import (
+    FuzzyMap,
+    chain_to_representative,
     equivalent,
     equivalent_by_pairs,
-    full,
     is_fuzzy_subgroup,
     is_normal_fuzzy,
     oracle_all_subgroups,
@@ -30,8 +33,6 @@ from u6n import (
     oracle_normal_subgroups,
     rank_signature,
     representative_from_sets,
-    subgroup_elements,
-    twisted,
 )
 
 
@@ -102,10 +103,7 @@ def test_set_chain_factor_two():
                 params, normal_only=normal_only, include_trivial=False
             )
             assert sum(with_e) == 2 * sum(without_e)
-            compute = (
-                count_normal_fuzzy_subgroups if normal_only else count_fuzzy_subgroups
-            )
-            counts = compute(params)
+            counts = count_chains(params, "normal" if normal_only else "all")
             assert without_e == list(counts.per_length)
             assert sum(with_e) == counts.fuzzy_count
 
@@ -251,4 +249,4 @@ def test_equivalence_class_counts():
         params = GroupParams(n)
         got = oracle_count_equivalence_classes(params)
         assert got % 2 == 0
-        assert got == count_fuzzy_subgroups(params).fuzzy_count
+        assert got == count_chains(params, "all").fuzzy_count
