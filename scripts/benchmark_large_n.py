@@ -1,7 +1,10 @@
-"""Time the lattice build and chain DP at divisor-rich n.
+"""Time count_chains against the full-lattice build and chain DP, and check
+that the two paths agree, at divisor-rich n.
 
-The defaults walk up the highly-composite ladder; 360360 gives 2n with
-240 divisors and a lattice of 831 nodes.
+count_chains counts from the factorization shape of 2n; the lattice path
+builds every nontrivial subgroup and runs the level DP.  The defaults walk
+up the highly-composite ladder; 360360 gives 2n with 240 divisors and a
+lattice of 831 nodes.  Exits 1 if the two paths give different counts.
 
 Usage:
     python3 scripts/benchmark_large_n.py
@@ -9,34 +12,52 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 
-from u6n import GroupParams, build_lattice, chain_counts, compute_chain_table
+from u6n import (
+    GroupParams,
+    build_lattice,
+    chain_counts,
+    compute_chain_table,
+    count_chains,
+)
 
 
-def bench(n: int) -> None:
+def bench(n: int) -> bool:
+    """Print the timings for both modes; False if the paths disagree."""
     params = GroupParams(n)
+    agree = True
     for mode in ("all", "normal"):
         start = time.perf_counter()
+        shape = count_chains(params, mode)
+        counted = time.perf_counter()
         lat = build_lattice(params, mode)
         built = time.perf_counter()
         counts = chain_counts(compute_chain_table(lat))
         done = time.perf_counter()
+        same = shape == counts
+        agree = agree and same
         print(
-            f"n={n} mode={mode}: {len(lat.nodes)} nodes, "
-            f"build {built - start:.3f}s, dp {done - built:.3f}s, "
-            f"count has {len(str(counts.fuzzy_count))} digits"
+            f"n={n} mode={mode}: count_chains {counted - start:.4f}s; "
+            f"{len(lat.nodes)} nodes, build {built - counted:.3f}s, "
+            f"dp {done - built:.3f}s; "
+            f"count has {len(str(counts.fuzzy_count))} digits, "
+            f"{'paths agree' if same else 'PATHS DIFFER'}"
         )
+    return agree
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, nargs="+",
                         default=[5040, 55440, 360360])
     args = parser.parse_args()
+    agree = True
     for n in args.n:
-        bench(n)
+        agree = bench(n) and agree
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,10 +2,10 @@
 
 U_6n is the order-6n group generated by a and b with a^(2n) = b^3 = 1
 and bab = a.  The package enumerates its subgroups from the divisor
-structure of 2n, orders them by containment, counts subgroup chains by
-dynamic programming, and derives from those chains the number of fuzzy
-subgroups (and normal fuzzy subgroups) up to the grade-comparison
-equivalence.  A brute-force oracle recomputes everything the slow way
+structure of 2n, orders them by containment, counts subgroup chains
+from the factorization shape of 2n, and derives from those chains the
+number of fuzzy subgroups (and normal fuzzy subgroups) up to the
+grade-comparison equivalence.  A brute-force oracle recomputes everything the slow way
 for small n so the closed forms never go unchecked; import it from
 `u6n.oracle` and `u6n.verify`, which the counting path never loads.
 """

@@ -1,10 +1,40 @@
-"""Counting ascending subgroup chains by dynamic programming.
+"""Counting ascending subgroup chains from the factorization shape of 2n.
 
-Level k of the table holds, for every lattice node H, the number of
-strictly ascending chains of k+1 subgroups from H up to the whole group.
-Each level is the predecessor-sum of the one before it, and the table
-stops at the first all-zero level, so its length never exceeds the
-lattice height.  Counts are plain Python ints: they outgrow 64 bits for
+Write 2n = 2^e2 * 3^e3 * m with gcd(m, 6) = 1 and n' = 2^(e2-1) * 3^e3.
+Conjugation by a inverts b, so the even power a^(2n/m) is central; it
+generates a cyclic subgroup of order m, <a^m, b> is a copy of U_6n', and
+U_6n = U_6n' x C_m with coprime factor orders.  Every subgroup of
+a direct product of coprime-order groups is the product of its two
+projections, and it is normal iff both are, so the subgroup lattice and
+the normal-subgroup lattice of U_6n are both
+
+    L(U_6n) = L(U_6n') x prod_p chain(a_p),      m = prod_p p^a_p,
+
+where chain(a) is the chain 0 < 1 < ... < a of the subgroups of C_{p^a}.
+
+Let c_j count the strict chains 1 = H_0 < H_1 < ... < H_j = G in a
+lattice L (c_0 = 0, as the group is never trivial).  The zeta polynomial
+Z(L, k), the number of multichains 1 = K_0 <= K_1 <= ... <= K_k = G, is
+multiplicative over products, and a chain with a steps contributes
+C(a + k - 1, k - 1) multichains (Stanley, Enumerative Combinatorics I,
+section 3.12).  Choosing which of the k steps of a multichain are strict
+gives the pair of binomial transforms
+
+    Z(k) = sum_j C(k, j) c_j,        c_j = sum_k (-1)^(j-k) C(j, k) Z(k),
+
+so count_chains takes the c_j of the small core lattice L(U_6n') from the
+full-lattice path, multiplies its Z(k) by prod_p C(a_p + k - 1, k - 1) for
+k up to the product's height, and inverts.  The cost no longer depends on
+the number of divisors of m.
+
+The full-lattice path, build_lattice -> compute_chain_table ->
+chain_counts, stays public as the independent cross-check.  Level k of
+its table holds, for every lattice node H, the number of strictly
+ascending chains of k+1 subgroups from H up to the whole group.  Each
+level is the predecessor-sum of the one before it, and the table stops
+at the first all-zero level, so its length never exceeds the lattice
+height.  The lattice leaves out the trivial subgroup, so per_length[j-1]
+is c_j above.  Counts are plain Python ints: they outgrow 64 bits for
 divisor-rich n, and nothing here ever rounds.
 
 Doubling the total over all nodes and lengths gives the number of
@@ -17,9 +47,11 @@ less than twice that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, prod
 
 from .group import GroupParams
 from .lattice import Lattice, build_lattice
+from .subgroups import factorize
 
 
 @dataclass(frozen=True)
@@ -89,5 +121,30 @@ def chain_counts(table: ChainTable) -> ChainCounts:
 
 
 def count_chains(params: GroupParams, mode: str) -> ChainCounts:
-    """Chain counts of the `mode` ("all" or "normal") lattice of U_6n."""
-    return chain_counts(compute_chain_table(build_lattice(params, mode)))
+    """Chain counts of the `mode` ("all" or "normal") lattice of U_6n.
+
+    Counts from the factorization shape of 2n, as the module docstring
+    derives; the result equals chain_counts(compute_chain_table(
+    build_lattice(params, mode))).
+    """
+    core_two_n = 1
+    exponents = []
+    for p, a in factorize(params.two_n):
+        if p <= 3:
+            core_two_n *= p**a
+        else:
+            exponents.append(a)
+    core = chain_counts(
+        compute_chain_table(build_lattice(GroupParams(core_two_n // 2), mode))
+    )
+    top = len(core.per_length) + sum(exponents)
+    zeta = [0] + [
+        sum(cj * comb(k, j) for j, cj in enumerate(core.per_length, 1))
+        * prod(comb(a + k - 1, k - 1) for a in exponents)
+        for k in range(1, top + 1)
+    ]
+    per_length = tuple(
+        sum((-1) ** (j - k) * comb(j, k) * zeta[k] for k in range(1, j + 1))
+        for j in range(1, top + 1)
+    )
+    return ChainCounts(n=params.n, mode=mode, per_length=per_length)

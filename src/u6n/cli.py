@@ -128,6 +128,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         n = args.n_max
     if n is not None and n < 1:
         raise CliError(f"n must be at least 1, got {n}")
+    if args.command == "verify":
+        for flag, value in (("--fuzzy-n-max", args.fuzzy_n_max),
+                            ("--oracle-limit", args.oracle_limit)):
+            if value < 0:
+                raise CliError(f"{flag} must be at least 0, got {value}")
     return RunConfig(
         command=args.command,
         n=n,

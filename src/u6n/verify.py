@@ -1,7 +1,8 @@
 """Cross-checks of every fast-path claim against the brute-force oracle.
 
 Each check compares a closed-form or DP result with an exhaustive
-recomputation and reports a counterexample on mismatch.  Checks carry
+recomputation, or the shape-based count_chains with the full-lattice
+DP, and reports a counterexample on mismatch.  Checks carry
 their own cost gates (a maximum group order or n), so running the full
 battery up to some n_max only executes what is tractable at each n.
 """
@@ -12,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import chain_counts, compute_chain_table, count_chains
+from .chains import ChainCounts, chain_counts, compute_chain_table, count_chains
 from .group import (
     DEFAULT_ORACLE_LIMIT,
     GroupParams,
@@ -310,6 +311,11 @@ def check_hasse_closure(params: GroupParams, mode: str) -> CheckResult:
     return _ok(params.n, name)
 
 
+def _lattice_counts(params: GroupParams, mode: str) -> ChainCounts:
+    """Chain counts through the full lattice, independent of count_chains."""
+    return chain_counts(compute_chain_table(build_lattice(params, mode)))
+
+
 def check_dp_vs_dfs(params: GroupParams, mode: str) -> CheckResult:
     """DP per-length chain counts == explicit DFS enumeration."""
     name = f"dp-vs-dfs[{mode}]"
@@ -330,9 +336,23 @@ def check_dp_vs_dfs(params: GroupParams, mode: str) -> CheckResult:
     return _ok(params.n, name)
 
 
+def check_shape_vs_lattice(params: GroupParams, mode: str) -> CheckResult:
+    """count_chains (core lattice times chain factors) == full-lattice DP."""
+    name = f"shape-vs-lattice[{mode}]"
+    shape = count_chains(params, mode)
+    lattice = _lattice_counts(params, mode)
+    if shape != lattice:
+        return _fail(
+            params.n,
+            name,
+            f"shape {list(shape.per_length)} != lattice {list(lattice.per_length)}",
+        )
+    return _ok(params.n, name)
+
+
 def check_set_chains(params: GroupParams, mode: str, limit: int) -> CheckResult:
-    """Catalog-free chain counts over oracle sets match the DP, and the
-    with-trivial total is exactly twice the proper total."""
+    """Catalog-free chain counts over oracle sets match count_chains, and
+    the with-trivial total is exactly twice the proper total."""
     name = f"set-chains[{mode}]"
     normal_only = mode == "normal"
     counts = count_chains(params, mode)
@@ -341,7 +361,7 @@ def check_set_chains(params: GroupParams, mode: str, limit: int) -> CheckResult:
     )
     if proper != list(counts.per_length):
         return _fail(
-            params.n, name, f"set DFS {proper} != DP {list(counts.per_length)}"
+            params.n, name, f"set DFS {proper} != count_chains {list(counts.per_length)}"
         )
     with_trivial = oracle_count_set_chains(
         params, normal_only=normal_only, include_trivial=True, limit=limit
@@ -401,12 +421,12 @@ def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
 
 
 def check_equivalence_count(params: GroupParams, limit: int) -> CheckResult:
-    """Materialized equivalence classes == doubled DP chain total."""
+    """Materialized equivalence classes == doubled count_chains total."""
     name = "equivalence-classes"
     want = count_chains(params, "all").fuzzy_count
     got = oracle_count_equivalence_classes(params, limit)
     if got != want:
-        return _fail(params.n, name, f"oracle {got} != DP {want}")
+        return _fail(params.n, name, f"oracle {got} != count_chains {want}")
     return _ok(params.n, name)
 
 
@@ -425,14 +445,15 @@ def _shape(two_n: int) -> tuple:
 
 
 def check_divisor_shape_dependence(n_values: list[int]) -> list[CheckResult]:
-    """Counts agree across n whose 2n share a factorization shape."""
+    """Full-lattice counts agree across n whose 2n share a factorization
+    shape, the premise count_chains is built on."""
     name = "shape-dependence"
     results = []
     seen: dict[tuple, tuple[int, int, int]] = {}
     for n in n_values:
         params = GroupParams(n)
-        nf = count_chains(params, "all").fuzzy_count
-        nnf = count_chains(params, "normal").fuzzy_count
+        nf = _lattice_counts(params, "all").fuzzy_count
+        nnf = _lattice_counts(params, "normal").fuzzy_count
         shape = _shape(params.two_n)
         if shape in seen:
             m, m_nf, m_nnf = seen[shape]
@@ -462,6 +483,8 @@ def run_verification(
     """The full battery for n = 1..n_max, each check gated by its cost."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if fuzzy_n_max < 0 or oracle_limit < 0:
+        raise ValueError("fuzzy_n_max and oracle_limit must be nonnegative")
     results: list[CheckResult] = []
     for n in range(1, n_max + 1):
         params = GroupParams(n)
@@ -482,6 +505,7 @@ def run_verification(
             results.append(check_lattice_order_laws(params, mode))
             results.append(check_hasse_closure(params, mode))
             results.append(check_dp_vs_dfs(params, mode))
+            results.append(check_shape_vs_lattice(params, mode))
             if n <= 6 and order <= oracle_limit:
                 results.append(check_set_chains(params, mode, oracle_limit))
         if n <= fuzzy_n_max:

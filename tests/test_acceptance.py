@@ -194,6 +194,9 @@ def test_criterion_7_scalability():
     first_normal = count_chains(params, "normal")
     second_all = count_chains(params, "all")
     second_normal = count_chains(params, "normal")
+    large = GroupParams(3491888400)
+    large_all = count_chains(large, "all")
+    large_normal = count_chains(large, "normal")
     elapsed = time.perf_counter() - start
 
     ok = elapsed < 10.0
@@ -204,6 +207,8 @@ def test_criterion_7_scalability():
     ok = ok and first_normal.fuzzy_count <= first_all.fuzzy_count
     ok = ok and isinstance(first_all.fuzzy_count, int)
     ok = ok and first_all.fuzzy_count > 0
+    ok = ok and large_all.fuzzy_count == 32290146781568
+    ok = ok and large_normal.fuzzy_count == 11130418165376
     assert _report(7, "scalability-360360", ok), f"elapsed {elapsed:.2f}s"
 
 

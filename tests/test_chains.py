@@ -1,7 +1,7 @@
 """Chain-counting DP and the derived fuzzy-subgroup counts."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from u6n import (
@@ -94,13 +94,53 @@ def test_normal_count_never_exceeds_all(params):
     )
 
 
+def _lattice_counts(n, mode):
+    """The full-lattice path, independent of count_chains."""
+    return chain_counts(compute_chain_table(build_lattice(GroupParams(n), mode)))
+
+
 def test_counts_depend_only_on_divisor_shape():
     # 2n = 2*5 vs 2*7, 2^2*5 vs 2^2*7, 2*3*5 vs 2*3*7
     for n_left, n_right in [(5, 7), (10, 14), (15, 21)]:
         for mode in ("all", "normal"):
-            left = count_chains(GroupParams(n_left), mode)
-            right = count_chains(GroupParams(n_right), mode)
+            left = _lattice_counts(n_left, mode)
+            right = _lattice_counts(n_right, mode)
             assert list(left.per_length) == list(right.per_length)
+
+
+@st.composite
+def _shapes(draw):
+    """n with 2n = 2^e2 * 3^e3 * prod p^a, e2 <= 6, e3 <= 4, a <= 3."""
+    e2 = draw(st.integers(1, 6))
+    e3 = draw(st.integers(0, 4))
+    primes = draw(st.lists(st.sampled_from([5, 7, 11, 13, 17, 19, 23]),
+                           max_size=3, unique=True))
+    n = 2 ** (e2 - 1) * 3**e3
+    divisor_count = (e2 + 1) * (e3 + 1)
+    for p in primes:
+        a = draw(st.integers(1, 3))
+        n *= p**a
+        divisor_count *= a + 1
+    # the full-lattice side materializes every strict pair; keep it small
+    assume(divisor_count <= 360)
+    return n
+
+
+@settings(max_examples=30, deadline=None)
+@given(_shapes(), st.sampled_from(["all", "normal"]))
+def test_shape_count_equals_full_lattice(n, mode):
+    assert count_chains(GroupParams(n), mode) == _lattice_counts(n, mode)
+
+
+@pytest.mark.parametrize(
+    "mode, fuzzy",
+    [("all", 32290146781568), ("normal", 11130418165376)],
+)
+def test_large_n_counts(mode, fuzzy):
+    # 2n = 2^5 3^3 5^2 7 11 13 17; frozen after both paths agreed
+    counts = count_chains(GroupParams(3491888400), mode)
+    assert counts.fuzzy_count == fuzzy
+    assert len(counts.per_length) == 16
 
 
 def test_counts_validation():

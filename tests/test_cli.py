@@ -155,6 +155,8 @@ def test_batch_rows_recompute(capsys):
         (),
         ("count", "--n", "1", "--cache", "x"),
         ("chains", "--n", "1", "--parallel"),
+        ("verify", "--n-max", "3", "--oracle-limit", "-5"),
+        ("verify", "--n-max", "3", "--fuzzy-n-max", "-1"),
     ],
 )
 def test_invalid_input_exits_1(capsys, argv):

@@ -1,0 +1,33 @@
+"""scripts/benchmark_large_n.py checks that the two counting paths agree."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from u6n import ChainCounts
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "benchmark_large_n.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("benchmark_large_n", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_large_n_agrees(monkeypatch, capsys):
+    script = _load_script()
+    monkeypatch.setattr(sys, "argv", ["benchmark_large_n.py", "--n", "12", "35"])
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    assert out.count("paths agree") == 4
+
+
+def test_benchmark_large_n_exits_1_on_mismatch(monkeypatch, capsys):
+    script = _load_script()
+    wrong = ChainCounts(n=35, mode="all", per_length=(1, 2))
+    monkeypatch.setattr(script, "count_chains", lambda params, mode: wrong)
+    monkeypatch.setattr(sys, "argv", ["benchmark_large_n.py", "--n", "35"])
+    assert script.main() == 1
+    assert "PATHS DIFFER" in capsys.readouterr().out

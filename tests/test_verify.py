@@ -2,7 +2,7 @@
 
 import pytest
 
-from u6n import GroupParams
+from u6n import ChainCounts, GroupParams
 from u6n.verify import (
     CheckResult,
     check_containment,
@@ -11,6 +11,7 @@ from u6n.verify import (
     check_dp_vs_dfs,
     check_fuzzy_axioms,
     check_group_laws,
+    check_shape_vs_lattice,
     check_subgroup_family,
     render_report,
     report_json,
@@ -40,6 +41,8 @@ def test_full_battery_to_8():
         "hasse-closure[normal]",
         "dp-vs-dfs[all]",
         "dp-vs-dfs[normal]",
+        "shape-vs-lattice[all]",
+        "shape-vs-lattice[normal]",
         "set-chains[all]",
         "set-chains[normal]",
         "fuzzy-axioms",
@@ -55,7 +58,18 @@ def test_individual_checks_pass():
     assert check_subgroup_family(params, 300).passed
     assert check_containment(params).passed
     assert check_dp_vs_dfs(params, "all").passed
+    assert check_shape_vs_lattice(GroupParams(35), "normal").passed
     assert check_fuzzy_axioms(params).passed
+
+
+def test_shape_vs_lattice_catches_mismatch(monkeypatch):
+    import u6n.verify as verify_module
+
+    wrong = ChainCounts(n=5, mode="all", per_length=(1, 2))
+    monkeypatch.setattr(verify_module, "count_chains", lambda params, mode: wrong)
+    result = check_shape_vs_lattice(GroupParams(5), "all")
+    assert not result.passed
+    assert "shape [1, 2] != lattice" in result.detail
 
 
 def test_shape_dependence_reports_matches():
@@ -88,3 +102,7 @@ def test_all_green_report():
 def test_run_verification_rejects_bad_range():
     with pytest.raises(ValueError):
         run_verification(0)
+    with pytest.raises(ValueError):
+        run_verification(3, oracle_limit=-5)
+    with pytest.raises(ValueError):
+        run_verification(3, fuzzy_n_max=-1)
