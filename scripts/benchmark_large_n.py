@@ -1,10 +1,13 @@
-"""Time count_chains against the full-lattice build and chain DP, and check
-that the two paths agree, at divisor-rich n.
+"""Time factorize and count_chains against the full-lattice build and chain
+DP, and check that the two paths agree.
 
 count_chains counts from the factorization shape of 2n; the lattice path
-builds every nontrivial subgroup and runs the level DP.  The defaults walk
-up the highly-composite ladder; 360360 gives 2n with 240 divisors and a
-lattice of 831 nodes.  Exits 1 if the two paths give different counts.
+builds every nontrivial subgroup and runs the level DP.  The default ladder
+walks up the highly-composite numbers (360360 gives 2n with 240 divisors
+and a lattice of 831 nodes), then takes the prime 2^61 - 1 and
+9999991 * 9999973, whose 2n has two prime factors near 1e7: there the
+lattices are tiny and factorizing 2n is the whole cost.  Exits 1 if the
+two paths give different counts.
 
 Usage:
     python3 scripts/benchmark_large_n.py
@@ -21,12 +24,18 @@ from u6n import (
     chain_counts,
     compute_chain_table,
     count_chains,
+    factorize,
 )
+
+LADDER = [5040, 55440, 360360, 2**61 - 1, 9999991 * 9999973]
 
 
 def bench(n: int) -> bool:
     """Print the timings for both modes; False if the paths disagree."""
     params = GroupParams(n)
+    start = time.perf_counter()
+    factorize(params.two_n)
+    factorize_s = time.perf_counter() - start
     agree = True
     for mode in ("all", "normal"):
         start = time.perf_counter()
@@ -39,7 +48,8 @@ def bench(n: int) -> bool:
         same = shape == counts
         agree = agree and same
         print(
-            f"n={n} mode={mode}: count_chains {counted - start:.4f}s; "
+            f"n={n} mode={mode}: factorize {factorize_s:.4f}s, "
+            f"count_chains {counted - start:.4f}s; "
             f"{len(lat.nodes)} nodes, build {built - counted:.3f}s, "
             f"dp {done - built:.3f}s; "
             f"count has {len(str(counts.fuzzy_count))} digits, "
@@ -51,7 +61,7 @@ def bench(n: int) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, nargs="+",
-                        default=[5040, 55440, 360360])
+                        default=LADDER)
     args = parser.parse_args()
     agree = True
     for n in args.n:

@@ -16,7 +16,6 @@ from .group import GroupParams
 from .subgroups import (
     Kind,
     SubgroupDescriptor,
-    divisors,
     enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
@@ -36,9 +35,7 @@ class Lattice:
     strictly_below: tuple[frozenset[int], ...]
 
 
-def _strict_order_edges(
-    params: GroupParams, nodes: tuple[SubgroupDescriptor, ...]
-) -> list[set[int]]:
+def _strict_order_edges(nodes: tuple[SubgroupDescriptor, ...]) -> list[set[int]]:
     """Successor sets of the strict containment order.
 
     Grouping nodes by their divisor t and walking only the pairs with
@@ -49,18 +46,16 @@ def _strict_order_edges(
     by_t: dict[int, list[tuple[int, Kind, int]]] = {}
     for i, d in enumerate(nodes):
         by_t.setdefault(d.t, []).append((i, d.kind, d.s or 0))
-    divs = [t for t in divisors(params.two_n) if t in by_t]
     above: list[set[int]] = [set() for _ in nodes]
-    for t1 in divs:
-        group1 = by_t[t1]
-        for t2 in divs:
+    for t1, group1 in by_t.items():
+        for t2, group2 in by_t.items():
             if t1 % t2 != 0:
                 continue
             k = t1 // t2
             t2_odd = t2 % 2 == 1
             km = k % 2 if t2_odd else k % 3
             for i, kind1, s1 in group1:
-                for j, kind2, s2 in by_t[t2]:
+                for j, kind2, s2 in group2:
                     if i == j:
                         continue
                     if kind2 is Kind.FULL:
@@ -91,7 +86,7 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
     nodes = tuple(d for d in descs if (d.kind, d.t) != trivial)
     assert all(subgroup_order(params, d) > 1 for d in nodes)
     top_index = nodes.index(SubgroupDescriptor(Kind.FULL, 1))
-    above = _strict_order_edges(params, nodes)
+    above = _strict_order_edges(nodes)
     return Lattice(
         params=params,
         mode=mode,

@@ -6,7 +6,8 @@ by conjugating every element, chains are listed by explicit depth-first
 search, and fuzzy subgroups are materialized as exact rational grade
 maps and checked directly against their defining axioms.  None of it
 consults the divisor-based catalog, so agreement between the two paths
-is evidence, not circularity.
+is evidence, not circularity.  Factorization is plain trial division,
+the reference for the catalog's Miller-Rabin and Pollard-rho factorizer.
 
 All of this is exponential in spirit and guarded by an order limit.
 """
@@ -72,6 +73,29 @@ def _check_limit(params: GroupParams, limit: int) -> None:
         raise OracleLimitExceeded(
             f"group order {params.order} exceeds the oracle limit {limit}"
         )
+
+
+def trial_division_factorize(m: int) -> list[tuple[int, int]]:
+    """Prime factorization of m >= 1 by trial division up to sqrt(m).
+
+    The reference for subgroups.factorize: as slow as it is plain, and it
+    shares no code with the Miller-Rabin and Pollard-rho path.
+    """
+    if m < 1:
+        raise ValueError(f"cannot factorize {m}")
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
 def _discover_subgroups(group: _IndexedGroup) -> list[frozenset[int]]:

@@ -11,11 +11,16 @@ Every subgroup is one of three shapes, indexed by a divisor t of 2n:
 Membership, containment and orders all reduce to modular arithmetic on
 the t and s parameters, so the catalog never needs to materialize
 element sets except for its own small-n consistency assertions.
+
+The divisors come from factorize(2n), Miller-Rabin plus Pollard rho; its
+docstring gives the method, the 3.3e24 determinism bound and the one
+slow case.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 
@@ -65,23 +70,98 @@ def twisted(t: int, s: int) -> SubgroupDescriptor:
     return SubgroupDescriptor(Kind.TWISTED, t, s)
 
 
+#: Trial divisors; any cofactor below 101**2 left after them is prime.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                 59, 61, 67, 71, 73, 79, 83, 89, 97)
+#: The first 13 primes: as Miller-Rabin bases they admit no strong
+#: pseudoprime below 3317044064679887385961981 (Sorenson and Webster).
+_MR_BASES = _SMALL_PRIMES[:13]
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, for m >= 101**2 with no prime
+    factor below 100.
+
+    Deterministic below about 3.3e24; above it, a composite built to fool
+    exactly these bases would pass, so the answer is only probable.
+    """
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _find_factor(m: int) -> int:
+    """A proper factor of the odd composite m: Pollard rho, Brent's variant.
+
+    The walk x -> x^2 + c accumulates |x - y| products and takes one gcd per
+    batch; a batch that overshoots to gcd m is replayed step by step, and a
+    walk that still only finds m is retried with the next c.
+    """
+    batch = 64
+    for c in range(1, m):
+        y, power, g, q = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % m
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(batch, power - done)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                done += batch
+            power *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % m
+                g = math.gcd(abs(x - saved), m)
+        if g != m:
+            return g
+    raise ArithmeticError(f"no factor found for {m}")
+
+
 def factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization of m >= 1 as (prime, exponent) pairs, primes ascending."""
+    """Prime factorization of m >= 1 as (prime, exponent) pairs, primes ascending.
+
+    Trial division by the primes below 100, then Miller-Rabin with the 13
+    prime bases 2..41 on what is left, splitting composites with Pollard
+    rho (Brent's variant).  The primality test is deterministic for every
+    cofactor below 3.3e24 and probabilistic above it.  A prime such as
+    2**61 - 1 costs one Miller-Rabin test, well under a millisecond.  The
+    slow case is a cofactor with two prime factors both above about 1e15:
+    rho needs around their square root, 3e7 steps, or tens of seconds.
+    """
     if m < 1:
         raise ValueError(f"cannot factorize {m}")
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
+    exponents: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            m //= p
+            exponents[p] = exponents.get(p, 0) + 1
+    pending = [m] if m > 1 else []
+    while pending:
+        f = pending.pop()
+        if f < 101 * 101 or _is_prime(f):
+            exponents[f] = exponents.get(f, 0) + 1
+        else:
+            g = _find_factor(f)
+            pending += [g, f // g]
+    return sorted(exponents.items())
 
 
 def divisors(m: int) -> list[int]:

@@ -1,5 +1,7 @@
 """Chain-counting DP and the derived fuzzy-subgroup counts."""
 
+from math import prod
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from u6n import (
     chain_counts,
     compute_chain_table,
     count_chains,
+    factorize,
     full,
     height,
 )
@@ -130,6 +133,37 @@ def _shapes(draw):
 @given(_shapes(), st.sampled_from(["all", "normal"]))
 def test_shape_count_equals_full_lattice(n, mode):
     assert count_chains(GroupParams(n), mode) == _lattice_counts(n, mode)
+
+
+# primes from 5 up to about 1e9; a composite here would fail the test below
+LARGE_PRIMES = [5, 7, 11, 13, 17, 97, 101, 7919, 65537, 104729, 1299709,
+                15485863, 32452843, 179424673, 982451653, 999999893,
+                999999929, 999999937, 1000000007, 1000000009]
+
+
+@st.composite
+def _large_factorizations(draw):
+    """A factorization of 2n: 2^e2 3^e3 times up to three drawn primes."""
+    e2 = draw(st.integers(1, 6))
+    e3 = draw(st.integers(0, 4))
+    primes = draw(st.lists(st.sampled_from(LARGE_PRIMES), max_size=3, unique=True))
+    factors = [(2, e2)] + ([(3, e3)] if e3 else [])
+    return factors + [(p, draw(st.integers(1, 3))) for p in sorted(primes)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_large_factorizations())
+def test_shape_invariance_on_large_n(factorization):
+    two_n = prod(p**a for p, a in factorization)
+    assert factorize(two_n) == factorization
+    # the smallest n of the same shape puts the largest exponent on 5
+    core = prod(p**a for p, a in factorization if p <= 3)
+    exponents = sorted((a for p, a in factorization if p > 3), reverse=True)
+    smallest = core * prod(p**a for p, a in zip((5, 7, 11), exponents))
+    for mode in ("all", "normal"):
+        big = count_chains(GroupParams(two_n // 2), mode)
+        small = count_chains(GroupParams(smallest // 2), mode)
+        assert big.per_length == small.per_length
 
 
 @pytest.mark.parametrize(

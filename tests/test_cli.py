@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,19 @@ def test_chains_json_round_trip(capsys):
     assert payload["mode"] == "normal"
     assert all(isinstance(c, str) for c in payload["per_length"])
     assert int(payload["fuzzy_count"]) == 2 * int(payload["total"])
+
+
+def test_huge_prime_n_answers_like_n_5(capsys):
+    # 2n = 2 * (2^61 - 1) has the shape of 2 * 5
+    huge = "2305843009213693951"
+    start = time.perf_counter()
+    count = run_cli(capsys, "count", "--n", huge)
+    chains = run_cli(capsys, "chains", "--n", huge, "--format", "json")
+    assert time.perf_counter() - start < 2.0
+    assert count == run_cli(capsys, "count", "--n", "5")
+    assert chains[0] == 0
+    small = json.loads(run_cli(capsys, "chains", "--n", "5", "--format", "json")[1])
+    assert json.loads(chains[1])["per_length"] == small["per_length"]
 
 
 def test_subgroups_table(capsys):

@@ -169,7 +169,6 @@ def test_json_export_schema():
 
 
 def test_strict_edges_helper_is_pure():
-    params = GroupParams(4)
-    lat = build_lattice(params, "all")
-    again = _strict_order_edges(params, lat.nodes)
+    lat = build_lattice(GroupParams(4), "all")
+    again = _strict_order_edges(lat.nodes)
     assert [frozenset(s) for s in again] == list(lat.strictly_below)

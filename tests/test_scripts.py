@@ -22,6 +22,16 @@ def test_benchmark_large_n_agrees(monkeypatch, capsys):
     assert script.main() == 0
     out = capsys.readouterr().out
     assert out.count("paths agree") == 4
+    assert out.count("factorize ") == 4
+
+
+def test_benchmark_large_n_default_ladder(monkeypatch, capsys):
+    script = _load_script()
+    monkeypatch.setattr(sys, "argv", ["benchmark_large_n.py"])
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    assert out.count("paths agree") == 2 * len(script.LADDER)
+    assert f"n={2**61 - 1} mode=all" in out
 
 
 def test_benchmark_large_n_exits_1_on_mismatch(monkeypatch, capsys):

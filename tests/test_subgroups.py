@@ -1,5 +1,7 @@
 """Divisor-driven subgroup catalog: enumeration, membership, containment."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from u6n import (
     twisted,
     twisted_exists,
 )
+from u6n.oracle import trial_division_factorize
 
 params_st = st.integers(min_value=1, max_value=30).map(GroupParams)
 
@@ -43,6 +46,52 @@ def test_factorize_reconstructs(m):
     for p, e in factorize(m):
         product *= p**e
     assert product == m
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**7))
+def test_factorize_matches_trial_division(m):
+    assert factorize(m) == trial_division_factorize(m)
+
+
+# Carmichael numbers; strong pseudoprimes, the last of them to every prime
+# base up to 37, so only the Miller-Rabin base 41 exposes it; two primes
+# near 1e9; prime powers, the first just past the reach of the trial
+# divisors; the Mersenne prime 2^61 - 1
+ADVERSARIAL = [
+    (561, [(3, 1), (11, 1), (17, 1)]),
+    (41041, [(7, 1), (11, 1), (13, 1), (41, 1)]),
+    (825265, [(5, 1), (7, 1), (17, 1), (19, 1), (73, 1)]),
+    (2047, [(23, 1), (89, 1)]),
+    (3215031751, [(151, 1), (751, 1), (28351, 1)]),
+    (3825123056546413051, [(149491, 1), (747451, 1), (34233211, 1)]),
+    (318665857834031151167461, [(399165290221, 1), (798330580441, 1)]),
+    (999999937 * 999999929, [(999999929, 1), (999999937, 1)]),
+    (101**2, [(101, 2)]),
+    (3**40, [(3, 40)]),
+    ((2**31 - 1) ** 2, [(2**31 - 1, 2)]),
+    (2**61 - 1, [(2**61 - 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("m, expected", ADVERSARIAL,
+                         ids=[str(m) for m, _ in ADVERSARIAL])
+def test_factorize_adversarial(m, expected):
+    assert factorize(m) == expected
+    assert math.prod(p**e for p, e in expected) == m
+    for p, _ in expected:
+        if p <= 10**14:
+            assert trial_division_factorize(p) == [(p, 1)]
+    if m <= 10**14:
+        assert trial_division_factorize(m) == expected
+
+
+def test_trial_division_factorize_rejects_nonpositive():
+    for m in (0, -4):
+        with pytest.raises(ValueError):
+            trial_division_factorize(m)
+        with pytest.raises(ValueError):
+            factorize(m)
 
 
 @given(st.integers(1, 600))
