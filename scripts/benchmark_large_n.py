@@ -1,5 +1,5 @@
 """Time factorize and count_chains against the full-lattice build and chain
-DP, and check that the two paths agree.
+DP, and check that the two paths agree; also time the Hasse covers.
 
 count_chains counts from the factorization shape of 2n; the lattice path
 builds every nontrivial subgroup and runs the level DP.  The default ladder
@@ -25,6 +25,7 @@ from u6n import (
     compute_chain_table,
     count_chains,
     factorize,
+    hasse_edges,
 )
 
 LADDER = [5040, 55440, 360360, 2**61 - 1, 9999991 * 9999973]
@@ -45,13 +46,16 @@ def bench(n: int) -> bool:
         built = time.perf_counter()
         counts = chain_counts(compute_chain_table(lat))
         done = time.perf_counter()
+        covers = hasse_edges(lat)
+        reduced = time.perf_counter()
         same = shape == counts
         agree = agree and same
         print(
             f"n={n} mode={mode}: factorize {factorize_s:.4f}s, "
             f"count_chains {counted - start:.4f}s; "
             f"{len(lat.nodes)} nodes, build {built - counted:.3f}s, "
-            f"dp {done - built:.3f}s; "
+            f"dp {done - built:.3f}s, "
+            f"hasse_edges {reduced - done:.3f}s ({len(covers)} covers); "
             f"count has {len(str(counts.fuzzy_count))} digits, "
             f"{'paths agree' if same else 'PATHS DIFFER'}"
         )

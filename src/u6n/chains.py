@@ -51,7 +51,7 @@ from math import comb, prod
 
 from .group import GroupParams
 from .lattice import Lattice, build_lattice
-from .subgroups import factorize
+from .subgroups import split_core
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,8 @@ def count_chains(params: GroupParams, mode: str) -> ChainCounts:
     derives; the result equals chain_counts(compute_chain_table(
     build_lattice(params, mode))).
     """
-    core_two_n = 1
-    exponents = []
-    for p, a in factorize(params.two_n):
-        if p <= 3:
-            core_two_n *= p**a
-        else:
-            exponents.append(a)
+    core_two_n, rest = split_core(params.two_n)
+    exponents = [a for _, a in rest]
     core = chain_counts(
         compute_chain_table(build_lattice(GroupParams(core_two_n // 2), mode))
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .chains import count_chains
 from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
-from .lattice import build_lattice, export_dot, export_json
+from .lattice import build_lattice, dot_text, hasse_edges, json_text
 from .subgroups import (
     enumerate_normal_subgroups,
     enumerate_subgroups,
@@ -216,14 +216,15 @@ def _cmd_count(config: RunConfig) -> int:
 
 def _cmd_lattice(config: RunConfig) -> int:
     lat = build_lattice(_params(config.n), config.mode)
+    covers = sorted(hasse_edges(lat))
     if config.dot_path:
         try:
-            Path(config.dot_path).write_text(export_dot(lat))
+            Path(config.dot_path).write_text(dot_text(lat, covers))
         except OSError as exc:
             raise CliError(
                 f"cannot write DOT file {config.dot_path}: {exc.strerror or exc}"
             ) from exc
-    print(json.dumps(export_json(lat), indent=2))
+    print(json_text(lat, covers))
     return 0
 
 

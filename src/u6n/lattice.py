@@ -1,16 +1,44 @@
 """Strict containment order on the nontrivial subgroups of U_6n.
 
+Write 2n = c * m with core c = 2^e2 * 3^e3 and gcd(m, 6) = 1 (split_core).
+As the chains.py docstring derives, U_6n = U_(c/2) x C_m with coprime
+factor orders, so every subgroup, and every normal subgroup, is a pair
+(x, u): a subgroup x of the core group U_(c/2) times the subgroup of
+index u in C_m, for a divisor u of m.  Containment is the product order,
+
+    (x, u) <= (y, v)   iff   x <= y in the core and v | u.
+
+A descriptor (kind, t, s) has u = t / gcd(t, c) and core node
+(kind, gcd(t, c), s'), where s' = s for odd t and s' = s * u mod 3 for
+even t.  The relabel is needed because for even t the p-th power of
+a^t b^s is a^(pt) b^(ps): T(p*t, s*p mod 3) lies in T(t, s), and a prime
+p = 2 mod 3 swaps s.  As u is prime to 3, u * u = 1 mod 3 and the relabel
+is its own inverse.
+
+build_lattice runs the pairwise rule of _strict_order_edges on the small
+core only, including the core's trivial subgroup C(c), which is a proper
+subgroup of U_6n once m > 1, and lifts it to the product.  hasse_edges
+returns the single-coordinate steps: (x, u) -> (y, u) for each cover
+x -> y of the core, and (x, u) -> (x, u / p) for each prime p | u.  With
+m = 1 the lattice is the core itself and nothing is lifted.
+
 The lattice stores the full strict relation (every pair H < K), not just
 the Hasse covers, because the chain-counting recurrence sums over all
 strict successors.  For the normal-mode lattice the relation is simply
 the restriction of containment to normal subgroups: every listed normal
 subgroup is normal in the whole group, hence in any subgroup above it
 (the verification suite re-checks this pairwise at small n).
+
+The lattice command prints json.dumps(export_json(lat), indent=2); json's
+indent encoder is pure Python and slow on the pair lists, so json_text
+writes those lists with one join each and produces the same bytes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from math import gcd
 
 from .group import GroupParams
 from .subgroups import (
@@ -19,6 +47,7 @@ from .subgroups import (
     enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
+    split_core,
     subgroup_order,
 )
 
@@ -74,6 +103,52 @@ def _strict_order_edges(nodes: tuple[SubgroupDescriptor, ...]) -> list[set[int]]
     return above
 
 
+def _covers(above) -> list[set[int]]:
+    """Transitive reduction: the minimal elements of each successor set."""
+    return [set(ups).difference(*(above[k] for k in ups)) for ups in above]
+
+
+def _product_coords(
+    nodes: tuple[SubgroupDescriptor, ...], core_two_n: int
+) -> tuple[tuple[SubgroupDescriptor, ...], list[tuple[int, int]]]:
+    """The core nodes and each node's product coordinates (core index, u).
+
+    The core nodes are the nodes with t | c, in node order; for m > 1 they
+    include the core's trivial subgroup C(c).
+    """
+    core = tuple(d for d in nodes if core_two_n % d.t == 0)
+    core_index = {(d.kind, d.t, d.s): x for x, d in enumerate(core)}
+    coords = []
+    for d in nodes:
+        g = gcd(d.t, core_two_n)
+        u = d.t // g
+        s = d.s if d.s is None or d.t % 2 else d.s * u % 3
+        coords.append((core_index[d.kind, g, s], u))
+    return core, coords
+
+
+def _lifted_order(
+    coords: list[tuple[int, int]], core_above: list[set[int]]
+) -> list[frozenset[int]]:
+    """Successor sets of the product order, from the core's successor sets.
+
+    The successors of (x, u) are (x, v) for v | u, v != u, and (y, v) for
+    every core y > x and v | u.  Every such pair is a node: only the
+    trivial subgroup (C(c), m) is missing, and it lies above nothing.
+    """
+    index = {xu: i for i, xu in enumerate(coords)}
+    divs = sorted({u for _, u in coords})  # every divisor of m, as F(u) is a node
+    # column[i]: nodes (x, v) for v | u, ascending in v, so ending at node i
+    column = [[index[x, v] for v in divs if u % v == 0] for x, u in coords]
+    above = []
+    for i, (x, u) in enumerate(coords):
+        ups = column[i][:-1]
+        for y in core_above[x]:
+            ups += column[index[y, u]]
+        above.append(frozenset(ups))
+    return above
+
+
 def build_lattice(params: GroupParams, mode: str) -> Lattice:
     """Lattice of all (or all normal) subgroups, trivial subgroup excluded."""
     if mode not in MODES:
@@ -86,13 +161,18 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
     nodes = tuple(d for d in descs if (d.kind, d.t) != trivial)
     assert all(subgroup_order(params, d) > 1 for d in nodes)
     top_index = nodes.index(SubgroupDescriptor(Kind.FULL, 1))
-    above = _strict_order_edges(nodes)
+    core_two_n = split_core(params.two_n)[0]
+    if core_two_n == params.two_n:
+        above = [frozenset(s) for s in _strict_order_edges(nodes)]
+    else:
+        core, coords = _product_coords(nodes, core_two_n)
+        above = _lifted_order(coords, _strict_order_edges(core))
     return Lattice(
         params=params,
         mode=mode,
         nodes=nodes,
         top_index=top_index,
-        strictly_below=tuple(frozenset(s) for s in above),
+        strictly_below=tuple(above),
     )
 
 
@@ -113,26 +193,55 @@ def height(lat: Lattice) -> int:
 
 
 def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
-    """Transitive reduction: (i, j) kept iff nothing sits strictly between."""
+    """Covers (i, j): node j contains node i with nothing strictly between.
+
+    Single-coordinate steps of the product order; the core's covers come
+    from the transitive reduction of its small strict relation.
+    """
+    core_two_n, rest = split_core(lat.params.two_n)
+    if not rest:
+        return {(i, j) for i, ups in enumerate(_covers(lat.strictly_below))
+                for j in ups}
+    core, coords = _product_coords(lat.nodes, core_two_n)
+    core_covers = _covers(_strict_order_edges(core))
+    index = {xu: i for i, xu in enumerate(coords)}
+    primes = [p for p, _ in rest]
     edges = set()
-    below = lat.strictly_below
-    for i, ups in enumerate(below):
-        for j in ups:
-            if not any(j in below[k] for k in ups):
-                edges.add((i, j))
+    for i, (x, u) in enumerate(coords):
+        for y in core_covers[x]:
+            edges.add((i, index[y, u]))
+        for p in primes:
+            if u % p == 0:
+                edges.add((i, index[x, u // p]))
     return edges
 
 
-def export_dot(lat: Lattice) -> str:
-    """DOT digraph, edges oriented subgroup -> supergroup, deterministic."""
+def dot_text(lat: Lattice, covers: list[tuple[int, int]]) -> str:
+    """export_dot(lat), given the sorted covers."""
     lines = [f"digraph u6n_lattice_{lat.mode} {{", "  rankdir=BT;"]
     for i, d in enumerate(lat.nodes):
         label = f"{format_descriptor(d)} (order {subgroup_order(lat.params, d)})"
         lines.append(f'  n{i} [label="{label}"];')
-    for i, j in sorted(hasse_edges(lat)):
+    for i, j in covers:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def export_dot(lat: Lattice) -> str:
+    """DOT digraph, edges oriented subgroup -> supergroup, deterministic."""
+    return dot_text(lat, sorted(hasse_edges(lat)))
+
+
+def _node_records(lat: Lattice) -> list[dict]:
+    return [
+        {
+            "id": i,
+            "desc": format_descriptor(d),
+            "order": subgroup_order(lat.params, d),
+        }
+        for i, d in enumerate(lat.nodes)
+    ]
 
 
 def export_json(lat: Lattice) -> dict:
@@ -141,14 +250,32 @@ def export_json(lat: Lattice) -> dict:
     return {
         "n": lat.params.n,
         "mode": lat.mode,
-        "nodes": [
-            {
-                "id": i,
-                "desc": format_descriptor(d),
-                "order": subgroup_order(lat.params, d),
-            }
-            for i, d in enumerate(lat.nodes)
-        ],
+        "nodes": _node_records(lat),
         "edges_strict": [list(e) for e in strict],
         "edges_hasse": [list(e) for e in sorted(hasse_edges(lat))],
     }
+
+
+def _pair_list(rows: list[list[int]]) -> str:
+    """The indent=2 JSON of the pairs [i, j], j in rows[i], rows sorted."""
+    parts = []
+    for i, js in enumerate(rows):
+        if js:
+            pair = f"    [\n      {i},\n      "
+            parts.append(pair + f"\n    ],\n{pair}".join(map(str, js)) + "\n    ]")
+    return "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+
+
+def json_text(lat: Lattice, covers: list[tuple[int, int]]) -> str:
+    """json.dumps(export_json(lat), indent=2), given the sorted covers."""
+    head = json.dumps(
+        {"n": lat.params.n, "mode": lat.mode, "nodes": _node_records(lat)}, indent=2
+    )
+    cover_rows: list[list[int]] = [[] for _ in lat.nodes]
+    for i, j in covers:
+        cover_rows[i].append(j)
+    strict = _pair_list([sorted(ups) for ups in lat.strictly_below])
+    return (
+        f'{head[:-2]},\n  "edges_strict": {strict},\n'
+        f'  "edges_hasse": {_pair_list(cover_rows)}\n}}'
+    )

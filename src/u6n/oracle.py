@@ -207,6 +207,18 @@ def oracle_count_chains(lat: Lattice) -> list[int]:
     return _per_length(lattice_chains(lat))
 
 
+def transitive_reduction(lat: Lattice) -> set[tuple[int, int]]:
+    """Hasse covers by definition, from the strict relation alone: (i, j)
+    is kept iff no node k has i < k < j.  The reference for hasse_edges."""
+    edges = set()
+    below = lat.strictly_below
+    for i, ups in enumerate(below):
+        for j in ups:
+            if not any(j in below[k] for k in ups):
+                edges.add((i, j))
+    return edges
+
+
 def oracle_count_set_chains(
     params: GroupParams,
     normal_only: bool = False,

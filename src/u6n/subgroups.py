@@ -164,6 +164,20 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return sorted(exponents.items())
 
 
+def split_core(two_n: int) -> tuple[int, list[tuple[int, int]]]:
+    """Split 2n = c * m into its core c = 2^e2 * 3^e3 and gcd(m, 6) = 1.
+
+    Returns c and the factorization of m, the primes p >= 5 with their
+    exponents a_p; m = 1 costs no factorization.  U_6n = U_(c/2) x C_m is
+    the product structure that count_chains and build_lattice rest on.
+    """
+    m = two_n
+    for p in (2, 3):
+        while m % p == 0:
+            m //= p
+    return two_n // m, factorize(m) if m > 1 else []
+
+
 def divisors(m: int) -> list[int]:
     """All divisors of m in increasing order, from the prime factorization."""
     divs = [1]

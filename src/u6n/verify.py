@@ -290,12 +290,22 @@ def check_normal_in_supergroup(params: GroupParams) -> CheckResult:
 
 
 def check_hasse_closure(params: GroupParams, mode: str) -> CheckResult:
-    """Transitive closure of the Hasse edges reproduces the strict order."""
+    """The Hasse edges are covers, and their transitive closure reproduces
+    the strict order."""
     name = f"hasse-closure[{mode}]"
     lat = build_lattice(params, mode)
+    below = lat.strictly_below
     count = len(lat.nodes)
     closure: list[set[int]] = [set() for _ in range(count)]
     for i, j in hasse_edges(lat):
+        between = next((k for k in below[i] if j in below[k]), None)
+        if between is not None:
+            return _fail(
+                params.n,
+                name,
+                f"{lat.nodes[i]} -> {lat.nodes[j]} is not a cover: "
+                f"{lat.nodes[between]} lies between",
+            )
         closure[i].add(j)
     changed = True
     while changed:
@@ -306,7 +316,7 @@ def check_hasse_closure(params: GroupParams, mode: str) -> CheckResult:
                 closure[i] |= extra
                 changed = True
     for i in range(count):
-        if closure[i] != set(lat.strictly_below[i]):
+        if closure[i] != set(below[i]):
             return _fail(params.n, name, f"closure differs at {lat.nodes[i]}")
     return _ok(params.n, name)
 

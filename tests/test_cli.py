@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, import footprint."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,10 +11,20 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import u6n
-from u6n import GroupParams, build_lattice, count_chains, export_dot, export_json
+from u6n import (
+    GroupParams,
+    build_lattice,
+    count_chains,
+    export_dot,
+    export_json,
+    subgroup_order,
+)
 from u6n.cli import CliError, build_parser, config_from_args, main
+from u6n.oracle import transitive_reduction
 from u6n.verify import CheckResult
 
 
@@ -117,6 +128,36 @@ def test_lattice_json_and_dot(capsys, tmp_path):
     lat = build_lattice(GroupParams(1), "all")
     assert json.loads(out) == export_json(lat)
     assert dot_path.read_text() == export_dot(lat)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 2520, 5040])
+@pytest.mark.parametrize("mode", ["all", "normal"])
+def test_lattice_output_is_the_indent_2_json_of_the_order(capsys, tmp_path, n, mode):
+    # n = 1, 2, 12 have no prime p >= 5 in 2n; the others do
+    dot_path = tmp_path / "lat.dot"
+    code, out, err = run_cli(
+        capsys, "lattice", "--n", str(n), "--mode", mode, "--dot", str(dot_path)
+    )
+    assert (code, err) == (0, "")
+    lat = build_lattice(GroupParams(n), mode)
+    covers = sorted(transitive_reduction(lat))
+    expected = {
+        "n": n,
+        "mode": mode,
+        "nodes": [
+            {"id": i, "desc": str(d), "order": subgroup_order(lat.params, d)}
+            for i, d in enumerate(lat.nodes)
+        ],
+        "edges_strict": sorted([i, j] for i, ups in enumerate(lat.strictly_below)
+                               for j in ups),
+        "edges_hasse": [list(e) for e in covers],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+    dot = dot_path.read_text()
+    assert dot == export_dot(lat)
+    assert [line for line in dot.splitlines() if "->" in line] == [
+        f"  n{i} -> n{j};" for i, j in covers
+    ]
 
 
 @pytest.mark.parametrize("target", ["missing/x.dot", "."])
@@ -242,3 +283,84 @@ def test_cli_import_loads_only_the_counting_path():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"
+
+
+_GARBAGE = ("", "-", "--", "--x", "-n", "abc", "1.5", "1e3", "0x10", "٣",
+            "all", "json", "--mode", "--range", "1..", "..3", "3..1")
+
+
+def _numbers(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _ranges():
+    ends = st.integers(-3, 60)
+    return st.one_of(
+        ends.map(str),
+        st.tuples(ends, ends).map(lambda r: f"{r[0]}..{r[1]}"),
+        st.sampled_from(["a..b", "1...2", " 3", "2..x", ""]),
+    )
+
+
+_FLAGS = {
+    "subgroups": ("--n", "--format"),
+    "normal": ("--n", "--format"),
+    "chains": ("--n", "--mode", "--format"),
+    "count": ("--n", "--mode", "--format", "--relation"),
+    "lattice": ("--n", "--mode", "--dot"),
+    "verify": ("--n-max", "--fuzzy-n-max", "--oracle-limit", "--format"),
+    "batch": ("--range", "--mode"),
+}
+
+
+@st.composite
+def _argv(draw, dot_dir):
+    """Mostly well-formed argv, with a foreign flag, a missing value or a
+    garbage token mixed in now and then."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    # verify takes "--n" as an abbreviation of "--n-max": keep both small there
+    n = _numbers(-3, 5) if command == "verify" else _numbers(-3, 60)
+    values = {
+        "--n": n,
+        "--n-max": n,
+        "--fuzzy-n-max": _numbers(-2, 3),
+        "--oracle-limit": _numbers(-5, 400),
+        "--mode": st.sampled_from(["all", "normal", "all", "normal", "odd"]),
+        "--format": st.sampled_from(["table", "json", "csv", "xml"]),
+        "--relation": st.sampled_from(["tarnauceanu", "murali", "other"]),
+        "--dot": st.sampled_from([str(dot_dir / "x.dot"),
+                                  str(dot_dir / "missing" / "x.dot")]),
+        "--range": _ranges(),
+    }
+    own = _FLAGS[command]
+    flags = draw(st.lists(st.sampled_from(own), max_size=len(own), unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(values))))
+    if own[0] not in flags and draw(st.integers(0, 9)):
+        flags.insert(0, own[0])  # the required flag, most of the time
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if draw(st.integers(0, 19)):
+            argv.append(draw(values[flag]))
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_GARBAGE)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dot_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_fuzz_answers_or_fails_with_a_message(fuzz_dot_dir, data):
+    argv = data.draw(_argv(fuzz_dot_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), argv
+    if code == 1:
+        assert err.getvalue().strip(), argv
+        assert "Traceback" not in err.getvalue(), argv

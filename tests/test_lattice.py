@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from u6n import (
@@ -18,6 +18,7 @@ from u6n import (
     subgroup_order,
 )
 from u6n.lattice import _strict_order_edges
+from u6n.oracle import transitive_reduction
 
 
 def _strict_pairs(lat):
@@ -172,3 +173,53 @@ def test_strict_edges_helper_is_pure():
     lat = build_lattice(GroupParams(4), "all")
     again = _strict_order_edges(lat.nodes)
     assert [frozenset(s) for s in again] == list(lat.strictly_below)
+
+
+@st.composite
+def _shapes(draw):
+    """n with 2n = 2^e2 * 3^e3 * prod p^a, e2 <= 6, e3 <= 4, a <= 3."""
+    e2 = draw(st.integers(1, 6))
+    e3 = draw(st.integers(0, 4))
+    primes = draw(st.lists(st.sampled_from([5, 7, 11, 13, 17, 19, 23]),
+                           max_size=3, unique=True))
+    n = 2 ** (e2 - 1) * 3**e3
+    divisor_count = (e2 + 1) * (e3 + 1)
+    for p in primes:
+        a = draw(st.integers(1, 3))
+        n *= p**a
+        divisor_count *= a + 1
+    # at most 4 nodes per divisor: keep the pairwise reference near 400 nodes
+    assume(divisor_count <= 100)
+    return n
+
+
+def _assert_product_lattice_matches_references(n, mode):
+    lat = build_lattice(GroupParams(n), mode)
+    assert list(lat.strictly_below) == [
+        frozenset(s) for s in _strict_order_edges(lat.nodes)
+    ]
+    assert hasse_edges(lat) == transitive_reduction(lat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shapes(), st.sampled_from(["all", "normal"]))
+def test_product_lattice_matches_pairwise_order_and_reduction(n, mode):
+    _assert_product_lattice_matches_references(n, mode)
+
+
+@pytest.mark.parametrize("n", [30, 5040])
+@pytest.mark.parametrize("mode", ["all", "normal"])
+def test_product_lattice_fixed_cases(n, mode):
+    # 2n = 60 and 10080 carry p = 5, which is 2 mod 3
+    _assert_product_lattice_matches_references(n, mode)
+
+
+def test_even_t_relabels_s_through_p():
+    # (a^2 b)^5 = a^10 b^2: T(10,2) lies in T(2,1), and T(10,1) in T(2,2)
+    lat = build_lattice(GroupParams(30), "all")
+    pairs = _strict_pairs(lat)
+    assert ("T(10,2)", "T(2,1)") in pairs and ("T(10,1)", "T(2,2)") in pairs
+    assert ("T(10,1)", "T(2,1)") not in pairs
+    names = {i: str(d) for i, d in enumerate(lat.nodes)}
+    covers = {(names[i], names[j]) for i, j in hasse_edges(lat)}
+    assert ("T(10,1)", "T(2,2)") in covers

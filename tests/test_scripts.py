@@ -4,7 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from u6n import ChainCounts
+from u6n import ChainCounts, GroupParams, build_lattice
+from u6n.oracle import transitive_reduction
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "benchmark_large_n.py"
 
@@ -23,6 +24,10 @@ def test_benchmark_large_n_agrees(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("paths agree") == 4
     assert out.count("factorize ") == 4
+    assert out.count("hasse_edges ") == 4
+    covers = len(transitive_reduction(build_lattice(GroupParams(35), "all")))
+    line = next(x for x in out.splitlines() if x.startswith("n=35 mode=all:"))
+    assert "hasse_edges " in line and f"({covers} covers)" in line
 
 
 def test_benchmark_large_n_default_ladder(monkeypatch, capsys):

@@ -11,6 +11,7 @@ from u6n.verify import (
     check_dp_vs_dfs,
     check_fuzzy_axioms,
     check_group_laws,
+    check_hasse_closure,
     check_shape_vs_lattice,
     check_subgroup_family,
     render_report,
@@ -70,6 +71,26 @@ def test_shape_vs_lattice_catches_mismatch(monkeypatch):
     result = check_shape_vs_lattice(GroupParams(5), "all")
     assert not result.passed
     assert "shape [1, 2] != lattice" in result.detail
+
+
+def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
+    import u6n.verify as verify_module
+    from u6n.lattice import build_lattice, hasse_edges
+
+    params = GroupParams(2)
+    lat = build_lattice(params, "all")
+    covers = hasse_edges(lat)
+    # a strict pair i < k with some j between: its closure adds nothing new
+    skip = min(
+        (i, k) for i, ups in enumerate(lat.strictly_below) for k in ups
+        if (i, k) not in covers
+    )
+    assert check_hasse_closure(params, "all").passed
+    monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: covers | {skip})
+    result = check_hasse_closure(params, "all")
+    assert not result.passed
+    assert result.check == "hasse-closure[all]"
+    assert "is not a cover" in result.detail
 
 
 def test_shape_dependence_reports_matches():
