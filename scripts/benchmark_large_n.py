@@ -1,13 +1,16 @@
 """Time factorize and count_chains against the full-lattice build and chain
 DP, and check that the two paths agree; also time the Hasse covers.
 
-count_chains counts from the factorization shape of 2n; the lattice path
-builds every nontrivial subgroup and runs the level DP.  The default ladder
-walks up the highly-composite numbers (360360 gives 2n with 240 divisors
-and a lattice of 831 nodes), then takes the prime 2^61 - 1 and
-9999991 * 9999973, whose 2n has two prime factors near 1e7: there the
-lattices are tiny and factorizing 2n is the whole cost.  Exits 1 if the
-two paths give different counts.
+count_chains counts from the factorization shape of 2n, with a DP on the
+exponent grid of its 2^e2 * 3^e3 core; the lattice path builds every
+nontrivial subgroup and runs the level DP over the strict order.  The
+default ladder walks up the highly-composite numbers (360360 gives 2n with
+240 divisors and a lattice of 831 nodes), then takes the prime 2^61 - 1
+and 9999991 * 9999973, whose 2n has two prime factors near 1e7: there the
+lattices are tiny and factorizing 2n is the whole cost.  It ends with the
+core-heavy n = 2^15 * 3^10, whose 2n = 2^16 * 3^10 has no prime factor
+above 3, so the whole lattice is the core.  Exits 1 if the two paths give
+different counts.
 
 Usage:
     python3 scripts/benchmark_large_n.py
@@ -28,7 +31,7 @@ from u6n import (
     hasse_edges,
 )
 
-LADDER = [5040, 55440, 360360, 2**61 - 1, 9999991 * 9999973]
+LADDER = [5040, 55440, 360360, 2**61 - 1, 9999991 * 9999973, 2**15 * 3**10]
 
 
 def bench(n: int) -> bool:

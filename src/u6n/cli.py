@@ -16,13 +16,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chains import count_chains
+from .chains import ChainCounts, count_chains, shape_chain_counts
 from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
 from .lattice import build_lattice, dot_text, hasse_edges, json_text
 from .subgroups import (
     enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
+    split_core,
     subgroup_order,
 )
 
@@ -46,9 +47,19 @@ class RunConfig:
     fuzzy_n_max: int = 4
 
 
+class _ParserExit(Exception):
+    """Raised where argparse would call sys.exit, after -h/--help; main
+    returns the status, args[0]."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
         raise CliError(f"{self.prog}: error: {message}")
+
+    def exit(self, status: int = 0, message: str | None = None) -> None:
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ParserExit(status)  # return from main, not sys.exit
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -247,8 +258,14 @@ def _cmd_batch(config: RunConfig) -> int:
     writer.writerow(
         ["n", "mode", "per_length", "total", "fuzzy_count", "mm_count"]
     )
+    # rows of the same factorization shape share their per_length
+    by_shape: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     for n in range(lo, hi + 1):
-        counts = count_chains(_params(n), config.mode)
+        core_two_n, rest = split_core(2 * n)
+        shape = (core_two_n, tuple(sorted(a for _, a in rest)))
+        if shape not in by_shape:
+            by_shape[shape] = shape_chain_counts(*shape, config.mode)
+        counts = ChainCounts(n=n, mode=config.mode, per_length=by_shape[shape])
         writer.writerow(
             [
                 n,
@@ -285,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
         return run(config)
+    except _ParserExit as exc:
+        return exc.args[0]
     except CliError as exc:
         print(exc, file=sys.stderr)
         return 1

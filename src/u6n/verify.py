@@ -347,7 +347,8 @@ def check_dp_vs_dfs(params: GroupParams, mode: str) -> CheckResult:
 
 
 def check_shape_vs_lattice(params: GroupParams, mode: str) -> CheckResult:
-    """count_chains (core lattice times chain factors) == full-lattice DP."""
+    """count_chains (grid DP on the core, times the chain factors) equals
+    the DP over the pairwise strict order of the full lattice."""
     name = f"shape-vs-lattice[{mode}]"
     shape = count_chains(params, mode)
     lattice = _lattice_counts(params, mode)

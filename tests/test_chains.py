@@ -6,6 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import u6n
+import u6n.chains
+import u6n.lattice
+import u6n.subgroups
 from u6n import (
     ChainCounts,
     GroupParams,
@@ -18,6 +22,7 @@ from u6n import (
     full,
     height,
 )
+from u6n.chains import shape_chain_counts
 from u6n.oracle import oracle_count_chains
 
 # frozen anchor values, confirmed by the exhaustive DFS oracle
@@ -133,6 +138,40 @@ def _shapes(draw):
 @given(_shapes(), st.sampled_from(["all", "normal"]))
 def test_shape_count_equals_full_lattice(n, mode):
     assert count_chains(GroupParams(n), mode) == _lattice_counts(n, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 6), st.sampled_from(["all", "normal"]))
+def test_core_grid_dp_equals_full_lattice(e2, e3, mode):
+    # 2n = 2^e2 * 3^e3: count_chains is the grid DP alone
+    n = 2 ** (e2 - 1) * 3**e3
+    assert count_chains(GroupParams(n), mode) == _lattice_counts(n, mode)
+
+
+def test_count_chains_builds_no_lattice(monkeypatch):
+    expected = {mode: _lattice_counts(2**5 * 3**3 * 5 * 7, mode)
+                for mode in ("all", "normal")}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the count path built a lattice")
+
+    for module in (u6n, u6n.chains, u6n.lattice, u6n.subgroups):
+        for name in ("build_lattice", "_strict_order_edges", "enumerate_subgroups",
+                     "enumerate_normal_subgroups", "compute_chain_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for mode, counts in expected.items():
+        assert count_chains(GroupParams(2**5 * 3**3 * 5 * 7), mode) == counts
+
+
+def test_count_chains_rejects_bad_input():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        count_chains(GroupParams(6), "odd")
+    for core in (0, 3, 9, 10, 2 * 3 * 5, -6):
+        with pytest.raises(ValueError, match="core must be"):
+            shape_chain_counts(core, [], "all")
+    assert shape_chain_counts(2 * 3, [1], "all") == count_chains(
+        GroupParams(15), "all").per_length
 
 
 # primes from 5 up to about 1e9; a composite here would fail the test below

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import u6n
+import u6n.cli
 from u6n import (
     GroupParams,
     build_lattice,
@@ -25,6 +26,7 @@ from u6n import (
 )
 from u6n.cli import CliError, build_parser, config_from_args, main
 from u6n.oracle import transitive_reduction
+from u6n.subgroups import split_core
 from u6n.verify import CheckResult
 
 
@@ -91,6 +93,19 @@ def test_huge_prime_n_answers_like_n_5(capsys):
     assert chains[0] == 0
     small = json.loads(run_cli(capsys, "chains", "--n", "5", "--format", "json")[1])
     assert json.loads(chains[1])["per_length"] == small["per_length"]
+
+
+@pytest.mark.parametrize(
+    "mode, count",
+    [("all", "73145193531541776343687462125568"),
+     ("normal", "24785806623160992142445995098112")],
+)
+def test_core_heavy_count(capsys, mode, count):
+    # n = 2^38 * 3^20: 2n has no prime above 3, a core lattice of 3281 nodes
+    start = time.perf_counter()
+    result = run_cli(capsys, "count", "--n", str(2**38 * 3**20), "--mode", mode)
+    assert time.perf_counter() - start < 2.0
+    assert result == (0, count + "\n", "")
 
 
 def test_subgroups_table(capsys):
@@ -247,6 +262,43 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     assert "FAIL" in out and "boom" in out
 
 
+@pytest.mark.parametrize("mode", ["all", "normal"])
+def test_batch_counts_each_shape_once_per_call(capsys, monkeypatch, mode):
+    calls = []
+    real = u6n.cli.shape_chain_counts
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(u6n.cli, "shape_chain_counts", counting)
+    shapes = {(core, tuple(sorted(a for _, a in rest)))
+              for core, rest in map(split_core, range(2, 162, 2))}
+    for _ in range(2):  # the second call recomputes: nothing outlives a call
+        calls.clear()
+        code, out, _ = run_cli(capsys, "batch", "--range", "1..80", "--mode", mode)
+        assert code == 0
+        assert len(calls) == len(set(calls)) == len(shapes) < 40
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(row[0]) for row in rows] == list(range(1, 81))
+        for row in rows:
+            counts = count_chains(GroupParams(int(row[0])), mode)
+            assert row[2] == ";".join(str(c) for c in counts.per_length)
+            assert row[3:] == [str(counts.total), str(counts.fuzzy_count),
+                               str(counts.mm_count)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",), ("-h",), ("count", "-h"), ("batch", "--help"),
+     ("verify", "--n-max", "3", "-h"), ("lattice", "--help", "--n", "0")],
+)
+def test_help_returns_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: u6n") and not err
+
+
 def test_outputs_are_deterministic(capsys):
     first = run_cli(capsys, "lattice", "--n", "6", "--mode", "all")
     second = run_cli(capsys, "lattice", "--n", "6", "--mode", "all")
@@ -286,7 +338,8 @@ def test_cli_import_loads_only_the_counting_path():
 
 
 _GARBAGE = ("", "-", "--", "--x", "-n", "abc", "1.5", "1e3", "0x10", "٣",
-            "all", "json", "--mode", "--range", "1..", "..3", "3..1")
+            "all", "json", "--mode", "--range", "1..", "..3", "3..1", "-h",
+            "--help")
 
 
 def _numbers(lo, hi):
