@@ -41,6 +41,7 @@ from .lattice import (
     height,
 )
 from .subgroups import (
+    FactorizationBudgetExceeded,
     Kind,
     SubgroupDescriptor,
     contains_element,
@@ -64,6 +65,7 @@ __all__ = [
     "ChainTable",
     "DEFAULT_ORACLE_LIMIT",
     "Element",
+    "FactorizationBudgetExceeded",
     "GroupParams",
     "Kind",
     "Lattice",

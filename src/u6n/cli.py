@@ -20,6 +20,7 @@ from .chains import ChainCounts, count_chains, shape_chain_counts
 from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
 from .lattice import build_lattice, dot_text, hasse_edges, json_text
 from .subgroups import (
+    FactorizationBudgetExceeded,
     enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
@@ -313,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
             "hint: raise --oracle-limit or pick a smaller n",
             file=sys.stderr,
         )
+        return 1
+    except FactorizationBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,13 +1,22 @@
 """Brute-force ground truth for subgroups, chains, and fuzzy subgroups.
 
-Everything here works from the group operation alone: subgroups are
-discovered by closing generator sets to a fixpoint, normality is checked
-by conjugating every element, chains are listed by explicit depth-first
-search, and fuzzy subgroups are materialized as exact rational grade
-maps and checked directly against their defining axioms.  None of it
-consults the divisor-based catalog, so agreement between the two paths
-is evidence, not circularity.  Factorization is plain trial division,
-the reference for the catalog's Miller-Rabin and Pollard-rho factorizer.
+Everything here works from the group operation alone.  GroupOracle builds
+one integer Cayley table and one inverse table per group from
+group.multiply and group.inverse, element a^u b^v at index 3u + v (the
+order of all_elements), and answers every question about that group on
+the table: subgroups are discovered once by closing generator sets to a
+fixpoint, and a subgroup is normal iff conjugating it by every group
+element keeps it inside itself, tested once per subgroup with no
+generator shortcut.  Discovery extends a subgroup H by one g per right
+coset Hg, since <H, g> = <H, x g> for x in H.  Chains are listed by
+explicit depth-first search, and fuzzy subgroups are materialized as
+exact rational grade maps and checked directly against their defining
+axioms; the check relabels each grade by its rank among the distinct
+grades, an order-preserving map, so >=, min and = carry over exactly to
+int comparisons.  None of it consults the divisor-based catalog, so
+agreement between the two paths is evidence, not circularity.
+Factorization is plain trial division, the reference for the catalog's
+Miller-Rabin and Pollard-rho factorizer.
 
 All of this is exponential in spirit and guarded by an order limit.
 """
@@ -17,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .group import (
     DEFAULT_ORACLE_LIMIT,
@@ -33,19 +42,48 @@ from .lattice import Lattice
 from .subgroups import SubgroupDescriptor, full, subgroup_elements
 
 
-class _IndexedGroup:
-    """Cayley and inverse tables over integer element ids, for fast closure."""
+def _index(x: Element) -> int:
+    """Position of x in all_elements."""
+    return 3 * x.a_exp + x.b_exp
 
-    def __init__(self, params: GroupParams):
+
+def _tables(params: GroupParams) -> tuple[list[list[int]], list[int]]:
+    """Cayley and inverse tables over element indices."""
+    elements = all_elements(params)
+    mult = [[_index(multiply(params, x, y)) for y in elements] for x in elements]
+    return mult, [_index(inverse(params, x)) for x in elements]
+
+
+def _check_limit(params: GroupParams, limit: int) -> None:
+    if params.order > limit:
+        raise OracleLimitExceeded(
+            f"group order {params.order} exceeds the oracle limit {limit}"
+        )
+
+
+class GroupOracle:
+    """The brute-force view of one group U_6n, built once and asked often.
+
+    The tables are built on construction; the subgroup family and each
+    subgroup's normality are computed on first use and kept for the life
+    of the object, never beyond it.  Subgroups are frozensets of element
+    indices; index_set and element_set convert to and from Elements.
+    """
+
+    def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
+        _check_limit(params, limit)
         self.params = params
         self.elements = all_elements(params)
-        index = {x: i for i, x in enumerate(self.elements)}
-        self.mult = [
-            [index[multiply(params, x, y)] for y in self.elements]
-            for x in self.elements
-        ]
-        self.inv = [index[inverse(params, x)] for x in self.elements]
-        self.identity = index[identity(params)]
+        self.mult, self.inv = _tables(params)
+        self.identity = _index(identity(params))
+        self._subgroups: list[frozenset[int]] | None = None
+        self._normal: dict[frozenset[int], bool] = {}
+
+    def index_set(self, elements: Iterable[Element]) -> frozenset[int]:
+        return frozenset(map(_index, elements))
+
+    def element_set(self, ids: Iterable[int]) -> frozenset[Element]:
+        return frozenset(self.elements[i] for i in ids)
 
     def generated(self, gens: Sequence[int]) -> frozenset[int]:
         # products of generators suffice: in a finite group the closure
@@ -64,15 +102,64 @@ class _IndexedGroup:
             frontier = nxt
         return frozenset(seen)
 
-    def to_element_set(self, ids: frozenset[int]) -> frozenset[Element]:
-        return frozenset(self.elements[i] for i in ids)
+    @property
+    def subgroups(self) -> list[frozenset[int]]:
+        """Every subgroup, {e} and the whole group included, by size."""
+        if self._subgroups is None:
+            self._subgroups = _discover_subgroups(self)
+        return self._subgroups
 
+    def is_normal(self, h: frozenset[int]) -> bool:
+        """True iff g^-1 x g lies in h for every x in h and every g in G."""
+        if h not in self._normal:
+            mult = self.mult
+            self._normal[h] = all(
+                mult[mult[g_inv][x]][g] in h
+                for g, g_inv in enumerate(self.inv)
+                for x in h
+            )
+        return self._normal[h]
 
-def _check_limit(params: GroupParams, limit: int) -> None:
-    if params.order > limit:
-        raise OracleLimitExceeded(
-            f"group order {params.order} exceeds the oracle limit {limit}"
-        )
+    @property
+    def normal_subgroups(self) -> list[frozenset[int]]:
+        return [h for h in self.subgroups if self.is_normal(h)]
+
+    def count_set_chains(
+        self, normal_only: bool = False, include_trivial: bool = True
+    ) -> list[int]:
+        """Per-length counts of ascending subgroup-set chains ending at G.
+
+        Runs on the discovered index sets ordered by strict inclusion, with
+        no catalog descriptors involved.  include_trivial controls whether
+        {e} may appear as a chain member.
+        """
+        family = self.normal_subgroups if normal_only else self.subgroups
+        if not include_trivial:
+            family = [h for h in family if len(h) > 1]
+        return _per_length(_set_family_chains(family))
+
+    def count_equivalence_classes(self) -> int:
+        """Count fuzzy subgroups up to equivalence, fully materialized.
+
+        Lists every ascending subgroup-set chain ending at G (the trivial
+        subgroup may appear), builds one grade-map representative per
+        chain, and asserts that each is a fuzzy subgroup, that distinct
+        chains give inequivalent maps and that re-leveling a chain
+        preserves equivalence.  The count of chains is then exactly the
+        count of equivalence classes.
+        """
+        family = [self.element_set(h) for h in self.subgroups]
+        chains = list(_set_family_chains(family))
+        signatures = set()
+        for chain in chains:
+            sets = [family[i] for i in chain]
+            rep = representative_from_sets(self.params, sets)
+            assert _fuzzy_axioms_hold(self.mult, self.inv, _grade_ranks(rep))
+            relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(sets) + 1)]
+            assert equivalent(rep, representative_from_sets(self.params, sets, relevel))
+            signatures.add(rank_signature(rep))
+        assert len(signatures) == len(chains), "distinct chains must be inequivalent"
+        return len(chains)
 
 
 def trial_division_factorize(m: int) -> list[tuple[int, int]]:
@@ -98,16 +185,20 @@ def trial_division_factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _discover_subgroups(group: _IndexedGroup) -> list[frozenset[int]]:
-    """Fixpoint closure discovery over element ids.
+def _discover_subgroups(group: GroupOracle) -> list[frozenset[int]]:
+    """Fixpoint closure discovery over element indices.
 
     Seeds with every cyclic subgroup, then repeatedly extends a known
     subgroup by an outside element and closes again.  Any subgroup is
     reachable this way: grow a generating set one element at a time.
+    One g per right coset Hg suffices: for x in H, x g is in <H, g> and
+    g = x^-1 (x g) is in <H, x g>, so <H, g> = <H, x g>.
     """
+    mult = group.mult
+    size = len(mult)
     found: dict[frozenset[int], tuple[int, ...]] = {}
     work: list[frozenset[int]] = []
-    for g in range(len(group.elements)):
+    for g in range(size):
         h = group.generated((g,))
         if h not in found:
             found[h] = (g,)
@@ -115,9 +206,11 @@ def _discover_subgroups(group: _IndexedGroup) -> list[frozenset[int]]:
     while work:
         h = work.pop()
         gens = found[h]
-        for g in range(len(group.elements)):
-            if g in h:
+        tried = set(h)
+        for g in range(size):
+            if g in tried:
                 continue
+            tried.update(mult[x][g] for x in h)
             extended = group.generated(gens + (g,))
             if extended not in found:
                 found[extended] = gens + (g,)
@@ -129,9 +222,8 @@ def oracle_all_subgroups(
     params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> set[frozenset[Element]]:
     """Every subgroup as an element set, including {e} and the whole group."""
-    _check_limit(params, limit)
-    group = _IndexedGroup(params)
-    return {group.to_element_set(h) for h in _discover_subgroups(group)}
+    group = GroupOracle(params, limit)
+    return {group.element_set(h) for h in group.subgroups}
 
 
 def oracle_is_normal(
@@ -140,22 +232,15 @@ def oracle_is_normal(
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> bool:
     """True iff g^-1 h g stays in h_set for every g in the group."""
-    _check_limit(params, limit)
-    for g in all_elements(params):
-        g_inv = inverse(params, g)
-        for h in h_set:
-            if multiply(params, multiply(params, g_inv, h), g) not in h_set:
-                return False
-    return True
+    group = GroupOracle(params, limit)
+    return group.is_normal(group.index_set(h_set))
 
 
 def oracle_normal_subgroups(
     params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> set[frozenset[Element]]:
-    return {
-        h for h in oracle_all_subgroups(params, limit)
-        if oracle_is_normal(params, h, limit)
-    }
+    group = GroupOracle(params, limit)
+    return {group.element_set(h) for h in group.normal_subgroups}
 
 
 def _chains_from(
@@ -182,9 +267,7 @@ def _per_length(chains: Iterator[tuple[int, ...]]) -> list[int]:
     return [lengths[k] for k in range(1, max(lengths) + 1)]
 
 
-def _set_family_chains(
-    sets: Sequence[frozenset[Element]],
-) -> Iterator[tuple[int, ...]]:
+def _set_family_chains(sets: Sequence[frozenset]) -> Iterator[tuple[int, ...]]:
     """Chains of strict inclusion among sets that end at the largest one."""
     subsets = [[j for j, t in enumerate(sets) if t < s] for s in sets]
     whole = max(range(len(sets)), key=lambda i: len(sets[i]))
@@ -225,19 +308,8 @@ def oracle_count_set_chains(
     include_trivial: bool = True,
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> list[int]:
-    """Per-length counts of ascending subgroup-set chains ending at G.
-
-    Runs entirely on oracle-discovered element sets ordered by strict
-    inclusion, with no catalog descriptors involved.  include_trivial
-    controls whether {e} may appear as a chain member.
-    """
-    family = oracle_all_subgroups(params, limit)
-    if normal_only:
-        family = {h for h in family if oracle_is_normal(params, h, limit)}
-    if not include_trivial:
-        family = {h for h in family if len(h) > 1}
-    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
-    return _per_length(_set_family_chains(sets))
+    """GroupOracle.count_set_chains on a fresh oracle for params."""
+    return GroupOracle(params, limit).count_set_chains(normal_only, include_trivial)
 
 
 @dataclass(frozen=True)
@@ -321,27 +393,46 @@ def chain_to_representative(
     )
 
 
-def is_fuzzy_subgroup(mu: FuzzyMap) -> bool:
-    """Exhaustive check of mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x)."""
-    params = mu.params
-    elems = all_elements(params)
-    for x in elems:
-        if mu[inverse(params, x)] < mu[x]:
+def _grade_ranks(mu: FuzzyMap) -> list[int]:
+    """Each element's grade as its rank among the distinct grades, lowest
+    0, in all_elements order.  The relabel is order-preserving and
+    one-to-one on grades, so >=, min and = give the same answers on ranks."""
+    rank = {value: i for i, value in enumerate(sorted(set(mu.grades.values())))}
+    ranks = [0] * mu.params.order
+    for x, value in mu.grades.items():
+        ranks[_index(x)] = rank[value]
+    return ranks
+
+
+def _fuzzy_axioms_hold(
+    mult: list[list[int]], inv: list[int], ranks: list[int]
+) -> bool:
+    """mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x), on the tables."""
+    for x, row in enumerate(mult):
+        rx = ranks[x]
+        if ranks[inv[x]] < rx:
             return False
-        for y in elems:
-            if mu[multiply(params, x, y)] < min(mu[x], mu[y]):
+        for y, xy in enumerate(row):
+            r = ranks[xy]
+            if r < rx and r < ranks[y]:
                 return False
     return True
 
 
+def is_fuzzy_subgroup(mu: FuzzyMap) -> bool:
+    """Exhaustive check of mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x)."""
+    mult, inv = _tables(mu.params)
+    return _fuzzy_axioms_hold(mult, inv, _grade_ranks(mu))
+
+
 def is_normal_fuzzy(mu: FuzzyMap) -> bool:
     """Exhaustive check of mu(xy) = mu(yx) for all pairs."""
-    params = mu.params
-    elems = all_elements(params)
+    mult, _ = _tables(mu.params)
+    ranks = _grade_ranks(mu)
     return all(
-        mu[multiply(params, x, y)] == mu[multiply(params, y, x)]
-        for x in elems
-        for y in elems
+        ranks[row[y]] == ranks[mult[y][x]]
+        for x, row in enumerate(mult)
+        for y in range(x)
     )
 
 
@@ -351,9 +442,9 @@ def rank_signature(mu: FuzzyMap) -> tuple[int, ...]:
     Two maps have the same strict-comparison pattern exactly when their
     signatures coincide, so this is the cheap form of equivalence.
     """
-    distinct = sorted(set(mu.grades.values()), reverse=True)
-    rank = {value: i for i, value in enumerate(distinct)}
-    return tuple(rank[mu[x]] for x in all_elements(mu.params))
+    ranks = _grade_ranks(mu)
+    top = max(ranks)
+    return tuple(top - r for r in ranks)
 
 
 def equivalent(mu: FuzzyMap, nu: FuzzyMap) -> bool:
@@ -376,26 +467,5 @@ def equivalent_by_pairs(mu: FuzzyMap, nu: FuzzyMap) -> bool:
 def oracle_count_equivalence_classes(
     params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> int:
-    """Count fuzzy subgroups up to equivalence, fully materialized.
-
-    Lists every ascending subgroup-set chain ending at G (the trivial
-    subgroup may appear), builds one grade-map representative per chain,
-    and asserts that distinct chains give inequivalent maps while
-    re-leveling a chain preserves equivalence.  The count of chains is
-    then exactly the count of equivalence classes.
-    """
-    family = sorted(
-        oracle_all_subgroups(params, limit), key=lambda s: (len(s), sorted(s))
-    )
-    chains = list(_set_family_chains(family))
-    reps = []
-    for chain in chains:
-        sets = [family[i] for i in chain]
-        rep = representative_from_sets(params, sets)
-        assert is_fuzzy_subgroup(rep)
-        relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(sets) + 1)]
-        assert equivalent(rep, representative_from_sets(params, sets, relevel))
-        reps.append(rep)
-    signatures = {rank_signature(rep) for rep in reps}
-    assert len(signatures) == len(chains), "distinct chains must be inequivalent"
-    return len(chains)
+    """GroupOracle.count_equivalence_classes on a fresh oracle for params."""
+    return GroupOracle(params, limit).count_equivalence_classes()

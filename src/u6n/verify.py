@@ -5,6 +5,11 @@ recomputation, or the shape-based count_chains with the full-lattice
 DP, and reports a counterexample on mismatch.  Checks carry
 their own cost gates (a maximum group order or n), so running the full
 battery up to some n_max only executes what is tractable at each n.
+
+run_verification builds one GroupOracle per n within the oracle limit and
+hands it to every check that consults the oracle, so each group's Cayley
+table, subgroup family and normality flags are computed once per run and
+dropped with it.
 """
 
 from __future__ import annotations
@@ -26,17 +31,14 @@ from .group import (
 )
 from .lattice import build_lattice, hasse_edges, height
 from .oracle import (
+    GroupOracle,
     chain_to_representative,
     equivalent,
     equivalent_by_pairs,
     is_fuzzy_subgroup,
     is_normal_fuzzy,
     lattice_chains,
-    oracle_all_subgroups,
     oracle_count_chains,
-    oracle_count_equivalence_classes,
-    oracle_count_set_chains,
-    oracle_is_normal,
     rank_signature,
 )
 from .subgroups import (
@@ -122,37 +124,45 @@ def check_count_formula(params: GroupParams) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_subgroup_family(params: GroupParams, limit: int) -> CheckResult:
+def check_subgroup_family(oracle: GroupOracle) -> CheckResult:
     """Catalog element sets == closure-discovered subgroup family."""
     name = "subgroups-vs-oracle"
-    catalog = {subgroup_elements(params, d) for d in enumerate_subgroups(params)}
-    discovered = oracle_all_subgroups(params, limit)
+    params = oracle.params
+    catalog = {
+        oracle.index_set(subgroup_elements(params, d))
+        for d in enumerate_subgroups(params)
+    }
+    discovered = set(oracle.subgroups)
     if catalog != discovered:
         diff = next(iter(catalog.symmetric_difference(discovered)))
         side = "catalog-only" if diff in catalog else "oracle-only"
-        return _fail(params.n, name, f"{side} subgroup {_set_name(diff)}")
+        return _fail(
+            params.n, name, f"{side} subgroup {_set_name(oracle.element_set(diff))}"
+        )
     return _ok(params.n, name)
 
 
-def check_normal_family(params: GroupParams, limit: int) -> CheckResult:
+def check_normal_family(oracle: GroupOracle) -> CheckResult:
     """Normal catalog == conjugation-filtered oracle list, kind by kind."""
     name = "normality-vs-oracle"
+    params = oracle.params
     normal_descs = set(enumerate_normal_subgroups(params))
     for d in enumerate_subgroups(params):
         expected = d in normal_descs
-        h_set = subgroup_elements(params, d)
-        if oracle_is_normal(params, h_set, limit) != expected:
+        h = oracle.index_set(subgroup_elements(params, d))
+        if oracle.is_normal(h) != expected:
             verdict = "should be normal" if expected else "should not be normal"
             return _fail(params.n, name, f"{d} {verdict} per conjugation")
-    catalog = {subgroup_elements(params, d) for d in normal_descs}
-    discovered = {
-        h for h in oracle_all_subgroups(params, limit)
-        if oracle_is_normal(params, h, limit)
-    }
+    catalog = {oracle.index_set(subgroup_elements(params, d)) for d in normal_descs}
+    discovered = set(oracle.normal_subgroups)
     if catalog != discovered:
         diff = next(iter(catalog.symmetric_difference(discovered)))
         side = "catalog-only" if diff in catalog else "oracle-only"
-        return _fail(params.n, name, f"{side} normal subgroup {_set_name(diff)}")
+        return _fail(
+            params.n,
+            name,
+            f"{side} normal subgroup {_set_name(oracle.element_set(diff))}",
+        )
     return _ok(params.n, name)
 
 
@@ -240,18 +250,16 @@ def check_lattice_order_laws(params: GroupParams, mode: str) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_normal_restriction(params: GroupParams, limit: int) -> CheckResult:
+def check_normal_restriction(oracle: GroupOracle) -> CheckResult:
     """Normal lattice == full lattice restricted to oracle-normal nodes."""
     name = "normal-restriction"
+    params = oracle.params
     lat_all = build_lattice(params, "all")
     lat_normal = build_lattice(params, "normal")
-    normal_sets = {
-        h for h in oracle_all_subgroups(params, limit)
-        if oracle_is_normal(params, h, limit) and len(h) > 1
-    }
+    normal_sets = {h for h in oracle.normal_subgroups if len(h) > 1}
     want_nodes = {
         d for d in lat_all.nodes
-        if subgroup_elements(params, d) in normal_sets
+        if oracle.index_set(subgroup_elements(params, d)) in normal_sets
     }
     if set(lat_normal.nodes) != want_nodes:
         diff = next(iter(set(lat_normal.nodes) ^ want_nodes))
@@ -361,21 +369,20 @@ def check_shape_vs_lattice(params: GroupParams, mode: str) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_set_chains(params: GroupParams, mode: str, limit: int) -> CheckResult:
+def check_set_chains(oracle: GroupOracle, mode: str) -> CheckResult:
     """Catalog-free chain counts over oracle sets match count_chains, and
     the with-trivial total is exactly twice the proper total."""
     name = f"set-chains[{mode}]"
+    params = oracle.params
     normal_only = mode == "normal"
     counts = count_chains(params, mode)
-    proper = oracle_count_set_chains(
-        params, normal_only=normal_only, include_trivial=False, limit=limit
-    )
+    proper = oracle.count_set_chains(normal_only=normal_only, include_trivial=False)
     if proper != list(counts.per_length):
         return _fail(
             params.n, name, f"set DFS {proper} != count_chains {list(counts.per_length)}"
         )
-    with_trivial = oracle_count_set_chains(
-        params, normal_only=normal_only, include_trivial=True, limit=limit
+    with_trivial = oracle.count_set_chains(
+        normal_only=normal_only, include_trivial=True
     )
     if sum(with_trivial) != counts.fuzzy_count:
         return _fail(
@@ -431,11 +438,12 @@ def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_equivalence_count(params: GroupParams, limit: int) -> CheckResult:
+def check_equivalence_count(oracle: GroupOracle) -> CheckResult:
     """Materialized equivalence classes == doubled count_chains total."""
     name = "equivalence-classes"
+    params = oracle.params
     want = count_chains(params, "all").fuzzy_count
-    got = oracle_count_equivalence_classes(params, limit)
+    got = oracle.count_equivalence_classes()
     if got != want:
         return _fail(params.n, name, f"oracle {got} != count_chains {want}")
     return _ok(params.n, name)
@@ -499,14 +507,17 @@ def run_verification(
     results: list[CheckResult] = []
     for n in range(1, n_max + 1):
         params = GroupParams(n)
-        order = params.order
+        oracle = (
+            GroupOracle(params, oracle_limit)
+            if params.order <= oracle_limit else None
+        )
         results.append(check_count_formula(params))
         if n <= 4:
             results.append(check_group_laws(params))
-        if order <= oracle_limit:
-            results.append(check_subgroup_family(params, oracle_limit))
-            results.append(check_normal_family(params, oracle_limit))
-            results.append(check_normal_restriction(params, oracle_limit))
+        if oracle is not None:
+            results.append(check_subgroup_family(oracle))
+            results.append(check_normal_family(oracle))
+            results.append(check_normal_restriction(oracle))
         if n <= 6:
             results.append(check_membership(params))
             results.append(check_containment(params))
@@ -517,12 +528,12 @@ def run_verification(
             results.append(check_hasse_closure(params, mode))
             results.append(check_dp_vs_dfs(params, mode))
             results.append(check_shape_vs_lattice(params, mode))
-            if n <= 6 and order <= oracle_limit:
-                results.append(check_set_chains(params, mode, oracle_limit))
+            if n <= 6 and oracle is not None:
+                results.append(check_set_chains(oracle, mode))
         if n <= fuzzy_n_max:
             results.append(check_fuzzy_axioms(params))
-            if order <= oracle_limit:
-                results.append(check_equivalence_count(params, oracle_limit))
+            if oracle is not None:
+                results.append(check_equivalence_count(oracle))
     results.extend(check_divisor_shape_dependence(list(range(1, n_max + 1))))
     return results
 

@@ -89,10 +89,26 @@ def test_huge_prime_n_answers_like_n_5(capsys):
     count = run_cli(capsys, "count", "--n", huge)
     chains = run_cli(capsys, "chains", "--n", huge, "--format", "json")
     assert time.perf_counter() - start < 2.0
-    assert count == run_cli(capsys, "count", "--n", "5")
+    assert count == run_cli(capsys, "count", "--n", "5") == (0, "46\n", "")
     assert chains[0] == 0
     small = json.loads(run_cli(capsys, "chains", "--n", "5", "--format", "json")[1])
     assert json.loads(chains[1])["per_length"] == small["per_length"]
+
+
+def test_unfactorable_n_exits_1_within_5_s():
+    # 2n = 2 * 1000000000000037 * 1000000000000091 exhausts the rho budget
+    n = "1000000000000128000000000003367"
+    src = str(Path(u6n.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "u6n.cli", "count", "--n", n],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"error: could not factor {n} within budget (4194304 Pollard rho steps)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from u6n import (
 )
 from u6n.oracle import (
     FuzzyMap,
+    GroupOracle,
     chain_to_representative,
     equivalent,
     equivalent_by_pairs,
@@ -83,6 +84,31 @@ def test_oracle_normal_matches_catalog():
             for d in enumerate_normal_subgroups(params)
         }
         assert oracle_normal_subgroups(params) == catalog
+
+
+@pytest.mark.parametrize("n", [16, 24, 30, 36, 45, 48, 50])
+def test_group_oracle_families_equal_the_catalog(n):
+    # up to the order limit 300: guards the coset skip in discovery and
+    # normality by conjugation on the table
+    params = GroupParams(n)
+    oracle = GroupOracle(params)
+
+    def index_sets(descs):
+        return {oracle.index_set(subgroup_elements(params, d)) for d in descs}
+
+    assert len(set(oracle.subgroups)) == len(oracle.subgroups)
+    assert set(oracle.subgroups) == index_sets(enumerate_subgroups(params))
+    assert set(oracle.normal_subgroups) == index_sets(enumerate_normal_subgroups(params))
+
+
+def test_group_oracle_indices_follow_all_elements():
+    params = GroupParams(4)
+    oracle = GroupOracle(params)
+    elems = all_elements(params)
+    assert oracle.elements == elems
+    assert oracle.index_set(elems) == frozenset(range(params.order))
+    some = frozenset(elems[::5])
+    assert oracle.element_set(oracle.index_set(some)) == some
 
 
 def test_dfs_chain_counts():
@@ -179,6 +205,28 @@ def test_fuzzy_axiom_checks():
         for x in all_elements(params)
     }
     assert not is_fuzzy_subgroup(FuzzyMap(params, spike))  # {ab} not a subgroup
+
+
+def test_fg1_violation_by_a_tiny_margin_is_rejected():
+    params = GroupParams(1)
+    grades = {
+        x: Fraction(1) if x.b_exp == 0 else Fraction(1, 2)
+        for x in all_elements(params)
+    }
+    assert is_fuzzy_subgroup(FuzzyMap(params, grades))
+    # b = a * (a b), where mu(a) = 1 and mu(a b) = 1/2
+    grades[Element(0, 1)] = Fraction(1, 2) - Fraction(1, 10**9)
+    assert not is_fuzzy_subgroup(FuzzyMap(params, grades))
+
+
+def test_normal_fuzzy_with_close_levels():
+    # the rank relabel keeps equal grades equal and close ones apart
+    params = GroupParams(1)
+    levels = [Fraction(1, 2) + Fraction(1, 10**9), Fraction(1, 2)]
+    assert is_normal_fuzzy(chain_to_representative(params, [full(2), full(1)], levels))
+    assert not is_normal_fuzzy(
+        chain_to_representative(params, [cyclic(1), full(1)], levels)
+    )
 
 
 def test_normal_fuzzy_examples():

@@ -1,13 +1,16 @@
 """Divisor-driven subgroup catalog: enumeration, membership, containment."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import u6n.subgroups
 from u6n import (
     Element,
+    FactorizationBudgetExceeded,
     GroupParams,
     Kind,
     SubgroupDescriptor,
@@ -84,6 +87,42 @@ def test_factorize_adversarial(m, expected):
             assert trial_division_factorize(p) == [(p, 1)]
     if m <= 10**14:
         assert trial_division_factorize(m) == expected
+
+
+def test_factorize_gives_up_on_a_hard_semiprime_within_its_budget():
+    # 2n for n = 1000000000000037 * 1000000000000091: rho would need ~3e7 steps
+    two_n = 2 * 1000000000000037 * 1000000000000091
+    start = time.perf_counter()
+    with pytest.raises(FactorizationBudgetExceeded, match="within budget"):
+        factorize(two_n)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_rho_budget_is_shared_across_cofactors(monkeypatch):
+    real = u6n.subgroups._find_factor
+    given_steps = []
+
+    def spy(m, steps):
+        given_steps.append(steps)
+        return real(m, steps)
+
+    monkeypatch.setattr(u6n.subgroups, "_find_factor", spy)
+    primes = [1000003, 1000033, 1000037]
+    assert all(trial_division_factorize(p) == [(p, 1)] for p in primes)
+    assert factorize(math.prod(primes)) == [(p, 1) for p in primes]
+    budget = u6n.subgroups.RHO_STEP_BUDGET
+    assert len(given_steps) == 2
+    assert given_steps[0] == budget > given_steps[1]
+
+
+def test_rho_budget_too_small_raises(monkeypatch):
+    # 999999937 * 999999929 needs about 3e4 rho steps
+    m = 999999937 * 999999929
+    monkeypatch.setattr(u6n.subgroups, "RHO_STEP_BUDGET", 1000)
+    with pytest.raises(FactorizationBudgetExceeded, match=f"factor {m} within"):
+        factorize(m)
+    monkeypatch.setattr(u6n.subgroups, "RHO_STEP_BUDGET", 10**6)
+    assert factorize(m) == [(999999929, 1), (999999937, 1)]
 
 
 def test_trial_division_factorize_rejects_nonpositive():

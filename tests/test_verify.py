@@ -3,6 +3,7 @@
 import pytest
 
 from u6n import ChainCounts, GroupParams
+from u6n.oracle import GroupOracle
 from u6n.verify import (
     CheckResult,
     check_containment,
@@ -12,6 +13,7 @@ from u6n.verify import (
     check_fuzzy_axioms,
     check_group_laws,
     check_hasse_closure,
+    check_normal_family,
     check_shape_vs_lattice,
     check_subgroup_family,
     render_report,
@@ -56,11 +58,54 @@ def test_individual_checks_pass():
     params = GroupParams(3)
     assert check_group_laws(params).passed
     assert check_count_formula(params).passed
-    assert check_subgroup_family(params, 300).passed
+    assert check_subgroup_family(GroupOracle(params, 300)).passed
     assert check_containment(params).passed
     assert check_dp_vs_dfs(params, "all").passed
     assert check_shape_vs_lattice(GroupParams(35), "normal").passed
     assert check_fuzzy_axioms(params).passed
+
+
+def test_one_group_oracle_per_n_within_the_limit(monkeypatch):
+    import u6n.verify as verify_module
+
+    built = []
+
+    class CountingOracle(GroupOracle):
+        def __init__(self, params, limit):
+            built.append(params.n)
+            super().__init__(params, limit)
+
+    monkeypatch.setattr(verify_module, "GroupOracle", CountingOracle)
+    assert all(r.passed for r in run_verification(8))
+    assert built == list(range(1, 9))
+    built.clear()
+    assert all(r.passed for r in run_verification(8, oracle_limit=30))
+    assert built == [1, 2, 3, 4, 5]
+
+
+def test_oracle_checks_name_the_missing_subgroup(monkeypatch):
+    import u6n.verify as verify_module
+    from u6n.subgroups import enumerate_normal_subgroups, enumerate_subgroups, full
+
+    params = GroupParams(2)
+    oracle = GroupOracle(params, 300)
+    # drop the normal subgroup F(2) = <a^2, b> from the catalog
+    monkeypatch.setattr(
+        verify_module, "enumerate_subgroups",
+        lambda p: [d for d in enumerate_subgroups(p) if d != full(2)],
+    )
+    result = check_subgroup_family(oracle)
+    assert not result.passed
+    assert result.detail == "oracle-only subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
+    monkeypatch.setattr(
+        verify_module, "enumerate_normal_subgroups",
+        lambda p: [d for d in enumerate_normal_subgroups(p) if d != full(2)],
+    )
+    result = check_normal_family(oracle)
+    assert not result.passed
+    assert result.detail == (
+        "oracle-only normal subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
+    )
 
 
 def test_shape_vs_lattice_catches_mismatch(monkeypatch):
