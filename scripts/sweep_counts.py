@@ -7,7 +7,12 @@ Usage:
 
 import argparse
 
-from u6n import GroupParams, build_lattice, count_chains
+from u6n import (
+    GroupParams,
+    count_chains,
+    enumerate_normal_subgroups,
+    enumerate_subgroups,
+)
 
 
 def main() -> None:
@@ -21,11 +26,11 @@ def main() -> None:
     rows = []
     for n in range(1, args.n_max + 1):
         params = GroupParams(n)
-        nodes_all = len(build_lattice(params, "all").nodes)
-        nodes_normal = len(build_lattice(params, "normal").nodes)
+        subgroups = len(enumerate_subgroups(params))
+        normal = len(enumerate_normal_subgroups(params))
         nf = count_chains(params, "all").fuzzy_count
         nnf = count_chains(params, "normal").fuzzy_count
-        rows.append((n, params.order, nodes_all + 1, nodes_normal + 1, nf, nnf))
+        rows.append((n, params.order, subgroups, normal, nf, nnf))
 
     widths = [
         max(len(str(header[i])), max(len(str(r[i])) for r in rows))

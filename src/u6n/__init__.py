@@ -23,13 +23,11 @@ from .group import (
     GroupParams,
     OracleLimitExceeded,
     all_elements,
-    cayley_table,
     conjugate,
     format_element,
     identity,
     inverse,
     multiply,
-    parse_element,
     power,
 )
 from .lattice import (
@@ -52,7 +50,6 @@ from .subgroups import (
     factorize,
     format_descriptor,
     full,
-    parse_descriptor,
     subgroup_elements,
     subgroup_leq,
     subgroup_order,
@@ -73,7 +70,6 @@ __all__ = [
     "SubgroupDescriptor",
     "all_elements",
     "build_lattice",
-    "cayley_table",
     "chain_counts",
     "compute_chain_table",
     "count_chains",
@@ -94,8 +90,6 @@ __all__ = [
     "identity",
     "inverse",
     "multiply",
-    "parse_descriptor",
-    "parse_element",
     "power",
     "subgroup_elements",
     "subgroup_leq",

@@ -13,7 +13,6 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .chains import ChainCounts, count_chains, shape_chain_counts
@@ -33,19 +32,6 @@ _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
 class CliError(Exception):
     """Invalid input or usage; mapped to exit code 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int | None = None
-    n_range: tuple[int, int] | None = None
-    mode: str = "all"
-    relation: str = "tarnauceanu"
-    fmt: str = "table"
-    dot_path: str | None = None
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
-    fuzzy_n_max: int = 4
 
 
 class _ParserExit(Exception):
@@ -75,10 +61,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _params(n: int) -> GroupParams:
-    try:
-        return GroupParams(n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if n < 1:
+        raise CliError(f"n must be at least 1, got {n}")
+    return GroupParams(n)
 
 
 def build_parser() -> _Parser:
@@ -88,7 +73,8 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser, mode: bool = True, fmt: bool = True) -> None:
+    def add_common(p: _Parser, handler, mode: bool = True, fmt: bool = True) -> None:
+        p.set_defaults(handler=handler)
         p.add_argument("--n", type=int, required=True, help="group parameter n >= 1")
         if mode:
             p.add_argument("--mode", choices=("all", "normal"), default="all")
@@ -97,24 +83,25 @@ def build_parser() -> _Parser:
                            default="table", dest="fmt")
 
     p = sub.add_parser("subgroups", help="list all subgroups with orders")
-    add_common(p, mode=False)
+    add_common(p, _cmd_listing, mode=False)
     p = sub.add_parser("normal", help="list the normal subgroups with orders")
-    add_common(p, mode=False)
+    add_common(p, _cmd_listing, mode=False)
 
     p = sub.add_parser("chains", help="per-length chain count table")
-    add_common(p)
+    add_common(p, _cmd_chains)
 
     p = sub.add_parser("count", help="fuzzy subgroup count")
-    add_common(p)
+    add_common(p, _cmd_count)
     p.add_argument("--relation", choices=("tarnauceanu", "murali"),
                    default="tarnauceanu",
                    help="murali reports 2*count - 1 instead")
 
     p = sub.add_parser("lattice", help="lattice JSON on stdout, optional DOT")
-    add_common(p, fmt=False)
+    add_common(p, _cmd_lattice, fmt=False)
     p.add_argument("--dot", dest="dot_path", help="also write DOT to this path")
 
     p = sub.add_parser("verify", help="run the oracle cross-check battery")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--fuzzy-n-max", type=int, default=4, dest="fuzzy_n_max",
                    help="largest n for the fuzzy-map end-to-end checks")
@@ -125,56 +112,26 @@ def build_parser() -> _Parser:
                    dest="fmt")
 
     p = sub.add_parser("batch", help="CSV sweep over a range of n")
+    p.set_defaults(handler=_cmd_batch)
     p.add_argument("--range", required=True, dest="n_range",
                    help="inclusive range A..B (or a single N)")
     p.add_argument("--mode", choices=("all", "normal"), default="all")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    n_range = None
-    if getattr(args, "n_range", None) is not None:
-        n_range = _parse_range(args.n_range)
-    n = getattr(args, "n", None)
-    if args.command == "verify":
-        n = args.n_max
-    if n is not None and n < 1:
-        raise CliError(f"n must be at least 1, got {n}")
-    if args.command == "verify":
-        for flag, value in (("--fuzzy-n-max", args.fuzzy_n_max),
-                            ("--oracle-limit", args.oracle_limit)):
-            if value < 0:
-                raise CliError(f"{flag} must be at least 0, got {value}")
-    return RunConfig(
-        command=args.command,
-        n=n,
-        n_range=n_range,
-        mode=getattr(args, "mode", "all"),
-        relation=getattr(args, "relation", "tarnauceanu"),
-        fmt=getattr(args, "fmt", "table"),
-        dot_path=getattr(args, "dot_path", None),
-        oracle_limit=getattr(args, "oracle_limit", DEFAULT_ORACLE_LIMIT),
-        fuzzy_n_max=getattr(args, "fuzzy_n_max", 4),
-    )
-
-
-def _print_descriptor_listing(config: RunConfig, normal: bool) -> int:
-    params = _params(config.n)
-    descs = (
-        enumerate_normal_subgroups(params)
-        if normal
-        else enumerate_subgroups(params)
-    )
+def _cmd_listing(args: argparse.Namespace) -> int:
+    params = _params(args.n)
+    normal = args.command == "normal"
+    descs = enumerate_normal_subgroups(params) if normal else enumerate_subgroups(params)
     rows = [(format_descriptor(d), subgroup_order(params, d)) for d in descs]
-    mode = "normal" if normal else "all"
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "n": params.n,
-            "mode": mode,
+            "mode": "normal" if normal else "all",
             "subgroups": [{"desc": d, "order": o} for d, o in rows],
         }
         print(json.dumps(payload, indent=2))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["desc", "order"])
         writer.writerows(rows)
@@ -186,11 +143,11 @@ def _print_descriptor_listing(config: RunConfig, normal: bool) -> int:
     return 0
 
 
-def _cmd_chains(config: RunConfig) -> int:
-    counts = count_chains(_params(config.n), config.mode)
-    if config.fmt == "json":
+def _cmd_chains(args: argparse.Namespace) -> int:
+    counts = count_chains(_params(args.n), args.mode)
+    if args.fmt == "json":
         print(json.dumps(counts.to_json_dict(), indent=2))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["length", "count"])
         for k, c in enumerate(counts.per_length):
@@ -206,55 +163,60 @@ def _cmd_chains(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_count(config: RunConfig) -> int:
-    counts = count_chains(_params(config.n), config.mode)
-    value = counts.mm_count if config.relation == "murali" else counts.fuzzy_count
-    if config.fmt == "json":
+def _cmd_count(args: argparse.Namespace) -> int:
+    counts = count_chains(_params(args.n), args.mode)
+    value = counts.mm_count if args.relation == "murali" else counts.fuzzy_count
+    if args.fmt == "json":
         payload = {
-            "n": config.n,
-            "mode": config.mode,
-            "relation": config.relation,
+            "n": args.n,
+            "mode": args.mode,
+            "relation": args.relation,
             "count": str(value),
         }
         print(json.dumps(payload, indent=2))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "mode", "relation", "count"])
-        writer.writerow([config.n, config.mode, config.relation, str(value)])
+        writer.writerow([args.n, args.mode, args.relation, str(value)])
     else:
         print(value)
     return 0
 
 
-def _cmd_lattice(config: RunConfig) -> int:
-    lat = build_lattice(_params(config.n), config.mode)
+def _cmd_lattice(args: argparse.Namespace) -> int:
+    lat = build_lattice(_params(args.n), args.mode)
     covers = sorted(hasse_edges(lat))
-    if config.dot_path:
+    if args.dot_path:
         try:
-            Path(config.dot_path).write_text(dot_text(lat, covers))
+            Path(args.dot_path).write_text(dot_text(lat, covers))
         except OSError as exc:
             raise CliError(
-                f"cannot write DOT file {config.dot_path}: {exc.strerror or exc}"
+                f"cannot write DOT file {args.dot_path}: {exc.strerror or exc}"
             ) from exc
     print(json_text(lat, covers))
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    _params(args.n_max)  # the same "n must be at least 1" as --n
+    for flag, value in (("--fuzzy-n-max", args.fuzzy_n_max),
+                        ("--oracle-limit", args.oracle_limit)):
+        if value < 0:
+            raise CliError(f"{flag} must be at least 0, got {value}")
     from .verify import render_report, report_json, run_verification
 
     results = run_verification(
-        config.n, fuzzy_n_max=config.fuzzy_n_max, oracle_limit=config.oracle_limit
+        args.n_max, fuzzy_n_max=args.fuzzy_n_max, oracle_limit=args.oracle_limit
     )
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(report_json(results), indent=2))
     else:
         print(render_report(results))
     return 0 if all(r.passed for r in results) else 2
 
 
-def _cmd_batch(config: RunConfig) -> int:
-    lo, hi = config.n_range
+def _cmd_batch(args: argparse.Namespace) -> int:
+    lo, hi = _parse_range(args.n_range)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["n", "mode", "per_length", "total", "fuzzy_count", "mm_count"]
@@ -265,12 +227,12 @@ def _cmd_batch(config: RunConfig) -> int:
         core_two_n, rest = split_core(2 * n)
         shape = (core_two_n, tuple(sorted(a for _, a in rest)))
         if shape not in by_shape:
-            by_shape[shape] = shape_chain_counts(*shape, config.mode)
-        counts = ChainCounts(n=n, mode=config.mode, per_length=by_shape[shape])
+            by_shape[shape] = shape_chain_counts(*shape, args.mode)
+        counts = ChainCounts(n=n, mode=args.mode, per_length=by_shape[shape])
         writer.writerow(
             [
                 n,
-                config.mode,
+                args.mode,
                 ";".join(str(c) for c in counts.per_length),
                 str(counts.total),
                 str(counts.fuzzy_count),
@@ -280,29 +242,10 @@ def _cmd_batch(config: RunConfig) -> int:
     return 0
 
 
-def run(config: RunConfig) -> int:
-    if config.command == "subgroups":
-        return _print_descriptor_listing(config, normal=False)
-    if config.command == "normal":
-        return _print_descriptor_listing(config, normal=True)
-    if config.command == "chains":
-        return _cmd_chains(config)
-    if config.command == "count":
-        return _cmd_count(config)
-    if config.command == "lattice":
-        return _cmd_lattice(config)
-    if config.command == "verify":
-        return _cmd_verify(config)
-    if config.command == "batch":
-        return _cmd_batch(config)
-    raise CliError(f"unknown command {config.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = config_from_args(args)
-        return run(config)
+        return args.handler(args)
     except _ParserExit as exc:
         return exc.args[0]
     except CliError as exc:

@@ -9,7 +9,6 @@ below are therefore O(1) integer arithmetic on the two exponents.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 #: Exhaustive (Cayley-table / closure) checks refuse groups larger than this.
@@ -99,28 +98,9 @@ def all_elements(params: GroupParams) -> list[Element]:
     return [Element(u, v) for u in range(params.two_n) for v in range(3)]
 
 
-def cayley_table(
-    params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT
-) -> dict[tuple[Element, Element], Element]:
-    """Full multiplication table, for exhaustive checks on small groups."""
-    if params.order > limit:
-        raise OracleLimitExceeded(
-            f"group order {params.order} exceeds the exhaustive-check limit "
-            f"{limit}; use the closed-form operations for groups this large"
-        )
-    elems = all_elements(params)
-    return {(x, y): multiply(params, x, y) for x in elems for y in elems}
-
-
-# text form: "e", or "a^u b^v" with unit exponents bare and zero factors dropped
-
-_ELEMENT_RE = re.compile(
-    r"^\s*(?:(?P<a>a)(?:\s*\^\s*(?P<ae>\d+))?)?"
-    r"\s*(?:(?P<b>b)(?:\s*\^\s*(?P<be>\d+))?)?\s*$"
-)
-
-
 def format_element(x: Element) -> str:
+    """Text form: "e", or "a^u b^v" with unit exponents bare and zero
+    factors dropped."""
     if x.a_exp == 0 and x.b_exp == 0:
         return "e"
     parts = []
@@ -129,23 +109,3 @@ def format_element(x: Element) -> str:
     if x.b_exp:
         parts.append("b" if x.b_exp == 1 else f"b^{x.b_exp}")
     return " ".join(parts)
-
-
-def parse_element(params: GroupParams, text: str) -> Element:
-    """Parse the text form back into a canonical element.
-
-    Exponents outside the canonical ranges are reduced mod 2n / mod 3, so
-    both the 0-based and the 1-based exponent conventions are accepted.
-    """
-    if text.strip() == "e":
-        return Element(0, 0)
-    m = _ELEMENT_RE.match(text)
-    if not m or (m.group("a") is None and m.group("b") is None):
-        raise ValueError(f"not an element: {text!r}")
-    u = 0
-    if m.group("a"):
-        u = int(m.group("ae")) if m.group("ae") is not None else 1
-    v = 0
-    if m.group("b"):
-        v = int(m.group("be")) if m.group("be") is not None else 1
-    return Element(u % params.two_n, v % 3)

@@ -17,10 +17,11 @@ is its own inverse.
 
 build_lattice runs the pairwise rule of _strict_order_edges on the small
 core only, including the core's trivial subgroup C(c), which is a proper
-subgroup of U_6n once m > 1, and lifts it to the product.  hasse_edges
-returns the single-coordinate steps: (x, u) -> (y, u) for each cover
-x -> y of the core, and (x, u) -> (x, u / p) for each prime p | u.  With
-m = 1 the lattice is the core itself and nothing is lifted.
+subgroup of U_6n once m > 1, and lifts it to the product.  m = 1 is the
+empty product: every u is 1, and the lift is the identity.  hasse_edges
+reads the core order back from the lattice's u = 1 rows and returns the
+single-coordinate steps: (x, u) -> (y, u) for each cover x -> y of the
+core, and (x, u) -> (x, u / p) for each prime p | u.
 
 The lattice stores the full strict relation (every pair H < K), not just
 the Hasse covers, because the chain-counting recurrence sums over all
@@ -161,12 +162,8 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
     nodes = tuple(d for d in descs if (d.kind, d.t) != trivial)
     assert all(subgroup_order(params, d) > 1 for d in nodes)
     top_index = nodes.index(SubgroupDescriptor(Kind.FULL, 1))
-    core_two_n = split_core(params.two_n)[0]
-    if core_two_n == params.two_n:
-        above = [frozenset(s) for s in _strict_order_edges(nodes)]
-    else:
-        core, coords = _product_coords(nodes, core_two_n)
-        above = _lifted_order(coords, _strict_order_edges(core))
+    core, coords = _product_coords(nodes, split_core(params.two_n)[0])
+    above = _lifted_order(coords, _strict_order_edges(core))
     return Lattice(
         params=params,
         mode=mode,
@@ -195,15 +192,16 @@ def height(lat: Lattice) -> int:
 def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
     """Covers (i, j): node j contains node i with nothing strictly between.
 
-    Single-coordinate steps of the product order; the core's covers come
-    from the transitive reduction of its small strict relation.
+    Single-coordinate steps of the product order.  The core's covers come
+    from the transitive reduction of its strict relation, read from the
+    u = 1 rows: core node x is node (x, 1), and only (y, 1) lie above it.
     """
     core_two_n, rest = split_core(lat.params.two_n)
-    if not rest:
-        return {(i, j) for i, ups in enumerate(_covers(lat.strictly_below))
-                for j in ups}
-    core, coords = _product_coords(lat.nodes, core_two_n)
-    core_covers = _covers(_strict_order_edges(core))
+    coords = _product_coords(lat.nodes, core_two_n)[1]
+    core_covers = _covers([
+        {coords[j][0] for j in ups}
+        for (_, u), ups in zip(coords, lat.strictly_below) if u == 1
+    ])
     index = {xu: i for i, xu in enumerate(coords)}
     primes = [p for p, _ in rest]
     edges = set()

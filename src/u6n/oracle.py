@@ -11,9 +11,9 @@ generator shortcut.  Discovery extends a subgroup H by one g per right
 coset Hg, since <H, g> = <H, x g> for x in H.  Chains are listed by
 explicit depth-first search, and fuzzy subgroups are materialized as
 exact rational grade maps and checked directly against their defining
-axioms; the check relabels each grade by its rank among the distinct
-grades, an order-preserving map, so >=, min and = carry over exactly to
-int comparisons.  None of it consults the divisor-based catalog, so
+axioms on the same tables; the check relabels each grade by its rank
+among the distinct grades, an order-preserving map, so >=, min and =
+carry over exactly to int comparisons.  None of it consults the divisor-based catalog, so
 agreement between the two paths is evidence, not circularity.
 Factorization is plain trial division, the reference for the catalog's
 Miller-Rabin and Pollard-rho factorizer.
@@ -47,20 +47,6 @@ def _index(x: Element) -> int:
     return 3 * x.a_exp + x.b_exp
 
 
-def _tables(params: GroupParams) -> tuple[list[list[int]], list[int]]:
-    """Cayley and inverse tables over element indices."""
-    elements = all_elements(params)
-    mult = [[_index(multiply(params, x, y)) for y in elements] for x in elements]
-    return mult, [_index(inverse(params, x)) for x in elements]
-
-
-def _check_limit(params: GroupParams, limit: int) -> None:
-    if params.order > limit:
-        raise OracleLimitExceeded(
-            f"group order {params.order} exceeds the oracle limit {limit}"
-        )
-
-
 class GroupOracle:
     """The brute-force view of one group U_6n, built once and asked often.
 
@@ -71,10 +57,15 @@ class GroupOracle:
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
-        _check_limit(params, limit)
+        if params.order > limit:
+            raise OracleLimitExceeded(
+                f"group order {params.order} exceeds the oracle limit {limit}"
+            )
         self.params = params
-        self.elements = all_elements(params)
-        self.mult, self.inv = _tables(params)
+        self.elements = elements = all_elements(params)
+        self.mult = [[_index(multiply(params, x, y)) for y in elements]
+                     for x in elements]
+        self.inv = [_index(inverse(params, x)) for x in elements]
         self.identity = _index(identity(params))
         self._subgroups: list[frozenset[int]] | None = None
         self._normal: dict[frozenset[int], bool] = {}
@@ -124,6 +115,34 @@ class GroupOracle:
     def normal_subgroups(self) -> list[frozenset[int]]:
         return [h for h in self.subgroups if self.is_normal(h)]
 
+    def _ranks(self, mu: FuzzyMap) -> list[int]:
+        if mu.params != self.params:
+            raise ValueError("the fuzzy map is over a different group")
+        return _grade_ranks(mu)
+
+    def is_fuzzy_subgroup(self, mu: FuzzyMap) -> bool:
+        """mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x), on the tables."""
+        ranks = self._ranks(mu)
+        for x, row in enumerate(self.mult):
+            rx = ranks[x]
+            if ranks[self.inv[x]] < rx:
+                return False
+            for y, xy in enumerate(row):
+                r = ranks[xy]
+                if r < rx and r < ranks[y]:
+                    return False
+        return True
+
+    def is_normal_fuzzy(self, mu: FuzzyMap) -> bool:
+        """mu(xy) = mu(yx) for all pairs, on the table."""
+        ranks = self._ranks(mu)
+        mult = self.mult
+        return all(
+            ranks[row[y]] == ranks[mult[y][x]]
+            for x, row in enumerate(mult)
+            for y in range(x)
+        )
+
     def count_set_chains(
         self, normal_only: bool = False, include_trivial: bool = True
     ) -> list[int]:
@@ -154,7 +173,7 @@ class GroupOracle:
         for chain in chains:
             sets = [family[i] for i in chain]
             rep = representative_from_sets(self.params, sets)
-            assert _fuzzy_axioms_hold(self.mult, self.inv, _grade_ranks(rep))
+            assert self.is_fuzzy_subgroup(rep)
             relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(sets) + 1)]
             assert equivalent(rep, representative_from_sets(self.params, sets, relevel))
             signatures.add(rank_signature(rep))
@@ -404,36 +423,16 @@ def _grade_ranks(mu: FuzzyMap) -> list[int]:
     return ranks
 
 
-def _fuzzy_axioms_hold(
-    mult: list[list[int]], inv: list[int], ranks: list[int]
-) -> bool:
-    """mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x), on the tables."""
-    for x, row in enumerate(mult):
-        rx = ranks[x]
-        if ranks[inv[x]] < rx:
-            return False
-        for y, xy in enumerate(row):
-            r = ranks[xy]
-            if r < rx and r < ranks[y]:
-                return False
-    return True
-
-
 def is_fuzzy_subgroup(mu: FuzzyMap) -> bool:
-    """Exhaustive check of mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x)."""
-    mult, inv = _tables(mu.params)
-    return _fuzzy_axioms_hold(mult, inv, _grade_ranks(mu))
+    """GroupOracle.is_fuzzy_subgroup on a fresh oracle for mu's group, with
+    no order limit: mu already holds a grade per element."""
+    return GroupOracle(mu.params, mu.params.order).is_fuzzy_subgroup(mu)
 
 
 def is_normal_fuzzy(mu: FuzzyMap) -> bool:
-    """Exhaustive check of mu(xy) = mu(yx) for all pairs."""
-    mult, _ = _tables(mu.params)
-    ranks = _grade_ranks(mu)
-    return all(
-        ranks[row[y]] == ranks[mult[y][x]]
-        for x, row in enumerate(mult)
-        for y in range(x)
-    )
+    """GroupOracle.is_normal_fuzzy on a fresh oracle for mu's group, with
+    no order limit: mu already holds a grade per element."""
+    return GroupOracle(mu.params, mu.params.order).is_normal_fuzzy(mu)
 
 
 def rank_signature(mu: FuzzyMap) -> tuple[int, ...]:

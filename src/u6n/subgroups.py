@@ -9,8 +9,8 @@ Every subgroup is one of three shapes, indexed by a divisor t of 2n:
                               (otherwise <a^t b^s> collapses to <a^t, b>)
 
 Membership, containment and orders all reduce to modular arithmetic on
-the t and s parameters, so the catalog never needs to materialize
-element sets except for its own small-n consistency assertions.
+the t and s parameters, so the catalog never materializes element sets;
+subgroup_elements does, for the checks that compare against them.
 
 The divisors come from factorize(2n), Miller-Rabin plus Pollard rho; its
 docstring gives the method, the 3.3e24 determinism bound and the step
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
 
-from .group import DEFAULT_ORACLE_LIMIT, Element, GroupParams
+from .group import Element, GroupParams
 
 
 class Kind(enum.Enum):
@@ -231,28 +230,18 @@ def validate_descriptor(params: GroupParams, d: SubgroupDescriptor) -> None:
         )
 
 
-def enumerate_subgroups(
-    params: GroupParams, check_exclusive: bool | None = None
-) -> list[SubgroupDescriptor]:
+def enumerate_subgroups(params: GroupParams) -> list[SubgroupDescriptor]:
     """All subgroups of U_6n as descriptors, sorted by (kind, t, s).
 
-    Includes the trivial subgroup as Cyclic(2n).  When the group is small
-    enough (or check_exclusive is forced on) the pairwise distinctness of
-    the element sets is asserted as a guard against descriptor bugs.
+    Includes the trivial subgroup as Cyclic(2n).  Pure divisor arithmetic:
+    that distinct descriptors name distinct subgroups is checked against
+    the element sets by verify's subgroups-vs-oracle check, not here.
     """
     divs = divisors(params.two_n)
     out = [cyclic(t) for t in divs]
     out += [full(t) for t in divs]
     out += [twisted(t, s) for t in divs if twisted_exists(params, t) for s in (1, 2)]
     out.sort(key=SubgroupDescriptor.sort_key)
-    if check_exclusive is None:
-        check_exclusive = params.order <= DEFAULT_ORACLE_LIMIT
-    if check_exclusive:
-        sets = [subgroup_elements(params, d) for d in out]
-        if len(set(sets)) != len(sets):
-            raise AssertionError(
-                f"descriptor element sets collide at n = {params.n}"
-            )
     return out
 
 
@@ -320,27 +309,7 @@ def subgroup_leq(
     return contains_element(params, d2, Element(d1.t % params.two_n, d1.s))
 
 
-_KIND_BY_LETTER = {k.value: k for k in Kind}
-
-_DESCRIPTOR_RE = re.compile(r"^\s*([CFT])\s*\(\s*(\d+)\s*(?:,\s*([12])\s*)?\)\s*$")
-
-
 def format_descriptor(d: SubgroupDescriptor) -> str:
     if d.kind is Kind.TWISTED:
         return f"T({d.t},{d.s})"
     return f"{d.kind.value}({d.t})"
-
-
-def parse_descriptor(params: GroupParams, text: str) -> SubgroupDescriptor:
-    """Parse "C(t)" / "F(t)" / "T(t,s)" and validate against params."""
-    m = _DESCRIPTOR_RE.match(text)
-    if not m:
-        raise ValueError(f"not a subgroup descriptor: {text!r}")
-    kind = _KIND_BY_LETTER[m.group(1)]
-    t = int(m.group(2))
-    s = int(m.group(3)) if m.group(3) is not None else None
-    if (kind is Kind.TWISTED) != (s is not None):
-        raise ValueError(f"descriptor {text!r} has a malformed parameter list")
-    d = SubgroupDescriptor(kind, t, s)
-    validate_descriptor(params, d)
-    return d

@@ -9,7 +9,8 @@ battery up to some n_max only executes what is tractable at each n.
 run_verification builds one GroupOracle per n within the oracle limit and
 hands it to every check that consults the oracle, so each group's Cayley
 table, subgroup family and normality flags are computed once per run and
-dropped with it.
+dropped with it.  The oracle limit gates every exhaustive check, the fuzzy
+checks included: above it they are skipped, whatever fuzzy_n_max says.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .oracle import (
     chain_to_representative,
     equivalent,
     equivalent_by_pairs,
-    is_fuzzy_subgroup,
-    is_normal_fuzzy,
     lattice_chains,
     oracle_count_chains,
     rank_signature,
@@ -113,7 +112,7 @@ def check_count_formula(params: GroupParams) -> CheckResult:
     eligible = sum(1 for t in divs if twisted_exists(params, t))
     want_all = 2 * len(divs) + 2 * eligible
     want_normal = len(divs) + sum(1 for t in divs if t % 2 == 0)
-    got_all = len(enumerate_subgroups(params, check_exclusive=False))
+    got_all = len(enumerate_subgroups(params))
     got_normal = len(enumerate_normal_subgroups(params))
     if got_all != want_all:
         return _fail(params.n, name, f"all: expected {want_all}, got {got_all}")
@@ -125,13 +124,14 @@ def check_count_formula(params: GroupParams) -> CheckResult:
 
 
 def check_subgroup_family(oracle: GroupOracle) -> CheckResult:
-    """Catalog element sets == closure-discovered subgroup family."""
+    """Catalog element sets == closure-discovered subgroup family, and no
+    two descriptors name the same set."""
     name = "subgroups-vs-oracle"
     params = oracle.params
-    catalog = {
-        oracle.index_set(subgroup_elements(params, d))
-        for d in enumerate_subgroups(params)
-    }
+    descs = enumerate_subgroups(params)
+    catalog = {oracle.index_set(subgroup_elements(params, d)) for d in descs}
+    if len(catalog) < len(descs):
+        return _fail(params.n, name, "descriptor element sets collide")
     discovered = set(oracle.subgroups)
     if catalog != discovered:
         diff = next(iter(catalog.symmetric_difference(discovered)))
@@ -394,10 +394,11 @@ def check_set_chains(oracle: GroupOracle, mode: str) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
+def check_fuzzy_axioms(oracle: GroupOracle) -> CheckResult:
     """Every chain representative is a fuzzy subgroup; normal chains give
     normal ones; distinct chains are inequivalent; re-leveling is neutral."""
     name = "fuzzy-axioms"
+    params = oracle.params
     lat = build_lattice(params, "all")
     seen: dict[tuple[int, ...], str] = {}
     reps = []
@@ -405,7 +406,7 @@ def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
         descs = [lat.nodes[i] for i in chain]
         label = " < ".join(str(d) for d in descs)
         rep = chain_to_representative(params, descs)
-        if not is_fuzzy_subgroup(rep):
+        if not oracle.is_fuzzy_subgroup(rep):
             return _fail(params.n, name, f"FG1/FG2 fail for chain {label}")
         relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(descs) + 1)]
         if not equivalent(rep, chain_to_representative(params, descs, relevel)):
@@ -428,7 +429,7 @@ def check_fuzzy_axioms(params: GroupParams) -> CheckResult:
     for chain in lattice_chains(lat_n):
         descs = [lat_n.nodes[i] for i in chain]
         rep = chain_to_representative(params, descs)
-        if not is_normal_fuzzy(rep):
+        if not oracle.is_normal_fuzzy(rep):
             return _fail(
                 params.n,
                 name,
@@ -530,10 +531,9 @@ def run_verification(
             results.append(check_shape_vs_lattice(params, mode))
             if n <= 6 and oracle is not None:
                 results.append(check_set_chains(oracle, mode))
-        if n <= fuzzy_n_max:
-            results.append(check_fuzzy_axioms(params))
-            if oracle is not None:
-                results.append(check_equivalence_count(oracle))
+        if n <= fuzzy_n_max and oracle is not None:
+            results.append(check_fuzzy_axioms(oracle))
+            results.append(check_equivalence_count(oracle))
     results.extend(check_divisor_shape_dependence(list(range(1, n_max + 1))))
     return results
 

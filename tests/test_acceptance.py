@@ -179,7 +179,7 @@ def test_criterion_6_count_formula():
         ]
         eligible = sum(1 for t in divs if twisted_exists(params, t))
         expected = 2 * len(divs) + 2 * eligible
-        got = len(enumerate_subgroups(params, check_exclusive=False))
+        got = len(enumerate_subgroups(params))
         ok = ok and got == expected
         if n <= 12:
             ok = ok and len(oracle_all_subgroups(params)) == expected

@@ -24,7 +24,7 @@ from u6n import (
     export_json,
     subgroup_order,
 )
-from u6n.cli import CliError, build_parser, config_from_args, main
+from u6n.cli import CliError, _cmd_count, build_parser, main
 from u6n.oracle import transitive_reduction
 from u6n.subgroups import split_core
 from u6n.verify import CheckResult
@@ -325,13 +325,13 @@ def test_outputs_are_deterministic(capsys):
 
 
 def test_config_from_args_defaults():
-    parser = build_parser()
-    config = config_from_args(parser.parse_args(["count", "--n", "3"]))
-    assert config.command == "count"
-    assert config.n == 3
-    assert config.mode == "all"
-    assert config.relation == "tarnauceanu"
-    assert config.fmt == "table"
+    args = build_parser().parse_args(["count", "--n", "3"])
+    assert args.command == "count"
+    assert args.n == 3
+    assert args.mode == "all"
+    assert args.relation == "tarnauceanu"
+    assert args.fmt == "table"
+    assert args.handler is _cmd_count
 
 
 def test_parser_error_is_cli_error():

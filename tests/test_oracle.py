@@ -26,6 +26,7 @@ from u6n.oracle import (
     equivalent_by_pairs,
     is_fuzzy_subgroup,
     is_normal_fuzzy,
+    lattice_chains,
     oracle_all_subgroups,
     oracle_count_chains,
     oracle_count_equivalence_classes,
@@ -233,6 +234,26 @@ def test_normal_fuzzy_examples():
     params = GroupParams(1)
     assert is_normal_fuzzy(chain_to_representative(params, [full(2), full(1)]))
     assert not is_normal_fuzzy(chain_to_representative(params, [cyclic(1), full(1)]))
+
+
+def test_oracle_fuzzy_checks_run_on_its_own_tables():
+    params = GroupParams(3)
+    oracle = GroupOracle(params)
+    for mode in ("all", "normal"):
+        lat = build_lattice(params, mode)
+        for chain in lattice_chains(lat):
+            mu = chain_to_representative(params, [lat.nodes[i] for i in chain])
+            assert oracle.is_fuzzy_subgroup(mu) and is_fuzzy_subgroup(mu)
+            assert oracle.is_normal_fuzzy(mu) == is_normal_fuzzy(mu)
+            if mode == "normal":
+                assert oracle.is_normal_fuzzy(mu)
+    spike = {
+        x: Fraction(1) if x == Element(1, 1) else Fraction(1, 2)
+        for x in all_elements(params)
+    }
+    assert not oracle.is_fuzzy_subgroup(FuzzyMap(params, spike))
+    with pytest.raises(ValueError):
+        GroupOracle(GroupParams(1)).is_fuzzy_subgroup(mu)
 
 
 def test_equivalence_examples():

@@ -1,4 +1,5 @@
-"""scripts/benchmark_large_n.py checks that the two counting paths agree."""
+"""The scripts: benchmark_large_n.py checks that the two counting paths agree,
+sweep_counts.py prints the subgroup and fuzzy-subgroup count table."""
 
 import importlib.util
 import sys
@@ -7,11 +8,11 @@ from pathlib import Path
 from u6n import ChainCounts, GroupParams, build_lattice
 from u6n.oracle import transitive_reduction
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "benchmark_large_n.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("benchmark_large_n", SCRIPT)
+def _load_script(name="benchmark_large_n"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -46,3 +47,16 @@ def test_benchmark_large_n_exits_1_on_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["benchmark_large_n.py", "--n", "35"])
     assert script.main() == 1
     assert "PATHS DIFFER" in capsys.readouterr().out
+
+
+def test_sweep_counts_table(monkeypatch, capsys):
+    script = _load_script("sweep_counts")
+    monkeypatch.setattr(sys, "argv", ["sweep_counts.py", "--n-max", "4"])
+    script.main()
+    assert capsys.readouterr().out == (
+        "n  order  subgroups  normal  N_F  N_NF\n"
+        "1      6          6       3   10     4\n"
+        "2     12          8       5   24    12\n"
+        "3     18         14       6   54    16\n"
+        "4     24         10       7   56    32\n"
+    )

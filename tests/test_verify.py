@@ -62,7 +62,28 @@ def test_individual_checks_pass():
     assert check_containment(params).passed
     assert check_dp_vs_dfs(params, "all").passed
     assert check_shape_vs_lattice(GroupParams(35), "normal").passed
-    assert check_fuzzy_axioms(params).passed
+    assert check_fuzzy_axioms(GroupOracle(params)).passed
+
+
+def test_subgroup_family_reports_colliding_descriptors(monkeypatch):
+    import u6n.verify as verify_module
+
+    real = verify_module.enumerate_subgroups
+    monkeypatch.setattr(
+        verify_module, "enumerate_subgroups", lambda params: real(params) + real(params)[:1]
+    )
+    result = check_subgroup_family(GroupOracle(GroupParams(3)))
+    assert not result.passed
+    assert result.detail == "descriptor element sets collide"
+
+
+def test_oracle_limit_gates_the_fuzzy_checks():
+    # order 30 > 24: no oracle at n = 5, so no fuzzy check either
+    labels = {f"n={r.n} {r.check}" for r in run_verification(
+        5, fuzzy_n_max=5, oracle_limit=24)}
+    assert "n=4 fuzzy-axioms" in labels
+    assert "n=5 fuzzy-axioms" not in labels
+    assert "n=5 equivalence-classes" not in labels
 
 
 def test_one_group_oracle_per_n_within_the_limit(monkeypatch):
