@@ -1,5 +1,7 @@
 """Time factorize and count_chains against the full-lattice build and chain
-DP, and check that the two paths agree; also time the Hasse covers.
+DP, and check that the two paths agree; also time hasse_edges, which keeps
+the strict pairs of prime index (see the u6n.lattice docstring), and print
+the cover count.
 
 count_chains counts from the factorization shape of 2n, with a DP on the
 exponent grid of its 2^e2 * 3^e3 core; the lattice path builds every

@@ -18,10 +18,14 @@ is its own inverse.
 build_lattice runs the pairwise rule of _strict_order_edges on the small
 core only, including the core's trivial subgroup C(c), which is a proper
 subgroup of U_6n once m > 1, and lifts it to the product.  m = 1 is the
-empty product: every u is 1, and the lift is the identity.  hasse_edges
-reads the core order back from the lattice's u = 1 rows and returns the
-single-coordinate steps: (x, u) -> (y, u) for each cover x -> y of the
-core, and (x, u) -> (x, u / p) for each prime p | u.
+empty product: every u is 1, and the lift is the identity.
+
+hasse_edges needs no product structure.  U_6n is supersolvable: the
+normal series 1 < <b> < ... < F(t) < F(t/p) < ... < F(1) has factors of
+prime order.  So every maximal subgroup of a subgroup has prime index
+(Huppert 1954), and in the normal lattice every cover is a chief factor,
+of prime order.  With Lagrange's theorem for the converse, a strict pair
+H < K is a cover exactly when |K|/|H| is prime, in both modes.
 
 The lattice stores the full strict relation (every pair H < K), not just
 the Hasse covers, because the chain-counting recurrence sums over all
@@ -102,11 +106,6 @@ def _strict_order_edges(nodes: tuple[SubgroupDescriptor, ...]) -> list[set[int]]
                     if ok:
                         above[i].add(j)
     return above
-
-
-def _covers(above) -> list[set[int]]:
-    """Transitive reduction: the minimal elements of each successor set."""
-    return [set(ups).difference(*(above[k] for k in ups)) for ups in above]
 
 
 def _product_coords(
@@ -192,26 +191,23 @@ def height(lat: Lattice) -> int:
 def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
     """Covers (i, j): node j contains node i with nothing strictly between.
 
-    Single-coordinate steps of the product order.  The core's covers come
-    from the transitive reduction of its strict relation, read from the
-    u = 1 rows: core node x is node (x, 1), and only (y, 1) lie above it.
+    The strict pairs of prime index, in both modes (module docstring): for
+    each node and each prime p of 6n (2, 3 and the primes of m), the nodes
+    of p times its order that lie above it.
     """
-    core_two_n, rest = split_core(lat.params.two_n)
-    coords = _product_coords(lat.nodes, core_two_n)[1]
-    core_covers = _covers([
-        {coords[j][0] for j in ups}
-        for (_, u), ups in zip(coords, lat.strictly_below) if u == 1
-    ])
-    index = {xu: i for i, xu in enumerate(coords)}
-    primes = [p for p, _ in rest]
-    edges = set()
-    for i, (x, u) in enumerate(coords):
-        for y in core_covers[x]:
-            edges.add((i, index[y, u]))
-        for p in primes:
-            if u % p == 0:
-                edges.add((i, index[x, u // p]))
-    return edges
+    params = lat.params
+    orders = [subgroup_order(params, d) for d in lat.nodes]
+    by_order: dict[int, list[int]] = {}
+    for j, o in enumerate(orders):
+        by_order.setdefault(o, []).append(j)
+    primes = [2, 3] + [p for p, _ in split_core(params.two_n)[1]]
+    return {
+        (i, j)
+        for i, ups in enumerate(lat.strictly_below)
+        for p in primes
+        for j in by_order.get(orders[i] * p, ())
+        if j in ups
+    }
 
 
 def dot_text(lat: Lattice, covers: list[tuple[int, int]]) -> str:

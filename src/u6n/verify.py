@@ -45,7 +45,7 @@ from .subgroups import (
     divisors,
     enumerate_normal_subgroups,
     enumerate_subgroups,
-    factorize,
+    split_core,
     subgroup_elements,
     subgroup_leq,
     twisted_exists,
@@ -450,31 +450,19 @@ def check_equivalence_count(oracle: GroupOracle) -> CheckResult:
     return _ok(params.n, name)
 
 
-def _shape(two_n: int) -> tuple:
-    """Factorization shape of 2n with the primes 2 and 3 pinned."""
-    e2 = e3 = 0
-    rest = []
-    for p, e in factorize(two_n):
-        if p == 2:
-            e2 = e
-        elif p == 3:
-            e3 = e
-        else:
-            rest.append(e)
-    return (e2, e3, tuple(sorted(rest)))
-
-
 def check_divisor_shape_dependence(n_values: list[int]) -> list[CheckResult]:
     """Full-lattice counts agree across n whose 2n share a factorization
     shape, the premise count_chains is built on."""
     name = "shape-dependence"
     results = []
+    # shape (core, sorted a_p) of 2n, the key cli's batch shares counts by
     seen: dict[tuple, tuple[int, int, int]] = {}
     for n in n_values:
         params = GroupParams(n)
         nf = _lattice_counts(params, "all").fuzzy_count
         nnf = _lattice_counts(params, "normal").fuzzy_count
-        shape = _shape(params.two_n)
+        core_two_n, rest = split_core(params.two_n)
+        shape = (core_two_n, tuple(sorted(a for _, a in rest)))
         if shape in seen:
             m, m_nf, m_nnf = seen[shape]
             if (nf, nnf) != (m_nf, m_nnf):

@@ -11,6 +11,7 @@ from u6n import (
     build_lattice,
     export_dot,
     export_json,
+    factorize,
     full,
     hasse_edges,
     height,
@@ -105,6 +106,15 @@ def test_height_examples():
     assert height(build_lattice(GroupParams(1), "all")) == 2
     assert height(build_lattice(GroupParams(2), "all")) == 3
     assert height(build_lattice(GroupParams(1), "normal")) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+@pytest.mark.parametrize("mode", ["all", "normal"])
+def test_height_is_omega_of_6n(n, mode):
+    # U_6n is supersolvable: every maximal chain, of subgroups and of normal
+    # subgroups alike, has prime steps, so Omega(6n) nodes above the trivial one
+    omega = sum(e for _, e in factorize(6 * n))
+    assert height(build_lattice(GroupParams(n), mode)) == omega
 
 
 def test_hasse_n1():
@@ -207,10 +217,10 @@ def test_product_lattice_matches_pairwise_order_and_reduction(n, mode):
     _assert_product_lattice_matches_references(n, mode)
 
 
-@pytest.mark.parametrize("n", [30, 5040])
+@pytest.mark.parametrize("n", [30, 2592, 5040])
 @pytest.mark.parametrize("mode", ["all", "normal"])
 def test_product_lattice_fixed_cases(n, mode):
-    # 2n = 60 and 10080 carry p = 5, which is 2 mod 3
+    # 2n = 60 and 10080 carry p = 5, which is 2 mod 3; 2n = 2^6 * 3^4 is all core
     _assert_product_lattice_matches_references(n, mode)
 
 

@@ -102,6 +102,23 @@ def test_group_oracle_families_equal_the_catalog(n):
     assert set(oracle.normal_subgroups) == index_sets(enumerate_normal_subgroups(params))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_covers_are_exactly_the_inclusions_of_prime_index(n):
+    # the premise of lattice.hasse_edges, on the brute-force families alone:
+    # U_6n is supersolvable, so H < K has nothing strictly between iff
+    # |K|/|H| is prime, among all subgroups and among the normal ones
+    oracle = GroupOracle(GroupParams(n))
+    for family in (oracle.subgroups, oracle.normal_subgroups):
+        above = [{k for k, big in enumerate(family) if small < big}
+                 for small in family]
+        for h, ups in enumerate(above):
+            covers = ups.difference(*(above[k] for k in ups))
+            for k in ups:
+                index = len(family[k]) // len(family[h])
+                prime = all(index % d for d in range(2, index))
+                assert (k in covers) == prime, (n, sorted(family[h]), sorted(family[k]))
+
+
 def test_group_oracle_indices_follow_all_elements():
     params = GroupParams(4)
     oracle = GroupOracle(params)

@@ -20,15 +20,18 @@ def _load_script(name="benchmark_large_n"):
 
 def test_benchmark_large_n_agrees(monkeypatch, capsys):
     script = _load_script()
-    monkeypatch.setattr(sys, "argv", ["benchmark_large_n.py", "--n", "12", "35"])
+    # 2n = 144 = 2^4 * 3^2 has no prime above 3: the lattice is all core
+    argv = ["benchmark_large_n.py", "--n", "12", "35", "72"]
+    monkeypatch.setattr(sys, "argv", argv)
     assert script.main() == 0
     out = capsys.readouterr().out
-    assert out.count("paths agree") == 4
-    assert out.count("factorize ") == 4
-    assert out.count("hasse_edges ") == 4
-    covers = len(transitive_reduction(build_lattice(GroupParams(35), "all")))
-    line = next(x for x in out.splitlines() if x.startswith("n=35 mode=all:"))
-    assert "hasse_edges " in line and f"({covers} covers)" in line
+    assert out.count("paths agree") == 6
+    assert out.count("factorize ") == 6
+    assert out.count("hasse_edges ") == 6
+    for n in (35, 72):
+        covers = len(transitive_reduction(build_lattice(GroupParams(n), "all")))
+        line = next(x for x in out.splitlines() if x.startswith(f"n={n} mode=all:"))
+        assert "hasse_edges " in line and f"({covers} covers)" in line
 
 
 def test_benchmark_large_n_default_ladder(monkeypatch, capsys):

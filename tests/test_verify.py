@@ -166,6 +166,13 @@ def test_shape_dependence_reports_matches():
     assert "matches n=5" in results[0].detail
 
 
+def test_shape_dependence_keys_by_core_and_exponents():
+    # 2n = 10 and 50 share the core 2 and one prime above 3, not its
+    # exponent; 2n = 2 and 4 share the empty m, not the core
+    assert check_divisor_shape_dependence([5, 25]) == []
+    assert check_divisor_shape_dependence([1, 2]) == []
+
+
 def test_render_report_formats():
     results = [
         CheckResult(n=1, check="demo", passed=True),
