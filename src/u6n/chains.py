@@ -193,6 +193,13 @@ def _core_chain_counts(e2: int, e3: int, mode: str) -> list[int]:
     return counts
 
 
+def factorization_shape(two_n: int) -> tuple[int, tuple[int, ...]]:
+    """The core 2^e2 * 3^e3 of two_n and its sorted exponents a_p, p >= 5:
+    every n whose 2n has this shape has the same chain counts."""
+    core_two_n, rest = split_core(two_n)
+    return core_two_n, tuple(sorted(a for _, a in rest))
+
+
 def shape_chain_counts(
     core_two_n: int, exponents: Sequence[int], mode: str
 ) -> tuple[int, ...]:
@@ -228,6 +235,5 @@ def count_chains(params: GroupParams, mode: str) -> ChainCounts:
     derives; the result equals chain_counts(compute_chain_table(
     build_lattice(params, mode))).
     """
-    core_two_n, rest = split_core(params.two_n)
-    per_length = shape_chain_counts(core_two_n, [a for _, a in rest], mode)
+    per_length = shape_chain_counts(*factorization_shape(params.two_n), mode)
     return ChainCounts(n=params.n, mode=mode, per_length=per_length)

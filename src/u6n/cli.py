@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .chains import ChainCounts, count_chains, shape_chain_counts
+from .chains import ChainCounts, count_chains, factorization_shape, shape_chain_counts
 from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
 from .lattice import build_lattice, dot_text, hasse_edges, json_text
 from .subgroups import (
@@ -23,7 +23,6 @@ from .subgroups import (
     enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
-    split_core,
     subgroup_order,
 )
 
@@ -224,8 +223,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     # rows of the same factorization shape share their per_length
     by_shape: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     for n in range(lo, hi + 1):
-        core_two_n, rest = split_core(2 * n)
-        shape = (core_two_n, tuple(sorted(a for _, a in rest)))
+        shape = factorization_shape(2 * n)
         if shape not in by_shape:
             by_shape[shape] = shape_chain_counts(*shape, args.mode)
         counts = ChainCounts(n=n, mode=args.mode, per_length=by_shape[shape])

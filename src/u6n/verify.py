@@ -2,15 +2,16 @@
 
 Each check compares a closed-form or DP result with an exhaustive
 recomputation, or the shape-based count_chains with the full-lattice
-DP, and reports a counterexample on mismatch.  Checks carry
-their own cost gates (a maximum group order or n), so running the full
-battery up to some n_max only executes what is tractable at each n.
+DP, and reports a counterexample on mismatch.
 
-run_verification builds one GroupOracle per n within the oracle limit and
-hands it to every check that consults the oracle, so each group's Cayley
-table, subgroup family and normality flags are computed once per run and
-dropped with it.  The oracle limit gates every exhaustive check, the fuzzy
-checks included: above it they are skipped, whatever fuzzy_n_max says.
+run_verification computes each object once per n and hands every check
+the object it checks: one GroupOracle (integer Cayley table, subgroup
+family, normality flags) when the group is within the oracle limit, and
+one Lattice and one ChainTable per mode.  The oracle limit is the one
+gate of every exhaustive check: the group laws, membership, containment,
+subgroup closure, normal-in-supergroup, the oracle families and the fuzzy
+checks are skipped above it, whatever fuzzy_n_max says.  Under it the
+checks keep their own cost gates (n <= 4, n <= 6, fuzzy_n_max).
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import ChainCounts, chain_counts, compute_chain_table, count_chains
+from .chains import (
+    ChainTable,
+    chain_counts,
+    compute_chain_table,
+    count_chains,
+    factorization_shape,
+)
 from .group import (
     DEFAULT_ORACLE_LIMIT,
     GroupParams,
@@ -30,7 +37,7 @@ from .group import (
     multiply,
     power,
 )
-from .lattice import build_lattice, hasse_edges, height
+from .lattice import MODES, Lattice, build_lattice, hasse_edges, height
 from .oracle import (
     GroupOracle,
     chain_to_representative,
@@ -45,7 +52,6 @@ from .subgroups import (
     divisors,
     enumerate_normal_subgroups,
     enumerate_subgroups,
-    split_core,
     subgroup_elements,
     subgroup_leq,
     twisted_exists,
@@ -205,57 +211,50 @@ def check_containment(params: GroupParams) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_subgroup_closure(params: GroupParams) -> CheckResult:
-    """Each catalog element set is closed under multiply and inverse."""
+def check_subgroup_closure(oracle: GroupOracle) -> CheckResult:
+    """Each catalog element set is the subgroup it generates on the
+    oracle's table: it holds e and is closed under products (and so under
+    inverses, the group being finite)."""
     name = "subgroup-closure"
+    params = oracle.params
     for d in enumerate_subgroups(params):
-        members = subgroup_elements(params, d)
-        for x in members:
-            if inverse(params, x) not in members:
-                return _fail(
-                    params.n, name, f"{d} not inverse-closed at {format_element(x)}"
-                )
-            for y in members:
-                if multiply(params, x, y) not in members:
-                    return _fail(
-                        params.n,
-                        name,
-                        f"{d} not product-closed at "
-                        f"{format_element(x)} * {format_element(y)}",
-                    )
+        h = oracle.index_set(subgroup_elements(params, d))
+        closure = oracle.generated(tuple(h))
+        if closure != h:
+            return _fail(
+                params.n, name, f"{d} has {len(h)} elements, generates {len(closure)}"
+            )
     return _ok(params.n, name)
 
 
-def check_lattice_order_laws(params: GroupParams, mode: str) -> CheckResult:
+def check_lattice_order_laws(lat: Lattice) -> CheckResult:
     """strictly_below is irreflexive, antisymmetric, and transitive."""
-    name = f"lattice-order-laws[{mode}]"
-    lat = build_lattice(params, mode)
+    name = f"lattice-order-laws[{lat.mode}]"
+    n = lat.params.n
     below = lat.strictly_below
     for i in range(len(lat.nodes)):
         if i in below[i]:
-            return _fail(params.n, name, f"self-edge at {lat.nodes[i]}")
+            return _fail(n, name, f"self-edge at {lat.nodes[i]}")
         for j in below[i]:
             if i in below[j]:
-                return _fail(
-                    params.n, name, f"2-cycle {lat.nodes[i]}, {lat.nodes[j]}"
-                )
+                return _fail(n, name, f"2-cycle {lat.nodes[i]}, {lat.nodes[j]}")
             for k in below[j]:
                 if k not in below[i]:
                     return _fail(
-                        params.n,
+                        n,
                         name,
                         f"transitivity fails: {lat.nodes[i]} < {lat.nodes[j]} "
                         f"< {lat.nodes[k]}",
                     )
-    return _ok(params.n, name)
+    return _ok(n, name)
 
 
-def check_normal_restriction(oracle: GroupOracle) -> CheckResult:
+def check_normal_restriction(
+    oracle: GroupOracle, lat_all: Lattice, lat_normal: Lattice
+) -> CheckResult:
     """Normal lattice == full lattice restricted to oracle-normal nodes."""
     name = "normal-restriction"
     params = oracle.params
-    lat_all = build_lattice(params, "all")
-    lat_normal = build_lattice(params, "normal")
     normal_sets = {h for h in oracle.normal_subgroups if len(h) > 1}
     want_nodes = {
         d for d in lat_all.nodes
@@ -276,32 +275,35 @@ def check_normal_restriction(oracle: GroupOracle) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_normal_in_supergroup(params: GroupParams) -> CheckResult:
-    """Each normal node is normal inside every node above it, not just in G."""
+def check_normal_in_supergroup(
+    oracle: GroupOracle, lat_normal: Lattice
+) -> CheckResult:
+    """Each normal node is normal inside every node above it, not just in
+    G: conjugation on the oracle's tables, as GroupOracle.is_normal does."""
     name = "normal-in-supergroup"
-    lat = build_lattice(params, "normal")
-    sets = [subgroup_elements(params, d) for d in lat.nodes]
-    for i, ups in enumerate(lat.strictly_below):
+    params = oracle.params
+    mult, inv = oracle.mult, oracle.inv
+    sets = [oracle.index_set(subgroup_elements(params, d)) for d in lat_normal.nodes]
+    for i, ups in enumerate(lat_normal.strictly_below):
+        h = sets[i]
         for j in ups:
-            h, k = sets[i], sets[j]
-            for g in k:
-                g_inv = inverse(params, g)
-                for x in h:
-                    if multiply(params, multiply(params, g_inv, x), g) not in h:
-                        return _fail(
-                            params.n,
-                            name,
-                            f"{lat.nodes[i]} not normal in {lat.nodes[j]} "
-                            f"(conjugation by {format_element(g)})",
-                        )
+            for g in sets[j]:
+                if any(mult[mult[inv[g]][x]][g] not in h for x in h):
+                    return _fail(
+                        params.n,
+                        name,
+                        f"{lat_normal.nodes[i]} not normal in "
+                        f"{lat_normal.nodes[j]} (conjugation by "
+                        f"{format_element(oracle.elements[g])})",
+                    )
     return _ok(params.n, name)
 
 
-def check_hasse_closure(params: GroupParams, mode: str) -> CheckResult:
+def check_hasse_closure(lat: Lattice) -> CheckResult:
     """The Hasse edges are covers, and their transitive closure reproduces
     the strict order."""
-    name = f"hasse-closure[{mode}]"
-    lat = build_lattice(params, mode)
+    name = f"hasse-closure[{lat.mode}]"
+    n = lat.params.n
     below = lat.strictly_below
     count = len(lat.nodes)
     closure: list[set[int]] = [set() for _ in range(count)]
@@ -309,7 +311,7 @@ def check_hasse_closure(params: GroupParams, mode: str) -> CheckResult:
         between = next((k for k in below[i] if j in below[k]), None)
         if between is not None:
             return _fail(
-                params.n,
+                n,
                 name,
                 f"{lat.nodes[i]} -> {lat.nodes[j]} is not a cover: "
                 f"{lat.nodes[between]} lies between",
@@ -325,48 +327,40 @@ def check_hasse_closure(params: GroupParams, mode: str) -> CheckResult:
                 changed = True
     for i in range(count):
         if closure[i] != set(below[i]):
-            return _fail(params.n, name, f"closure differs at {lat.nodes[i]}")
-    return _ok(params.n, name)
+            return _fail(n, name, f"closure differs at {lat.nodes[i]}")
+    return _ok(n, name)
 
 
-def _lattice_counts(params: GroupParams, mode: str) -> ChainCounts:
-    """Chain counts through the full lattice, independent of count_chains."""
-    return chain_counts(compute_chain_table(build_lattice(params, mode)))
-
-
-def check_dp_vs_dfs(params: GroupParams, mode: str) -> CheckResult:
+def check_dp_vs_dfs(table: ChainTable) -> CheckResult:
     """DP per-length chain counts == explicit DFS enumeration."""
-    name = f"dp-vs-dfs[{mode}]"
-    lat = build_lattice(params, mode)
-    table = compute_chain_table(lat)
+    lat = table.lattice
+    name = f"dp-vs-dfs[{lat.mode}]"
+    n = lat.params.n
     counts = chain_counts(table)
     dfs = oracle_count_chains(lat)
     if list(counts.per_length) != dfs:
-        return _fail(
-            params.n,
-            name,
-            f"DP {list(counts.per_length)} != DFS {dfs}",
-        )
+        return _fail(n, name, f"DP {list(counts.per_length)} != DFS {dfs}")
     if len(table.levels) > height(lat):
-        return _fail(params.n, name, "level table exceeds lattice height")
+        return _fail(n, name, "level table exceeds lattice height")
     if any(table.levels[k][lat.top_index] != 0 for k in range(1, len(table.levels))):
-        return _fail(params.n, name, "top node recounted beyond level 0")
-    return _ok(params.n, name)
+        return _fail(n, name, "top node recounted beyond level 0")
+    return _ok(n, name)
 
 
-def check_shape_vs_lattice(params: GroupParams, mode: str) -> CheckResult:
+def check_shape_vs_lattice(table: ChainTable) -> CheckResult:
     """count_chains (grid DP on the core, times the chain factors) equals
     the DP over the pairwise strict order of the full lattice."""
-    name = f"shape-vs-lattice[{mode}]"
-    shape = count_chains(params, mode)
-    lattice = _lattice_counts(params, mode)
+    lat = table.lattice
+    name = f"shape-vs-lattice[{lat.mode}]"
+    shape = count_chains(lat.params, lat.mode)
+    lattice = chain_counts(table)
     if shape != lattice:
         return _fail(
-            params.n,
+            lat.params.n,
             name,
             f"shape {list(shape.per_length)} != lattice {list(lattice.per_length)}",
         )
-    return _ok(params.n, name)
+    return _ok(lat.params.n, name)
 
 
 def check_set_chains(oracle: GroupOracle, mode: str) -> CheckResult:
@@ -394,16 +388,17 @@ def check_set_chains(oracle: GroupOracle, mode: str) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_fuzzy_axioms(oracle: GroupOracle) -> CheckResult:
+def check_fuzzy_axioms(
+    oracle: GroupOracle, lat_all: Lattice, lat_normal: Lattice
+) -> CheckResult:
     """Every chain representative is a fuzzy subgroup; normal chains give
     normal ones; distinct chains are inequivalent; re-leveling is neutral."""
     name = "fuzzy-axioms"
     params = oracle.params
-    lat = build_lattice(params, "all")
     seen: dict[tuple[int, ...], str] = {}
     reps = []
-    for chain in lattice_chains(lat):
-        descs = [lat.nodes[i] for i in chain]
+    for chain in lattice_chains(lat_all):
+        descs = [lat_all.nodes[i] for i in chain]
         label = " < ".join(str(d) for d in descs)
         rep = chain_to_representative(params, descs)
         if not oracle.is_fuzzy_subgroup(rep):
@@ -425,9 +420,8 @@ def check_fuzzy_axioms(oracle: GroupOracle) -> CheckResult:
                 return _fail(
                     params.n, name, "all-pairs equivalence cross-check failed"
                 )
-    lat_n = build_lattice(params, "normal")
-    for chain in lattice_chains(lat_n):
-        descs = [lat_n.nodes[i] for i in chain]
+    for chain in lattice_chains(lat_normal):
+        descs = [lat_normal.nodes[i] for i in chain]
         rep = chain_to_representative(params, descs)
         if not oracle.is_normal_fuzzy(rep):
             return _fail(
@@ -450,36 +444,30 @@ def check_equivalence_count(oracle: GroupOracle) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_divisor_shape_dependence(n_values: list[int]) -> list[CheckResult]:
+def check_divisor_shape_dependence(
+    fuzzy_counts: dict[int, tuple[int, ...]],
+) -> list[CheckResult]:
     """Full-lattice counts agree across n whose 2n share a factorization
-    shape, the premise count_chains is built on."""
+    shape, the premise count_chains is built on.  fuzzy_counts maps n to
+    the fuzzy_count of its full-lattice chain table in each mode."""
     name = "shape-dependence"
     results = []
-    # shape (core, sorted a_p) of 2n, the key cli's batch shares counts by
-    seen: dict[tuple, tuple[int, int, int]] = {}
-    for n in n_values:
-        params = GroupParams(n)
-        nf = _lattice_counts(params, "all").fuzzy_count
-        nnf = _lattice_counts(params, "normal").fuzzy_count
-        core_two_n, rest = split_core(params.two_n)
-        shape = (core_two_n, tuple(sorted(a for _, a in rest)))
-        if shape in seen:
-            m, m_nf, m_nnf = seen[shape]
-            if (nf, nnf) != (m_nf, m_nnf):
-                results.append(
-                    _fail(
-                        n,
-                        name,
-                        f"n={n} counts ({nf}, {nnf}) differ from n={m} "
-                        f"({m_nf}, {m_nnf}) despite equal shape",
-                    )
+    first: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+    for n, counts in fuzzy_counts.items():
+        m, m_counts = first.setdefault(factorization_shape(2 * n), (n, counts))
+        if m == n:
+            continue
+        if counts != m_counts:
+            results.append(
+                _fail(
+                    n,
+                    name,
+                    f"n={n} counts {counts} differ from n={m} {m_counts} "
+                    "despite equal shape",
                 )
-            else:
-                results.append(
-                    CheckResult(n, name, True, f"matches n={m}")
-                )
+            )
         else:
-            seen[shape] = (n, nf, nnf)
+            results.append(CheckResult(n, name, True, f"matches n={m}"))
     return results
 
 
@@ -494,35 +482,39 @@ def run_verification(
     if fuzzy_n_max < 0 or oracle_limit < 0:
         raise ValueError("fuzzy_n_max and oracle_limit must be nonnegative")
     results: list[CheckResult] = []
+    fuzzy_counts: dict[int, tuple[int, ...]] = {}
     for n in range(1, n_max + 1):
         params = GroupParams(n)
         oracle = (
             GroupOracle(params, oracle_limit)
             if params.order <= oracle_limit else None
         )
+        lat_all, lat_normal = lats = [build_lattice(params, m) for m in MODES]
+        tables = [compute_chain_table(lat) for lat in lats]
         results.append(check_count_formula(params))
-        if n <= 4:
-            results.append(check_group_laws(params))
         if oracle is not None:
+            if n <= 4:
+                results.append(check_group_laws(params))
             results.append(check_subgroup_family(oracle))
             results.append(check_normal_family(oracle))
-            results.append(check_normal_restriction(oracle))
-        if n <= 6:
-            results.append(check_membership(params))
-            results.append(check_containment(params))
-            results.append(check_subgroup_closure(params))
-            results.append(check_normal_in_supergroup(params))
-        for mode in ("all", "normal"):
-            results.append(check_lattice_order_laws(params, mode))
-            results.append(check_hasse_closure(params, mode))
-            results.append(check_dp_vs_dfs(params, mode))
-            results.append(check_shape_vs_lattice(params, mode))
+            results.append(check_normal_restriction(oracle, lat_all, lat_normal))
+            if n <= 6:
+                results.append(check_membership(params))
+                results.append(check_containment(params))
+                results.append(check_subgroup_closure(oracle))
+                results.append(check_normal_in_supergroup(oracle, lat_normal))
+        for lat, table in zip(lats, tables):
+            results.append(check_lattice_order_laws(lat))
+            results.append(check_hasse_closure(lat))
+            results.append(check_dp_vs_dfs(table))
+            results.append(check_shape_vs_lattice(table))
             if n <= 6 and oracle is not None:
-                results.append(check_set_chains(oracle, mode))
+                results.append(check_set_chains(oracle, lat.mode))
         if n <= fuzzy_n_max and oracle is not None:
-            results.append(check_fuzzy_axioms(oracle))
+            results.append(check_fuzzy_axioms(oracle, lat_all, lat_normal))
             results.append(check_equivalence_count(oracle))
-    results.extend(check_divisor_shape_dependence(list(range(1, n_max + 1))))
+        fuzzy_counts[n] = tuple(chain_counts(t).fuzzy_count for t in tables)
+    results.extend(check_divisor_shape_dependence(fuzzy_counts))
     return results
 
 

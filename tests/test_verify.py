@@ -3,6 +3,8 @@
 import pytest
 
 from u6n import ChainCounts, GroupParams
+from u6n.chains import chain_counts, compute_chain_table
+from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
 from u6n.verify import (
     CheckResult,
@@ -14,12 +16,26 @@ from u6n.verify import (
     check_group_laws,
     check_hasse_closure,
     check_normal_family,
+    check_normal_in_supergroup,
     check_shape_vs_lattice,
+    check_subgroup_closure,
     check_subgroup_family,
     render_report,
     report_json,
     run_verification,
 )
+
+
+def _table(n, mode):
+    return compute_chain_table(build_lattice(GroupParams(n), mode))
+
+
+def _fuzzy_counts(n_values):
+    """n -> full-lattice fuzzy_count per mode, as run_verification keeps it."""
+    return {
+        n: tuple(chain_counts(_table(n, m)).fuzzy_count for m in ("all", "normal"))
+        for n in n_values
+    }
 
 
 def test_full_battery_to_8():
@@ -60,9 +76,10 @@ def test_individual_checks_pass():
     assert check_count_formula(params).passed
     assert check_subgroup_family(GroupOracle(params, 300)).passed
     assert check_containment(params).passed
-    assert check_dp_vs_dfs(params, "all").passed
-    assert check_shape_vs_lattice(GroupParams(35), "normal").passed
-    assert check_fuzzy_axioms(GroupOracle(params)).passed
+    assert check_dp_vs_dfs(_table(3, "all")).passed
+    assert check_shape_vs_lattice(_table(35, "normal")).passed
+    lat_all, lat_normal = (build_lattice(params, mode) for mode in ("all", "normal"))
+    assert check_fuzzy_axioms(GroupOracle(params), lat_all, lat_normal).passed
 
 
 def test_subgroup_family_reports_colliding_descriptors(monkeypatch):
@@ -84,6 +101,38 @@ def test_oracle_limit_gates_the_fuzzy_checks():
     assert "n=4 fuzzy-axioms" in labels
     assert "n=5 fuzzy-axioms" not in labels
     assert "n=5 equivalence-classes" not in labels
+    # the same one gate holds for the Element-level checks
+    element_level = (
+        "group-laws",
+        "membership-closed-form",
+        "containment-closed-form",
+        "subgroup-closure",
+        "normal-in-supergroup",
+    )
+    results = run_verification(6, oracle_limit=24)
+    assert all(r.passed for r in results)
+    labels = {f"n={r.n} {r.check}" for r in results}
+    for check in element_level:
+        assert f"n=4 {check}" in labels
+        assert f"n=5 {check}" not in labels
+        assert f"n=6 {check}" not in labels
+
+
+def test_one_lattice_and_chain_table_per_n_and_mode(monkeypatch):
+    import u6n.verify as verify_module
+
+    calls = {"build_lattice": 0, "compute_chain_table": 0}
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn in (verify_module.build_lattice, verify_module.compute_chain_table):
+        monkeypatch.setattr(verify_module, fn.__name__, counting(fn))
+    assert all(r.passed for r in run_verification(8))
+    assert calls == {"build_lattice": 16, "compute_chain_table": 16}
 
 
 def test_one_group_oracle_per_n_within_the_limit(monkeypatch):
@@ -129,12 +178,59 @@ def test_oracle_checks_name_the_missing_subgroup(monkeypatch):
     )
 
 
+def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
+    import u6n.verify as verify_module
+    from u6n.group import identity
+    from u6n.subgroups import (
+        enumerate_normal_subgroups,
+        enumerate_subgroups,
+        subgroup_elements,
+    )
+
+    params = GroupParams(2)
+    oracle = GroupOracle(params)
+    lat = build_lattice(params, "normal")
+    assert check_subgroup_closure(oracle).passed
+    assert check_normal_in_supergroup(oracle, lat).passed
+    # drop a non-identity element from a subgroup of order >= 3: x = y (y^-1 x)
+    # with both factors kept, so the set is no longer product-closed
+    bad = next(
+        d for d in enumerate_subgroups(params)
+        if len(subgroup_elements(params, d)) >= 3
+    )
+    dropped = next(
+        x for x in subgroup_elements(params, bad) if x != identity(params)
+    )
+    monkeypatch.setattr(
+        verify_module, "subgroup_elements",
+        lambda p, d: subgroup_elements(p, d) - {dropped} if d == bad
+        else subgroup_elements(p, d),
+    )
+    result = check_subgroup_closure(oracle)
+    assert not result.passed
+    assert result.check == "subgroup-closure"
+    assert str(bad) in result.detail
+    # give a normal node the elements of a non-normal subgroup: conjugation
+    # by the whole group, a node above it, moves them
+    normal = set(enumerate_normal_subgroups(params))
+    outsider = next(d for d in enumerate_subgroups(params) if d not in normal)
+    node = lat.nodes[next(i for i, ups in enumerate(lat.strictly_below) if ups)]
+    monkeypatch.setattr(
+        verify_module, "subgroup_elements",
+        lambda p, d: subgroup_elements(p, outsider if d == node else d),
+    )
+    result = check_normal_in_supergroup(oracle, lat)
+    assert not result.passed
+    assert result.check == "normal-in-supergroup"
+    assert result.detail.startswith(f"{node} not normal in ")
+
+
 def test_shape_vs_lattice_catches_mismatch(monkeypatch):
     import u6n.verify as verify_module
 
     wrong = ChainCounts(n=5, mode="all", per_length=(1, 2))
     monkeypatch.setattr(verify_module, "count_chains", lambda params, mode: wrong)
-    result = check_shape_vs_lattice(GroupParams(5), "all")
+    result = check_shape_vs_lattice(_table(5, "all"))
     assert not result.passed
     assert "shape [1, 2] != lattice" in result.detail
 
@@ -151,26 +247,31 @@ def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
         (i, k) for i, ups in enumerate(lat.strictly_below) for k in ups
         if (i, k) not in covers
     )
-    assert check_hasse_closure(params, "all").passed
+    assert check_hasse_closure(lat).passed
     monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: covers | {skip})
-    result = check_hasse_closure(params, "all")
+    result = check_hasse_closure(lat)
     assert not result.passed
     assert result.check == "hasse-closure[all]"
     assert "is not a cover" in result.detail
 
 
 def test_shape_dependence_reports_matches():
-    results = check_divisor_shape_dependence([5, 7])
+    results = check_divisor_shape_dependence(_fuzzy_counts([5, 7]))
     assert len(results) == 1
     assert results[0].passed
     assert "matches n=5" in results[0].detail
+    counts = _fuzzy_counts([5, 7])
+    counts[7] = (counts[7][0] + 2, counts[7][1])
+    [result] = check_divisor_shape_dependence(counts)
+    assert not result.passed
+    assert "differ from n=5" in result.detail
 
 
 def test_shape_dependence_keys_by_core_and_exponents():
     # 2n = 10 and 50 share the core 2 and one prime above 3, not its
     # exponent; 2n = 2 and 4 share the empty m, not the core
-    assert check_divisor_shape_dependence([5, 25]) == []
-    assert check_divisor_shape_dependence([1, 2]) == []
+    assert check_divisor_shape_dependence(_fuzzy_counts([5, 25])) == []
+    assert check_divisor_shape_dependence(_fuzzy_counts([1, 2])) == []
 
 
 def test_render_report_formats():
