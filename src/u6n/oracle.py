@@ -9,14 +9,19 @@ fixpoint, and a subgroup is normal iff conjugating it by every group
 element keeps it inside itself, tested once per subgroup with no
 generator shortcut.  Discovery extends a subgroup H by one g per right
 coset Hg, since <H, g> = <H, x g> for x in H.  Chains are listed by
-explicit depth-first search, and fuzzy subgroups are materialized as
-exact rational grade maps and checked directly against their defining
-axioms on the same tables; the check relabels each grade by its rank
-among the distinct grades, an order-preserving map, so >=, min and =
-carry over exactly to int comparisons.  None of it consults the divisor-based catalog, so
+explicit depth-first search, over the oracle's own index sets
+(GroupOracle.set_chains) or over a catalog lattice (lattice_chains).
+Fuzzy subgroups are materialized as exact rational grade maps and
+GroupOracle checks them directly against their defining axioms on its
+tables; the check relabels each grade by its rank among the distinct
+grades, an order-preserving map, so >=, min and = carry over exactly to
+int comparisons.  None of it consults the divisor-based catalog, so
 agreement between the two paths is evidence, not circularity.
 Factorization is plain trial division, the reference for the catalog's
 Miller-Rabin and Pollard-rho factorizer.
+
+GroupOracle is the one way to ask about a group; oracle_count_set_chains
+is a thin wrapper over it that only the benchmark still imports.
 
 All of this is exponential in spirit and guarded by an order limit.
 """
@@ -143,10 +148,10 @@ class GroupOracle:
             for y in range(x)
         )
 
-    def count_set_chains(
+    def set_chains(
         self, normal_only: bool = False, include_trivial: bool = True
-    ) -> list[int]:
-        """Per-length counts of ascending subgroup-set chains ending at G.
+    ) -> Iterator[tuple[frozenset[int], ...]]:
+        """Every chain of subgroups ending at G, as ascending index sets.
 
         Runs on the discovered index sets ordered by strict inclusion, with
         no catalog descriptors involved.  include_trivial controls whether
@@ -155,30 +160,17 @@ class GroupOracle:
         family = self.normal_subgroups if normal_only else self.subgroups
         if not include_trivial:
             family = [h for h in family if len(h) > 1]
-        return _per_length(_set_family_chains(family))
+        below = [[j for j, t in enumerate(family) if t < s] for s in family]
+        # the family is sorted by size, so G comes last
+        for chain in _chains_from(len(family) - 1, below):
+            yield tuple(family[i] for i in chain)
 
-    def count_equivalence_classes(self) -> int:
-        """Count fuzzy subgroups up to equivalence, fully materialized.
-
-        Lists every ascending subgroup-set chain ending at G (the trivial
-        subgroup may appear), builds one grade-map representative per
-        chain, and asserts that each is a fuzzy subgroup, that distinct
-        chains give inequivalent maps and that re-leveling a chain
-        preserves equivalence.  The count of chains is then exactly the
-        count of equivalence classes.
-        """
-        family = [self.element_set(h) for h in self.subgroups]
-        chains = list(_set_family_chains(family))
-        signatures = set()
-        for chain in chains:
-            sets = [family[i] for i in chain]
-            rep = representative_from_sets(self.params, sets)
-            assert self.is_fuzzy_subgroup(rep)
-            relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(sets) + 1)]
-            assert equivalent(rep, representative_from_sets(self.params, sets, relevel))
-            signatures.add(rank_signature(rep))
-        assert len(signatures) == len(chains), "distinct chains must be inequivalent"
-        return len(chains)
+    def count_set_chains(
+        self, normal_only: bool = False, include_trivial: bool = True
+    ) -> list[int]:
+        """Per-length counts of set_chains; index k counts the chains with
+        k+1 members."""
+        return _per_length(self.set_chains(normal_only, include_trivial))
 
 
 def trial_division_factorize(m: int) -> list[tuple[int, int]]:
@@ -237,31 +229,6 @@ def _discover_subgroups(group: GroupOracle) -> list[frozenset[int]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def oracle_all_subgroups(
-    params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT
-) -> set[frozenset[Element]]:
-    """Every subgroup as an element set, including {e} and the whole group."""
-    group = GroupOracle(params, limit)
-    return {group.element_set(h) for h in group.subgroups}
-
-
-def oracle_is_normal(
-    params: GroupParams,
-    h_set: frozenset[Element],
-    limit: int = DEFAULT_ORACLE_LIMIT,
-) -> bool:
-    """True iff g^-1 h g stays in h_set for every g in the group."""
-    group = GroupOracle(params, limit)
-    return group.is_normal(group.index_set(h_set))
-
-
-def oracle_normal_subgroups(
-    params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT
-) -> set[frozenset[Element]]:
-    group = GroupOracle(params, limit)
-    return {group.element_set(h) for h in group.normal_subgroups}
-
-
 def _chains_from(
     top: int, below: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
@@ -281,16 +248,9 @@ def _chains_from(
     return dfs(top, (top,))
 
 
-def _per_length(chains: Iterator[tuple[int, ...]]) -> list[int]:
+def _per_length(chains: Iterable[tuple]) -> list[int]:
     lengths = Counter(map(len, chains))
     return [lengths[k] for k in range(1, max(lengths) + 1)]
-
-
-def _set_family_chains(sets: Sequence[frozenset]) -> Iterator[tuple[int, ...]]:
-    """Chains of strict inclusion among sets that end at the largest one."""
-    subsets = [[j for j, t in enumerate(sets) if t < s] for s in sets]
-    whole = max(range(len(sets)), key=lambda i: len(sets[i]))
-    return _chains_from(whole, subsets)
 
 
 def lattice_chains(lat: Lattice) -> Iterator[tuple[int, ...]]:
@@ -327,7 +287,11 @@ def oracle_count_set_chains(
     include_trivial: bool = True,
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> list[int]:
-    """GroupOracle.count_set_chains on a fresh oracle for params."""
+    """GroupOracle.count_set_chains on a fresh oracle for params.
+
+    The one module-level wrapper left: the benchmark's reference side
+    imports it, and it goes once that side calls GroupOracle directly.
+    """
     return GroupOracle(params, limit).count_set_chains(normal_only, include_trivial)
 
 
@@ -423,18 +387,6 @@ def _grade_ranks(mu: FuzzyMap) -> list[int]:
     return ranks
 
 
-def is_fuzzy_subgroup(mu: FuzzyMap) -> bool:
-    """GroupOracle.is_fuzzy_subgroup on a fresh oracle for mu's group, with
-    no order limit: mu already holds a grade per element."""
-    return GroupOracle(mu.params, mu.params.order).is_fuzzy_subgroup(mu)
-
-
-def is_normal_fuzzy(mu: FuzzyMap) -> bool:
-    """GroupOracle.is_normal_fuzzy on a fresh oracle for mu's group, with
-    no order limit: mu already holds a grade per element."""
-    return GroupOracle(mu.params, mu.params.order).is_normal_fuzzy(mu)
-
-
 def rank_signature(mu: FuzzyMap) -> tuple[int, ...]:
     """Dense rank of each element's grade, highest grade first.
 
@@ -462,9 +414,3 @@ def equivalent_by_pairs(mu: FuzzyMap, nu: FuzzyMap) -> bool:
         (mu[x] > mu[y]) == (nu[x] > nu[y]) for x in elems for y in elems
     )
 
-
-def oracle_count_equivalence_classes(
-    params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT
-) -> int:
-    """GroupOracle.count_equivalence_classes on a fresh oracle for params."""
-    return GroupOracle(params, limit).count_equivalence_classes()

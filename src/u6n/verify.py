@@ -12,6 +12,11 @@ gate of every exhaustive check: the group laws, membership, containment,
 subgroup closure, normal-in-supergroup, the oracle families and the fuzzy
 checks are skipped above it, whatever fuzzy_n_max says.  Under it the
 checks keep their own cost gates (n <= 4, n <= 6, fuzzy_n_max).
+
+The group laws run on the oracle's tables once the tables are shown to
+be multiply and inverse.  The fuzzy-axioms and equivalence-classes
+results come from one walk over the oracle's set chains, {e} included.
+No result depends on an assert statement, so python -O reports the same.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .group import (
     GroupParams,
     all_elements,
     format_element,
-    identity,
     inverse,
     multiply,
     power,
@@ -41,11 +45,11 @@ from .lattice import MODES, Lattice, build_lattice, hasse_edges, height
 from .oracle import (
     GroupOracle,
     chain_to_representative,
-    equivalent,
     equivalent_by_pairs,
     lattice_chains,
     oracle_count_chains,
     rank_signature,
+    representative_from_sets,
 )
 from .subgroups import (
     contains_element,
@@ -78,36 +82,45 @@ def _set_name(s: frozenset) -> str:
     return "{" + ", ".join(sorted(format_element(x) for x in s)) + "}"
 
 
-def check_group_laws(params: GroupParams) -> CheckResult:
-    """Associativity, identity, inverses, and powers against iteration."""
+def check_group_laws(oracle: GroupOracle) -> CheckResult:
+    """The oracle's tables are multiply and inverse, entry by entry and in
+    canonical form; then identity, inverses and associativity on the
+    tables, and power against iterated table rows."""
     name = "group-laws"
+    params = oracle.params
     n = params.n
-    elems = all_elements(params)
-    e = identity(params)
-    for x in elems:
-        if multiply(params, x, e) != x or multiply(params, e, x) != x:
-            return _fail(n, name, f"identity law fails at {format_element(x)}")
-        x_inv = inverse(params, x)
-        if multiply(params, x, x_inv) != e or multiply(params, x_inv, x) != e:
-            return _fail(n, name, f"inverse law fails at {format_element(x)}")
-    for x, y, z in itertools.product(elems, repeat=3):
-        if multiply(params, multiply(params, x, y), z) != multiply(
-            params, x, multiply(params, y, z)
-        ):
-            return _fail(
-                n,
-                name,
-                "associativity fails at "
-                f"({format_element(x)}, {format_element(y)}, {format_element(z)})",
-            )
-    for x in elems:
-        acc = e
-        for k in range(3 * params.order + 1):
-            if power(params, x, k) != acc:
+    elems, mult, inv, e = oracle.elements, oracle.mult, oracle.inv, oracle.identity
+    order = len(elems)
+
+    def fmt(i: int) -> str:
+        return format_element(elems[i])
+
+    # an entry equal to a canonical element is canonical; a non-canonical
+    # product would otherwise alias another index or fall off the table
+    for x, row in enumerate(mult):
+        for y, xy in enumerate(row):
+            if not 0 <= xy < order or elems[xy] != multiply(params, elems[x], elems[y]):
                 return _fail(
-                    n, name, f"power mismatch at {format_element(x)}^{k}"
+                    n, name, f"table differs from multiply at ({fmt(x)}, {fmt(y)})"
                 )
-            acc = multiply(params, acc, x)
+        if not 0 <= inv[x] < order or elems[inv[x]] != inverse(params, elems[x]):
+            return _fail(n, name, f"table differs from inverse at {fmt(x)}")
+    for x, row in enumerate(mult):
+        if row[e] != x or mult[e][x] != x:
+            return _fail(n, name, f"identity law fails at {fmt(x)}")
+        if row[inv[x]] != e or mult[inv[x]][x] != e:
+            return _fail(n, name, f"inverse law fails at {fmt(x)}")
+    for x, y, z in itertools.product(range(order), repeat=3):
+        if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
+            return _fail(
+                n, name, f"associativity fails at ({fmt(x)}, {fmt(y)}, {fmt(z)})"
+            )
+    for x in range(order):
+        acc = e
+        for k in range(3 * order + 1):
+            if power(params, elems[x], k) != elems[acc]:
+                return _fail(n, name, f"power mismatch at {fmt(x)}^{k}")
+            acc = mult[acc][x]
     return _ok(n, name)
 
 
@@ -388,60 +401,70 @@ def check_set_chains(oracle: GroupOracle, mode: str) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_fuzzy_axioms(
-    oracle: GroupOracle, lat_all: Lattice, lat_normal: Lattice
-) -> CheckResult:
-    """Every chain representative is a fuzzy subgroup; normal chains give
-    normal ones; distinct chains are inequivalent; re-leveling is neutral."""
+def check_fuzzy_axioms(oracle: GroupOracle, lat_normal: Lattice) -> list[CheckResult]:
+    """The fuzzy-axioms and equivalence-classes results, from one walk over
+    the oracle's set chains ending at G, {e} included.
+
+    Each chain gives one exact grade map that must satisfy FG1/FG2 on the
+    tables, keep its class when re-leveled, and differ in rank signature
+    from every other chain's; normal lattice chains must give normal fuzzy
+    subgroups.  The classes are counted as the distinct signatures, which
+    must equal both the number of chains and the doubled count_chains
+    total."""
     name = "fuzzy-axioms"
     params = oracle.params
-    seen: dict[tuple[int, ...], str] = {}
+    n = params.n
+
+    def label(chain):
+        return " < ".join(_set_name(oracle.element_set(h)) for h in chain)
+
+    failure = None
+    seen: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
     reps = []
-    for chain in lattice_chains(lat_all):
-        descs = [lat_all.nodes[i] for i in chain]
-        label = " < ".join(str(d) for d in descs)
-        rep = chain_to_representative(params, descs)
-        if not oracle.is_fuzzy_subgroup(rep):
-            return _fail(params.n, name, f"FG1/FG2 fail for chain {label}")
-        relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(descs) + 1)]
-        if not equivalent(rep, chain_to_representative(params, descs, relevel)):
-            return _fail(params.n, name, f"re-leveling broke chain {label}")
+    chains = 0
+    for chain in oracle.set_chains(include_trivial=True):
+        chains += 1
+        sets = [oracle.element_set(h) for h in chain]
+        rep = representative_from_sets(params, sets)
         sig = rank_signature(rep)
-        if sig in seen:
-            return _fail(
-                params.n, name, f"chains {seen[sig]} and {label} collide under ~"
-            )
-        seen[sig] = label
-        reps.append((sig, rep))
-    if params.n <= 2:
+        if failure is None:
+            relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(sets) + 1)]
+            if not oracle.is_fuzzy_subgroup(rep):
+                failure = f"FG1/FG2 fail for chain {label(chain)}"
+            elif rank_signature(representative_from_sets(params, sets, relevel)) != sig:
+                failure = f"re-leveling broke chain {label(chain)}"
+            elif sig in seen:
+                failure = (
+                    f"chains {label(seen[sig])} and {label(chain)} collide under ~"
+                )
+        seen.setdefault(sig, chain)
+        if n <= 2:
+            reps.append((sig, rep))
+    if failure is None and n <= 2:
         # the rank-signature shortcut against the literal all-pairs relation
         for (s1, r1), (s2, r2) in itertools.combinations(reps, 2):
             if equivalent_by_pairs(r1, r2) != (s1 == s2):
-                return _fail(
-                    params.n, name, "all-pairs equivalence cross-check failed"
+                failure = "all-pairs equivalence cross-check failed"
+                break
+    if failure is None:
+        for chain in lattice_chains(lat_normal):
+            descs = [lat_normal.nodes[i] for i in chain]
+            if not oracle.is_normal_fuzzy(chain_to_representative(params, descs)):
+                failure = "mu(xy) = mu(yx) fails for chain " + " < ".join(
+                    str(d) for d in descs
                 )
-    for chain in lattice_chains(lat_normal):
-        descs = [lat_normal.nodes[i] for i in chain]
-        rep = chain_to_representative(params, descs)
-        if not oracle.is_normal_fuzzy(rep):
-            return _fail(
-                params.n,
-                name,
-                "mu(xy) = mu(yx) fails for chain "
-                + " < ".join(str(d) for d in descs),
-            )
-    return _ok(params.n, name)
-
-
-def check_equivalence_count(oracle: GroupOracle) -> CheckResult:
-    """Materialized equivalence classes == doubled count_chains total."""
-    name = "equivalence-classes"
-    params = oracle.params
+                break
     want = count_chains(params, "all").fuzzy_count
-    got = oracle.count_equivalence_classes()
-    if got != want:
-        return _fail(params.n, name, f"oracle {got} != count_chains {want}")
-    return _ok(params.n, name)
+    classes = (
+        _ok(n, "equivalence-classes")
+        if len(seen) == chains == want
+        else _fail(
+            n,
+            "equivalence-classes",
+            f"{len(seen)} classes from {chains} set chains, count_chains {want}",
+        )
+    )
+    return [_ok(n, name) if failure is None else _fail(n, name, failure), classes]
 
 
 def check_divisor_shape_dependence(
@@ -494,7 +517,7 @@ def run_verification(
         results.append(check_count_formula(params))
         if oracle is not None:
             if n <= 4:
-                results.append(check_group_laws(params))
+                results.append(check_group_laws(oracle))
             results.append(check_subgroup_family(oracle))
             results.append(check_normal_family(oracle))
             results.append(check_normal_restriction(oracle, lat_all, lat_normal))
@@ -511,8 +534,7 @@ def run_verification(
             if n <= 6 and oracle is not None:
                 results.append(check_set_chains(oracle, lat.mode))
         if n <= fuzzy_n_max and oracle is not None:
-            results.append(check_fuzzy_axioms(oracle, lat_all, lat_normal))
-            results.append(check_equivalence_count(oracle))
+            results.extend(check_fuzzy_axioms(oracle, lat_normal))
         fuzzy_counts[n] = tuple(chain_counts(t).fuzzy_count for t in tables)
     results.extend(check_divisor_shape_dependence(fuzzy_counts))
     return results

@@ -28,19 +28,15 @@ from u6n import (
     twisted_exists,
 )
 from u6n.oracle import (
+    GroupOracle,
     chain_to_representative,
     equivalent,
-    is_fuzzy_subgroup,
-    is_normal_fuzzy,
     lattice_chains,
-    oracle_all_subgroups,
     oracle_count_chains,
-    oracle_count_equivalence_classes,
-    oracle_count_set_chains,
-    oracle_is_normal,
     rank_signature,
 )
 from u6n.subgroups import Kind
+from u6n.verify import check_fuzzy_axioms
 
 
 def _report(num: int, slug: str, ok: bool) -> bool:
@@ -56,7 +52,8 @@ def test_criterion_1_subgroup_enumeration_equivalence():
         catalog = {
             subgroup_elements(params, d) for d in enumerate_subgroups(params)
         }
-        ok = ok and catalog == oracle_all_subgroups(params)
+        oracle = GroupOracle(params)
+        ok = ok and catalog == {oracle.element_set(h) for h in oracle.subgroups}
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     assert _report(1, "subgroup-enumeration-equivalence", ok), (
@@ -68,20 +65,22 @@ def test_criterion_2_normality_equivalence():
     ok = True
     for n in range(1, 13):
         params = GroupParams(n)
+        oracle = GroupOracle(params)
         normal_descs = set(enumerate_normal_subgroups(params))
         for d in enumerate_subgroups(params):
-            is_normal = oracle_is_normal(params, subgroup_elements(params, d))
+            is_normal = oracle.is_normal(
+                oracle.index_set(subgroup_elements(params, d))
+            )
             ok = ok and is_normal == (d in normal_descs)
             if d.kind is Kind.TWISTED:
                 ok = ok and not is_normal
             if d.kind is Kind.FULL:
                 ok = ok and is_normal
         catalog = {subgroup_elements(params, d) for d in normal_descs}
-        oracle = {
-            h for h in oracle_all_subgroups(params)
-            if oracle_is_normal(params, h)
+        discovered = {
+            oracle.element_set(h) for h in oracle.subgroups if oracle.is_normal(h)
         }
-        ok = ok and catalog == oracle
+        ok = ok and catalog == discovered
     assert _report(2, "normality-equivalence", ok)
 
 
@@ -109,13 +108,14 @@ def test_criterion_4_fuzzy_axioms_end_to_end():
     ok = True
     for n in range(1, 5):
         params = GroupParams(n)
+        oracle = GroupOracle(params)
         lat = build_lattice(params, "all")
         chains = list(lattice_chains(lat))
         signatures = set()
         for chain in chains:
             descs = [lat.nodes[i] for i in chain]
             rep = chain_to_representative(params, descs)
-            ok = ok and is_fuzzy_subgroup(rep)
+            ok = ok and oracle.is_fuzzy_subgroup(rep)
             relevel = [Fraction(3, 3 + i) for i in range(1, len(descs) + 1)]
             ok = ok and equivalent(
                 rep, chain_to_representative(params, descs, relevel)
@@ -127,12 +127,15 @@ def test_criterion_4_fuzzy_axioms_end_to_end():
         for chain in lattice_chains(lat_normal):
             descs = [lat_normal.nodes[i] for i in chain]
             rep = chain_to_representative(params, descs)
-            ok = ok and is_fuzzy_subgroup(rep) and is_normal_fuzzy(rep)
+            ok = ok and oracle.is_fuzzy_subgroup(rep) and oracle.is_normal_fuzzy(rep)
 
         counts = count_chains(params, "all")
-        all_chains_total = sum(oracle_count_set_chains(params))
+        all_chains_total = sum(oracle.count_set_chains())
         ok = ok and all_chains_total == counts.fuzzy_count
-        ok = ok and oracle_count_equivalence_classes(params) == counts.fuzzy_count
+        # distinct classes from the set chains, as many as the doubled total
+        fuzzy, classes = check_fuzzy_axioms(oracle, lat_normal)
+        ok = ok and fuzzy.passed and classes.passed
+        ok = ok and classes.check == "equivalence-classes"
     assert _report(4, "fuzzy-axioms-end-to-end", ok)
 
 
@@ -182,7 +185,7 @@ def test_criterion_6_count_formula():
         got = len(enumerate_subgroups(params))
         ok = ok and got == expected
         if n <= 12:
-            ok = ok and len(oracle_all_subgroups(params)) == expected
+            ok = ok and len(GroupOracle(params).subgroups) == expected
     assert _report(6, "count-formula", ok)
 
 

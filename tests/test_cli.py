@@ -278,6 +278,23 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     assert "FAIL" in out and "boom" in out
 
 
+def test_verify_does_not_ride_on_assert():
+    # python -O strips assert statements: a check that relied on one would
+    # change the report or the exit code
+    src = str(Path(u6n.__file__).resolve().parent.parent)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "u6n.cli", "verify", "--n-max", "4",
+             "--format", "json"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = ((r.returncode, r.stdout) for r in runs)
+    assert plain[0] == 0 and json.loads(plain[1])["passed"] is True
+    assert optimized == plain
+
+
 @pytest.mark.parametrize("mode", ["all", "normal"])
 def test_batch_counts_each_shape_once_per_call(capsys, monkeypatch, mode):
     calls = []

@@ -15,6 +15,8 @@ from u6n import (
     enumerate_normal_subgroups,
     enumerate_subgroups,
     full,
+    inverse,
+    multiply,
     subgroup_elements,
     twisted,
 )
@@ -24,29 +26,24 @@ from u6n.oracle import (
     chain_to_representative,
     equivalent,
     equivalent_by_pairs,
-    is_fuzzy_subgroup,
-    is_normal_fuzzy,
     lattice_chains,
-    oracle_all_subgroups,
     oracle_count_chains,
-    oracle_count_equivalence_classes,
-    oracle_count_set_chains,
-    oracle_is_normal,
-    oracle_normal_subgroups,
     rank_signature,
     representative_from_sets,
 )
+from u6n.verify import check_fuzzy_axioms
 
 
 def test_oracle_subgroup_counts():
-    assert len(oracle_all_subgroups(GroupParams(1))) == 6
-    assert len(oracle_all_subgroups(GroupParams(2))) == 8
+    assert len(GroupOracle(GroupParams(1)).subgroups) == 6
+    assert len(GroupOracle(GroupParams(2)).subgroups) == 8
 
 
 def test_oracle_contains_trivial_and_whole():
     for n in (1, 2, 3, 4):
         params = GroupParams(n)
-        family = oracle_all_subgroups(params)
+        oracle = GroupOracle(params)
+        family = {oracle.element_set(h) for h in oracle.subgroups}
         assert frozenset({Element(0, 0)}) in family
         assert frozenset(all_elements(params)) in family
 
@@ -57,24 +54,31 @@ def test_oracle_matches_catalog():
         catalog = {
             subgroup_elements(params, d) for d in enumerate_subgroups(params)
         }
-        assert oracle_all_subgroups(params) == catalog
+        oracle = GroupOracle(params)
+        assert {oracle.element_set(h) for h in oracle.subgroups} == catalog
 
 
 def test_oracle_limit():
     params = GroupParams(51)  # order 306
     with pytest.raises(OracleLimitExceeded):
-        oracle_all_subgroups(params)
+        GroupOracle(params)
     with pytest.raises(OracleLimitExceeded):
-        oracle_is_normal(params, frozenset({Element(0, 0)}))
+        GroupOracle(params, limit=305)
+    assert len(GroupOracle(params, limit=306).elements) == 306
 
 
 def test_normality_examples():
     params = GroupParams(1)
-    assert not oracle_is_normal(params, subgroup_elements(params, twisted(1, 1)))
-    assert oracle_is_normal(params, frozenset({Element(0, 0), Element(0, 1), Element(0, 2)}))
-    assert oracle_is_normal(params, frozenset(all_elements(params)))
+    oracle = GroupOracle(params)
+
+    def is_normal(h_set):
+        return oracle.is_normal(oracle.index_set(h_set))
+
+    assert not is_normal(subgroup_elements(params, twisted(1, 1)))
+    assert is_normal(frozenset({Element(0, 0), Element(0, 1), Element(0, 2)}))
+    assert is_normal(frozenset(all_elements(params)))
     # <a> has index 3 in U_6 and is not normal there
-    assert not oracle_is_normal(params, subgroup_elements(params, cyclic(1)))
+    assert not is_normal(subgroup_elements(params, cyclic(1)))
 
 
 def test_oracle_normal_matches_catalog():
@@ -84,7 +88,8 @@ def test_oracle_normal_matches_catalog():
             subgroup_elements(params, d)
             for d in enumerate_normal_subgroups(params)
         }
-        assert oracle_normal_subgroups(params) == catalog
+        oracle = GroupOracle(params)
+        assert {oracle.element_set(h) for h in oracle.normal_subgroups} == catalog
 
 
 @pytest.mark.parametrize("n", [16, 24, 30, 36, 45, 48, 50])
@@ -141,10 +146,15 @@ def test_dfs_chain_counts():
 def test_set_chain_factor_two():
     for n in (1, 2, 3, 4):
         params = GroupParams(n)
+        oracle = GroupOracle(params)
+        whole = frozenset(range(params.order))
         for normal_only in (False, True):
-            with_e = oracle_count_set_chains(params, normal_only=normal_only)
-            without_e = oracle_count_set_chains(
-                params, normal_only=normal_only, include_trivial=False
+            for chain in oracle.set_chains(normal_only):
+                assert chain[-1] == whole
+                assert all(small < big for small, big in zip(chain, chain[1:]))
+            with_e = oracle.count_set_chains(normal_only=normal_only)
+            without_e = oracle.count_set_chains(
+                normal_only=normal_only, include_trivial=False
             )
             assert sum(with_e) == 2 * sum(without_e)
             counts = count_chains(params, "normal" if normal_only else "all")
@@ -180,7 +190,7 @@ def test_representative_construction():
 
     constant = chain_to_representative(params, [full(1)])
     assert set(constant.grades.values()) == {Fraction(1)}
-    assert is_fuzzy_subgroup(constant)
+    assert GroupOracle(params).is_fuzzy_subgroup(constant)
 
 
 def test_representative_validation():
@@ -206,62 +216,79 @@ def test_levels_need_not_start_at_one():
     mu = chain_to_representative(
         params, [full(2), full(1)], [Fraction(1, 3), Fraction(1, 7)]
     )
-    assert is_fuzzy_subgroup(mu)
+    assert GroupOracle(params).is_fuzzy_subgroup(mu)
     assert equivalent(mu, chain_to_representative(params, [full(2), full(1)]))
 
 
 def test_fuzzy_axiom_checks():
     params = GroupParams(1)
+    oracle = GroupOracle(params)
     grades = {
         x: Fraction(1) if x.b_exp == 0 else Fraction(1, 2)
         for x in all_elements(params)
     }
-    assert is_fuzzy_subgroup(FuzzyMap(params, grades))  # level set <a>
+    assert oracle.is_fuzzy_subgroup(FuzzyMap(params, grades))  # level set <a>
 
     spike = {
         x: Fraction(1) if x == Element(1, 1) else Fraction(1, 2)
         for x in all_elements(params)
     }
-    assert not is_fuzzy_subgroup(FuzzyMap(params, spike))  # {ab} not a subgroup
+    assert not oracle.is_fuzzy_subgroup(FuzzyMap(params, spike))  # {ab} not a subgroup
 
 
 def test_fg1_violation_by_a_tiny_margin_is_rejected():
     params = GroupParams(1)
+    oracle = GroupOracle(params)
     grades = {
         x: Fraction(1) if x.b_exp == 0 else Fraction(1, 2)
         for x in all_elements(params)
     }
-    assert is_fuzzy_subgroup(FuzzyMap(params, grades))
+    assert oracle.is_fuzzy_subgroup(FuzzyMap(params, grades))
     # b = a * (a b), where mu(a) = 1 and mu(a b) = 1/2
     grades[Element(0, 1)] = Fraction(1, 2) - Fraction(1, 10**9)
-    assert not is_fuzzy_subgroup(FuzzyMap(params, grades))
+    assert not oracle.is_fuzzy_subgroup(FuzzyMap(params, grades))
 
 
 def test_normal_fuzzy_with_close_levels():
     # the rank relabel keeps equal grades equal and close ones apart
     params = GroupParams(1)
+    oracle = GroupOracle(params)
     levels = [Fraction(1, 2) + Fraction(1, 10**9), Fraction(1, 2)]
-    assert is_normal_fuzzy(chain_to_representative(params, [full(2), full(1)], levels))
-    assert not is_normal_fuzzy(
+    assert oracle.is_normal_fuzzy(
+        chain_to_representative(params, [full(2), full(1)], levels)
+    )
+    assert not oracle.is_normal_fuzzy(
         chain_to_representative(params, [cyclic(1), full(1)], levels)
     )
 
 
 def test_normal_fuzzy_examples():
     params = GroupParams(1)
-    assert is_normal_fuzzy(chain_to_representative(params, [full(2), full(1)]))
-    assert not is_normal_fuzzy(chain_to_representative(params, [cyclic(1), full(1)]))
+    oracle = GroupOracle(params)
+    assert oracle.is_normal_fuzzy(chain_to_representative(params, [full(2), full(1)]))
+    assert not oracle.is_normal_fuzzy(
+        chain_to_representative(params, [cyclic(1), full(1)])
+    )
 
 
 def test_oracle_fuzzy_checks_run_on_its_own_tables():
     params = GroupParams(3)
     oracle = GroupOracle(params)
+    elems = all_elements(params)
     for mode in ("all", "normal"):
         lat = build_lattice(params, mode)
         for chain in lattice_chains(lat):
             mu = chain_to_representative(params, [lat.nodes[i] for i in chain])
-            assert oracle.is_fuzzy_subgroup(mu) and is_fuzzy_subgroup(mu)
-            assert oracle.is_normal_fuzzy(mu) == is_normal_fuzzy(mu)
+            # FG1/FG2 and mu(xy) = mu(yx) literally, on Elements and Fractions
+            assert oracle.is_fuzzy_subgroup(mu) and all(
+                mu[multiply(params, x, y)] >= min(mu[x], mu[y])
+                and mu[inverse(params, x)] >= mu[x]
+                for x in elems for y in elems
+            )
+            assert oracle.is_normal_fuzzy(mu) == all(
+                mu[multiply(params, x, y)] == mu[multiply(params, y, x)]
+                for x in elems for y in elems
+            )
             if mode == "normal":
                 assert oracle.is_normal_fuzzy(mu)
     spike = {
@@ -329,10 +356,16 @@ def test_representative_from_sets_checks_ascent():
 
 
 def test_equivalence_class_counts():
-    assert oracle_count_equivalence_classes(GroupParams(1)) == 10
-    assert oracle_count_equivalence_classes(GroupParams(2)) == 24
-    for n in (1, 2, 3):
+    # the equivalence-classes result passes iff the set chains give pairwise
+    # distinct classes and as many as count_chains' doubled total
+    got = {}
+    for n in (1, 2, 3, 4):
         params = GroupParams(n)
-        got = oracle_count_equivalence_classes(params)
-        assert got % 2 == 0
-        assert got == count_chains(params, "all").fuzzy_count
+        oracle = GroupOracle(params)
+        fuzzy, classes = check_fuzzy_axioms(oracle, build_lattice(params, "normal"))
+        assert (fuzzy.check, classes.check) == ("fuzzy-axioms", "equivalence-classes")
+        assert fuzzy.passed and classes.passed
+        got[n] = sum(1 for _ in oracle.set_chains())
+        assert got[n] % 2 == 0
+        assert got[n] == count_chains(params, "all").fuzzy_count
+    assert (got[1], got[2]) == (10, 24)

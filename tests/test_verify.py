@@ -72,14 +72,59 @@ def test_full_battery_to_8():
 
 def test_individual_checks_pass():
     params = GroupParams(3)
-    assert check_group_laws(params).passed
+    assert check_group_laws(GroupOracle(params)).passed
     assert check_count_formula(params).passed
     assert check_subgroup_family(GroupOracle(params, 300)).passed
     assert check_containment(params).passed
     assert check_dp_vs_dfs(_table(3, "all")).passed
     assert check_shape_vs_lattice(_table(35, "normal")).passed
-    lat_all, lat_normal = (build_lattice(params, mode) for mode in ("all", "normal"))
-    assert check_fuzzy_axioms(GroupOracle(params), lat_all, lat_normal).passed
+    results = check_fuzzy_axioms(GroupOracle(params), build_lattice(params, "normal"))
+    assert [(r.check, r.passed) for r in results] == [
+        ("fuzzy-axioms", True), ("equivalence-classes", True)
+    ]
+
+
+def test_fuzzy_axioms_name_a_failing_chain_through_e(monkeypatch):
+    # an "oracle" that rejects every map where e alone holds the top grade:
+    # the walk over the set chains with {e} must report the chain, not raise
+    from u6n.group import identity
+
+    def rejecting(self, mu):
+        top = max(mu.grades.values())
+        return [x for x, g in mu.grades.items() if g == top] != [identity(mu.params)]
+
+    monkeypatch.setattr(GroupOracle, "is_fuzzy_subgroup", rejecting)
+    results = {r.check: r for r in run_verification(2) if r.n == 2}
+    fuzzy = results["fuzzy-axioms"]
+    assert not fuzzy.passed
+    assert fuzzy.detail.startswith("FG1/FG2 fail for chain {e} < {")
+    assert results["equivalence-classes"].passed
+
+
+@pytest.mark.parametrize("shift", [(4, 0), (0, 3)])
+def test_group_laws_catch_a_non_canonical_product(monkeypatch, shift):
+    # a^(u+2n) b^v and a^u b^(v+3) are the right element in a wrong form:
+    # the first falls off the table, the second aliases the index of
+    # a^(u+1) b^v
+    import u6n.oracle as oracle_module
+    import u6n.verify as verify_module
+    from u6n.group import Element, multiply
+
+    params = GroupParams(2)
+    a, b = Element(1, 0), Element(0, 1)
+
+    def doctored(p, x, y):
+        z = multiply(p, x, y)
+        if (x, y) == (a, b):
+            return Element(z.a_exp + shift[0], z.b_exp + shift[1])
+        return z
+
+    monkeypatch.setattr(oracle_module, "multiply", doctored)
+    monkeypatch.setattr(verify_module, "multiply", doctored)
+    result = check_group_laws(GroupOracle(params))
+    assert not result.passed
+    assert result.check == "group-laws"
+    assert result.detail == "table differs from multiply at (a, b)"
 
 
 def test_subgroup_family_reports_colliding_descriptors(monkeypatch):
