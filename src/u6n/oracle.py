@@ -11,14 +11,15 @@ generator shortcut.  Discovery extends a subgroup H by one g per right
 coset Hg, since <H, g> = <H, x g> for x in H.  Chains are listed by
 explicit depth-first search, over the oracle's own index sets
 (GroupOracle.set_chains) or over a catalog lattice (lattice_chains).
-Fuzzy subgroups are materialized as exact rational grade maps and
-GroupOracle checks them directly against their defining axioms on its
-tables; the check relabels each grade by its rank among the distinct
-grades, an order-preserving map, so >=, min and = carry over exactly to
-int comparisons.  None of it consults the divisor-based catalog, so
-agreement between the two paths is evidence, not circularity.
-Factorization is plain trial division, the reference for the catalog's
-Miller-Rabin and Pollard-rho factorizer.
+Fuzzy subgroups are materialized as exact rational grade maps, and each
+FuzzyMap ranks its grades once, when it is built: each grade becomes its
+rank among the distinct grades, an order-preserving one-to-one relabel,
+so >=, min and = carry over exactly to int comparisons.  GroupOracle
+checks the defining axioms on those ranks over its tables, and two maps
+are equivalent exactly when their ranks coincide.  None of it consults
+the divisor-based catalog, so agreement between the two paths is
+evidence, not circularity.  Factorization is plain trial division, the
+reference for the catalog's Miller-Rabin and Pollard-rho factorizer.
 
 GroupOracle is the one way to ask about a group; oracle_count_set_chains
 is a thin wrapper over it that only the benchmark still imports.
@@ -29,8 +30,9 @@ All of this is exponential in spirit and guarded by an order limit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .group import (
@@ -120,10 +122,10 @@ class GroupOracle:
     def normal_subgroups(self) -> list[frozenset[int]]:
         return [h for h in self.subgroups if self.is_normal(h)]
 
-    def _ranks(self, mu: FuzzyMap) -> list[int]:
+    def _ranks(self, mu: FuzzyMap) -> tuple[int, ...]:
         if mu.params != self.params:
             raise ValueError("the fuzzy map is over a different group")
-        return _grade_ranks(mu)
+        return mu.ranks
 
     def is_fuzzy_subgroup(self, mu: FuzzyMap) -> bool:
         """mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x), on the tables."""
@@ -297,10 +299,19 @@ def oracle_count_set_chains(
 
 @dataclass(frozen=True)
 class FuzzyMap:
-    """Total map from group elements to exact membership grades in [0, 1]."""
+    """Total map from group elements to exact membership grades in [0, 1].
+
+    grades is read-only once validated.  ranks holds each element's grade
+    as its rank among the distinct grades, lowest 0, in all_elements
+    order: the relabel is order-preserving and one-to-one on grades, so
+    >=, min and = give the same answers on ranks, and two maps over one
+    group have the same strict-comparison pattern exactly when their
+    ranks coincide.
+    """
 
     params: GroupParams
     grades: Mapping[Element, Fraction]
+    ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         domain = all_elements(self.params)
@@ -314,7 +325,9 @@ class FuzzyMap:
             if not 0 <= g <= 1:
                 raise ValueError(f"grade {g} outside [0, 1]")
             clean[x] = Fraction(g)
-        object.__setattr__(self, "grades", clean)
+        rank = {value: i for i, value in enumerate(sorted(set(clean.values())))}
+        object.__setattr__(self, "grades", MappingProxyType(clean))
+        object.__setattr__(self, "ranks", tuple(rank[g] for g in clean.values()))
 
     def __getitem__(self, x: Element) -> Fraction:
         return self.grades[x]
@@ -376,33 +389,11 @@ def chain_to_representative(
     )
 
 
-def _grade_ranks(mu: FuzzyMap) -> list[int]:
-    """Each element's grade as its rank among the distinct grades, lowest
-    0, in all_elements order.  The relabel is order-preserving and
-    one-to-one on grades, so >=, min and = give the same answers on ranks."""
-    rank = {value: i for i, value in enumerate(sorted(set(mu.grades.values())))}
-    ranks = [0] * mu.params.order
-    for x, value in mu.grades.items():
-        ranks[_index(x)] = rank[value]
-    return ranks
-
-
-def rank_signature(mu: FuzzyMap) -> tuple[int, ...]:
-    """Dense rank of each element's grade, highest grade first.
-
-    Two maps have the same strict-comparison pattern exactly when their
-    signatures coincide, so this is the cheap form of equivalence.
-    """
-    ranks = _grade_ranks(mu)
-    top = max(ranks)
-    return tuple(top - r for r in ranks)
-
-
 def equivalent(mu: FuzzyMap, nu: FuzzyMap) -> bool:
     """True iff mu(x) > mu(y) exactly when nu(x) > nu(y), for all pairs."""
     if mu.params != nu.params:
         raise ValueError("fuzzy maps over different groups are not comparable")
-    return rank_signature(mu) == rank_signature(nu)
+    return mu.ranks == nu.ranks
 
 
 def equivalent_by_pairs(mu: FuzzyMap, nu: FuzzyMap) -> bool:

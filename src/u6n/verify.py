@@ -15,7 +15,10 @@ checks keep their own cost gates (n <= 4, n <= 6, fuzzy_n_max).
 
 The group laws run on the oracle's tables once the tables are shown to
 be multiply and inverse.  The fuzzy-axioms and equivalence-classes
-results come from one walk over the oracle's set chains, {e} included.
+results come from one walk over the oracle's set chains, {e} included,
+which also holds the normal-fuzzy test to the normality of each chain's
+levels; the catalog's normal lattice is tied to the oracle's normal sets
+by normality-vs-oracle and normal-restriction.
 No result depends on an assert statement, so python -O reports the same.
 """
 
@@ -44,11 +47,8 @@ from .group import (
 from .lattice import MODES, Lattice, build_lattice, hasse_edges, height
 from .oracle import (
     GroupOracle,
-    chain_to_representative,
     equivalent_by_pairs,
-    lattice_chains,
     oracle_count_chains,
-    rank_signature,
     representative_from_sets,
 )
 from .subgroups import (
@@ -401,16 +401,16 @@ def check_set_chains(oracle: GroupOracle, mode: str) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_fuzzy_axioms(oracle: GroupOracle, lat_normal: Lattice) -> list[CheckResult]:
+def check_fuzzy_axioms(oracle: GroupOracle) -> list[CheckResult]:
     """The fuzzy-axioms and equivalence-classes results, from one walk over
     the oracle's set chains ending at G, {e} included.
 
     Each chain gives one exact grade map that must satisfy FG1/FG2 on the
-    tables, keep its class when re-leveled, and differ in rank signature
-    from every other chain's; normal lattice chains must give normal fuzzy
-    subgroups.  The classes are counted as the distinct signatures, which
-    must equal both the number of chains and the doubled count_chains
-    total."""
+    tables, be normal fuzzy (mu(xy) = mu(yx)) exactly when every level
+    subgroup is normal, keep its class when re-leveled, and differ in
+    ranks from every other chain's map.  The classes are counted as the
+    distinct ranks, which must equal both the number of chains and the
+    doubled count_chains total."""
     name = "fuzzy-axioms"
     params = oracle.params
     n = params.n
@@ -426,33 +426,27 @@ def check_fuzzy_axioms(oracle: GroupOracle, lat_normal: Lattice) -> list[CheckRe
         chains += 1
         sets = [oracle.element_set(h) for h in chain]
         rep = representative_from_sets(params, sets)
-        sig = rank_signature(rep)
         if failure is None:
+            normal = all(oracle.is_normal(h) for h in chain)
             relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(sets) + 1)]
             if not oracle.is_fuzzy_subgroup(rep):
                 failure = f"FG1/FG2 fail for chain {label(chain)}"
-            elif rank_signature(representative_from_sets(params, sets, relevel)) != sig:
+            elif oracle.is_normal_fuzzy(rep) != normal:
+                verdict = "fails" if normal else "holds"
+                failure = f"mu(xy) = mu(yx) {verdict} for chain {label(chain)}"
+            elif representative_from_sets(params, sets, relevel).ranks != rep.ranks:
                 failure = f"re-leveling broke chain {label(chain)}"
-            elif sig in seen:
-                failure = (
-                    f"chains {label(seen[sig])} and {label(chain)} collide under ~"
-                )
-        seen.setdefault(sig, chain)
+            elif rep.ranks in seen:
+                first = label(seen[rep.ranks])
+                failure = f"chains {first} and {label(chain)} collide under ~"
+        seen.setdefault(rep.ranks, chain)
         if n <= 2:
-            reps.append((sig, rep))
+            reps.append(rep)
     if failure is None and n <= 2:
-        # the rank-signature shortcut against the literal all-pairs relation
-        for (s1, r1), (s2, r2) in itertools.combinations(reps, 2):
-            if equivalent_by_pairs(r1, r2) != (s1 == s2):
+        # the ranks shortcut against the literal all-pairs relation
+        for r1, r2 in itertools.combinations(reps, 2):
+            if equivalent_by_pairs(r1, r2) != (r1.ranks == r2.ranks):
                 failure = "all-pairs equivalence cross-check failed"
-                break
-    if failure is None:
-        for chain in lattice_chains(lat_normal):
-            descs = [lat_normal.nodes[i] for i in chain]
-            if not oracle.is_normal_fuzzy(chain_to_representative(params, descs)):
-                failure = "mu(xy) = mu(yx) fails for chain " + " < ".join(
-                    str(d) for d in descs
-                )
                 break
     want = count_chains(params, "all").fuzzy_count
     classes = (
@@ -534,7 +528,7 @@ def run_verification(
             if n <= 6 and oracle is not None:
                 results.append(check_set_chains(oracle, lat.mode))
         if n <= fuzzy_n_max and oracle is not None:
-            results.extend(check_fuzzy_axioms(oracle, lat_normal))
+            results.extend(check_fuzzy_axioms(oracle))
         fuzzy_counts[n] = tuple(chain_counts(t).fuzzy_count for t in tables)
     results.extend(check_divisor_shape_dependence(fuzzy_counts))
     return results

@@ -341,7 +341,7 @@ def test_outputs_are_deterministic(capsys):
     assert third == fourth
 
 
-def test_config_from_args_defaults():
+def test_parser_defaults():
     args = build_parser().parse_args(["count", "--n", "3"])
     assert args.command == "count"
     assert args.n == 3

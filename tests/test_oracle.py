@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from u6n import (
     Element,
@@ -28,7 +30,6 @@ from u6n.oracle import (
     equivalent_by_pairs,
     lattice_chains,
     oracle_count_chains,
-    rank_signature,
     representative_from_sets,
 )
 from u6n.verify import check_fuzzy_axioms
@@ -180,6 +181,16 @@ def test_fuzzy_map_validation():
         FuzzyMap(params, {**base, Element(1, 0): 0.5})
 
 
+def test_fuzzy_map_grades_are_read_only():
+    # a grade changed after validation would leave ranks stale
+    params = GroupParams(1)
+    mu = FuzzyMap(params, {x: Fraction(1) for x in all_elements(params)})
+    with pytest.raises(TypeError):
+        mu.grades[Element(1, 0)] = Fraction(5)
+    assert mu[Element(1, 0)] == 1
+    assert GroupOracle(params).is_fuzzy_subgroup(mu)
+
+
 def test_representative_construction():
     params = GroupParams(1)
     mu = chain_to_representative(params, [full(2), full(1)])
@@ -321,12 +332,11 @@ def test_equivalence_requires_same_group():
         equivalent(mu, nu)
 
 
-def test_rank_signature_is_dense():
+def test_ranks_are_dense():
     params = GroupParams(2)
     mu = chain_to_representative(params, [cyclic(2), full(2), full(1)])
-    sig = rank_signature(mu)
-    assert set(sig) == {0, 1, 2}
-    assert len(sig) == len(all_elements(params))
+    assert set(mu.ranks) == {0, 1, 2}
+    assert len(mu.ranks) == len(all_elements(params))
 
 
 def test_signature_agrees_with_pairwise():
@@ -341,6 +351,53 @@ def test_signature_agrees_with_pairwise():
     for mu in reps:
         for nu in reps:
             assert equivalent(mu, nu) == equivalent_by_pairs(mu, nu)
+
+
+# ties, and two grades a hair apart
+_GRADE_POOL = (
+    Fraction(0),
+    Fraction(1, 3),
+    Fraction(1, 2),
+    Fraction(1, 2) + Fraction(1, 10**9),
+    Fraction(1),
+)
+
+
+@st.composite
+def _grade_maps(draw):
+    params = draw(st.sampled_from([GroupParams(1), GroupParams(2)]))
+    elems = all_elements(params)
+    pick = st.sampled_from(_GRADE_POOL)
+    mu = FuzzyMap(params, {x: draw(pick) for x in elems})
+    if draw(st.booleans()):  # halving keeps the order pattern
+        nu = FuzzyMap(params, {x: g / 2 for x, g in mu.grades.items()})
+    else:
+        nu = FuzzyMap(params, {x: draw(pick) for x in elems})
+    return params, mu, nu
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grade_maps())
+def test_ranks_and_axioms_on_arbitrary_grade_maps(maps):
+    params, mu, nu = maps
+    oracle = GroupOracle(params)
+    elems = all_elements(params)
+    pairs = [(i, j) for i in range(len(elems)) for j in range(len(elems))]
+    assert all(
+        (mu.ranks[i] < mu.ranks[j]) == (mu[elems[i]] < mu[elems[j]])
+        for i, j in pairs
+    )
+    assert equivalent(mu, nu) == equivalent_by_pairs(mu, nu)
+    # FG1/FG2 and mu(xy) = mu(yx) literally, on Elements and Fractions
+    assert oracle.is_fuzzy_subgroup(mu) == all(
+        mu[multiply(params, x, y)] >= min(mu[x], mu[y])
+        and mu[inverse(params, x)] >= mu[x]
+        for x in elems for y in elems
+    )
+    assert oracle.is_normal_fuzzy(mu) == all(
+        mu[multiply(params, x, y)] == mu[multiply(params, y, x)]
+        for x in elems for y in elems
+    )
 
 
 def test_representative_from_sets_checks_ascent():
@@ -362,7 +419,7 @@ def test_equivalence_class_counts():
     for n in (1, 2, 3, 4):
         params = GroupParams(n)
         oracle = GroupOracle(params)
-        fuzzy, classes = check_fuzzy_axioms(oracle, build_lattice(params, "normal"))
+        fuzzy, classes = check_fuzzy_axioms(oracle)
         assert (fuzzy.check, classes.check) == ("fuzzy-axioms", "equivalence-classes")
         assert fuzzy.passed and classes.passed
         got[n] = sum(1 for _ in oracle.set_chains())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from u6n import ChainCounts, GroupParams
+from u6n import ChainCounts, GroupParams, count_chains
 from u6n.chains import chain_counts, compute_chain_table
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
@@ -78,7 +78,7 @@ def test_individual_checks_pass():
     assert check_containment(params).passed
     assert check_dp_vs_dfs(_table(3, "all")).passed
     assert check_shape_vs_lattice(_table(35, "normal")).passed
-    results = check_fuzzy_axioms(GroupOracle(params), build_lattice(params, "normal"))
+    results = check_fuzzy_axioms(GroupOracle(params))
     assert [(r.check, r.passed) for r in results] == [
         ("fuzzy-axioms", True), ("equivalence-classes", True)
     ]
@@ -99,6 +99,45 @@ def test_fuzzy_axioms_name_a_failing_chain_through_e(monkeypatch):
     assert not fuzzy.passed
     assert fuzzy.detail.startswith("FG1/FG2 fail for chain {e} < {")
     assert results["equivalence-classes"].passed
+
+
+def test_fuzzy_axioms_tie_normal_fuzzy_to_level_normality(monkeypatch):
+    # an is_normal_fuzzy that accepts every map: the walk must name a chain
+    # through a non-normal subgroup, by its element sets
+    from u6n.verify import _set_name
+
+    monkeypatch.setattr(GroupOracle, "is_normal_fuzzy", lambda self, mu: True)
+    results = {r.check: r for r in run_verification(2) if r.n == 2}
+    fuzzy = results["fuzzy-axioms"]
+    assert not fuzzy.passed
+    prefix = "mu(xy) = mu(yx) holds for chain "
+    assert fuzzy.detail.startswith(prefix)
+    oracle = GroupOracle(GroupParams(2))
+    non_normal = {
+        _set_name(oracle.element_set(h))
+        for h in oracle.subgroups if not oracle.is_normal(h)
+    }
+    assert non_normal & set(fuzzy.detail[len(prefix):].split(" < "))
+    assert results["equivalence-classes"].passed
+
+
+def test_one_fuzzy_map_per_chain_and_level_set(monkeypatch):
+    # each set chain, {e} included, builds its map and one re-levelled copy
+    import u6n.oracle as oracle_module
+
+    built = []
+    real = oracle_module.FuzzyMap.__post_init__
+
+    def counting(self):
+        built.append(self.params.n)
+        real(self)
+
+    monkeypatch.setattr(oracle_module.FuzzyMap, "__post_init__", counting)
+    assert all(r.passed for r in run_verification(4))
+    want = sum(
+        2 * count_chains(GroupParams(n), "all").fuzzy_count for n in range(1, 5)
+    )
+    assert len(built) == want == 288
 
 
 @pytest.mark.parametrize("shift", [(4, 0), (0, 3)])
