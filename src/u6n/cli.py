@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -243,7 +244,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return status
+    except BrokenPipeError:  # reader gone: devnull takes the shutdown flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _ParserExit as exc:
         return exc.args[0]
     except CliError as exc:

@@ -159,7 +159,6 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
         descs = enumerate_normal_subgroups(params)
     trivial = (Kind.CYCLIC, params.two_n)
     nodes = tuple(d for d in descs if (d.kind, d.t) != trivial)
-    assert all(subgroup_order(params, d) > 1 for d in nodes)
     top_index = nodes.index(SubgroupDescriptor(Kind.FULL, 1))
     core, coords = _product_coords(nodes, split_core(params.two_n)[0])
     above = _lifted_order(coords, _strict_order_edges(core))

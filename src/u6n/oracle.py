@@ -11,15 +11,16 @@ generator shortcut.  Discovery extends a subgroup H by one g per right
 coset Hg, since <H, g> = <H, x g> for x in H.  Chains are listed by
 explicit depth-first search, over the oracle's own index sets
 (GroupOracle.set_chains) or over a catalog lattice (lattice_chains).
-Fuzzy subgroups are materialized as exact rational grade maps, and each
-FuzzyMap ranks its grades once, when it is built: each grade becomes its
-rank among the distinct grades, an order-preserving one-to-one relabel,
-so >=, min and = carry over exactly to int comparisons.  GroupOracle
-checks the defining axioms on those ranks over its tables, and two maps
-are equivalent exactly when their ranks coincide.  None of it consults
-the divisor-based catalog, so agreement between the two paths is
-evidence, not circularity.  Factorization is plain trial division, the
-reference for the catalog's Miller-Rabin and Pollard-rho factorizer.
+Fuzzy subgroups are materialized as exact rational grade maps, one grade
+tuple per FuzzyMap in the tables' index order, ranked once when built:
+each grade becomes its rank among the distinct grades, an order-preserving
+one-to-one relabel, so >=, min and = carry over exactly to int
+comparisons.  GroupOracle checks the defining axioms on those ranks over
+its tables, and two maps are equivalent exactly when their ranks
+coincide.  None of it consults the divisor-based catalog, so agreement
+between the two paths is evidence, not circularity.  Factorization is
+plain trial division, the reference for the catalog's Miller-Rabin and
+Pollard-rho factorizer.
 
 GroupOracle is the one way to ask about a group; oracle_count_set_chains
 is a thin wrapper over it that only the benchmark still imports.
@@ -32,8 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .group import (
     DEFAULT_ORACLE_LIMIT,
@@ -301,59 +301,46 @@ def oracle_count_set_chains(
 class FuzzyMap:
     """Total map from group elements to exact membership grades in [0, 1].
 
-    grades is read-only once validated.  ranks holds each element's grade
-    as its rank among the distinct grades, lowest 0, in all_elements
-    order: the relabel is order-preserving and one-to-one on grades, so
-    >=, min and = give the same answers on ranks, and two maps over one
-    group have the same strict-comparison pattern exactly when their
-    ranks coincide.
+    grades is a tuple in all_elements order, so a^u b^v's grade sits at
+    3u + v, the index of GroupOracle's tables.  ranks holds each grade as
+    its rank among the distinct grades, lowest 0, in the same order: the
+    relabel is order-preserving and one-to-one on grades, so >=, min and
+    = give the same answers on ranks, and two maps over one group have
+    the same strict-comparison pattern exactly when their ranks coincide.
     """
 
     params: GroupParams
-    grades: Mapping[Element, Fraction]
+    grades: tuple[Fraction, ...]
     ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        domain = all_elements(self.params)
-        if set(self.grades) != set(domain):
+        if len(self.grades) != self.params.order:
             raise ValueError("grades must cover exactly the group elements")
-        clean: dict[Element, Fraction] = {}
-        for x in domain:
-            g = self.grades[x]
-            if isinstance(g, float) or not isinstance(g, (int, Fraction)):
-                raise ValueError(f"grade {g!r} is not an exact rational")
-            if not 0 <= g <= 1:
-                raise ValueError(f"grade {g} outside [0, 1]")
-            clean[x] = Fraction(g)
-        rank = {value: i for i, value in enumerate(sorted(set(clean.values())))}
-        object.__setattr__(self, "grades", MappingProxyType(clean))
-        object.__setattr__(self, "ranks", tuple(rank[g] for g in clean.values()))
+        grades = tuple(map(_exact, self.grades))
+        distinct = sorted(set(grades))
+        if distinct[0] < 0 or distinct[-1] > 1:
+            raise ValueError("grades must lie in [0, 1]")
+        rank = {value: i for i, value in enumerate(distinct)}
+        object.__setattr__(self, "grades", grades)
+        object.__setattr__(self, "ranks", tuple(rank[g] for g in grades))
 
     def __getitem__(self, x: Element) -> Fraction:
-        return self.grades[x]
+        return self.grades[_index(x)]
 
 
-def _validate_levels(levels: Sequence[Fraction], k: int) -> list[Fraction]:
-    if len(levels) != k:
-        raise ValueError(f"expected {k} levels, got {len(levels)}")
-    out: list[Fraction] = []
-    for lv in levels:
-        if isinstance(lv, float) or not isinstance(lv, (int, Fraction)):
-            raise ValueError(f"level {lv!r} is not an exact rational")
-        out.append(Fraction(lv))
-    if any(not 0 <= lv <= 1 for lv in out):
-        raise ValueError("levels must lie in [0, 1]")
-    if any(a <= b for a, b in zip(out, out[1:])):
-        raise ValueError("levels must be strictly decreasing")
-    return out
+def _exact(grade: object) -> Fraction:
+    if isinstance(grade, float) or not isinstance(grade, (int, Fraction)):
+        raise ValueError(f"grade {grade!r} is not an exact rational")
+    return Fraction(grade)
 
 
 def representative_from_sets(
     params: GroupParams,
-    sets: Sequence[frozenset[Element]],
+    sets: Sequence[frozenset[int]],
     levels: Sequence[Fraction] | None = None,
 ) -> FuzzyMap:
-    """Grade map of an ascending chain of element sets ending at G.
+    """Grade map of an ascending chain of index sets ending at G, in the
+    form GroupOracle.set_chains yields.
 
     Elements first appearing in the i-th set get the i-th level; the
     default levels are 1, 1/2, ..., 1/k.
@@ -363,17 +350,22 @@ def representative_from_sets(
     for small, big in zip(sets, sets[1:]):
         if not small < big:
             raise ValueError("chain sets must be strictly ascending")
-    domain = all_elements(params)
-    if sets[-1] != frozenset(domain):
+    if sets[-1] != frozenset(range(params.order)):
         raise ValueError("chain must end at the whole group")
     if levels is None:
         levels = [Fraction(1, i) for i in range(1, len(sets) + 1)]
-    values = _validate_levels(levels, len(sets))
-    grades: dict[Element, Fraction] = {}
-    for value, members in zip(reversed(values), reversed(list(sets))):
-        for x in members:
-            grades[x] = value
-    return FuzzyMap(params=params, grades=grades)
+    if len(levels) != len(sets):
+        raise ValueError(f"expected {len(sets)} levels, got {len(levels)}")
+    values = list(map(_exact, levels))
+    if any(a <= b for a, b in zip(values, values[1:])):
+        raise ValueError("levels must be strictly decreasing")
+    if values[-1] < 0 or values[0] > 1:
+        raise ValueError("levels must lie in [0, 1]")
+    grades: list[Fraction | None] = [None] * params.order
+    for value, members in zip(reversed(values), reversed(sets)):
+        for i in members:
+            grades[i] = value
+    return FuzzyMap(params, tuple(grades))
 
 
 def chain_to_representative(
@@ -384,9 +376,8 @@ def chain_to_representative(
     """Representative fuzzy subgroup of a descriptor chain ending at F(1)."""
     if not chain or chain[-1] != full(1):
         raise ValueError("chain must end at the whole group F(1)")
-    return representative_from_sets(
-        params, [subgroup_elements(params, d) for d in chain], levels
-    )
+    sets = [frozenset(map(_index, subgroup_elements(params, d))) for d in chain]
+    return representative_from_sets(params, sets, levels)
 
 
 def equivalent(mu: FuzzyMap, nu: FuzzyMap) -> bool:

@@ -424,17 +424,16 @@ def check_fuzzy_axioms(oracle: GroupOracle) -> list[CheckResult]:
     chains = 0
     for chain in oracle.set_chains(include_trivial=True):
         chains += 1
-        sets = [oracle.element_set(h) for h in chain]
-        rep = representative_from_sets(params, sets)
+        rep = representative_from_sets(params, chain)
         if failure is None:
             normal = all(oracle.is_normal(h) for h in chain)
-            relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(sets) + 1)]
+            relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(chain) + 1)]
             if not oracle.is_fuzzy_subgroup(rep):
                 failure = f"FG1/FG2 fail for chain {label(chain)}"
             elif oracle.is_normal_fuzzy(rep) != normal:
                 verdict = "fails" if normal else "holds"
                 failure = f"mu(xy) = mu(yx) {verdict} for chain {label(chain)}"
-            elif representative_from_sets(params, sets, relevel).ranks != rep.ranks:
+            elif representative_from_sets(params, chain, relevel).ranks != rep.ranks:
                 failure = f"re-leveling broke chain {label(chain)}"
             elif rep.ranks in seen:
                 first = label(seen[rep.ranks])

@@ -111,6 +111,22 @@ def test_unfactorable_n_exits_1_within_5_s():
     )
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader takes one line and goes away, as `u6n batch ... | head -1`
+    src = str(Path(u6n.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "u6n.cli", "batch", "--range", "1..20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert header == "n,mode,per_length,total,fuzzy_count,mm_count\n"
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 @pytest.mark.parametrize(
     "mode, count",
     [("all", "73145193531541776343687462125568"),

@@ -165,28 +165,31 @@ def test_set_chain_factor_two():
 
 def test_fuzzy_map_validation():
     params = GroupParams(1)
-    base = {x: Fraction(1) for x in all_elements(params)}
+    base = (Fraction(1),) * params.order
     assert FuzzyMap(params, base)[Element(1, 0)] == 1
 
-    missing = dict(base)
-    del missing[Element(1, 0)]
-    with pytest.raises(ValueError):
-        FuzzyMap(params, missing)
+    def with_a(grade):  # base with the grade of a, at index 3
+        return base[:3] + (grade,) + base[4:]
 
     with pytest.raises(ValueError):
-        FuzzyMap(params, {**base, Element(1, 0): Fraction(3, 2)})
+        FuzzyMap(params, base[:-1])  # one element without a grade
     with pytest.raises(ValueError):
-        FuzzyMap(params, {**base, Element(1, 0): Fraction(-1, 2)})
+        FuzzyMap(params, base + (Fraction(1),))
+
     with pytest.raises(ValueError):
-        FuzzyMap(params, {**base, Element(1, 0): 0.5})
+        FuzzyMap(params, with_a(Fraction(3, 2)))
+    with pytest.raises(ValueError):
+        FuzzyMap(params, with_a(Fraction(-1, 2)))
+    with pytest.raises(ValueError):
+        FuzzyMap(params, with_a(0.5))
 
 
 def test_fuzzy_map_grades_are_read_only():
     # a grade changed after validation would leave ranks stale
     params = GroupParams(1)
-    mu = FuzzyMap(params, {x: Fraction(1) for x in all_elements(params)})
+    mu = FuzzyMap(params, (Fraction(1),) * params.order)
     with pytest.raises(TypeError):
-        mu.grades[Element(1, 0)] = Fraction(5)
+        mu.grades[3] = Fraction(5)
     assert mu[Element(1, 0)] == 1
     assert GroupOracle(params).is_fuzzy_subgroup(mu)
 
@@ -197,10 +200,10 @@ def test_representative_construction():
     for x in all_elements(params):
         expected = Fraction(1) if x.a_exp == 0 else Fraction(1, 2)
         assert mu[x] == expected
-    assert len(set(mu.grades.values())) == 2
+    assert len(set(mu.grades)) == 2
 
     constant = chain_to_representative(params, [full(1)])
-    assert set(constant.grades.values()) == {Fraction(1)}
+    assert set(constant.grades) == {Fraction(1)}
     assert GroupOracle(params).is_fuzzy_subgroup(constant)
 
 
@@ -220,6 +223,10 @@ def test_representative_validation():
         )
     with pytest.raises(ValueError):
         chain_to_representative(params, [full(2), full(1)], [1.0, 0.5])
+    with pytest.raises(ValueError):
+        chain_to_representative(params, [full(2), full(1)], [Fraction(3, 2), 1])
+    with pytest.raises(ValueError):
+        chain_to_representative(params, [full(2), full(1)], [1, Fraction(-1, 2)])
 
 
 def test_levels_need_not_start_at_one():
@@ -234,30 +241,28 @@ def test_levels_need_not_start_at_one():
 def test_fuzzy_axiom_checks():
     params = GroupParams(1)
     oracle = GroupOracle(params)
-    grades = {
-        x: Fraction(1) if x.b_exp == 0 else Fraction(1, 2)
+    grades = tuple(
+        Fraction(1) if x.b_exp == 0 else Fraction(1, 2)
         for x in all_elements(params)
-    }
+    )
     assert oracle.is_fuzzy_subgroup(FuzzyMap(params, grades))  # level set <a>
 
-    spike = {
-        x: Fraction(1) if x == Element(1, 1) else Fraction(1, 2)
+    spike = tuple(
+        Fraction(1) if x == Element(1, 1) else Fraction(1, 2)
         for x in all_elements(params)
-    }
+    )
     assert not oracle.is_fuzzy_subgroup(FuzzyMap(params, spike))  # {ab} not a subgroup
 
 
 def test_fg1_violation_by_a_tiny_margin_is_rejected():
     params = GroupParams(1)
     oracle = GroupOracle(params)
-    grades = {
-        x: Fraction(1) if x.b_exp == 0 else Fraction(1, 2)
-        for x in all_elements(params)
-    }
-    assert oracle.is_fuzzy_subgroup(FuzzyMap(params, grades))
+    elems = all_elements(params)
+    grades = [Fraction(1) if x.b_exp == 0 else Fraction(1, 2) for x in elems]
+    assert oracle.is_fuzzy_subgroup(FuzzyMap(params, tuple(grades)))
     # b = a * (a b), where mu(a) = 1 and mu(a b) = 1/2
-    grades[Element(0, 1)] = Fraction(1, 2) - Fraction(1, 10**9)
-    assert not oracle.is_fuzzy_subgroup(FuzzyMap(params, grades))
+    grades[elems.index(Element(0, 1))] = Fraction(1, 2) - Fraction(1, 10**9)
+    assert not oracle.is_fuzzy_subgroup(FuzzyMap(params, tuple(grades)))
 
 
 def test_normal_fuzzy_with_close_levels():
@@ -302,10 +307,9 @@ def test_oracle_fuzzy_checks_run_on_its_own_tables():
             )
             if mode == "normal":
                 assert oracle.is_normal_fuzzy(mu)
-    spike = {
-        x: Fraction(1) if x == Element(1, 1) else Fraction(1, 2)
-        for x in all_elements(params)
-    }
+    spike = tuple(
+        Fraction(1) if x == Element(1, 1) else Fraction(1, 2) for x in elems
+    )
     assert not oracle.is_fuzzy_subgroup(FuzzyMap(params, spike))
     with pytest.raises(ValueError):
         GroupOracle(GroupParams(1)).is_fuzzy_subgroup(mu)
@@ -368,11 +372,11 @@ def _grade_maps(draw):
     params = draw(st.sampled_from([GroupParams(1), GroupParams(2)]))
     elems = all_elements(params)
     pick = st.sampled_from(_GRADE_POOL)
-    mu = FuzzyMap(params, {x: draw(pick) for x in elems})
+    mu = FuzzyMap(params, tuple(draw(pick) for _ in elems))
     if draw(st.booleans()):  # halving keeps the order pattern
-        nu = FuzzyMap(params, {x: g / 2 for x, g in mu.grades.items()})
+        nu = FuzzyMap(params, tuple(g / 2 for g in mu.grades))
     else:
-        nu = FuzzyMap(params, {x: draw(pick) for x in elems})
+        nu = FuzzyMap(params, tuple(draw(pick) for _ in elems))
     return params, mu, nu
 
 
@@ -402,14 +406,35 @@ def test_ranks_and_axioms_on_arbitrary_grade_maps(maps):
 
 def test_representative_from_sets_checks_ascent():
     params = GroupParams(1)
-    whole = frozenset(all_elements(params))
-    sub = subgroup_elements(params, full(2))
+    whole = frozenset(range(params.order))
+    sub = GroupOracle(params).index_set(subgroup_elements(params, full(2)))
     with pytest.raises(ValueError):
         representative_from_sets(params, [whole, sub])
     with pytest.raises(ValueError):
         representative_from_sets(params, [sub, sub])
     with pytest.raises(ValueError):
         representative_from_sets(params, [sub])  # does not reach the whole group
+    with pytest.raises(ValueError):  # a level no element takes is still checked
+        representative_from_sets(params, [frozenset(), whole], [2, 1])
+
+
+def test_index_sets_and_descriptors_build_the_same_map():
+    # the oracle's index sets and the catalog's descriptors give one map per
+    # chain, {e} included, laid out in all_elements order
+    for n in (1, 2, 3):
+        params = GroupParams(n)
+        oracle = GroupOracle(params)
+        lat = build_lattice(params, "all")
+        for chain in lattice_chains(lat):
+            descs = [lat.nodes[i] for i in chain]
+            for descs in (descs, [cyclic(params.two_n)] + descs):
+                mu = chain_to_representative(params, descs)
+                sets = [oracle.index_set(subgroup_elements(params, d)) for d in descs]
+                assert representative_from_sets(params, sets).ranks == mu.ranks
+                assert all(
+                    mu[x] == mu.grades[3 * x.a_exp + x.b_exp]
+                    for x in all_elements(params)
+                )
 
 
 def test_equivalence_class_counts():
