@@ -1,7 +1,8 @@
 """Time factorize and count_chains against the full-lattice build and chain
 DP, and check that the two paths agree; also time hasse_edges, which keeps
 the strict pairs of prime index (see the u6n.lattice docstring), and print
-the cover count.
+the cover count, and time the JSON export (write_json, as `u6n lattice`
+writes it) into a sink that only counts its bytes.
 
 count_chains counts from the factorization shape of 2n, with a DP on the
 exponent grid of its 2^e2 * 3^e3 core; the lattice path builds every
@@ -32,6 +33,7 @@ from u6n import (
     factorize,
     hasse_edges,
 )
+from u6n.lattice import write_json
 
 LADDER = [5040, 55440, 360360, 2**61 - 1, 9999991 * 9999973, 2**15 * 3**10]
 
@@ -53,6 +55,9 @@ def bench(n: int) -> bool:
         done = time.perf_counter()
         covers = hasse_edges(lat)
         reduced = time.perf_counter()
+        sizes = []  # json.dumps escapes to ASCII: one byte per character
+        write_json(lat, sorted(covers), lambda chunk: sizes.append(len(chunk)))
+        exported = time.perf_counter()
         same = shape == counts
         agree = agree and same
         print(
@@ -60,7 +65,8 @@ def bench(n: int) -> bool:
             f"count_chains {counted - start:.4f}s; "
             f"{len(lat.nodes)} nodes, build {built - counted:.3f}s, "
             f"dp {done - built:.3f}s, "
-            f"hasse_edges {reduced - done:.3f}s ({len(covers)} covers); "
+            f"hasse_edges {reduced - done:.3f}s ({len(covers)} covers), "
+            f"export {exported - reduced:.3f}s ({sum(sizes)} bytes); "
             f"count has {len(str(counts.fuzzy_count))} digits, "
             f"{'paths agree' if same else 'PATHS DIFFER'}"
         )

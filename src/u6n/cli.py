@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .chains import ChainCounts, count_chains, factorization_shape, shape_chain_counts
 from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
-from .lattice import build_lattice, dot_text, hasse_edges, json_text
+from .lattice import build_lattice, dot_text, hasse_edges, write_json
 from .subgroups import (
     FactorizationBudgetExceeded,
     enumerate_normal_subgroups,
@@ -193,7 +193,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             raise CliError(
                 f"cannot write DOT file {args.dot_path}: {exc.strerror or exc}"
             ) from exc
-    print(json_text(lat, covers))
+    write_json(lat, covers, sys.stdout.write)
     return 0
 
 

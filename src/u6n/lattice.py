@@ -34,14 +34,17 @@ the restriction of containment to normal subgroups: every listed normal
 subgroup is normal in the whole group, hence in any subgroup above it
 (the verification suite re-checks this pairwise at small n).
 
-The lattice command prints json.dumps(export_json(lat), indent=2); json's
-indent encoder is pure Python and slow on the pair lists, so json_text
-writes those lists with one join each and produces the same bytes.
+The lattice command prints json.dumps(export_json(lat), indent=2).  json's
+indent encoder is pure Python, so write_json produces the same bytes with
+f-strings instead: the header and node records as one block, then each pair
+list one sorted row per write, so no text of the whole relation is ever
+held in memory.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import gcd
 
@@ -226,49 +229,52 @@ def export_dot(lat: Lattice) -> str:
     return dot_text(lat, sorted(hasse_edges(lat)))
 
 
-def _node_records(lat: Lattice) -> list[dict]:
-    return [
-        {
-            "id": i,
-            "desc": format_descriptor(d),
-            "order": subgroup_order(lat.params, d),
-        }
-        for i, d in enumerate(lat.nodes)
-    ]
-
-
 def export_json(lat: Lattice) -> dict:
     """JSON-ready dict with nodes, the full strict relation and the covers."""
     strict = sorted((i, j) for i, ups in enumerate(lat.strictly_below) for j in ups)
     return {
         "n": lat.params.n,
         "mode": lat.mode,
-        "nodes": _node_records(lat),
+        "nodes": [
+            {"id": i, "desc": format_descriptor(d),
+             "order": subgroup_order(lat.params, d)}
+            for i, d in enumerate(lat.nodes)
+        ],
         "edges_strict": [list(e) for e in strict],
         "edges_hasse": [list(e) for e in sorted(hasse_edges(lat))],
     }
 
 
-def _pair_list(rows: list[list[int]]) -> str:
-    """The indent=2 JSON of the pairs [i, j], j in rows[i], rows sorted."""
-    parts = []
+def _write_pairs(rows: Iterable[Iterable[int]], names: list[str],
+                 write: Callable[[str], object], close: str) -> None:
+    """Write the indent=2 JSON of the pairs [i, j], j in rows[i], rows
+    sorted, one row per call, each with the separator before it; then close."""
+    sep = "[\n"
     for i, js in enumerate(rows):
         if js:
-            pair = f"    [\n      {i},\n      "
-            parts.append(pair + f"\n    ],\n{pair}".join(map(str, js)) + "\n    ]")
-    return "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+            pre = f"    [\n      {i},\n      "
+            body = f"\n    ],\n{pre}".join(map(names.__getitem__, js))
+            write(f"{sep}{pre}{body}\n    ]")
+            sep = ",\n"
+    write(("[]" if sep == "[\n" else "\n  ]") + close)
 
 
-def json_text(lat: Lattice, covers: list[tuple[int, int]]) -> str:
-    """json.dumps(export_json(lat), indent=2), given the sorted covers."""
-    head = json.dumps(
-        {"n": lat.params.n, "mode": lat.mode, "nodes": _node_records(lat)}, indent=2
+def write_json(lat: Lattice, covers: list[tuple[int, int]],
+               write: Callable[[str], object]) -> None:
+    """Write json.dumps(export_json(lat), indent=2) + "\n" through write,
+    given the sorted covers: the header and node records in one call, then
+    one call per nonempty row of each pair list."""
+    params = lat.params
+    nodes = ",\n".join(
+        f'    {{\n      "id": {i},\n      "desc": {json.dumps(format_descriptor(d))},'
+        f'\n      "order": {subgroup_order(params, d)}\n    }}'
+        for i, d in enumerate(lat.nodes)
     )
+    write(f'{{\n  "n": {params.n},\n  "mode": {json.dumps(lat.mode)},\n'
+          f'  "nodes": [\n{nodes}\n  ],\n  "edges_strict": ')
+    names = [str(j) for j in range(len(lat.nodes))]
+    _write_pairs(map(sorted, lat.strictly_below), names, write, ',\n  "edges_hasse": ')
     cover_rows: list[list[int]] = [[] for _ in lat.nodes]
     for i, j in covers:
         cover_rows[i].append(j)
-    strict = _pair_list([sorted(ups) for ups in lat.strictly_below])
-    return (
-        f'{head[:-2]},\n  "edges_strict": {strict},\n'
-        f'  "edges_hasse": {_pair_list(cover_rows)}\n}}'
-    )
+    _write_pairs(cover_rows, names, write, "\n}\n")

@@ -317,18 +317,27 @@ class FuzzyMap:
         if len(self.grades) != self.params.order:
             raise ValueError("grades must cover exactly the group elements")
         grades = tuple(map(_exact, self.grades))
-        distinct = sorted(set(grades))
-        if distinct[0] < 0 or distinct[-1] > 1:
+        # one hash per grade: each grade's first-appearance id, then the
+        # k distinct values sorted and each id relabelled by its rank
+        first: dict[Fraction, int] = {}
+        ids = [first.setdefault(g, len(first)) for g in grades]
+        distinct = list(first)
+        order = sorted(range(len(distinct)), key=distinct.__getitem__)
+        if distinct[order[0]] < 0 or distinct[order[-1]] > 1:
             raise ValueError("grades must lie in [0, 1]")
-        rank = {value: i for i, value in enumerate(distinct)}
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
         object.__setattr__(self, "grades", grades)
-        object.__setattr__(self, "ranks", tuple(rank[g] for g in grades))
+        object.__setattr__(self, "ranks", tuple(map(rank.__getitem__, ids)))
 
     def __getitem__(self, x: Element) -> Fraction:
         return self.grades[_index(x)]
 
 
 def _exact(grade: object) -> Fraction:
+    if type(grade) is Fraction:
+        return grade
     if isinstance(grade, float) or not isinstance(grade, (int, Fraction)):
         raise ValueError(f"grade {grade!r} is not an exact rational")
     return Fraction(grade)

@@ -127,6 +127,23 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
+def test_lattice_closed_stdout_exits_1_without_a_traceback():
+    # the reader takes 100 bytes and goes away, as `u6n lattice ... | head -c 100`;
+    # the 1.5 MB of JSON overflow the pipe, so a row write meets the closed pipe
+    src = str(Path(u6n.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "u6n.cli", "lattice", "--n", "360360"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{\n  "n": 360360,\n  "mode": "all",')
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 @pytest.mark.parametrize(
     "mode, count",
     [("all", "73145193531541776343687462125568"),

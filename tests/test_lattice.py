@@ -18,7 +18,7 @@ from u6n import (
     subgroup_leq,
     subgroup_order,
 )
-from u6n.lattice import _strict_order_edges
+from u6n.lattice import MODES, Lattice, _strict_order_edges, write_json
 from u6n.oracle import transitive_reduction
 
 
@@ -177,6 +177,51 @@ def test_json_export_schema():
     assert all(i in ids and j in ids for i, j in payload["edges_strict"])
     strict = {(i, j) for i, j in payload["edges_strict"]}
     assert {(i, j) for i, j in payload["edges_hasse"]} <= strict
+
+
+def _written(lat):
+    chunks = []
+    write_json(lat, sorted(hasse_edges(lat)), chunks.append)
+    return chunks
+
+
+def _first_difference(a, b):
+    """None if a == b, else the first index where they differ: pytest's own
+    diff of two megabyte strings runs for minutes."""
+    if a == b:
+        return None
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
+def test_write_json_one_node_lattice_writes_empty_pair_lists():
+    # F(1) alone: both pair lists are empty and take the "[]" branch
+    lat = Lattice(params=GroupParams(1), mode="all", nodes=(full(1),),
+                  top_index=0, strictly_below=(frozenset(),))
+    text = "".join(_written(lat))
+    assert text == json.dumps(export_json(lat), indent=2) + "\n"
+    assert '"edges_strict": [],' in text and '"edges_hasse": []\n}' in text
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_write_json_streams_one_row_per_write(mode):
+    lat = build_lattice(GroupParams(360360), mode)
+    covers = hasse_edges(lat)
+    chunks = _written(lat)
+    reference = json.dumps(export_json(lat), indent=2) + "\n"
+    assert _first_difference("".join(chunks), reference) is None
+    # node block, one write per nonempty row of each pair list, and the
+    # two closing writes
+    rows = sum(1 for ups in lat.strictly_below if ups) + len({i for i, _ in covers})
+    assert len(chunks) == rows + 3
+    assert chunks[0].endswith('  ],\n  "edges_strict": ')
+    # a row of pairs [i, j] is written with the 2-character separator
+    # before each pair text, its own first one included
+    longest = max(
+        sum(len(f"    [\n      {i},\n      {j}\n    ]") + 2 for j in ups)
+        for i, ups in enumerate(lat.strictly_below)
+    )
+    assert max(map(len, chunks[1:])) <= longest < len("".join(chunks)) // 10
 
 
 def test_strict_edges_helper_is_pure():

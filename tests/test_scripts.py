@@ -2,10 +2,11 @@
 sweep_counts.py prints the subgroup and fuzzy-subgroup count table."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-from u6n import ChainCounts, GroupParams, build_lattice
+from u6n import ChainCounts, GroupParams, build_lattice, export_json
 from u6n.oracle import transitive_reduction
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -28,6 +29,11 @@ def test_benchmark_large_n_agrees(monkeypatch, capsys):
     assert out.count("paths agree") == 6
     assert out.count("factorize ") == 6
     assert out.count("hasse_edges ") == 6
+    assert out.count("export ") == 6
+    for mode in ("all", "normal"):
+        text = json.dumps(export_json(build_lattice(GroupParams(12), mode)), indent=2)
+        line = next(x for x in out.splitlines() if x.startswith(f"n=12 mode={mode}:"))
+        assert f"({len(text) + 1} bytes)" in line  # the newline print adds
     for n in (35, 72):
         covers = len(transitive_reduction(build_lattice(GroupParams(n), "all")))
         line = next(x for x in out.splitlines() if x.startswith(f"n={n} mode=all:"))
