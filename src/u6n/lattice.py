@@ -67,6 +67,8 @@ class Lattice:
     params: GroupParams
     mode: str
     nodes: tuple[SubgroupDescriptor, ...]
+    #: orders[i] = subgroup_order of nodes[i]
+    orders: tuple[int, ...]
     top_index: int
     #: strictly_below[i] = indices of the nodes strictly containing node i
     strictly_below: tuple[frozenset[int], ...]
@@ -169,6 +171,7 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
         params=params,
         mode=mode,
         nodes=nodes,
+        orders=tuple(subgroup_order(params, d) for d in nodes),
         top_index=top_index,
         strictly_below=tuple(above),
     )
@@ -197,12 +200,11 @@ def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
     each node and each prime p of 6n (2, 3 and the primes of m), the nodes
     of p times its order that lie above it.
     """
-    params = lat.params
-    orders = [subgroup_order(params, d) for d in lat.nodes]
+    orders = lat.orders
     by_order: dict[int, list[int]] = {}
     for j, o in enumerate(orders):
         by_order.setdefault(o, []).append(j)
-    primes = [2, 3] + [p for p, _ in split_core(params.two_n)[1]]
+    primes = [2, 3] + [p for p, _ in split_core(lat.params.two_n)[1]]
     return {
         (i, j)
         for i, ups in enumerate(lat.strictly_below)
@@ -215,8 +217,8 @@ def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
 def dot_text(lat: Lattice, covers: list[tuple[int, int]]) -> str:
     """export_dot(lat), given the sorted covers."""
     lines = [f"digraph u6n_lattice_{lat.mode} {{", "  rankdir=BT;"]
-    for i, d in enumerate(lat.nodes):
-        label = f"{format_descriptor(d)} (order {subgroup_order(lat.params, d)})"
+    for i, (d, o) in enumerate(zip(lat.nodes, lat.orders)):
+        label = f"{format_descriptor(d)} (order {o})"
         lines.append(f'  n{i} [label="{label}"];')
     for i, j in covers:
         lines.append(f"  n{i} -> n{j};")
@@ -236,9 +238,8 @@ def export_json(lat: Lattice) -> dict:
         "n": lat.params.n,
         "mode": lat.mode,
         "nodes": [
-            {"id": i, "desc": format_descriptor(d),
-             "order": subgroup_order(lat.params, d)}
-            for i, d in enumerate(lat.nodes)
+            {"id": i, "desc": format_descriptor(d), "order": o}
+            for i, (d, o) in enumerate(zip(lat.nodes, lat.orders))
         ],
         "edges_strict": [list(e) for e in strict],
         "edges_hasse": [list(e) for e in sorted(hasse_edges(lat))],
@@ -267,8 +268,8 @@ def write_json(lat: Lattice, covers: list[tuple[int, int]],
     params = lat.params
     nodes = ",\n".join(
         f'    {{\n      "id": {i},\n      "desc": {json.dumps(format_descriptor(d))},'
-        f'\n      "order": {subgroup_order(params, d)}\n    }}'
-        for i, d in enumerate(lat.nodes)
+        f'\n      "order": {o}\n    }}'
+        for i, (d, o) in enumerate(zip(lat.nodes, lat.orders))
     )
     write(f'{{\n  "n": {params.n},\n  "mode": {json.dumps(lat.mode)},\n'
           f'  "nodes": [\n{nodes}\n  ],\n  "edges_strict": ')

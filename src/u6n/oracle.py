@@ -4,12 +4,17 @@ Everything here works from the group operation alone.  GroupOracle builds
 one integer Cayley table and one inverse table per group from
 group.multiply and group.inverse, element a^u b^v at index 3u + v (the
 order of all_elements), and answers every question about that group on
-the table: subgroups are discovered once by closing generator sets to a
-fixpoint, and a subgroup is normal iff conjugating it by every group
-element keeps it inside itself, tested once per subgroup with no
-generator shortcut.  Discovery extends a subgroup H by one g per right
-coset Hg, since <H, g> = <H, x g> for x in H.  Chains are listed by
-explicit depth-first search, over the oracle's own index sets
+the table.  Only the rows of b^0, b^1 and b^2 come from multiply, kept as
+they are; since a^u b^v y = a^u (b^v y) and a^u only adds u to the
+a-exponent, row (u, v) is row v with 3u added to each index mod 6n.
+verify.check_group_laws compares every entry with multiply.  Subgroups are
+discovered once by closing generator sets to a fixpoint.  A subgroup is
+normal iff conjugating it by every group element keeps it inside itself:
+the conjugation rows g^-1 x g are read off the table once, on first use,
+and each subgroup is tested once against every row, with no generator
+shortcut.  Discovery extends a subgroup H by one g per right coset Hg,
+since <H, g> = <H, x g> for x in H.  Chains are listed by explicit
+depth-first search, over the oracle's own index sets
 (GroupOracle.set_chains) or over a catalog lattice (lattice_chains).
 Fuzzy subgroups are materialized as exact rational grade maps, one grade
 tuple per FuzzyMap in the tables' index order, ranked once when built:
@@ -17,10 +22,11 @@ each grade becomes its rank among the distinct grades, an order-preserving
 one-to-one relabel, so >=, min and = carry over exactly to int
 comparisons.  GroupOracle checks the defining axioms on those ranks over
 its tables, and two maps are equivalent exactly when their ranks
-coincide.  None of it consults the divisor-based catalog, so agreement
-between the two paths is evidence, not circularity.  Factorization is
-plain trial division, the reference for the catalog's Miller-Rabin and
-Pollard-rho factorizer.
+coincide, that is, when their comparison_pattern, the literal all-pairs
+relation mu(x) > mu(y), coincides.  None of it consults the divisor-based
+catalog, so agreement between the two paths is evidence, not circularity.
+Factorization is plain trial division, the reference for the catalog's
+Miller-Rabin and Pollard-rho factorizer.
 
 GroupOracle is the one way to ask about a group; oracle_count_set_chains
 is a thin wrapper over it that only the benchmark still imports.
@@ -33,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .group import (
@@ -57,10 +64,11 @@ def _index(x: Element) -> int:
 class GroupOracle:
     """The brute-force view of one group U_6n, built once and asked often.
 
-    The tables are built on construction; the subgroup family and each
-    subgroup's normality are computed on first use and kept for the life
-    of the object, never beyond it.  Subgroups are frozensets of element
-    indices; index_set and element_set convert to and from Elements.
+    The tables are built on construction; the conjugation rows, the
+    subgroup family and each subgroup's normality are computed on first
+    use and kept for the life of the object, never beyond it.  Subgroups
+    are frozensets of element indices; index_set and element_set convert
+    to and from Elements.
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
@@ -70,8 +78,13 @@ class GroupOracle:
             )
         self.params = params
         self.elements = elements = all_elements(params)
-        self.mult = [[_index(multiply(params, x, y)) for y in elements]
-                     for x in elements]
+        order = params.order
+        # b^v y from multiply, then a^u b^v y = a^u (b^v y): left
+        # multiplication by a^u adds u to the a-exponent, 3u to the index
+        b_rows = [[_index(multiply(params, b, y)) for y in elements]
+                  for b in elements[:3]]
+        self.mult = b_rows + [[(shift + z) % order for z in row]
+                              for shift in range(3, order, 3) for row in b_rows]
         self.inv = [_index(inverse(params, x)) for x in elements]
         self.identity = _index(identity(params))
         self._subgroups: list[frozenset[int]] | None = None
@@ -107,14 +120,19 @@ class GroupOracle:
             self._subgroups = _discover_subgroups(self)
         return self._subgroups
 
+    @cached_property
+    def conj(self) -> list[tuple[int, ...]]:
+        """conj[g][x] is the index of g^-1 x g: (g^-1 x) g read off the
+        table, row g^-1 then column g."""
+        columns = list(zip(*self.mult))
+        return [tuple(map(columns[g].__getitem__, self.mult[g_inv]))
+                for g, g_inv in enumerate(self.inv)]
+
     def is_normal(self, h: frozenset[int]) -> bool:
         """True iff g^-1 x g lies in h for every x in h and every g in G."""
         if h not in self._normal:
-            mult = self.mult
             self._normal[h] = all(
-                mult[mult[g_inv][x]][g] in h
-                for g, g_inv in enumerate(self.inv)
-                for x in h
+                h.issuperset(map(c.__getitem__, h)) for c in self.conj
             )
         return self._normal[h]
 
@@ -396,12 +414,16 @@ def equivalent(mu: FuzzyMap, nu: FuzzyMap) -> bool:
     return mu.ranks == nu.ranks
 
 
+def comparison_pattern(mu: FuzzyMap) -> tuple[bool, ...]:
+    """mu(x) > mu(y) for every ordered pair (x, y) of elements, x major,
+    in the tables' index order: the literal relation that ~ compares."""
+    grades = mu.grades
+    return tuple(gx > gy for gx in grades for gy in grades)
+
+
 def equivalent_by_pairs(mu: FuzzyMap, nu: FuzzyMap) -> bool:
     """Literal all-pairs form of the equivalence, as a cross-check."""
     if mu.params != nu.params:
         raise ValueError("fuzzy maps over different groups are not comparable")
-    elems = all_elements(mu.params)
-    return all(
-        (mu[x] > mu[y]) == (nu[x] > nu[y]) for x in elems for y in elems
-    )
+    return comparison_pattern(mu) == comparison_pattern(nu)
 

@@ -5,9 +5,9 @@ recomputation, or the shape-based count_chains with the full-lattice
 DP, and reports a counterexample on mismatch.
 
 run_verification computes each object once per n and hands every check
-the object it checks: one GroupOracle (integer Cayley table, subgroup
-family, normality flags) when the group is within the oracle limit, and
-one Lattice and one ChainTable per mode.  The oracle limit is the one
+the object it checks: one GroupOracle (integer Cayley table, conjugation
+rows, subgroup family, normality flags) when the group is within the
+oracle limit, and one Lattice and one ChainTable per mode.  The oracle limit is the one
 gate of every exhaustive check: the group laws, membership, containment,
 subgroup closure, normal-in-supergroup, the oracle families and the fuzzy
 checks are skipped above it, whatever fuzzy_n_max says.  Under it the
@@ -47,7 +47,7 @@ from .group import (
 from .lattice import MODES, Lattice, build_lattice, hasse_edges, height
 from .oracle import (
     GroupOracle,
-    equivalent_by_pairs,
+    comparison_pattern,
     oracle_count_chains,
     representative_from_sets,
 )
@@ -202,25 +202,37 @@ def check_containment(params: GroupParams) -> CheckResult:
     """subgroup_leq == element-set inclusion, and partial-order laws."""
     name = "containment-closed-form"
     descs = enumerate_subgroups(params)
-    sets = {d: subgroup_elements(params, d) for d in descs}
-    leq = {}
-    for d1 in descs:
-        for d2 in descs:
+    sets = [subgroup_elements(params, d) for d in descs]
+    # above[i]: every j with leq(descs[i], descs[j]); each law below names
+    # the first failing pair or triple in index order
+    above: list[set[int]] = []
+    for d1, s1 in zip(descs, sets):
+        ups = set()
+        for j, (d2, s2) in enumerate(zip(descs, sets)):
             got = subgroup_leq(params, d1, d2)
-            if got != (sets[d1] <= sets[d2]):
+            if got != (s1 <= s2):
                 return _fail(params.n, name, f"leq({d1}, {d2}) = {got} is wrong")
-            leq[d1, d2] = got
-    for d in descs:
-        if not leq[d, d]:
-            return _fail(params.n, name, f"leq not reflexive at {d}")
-    for d1, d2 in itertools.permutations(descs, 2):
-        if leq[d1, d2] and leq[d2, d1]:
-            return _fail(params.n, name, f"antisymmetry fails at {d1}, {d2}")
-    for d1, d2, d3 in itertools.product(descs, repeat=3):
-        if leq[d1, d2] and leq[d2, d3] and not leq[d1, d3]:
-            return _fail(
-                params.n, name, f"transitivity fails at {d1} <= {d2} <= {d3}"
-            )
+            if got:
+                ups.add(j)
+        above.append(ups)
+    for i, ups in enumerate(above):
+        if i not in ups:
+            return _fail(params.n, name, f"leq not reflexive at {descs[i]}")
+    for i, ups in enumerate(above):
+        for j in sorted(ups):
+            if j != i and i in above[j]:
+                return _fail(
+                    params.n, name, f"antisymmetry fails at {descs[i]}, {descs[j]}"
+                )
+    for i, ups in enumerate(above):
+        for j in sorted(ups):
+            if not above[j] <= ups:
+                k = min(above[j] - ups)
+                return _fail(
+                    params.n,
+                    name,
+                    f"transitivity fails at {descs[i]} <= {descs[j]} <= {descs[k]}",
+                )
     return _ok(params.n, name)
 
 
@@ -292,16 +304,16 @@ def check_normal_in_supergroup(
     oracle: GroupOracle, lat_normal: Lattice
 ) -> CheckResult:
     """Each normal node is normal inside every node above it, not just in
-    G: conjugation on the oracle's tables, as GroupOracle.is_normal does."""
+    G: the oracle's conjugation rows, as GroupOracle.is_normal reads them."""
     name = "normal-in-supergroup"
     params = oracle.params
-    mult, inv = oracle.mult, oracle.inv
+    conj = oracle.conj
     sets = [oracle.index_set(subgroup_elements(params, d)) for d in lat_normal.nodes]
     for i, ups in enumerate(lat_normal.strictly_below):
         h = sets[i]
         for j in ups:
             for g in sets[j]:
-                if any(mult[mult[inv[g]][x]][g] not in h for x in h):
+                if not h.issuperset(map(conj[g].__getitem__, h)):
                     return _fail(
                         params.n,
                         name,
@@ -442,11 +454,13 @@ def check_fuzzy_axioms(oracle: GroupOracle) -> list[CheckResult]:
         if n <= 2:
             reps.append(rep)
     if failure is None and n <= 2:
-        # the ranks shortcut against the literal all-pairs relation
-        for r1, r2 in itertools.combinations(reps, 2):
-            if equivalent_by_pairs(r1, r2) != (r1.ranks == r2.ranks):
-                failure = "all-pairs equivalence cross-check failed"
-                break
+        # the ranks shortcut against the literal all-pairs relation: equal
+        # patterns exactly when equal ranks, for every pair of maps, is one
+        # pattern per rank tuple and one rank tuple per pattern
+        pats = [comparison_pattern(r) for r in reps]
+        ranks = [r.ranks for r in reps]
+        if not len(set(pats)) == len(set(ranks)) == len(set(zip(pats, ranks))):
+            failure = "all-pairs equivalence cross-check failed"
     want = count_chains(params, "all").fuzzy_count
     classes = (
         _ok(n, "equivalence-classes")

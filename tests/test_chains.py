@@ -64,6 +64,7 @@ def test_single_node_lattice():
         params=GroupParams(1),
         mode="all",
         nodes=(full(1),),
+        orders=(6,),
         top_index=0,
         strictly_below=(frozenset(),),
     )

@@ -36,6 +36,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _assert_same_text(got, want, what):
+    """got == want, failing fast with the first differing offset and a
+    little context around it: pytest's own diff of two megabyte strings
+    runs for minutes."""
+    if got == want:
+        return
+    i = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y),
+             min(len(got), len(want)))
+    lo = max(0, i - 40)
+    pytest.fail(
+        f"{what} differs at offset {i} (lengths {len(got)}, {len(want)}):\n"
+        f"  got  {got[lo:i + 40]!r}\n  want {want[lo:i + 40]!r}",
+        pytrace=False,
+    )
+
+
 def test_count_examples(capsys):
     assert run_cli(capsys, "count", "--n", "1") == (0, "10\n", "")
     assert run_cli(capsys, "count", "--n", "1", "--mode", "normal") == (0, "4\n", "")
@@ -216,9 +232,9 @@ def test_lattice_output_is_the_indent_2_json_of_the_order(capsys, tmp_path, n, m
                                for j in ups),
         "edges_hasse": [list(e) for e in covers],
     }
-    assert out == json.dumps(expected, indent=2) + "\n"
+    _assert_same_text(out, json.dumps(expected, indent=2) + "\n", "lattice JSON")
     dot = dot_path.read_text()
-    assert dot == export_dot(lat)
+    _assert_same_text(dot, export_dot(lat), "lattice DOT")
     assert [line for line in dot.splitlines() if "->" in line] == [
         f"  n{i} -> n{j};" for i, j in covers
     ]

@@ -58,7 +58,8 @@ def test_trivial_subgroup_excluded():
     for n in (1, 2, 6, 12):
         for mode in ("all", "normal"):
             lat = build_lattice(GroupParams(n), mode)
-            assert all(subgroup_order(lat.params, d) > 1 for d in lat.nodes)
+            assert lat.orders == tuple(subgroup_order(lat.params, d) for d in lat.nodes)
+            assert min(lat.orders) > 1
 
 
 def test_mode_validation():
@@ -197,7 +198,7 @@ def _first_difference(a, b):
 def test_write_json_one_node_lattice_writes_empty_pair_lists():
     # F(1) alone: both pair lists are empty and take the "[]" branch
     lat = Lattice(params=GroupParams(1), mode="all", nodes=(full(1),),
-                  top_index=0, strictly_below=(frozenset(),))
+                  orders=(6,), top_index=0, strictly_below=(frozenset(),))
     text = "".join(_written(lat))
     assert text == json.dumps(export_json(lat), indent=2) + "\n"
     assert '"edges_strict": [],' in text and '"edges_hasse": []\n}' in text

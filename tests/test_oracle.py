@@ -12,6 +12,7 @@ from u6n import (
     OracleLimitExceeded,
     all_elements,
     build_lattice,
+    conjugate,
     count_chains,
     cyclic,
     enumerate_normal_subgroups,
@@ -26,6 +27,7 @@ from u6n.oracle import (
     FuzzyMap,
     GroupOracle,
     chain_to_representative,
+    comparison_pattern,
     equivalent,
     equivalent_by_pairs,
     lattice_chains,
@@ -123,6 +125,34 @@ def test_covers_are_exactly_the_inclusions_of_prime_index(n):
                 index = len(family[k]) // len(family[h])
                 prime = all(index % d for d in range(2, index))
                 assert (k in covers) == prime, (n, sorted(family[h]), sorted(family[k]))
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_cayley_table_is_the_literal_product_table(n):
+    # the oracle calls multiply for the rows of b^0, b^1, b^2 only; every
+    # n up to the order limit 300
+    params = GroupParams(n)
+    elems = all_elements(params)
+    index = {x: i for i, x in enumerate(elems)}
+    assert GroupOracle(params).mult == [
+        [index[multiply(params, x, y)] for y in elems] for x in elems
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_is_normal_is_conjugation_by_every_element(n):
+    params = GroupParams(n)
+    oracle = GroupOracle(params)
+    elems = oracle.elements
+    index = {x: i for i, x in enumerate(elems)}
+    assert oracle.conj == [
+        tuple(index[conjugate(params, x, g)] for x in elems) for g in elems
+    ]
+    for h in oracle.subgroups:
+        members = oracle.element_set(h)
+        assert oracle.is_normal(h) == all(
+            conjugate(params, x, g) in members for g in elems for x in members
+        )
 
 
 def test_group_oracle_indices_follow_all_elements():
@@ -327,6 +357,18 @@ def test_equivalence_examples():
     other = chain_to_representative(params, [cyclic(1), full(1)])
     assert not equivalent(mu, other)
     assert not equivalent_by_pairs(mu, other)
+
+
+def test_comparison_pattern_is_the_strict_order_on_grades():
+    params = GroupParams(1)
+    mu = chain_to_representative(params, [full(2), full(1)])
+    pattern = comparison_pattern(mu)
+    order = params.order
+    assert len(pattern) == order * order
+    # F(2) = <b> holds e, b, b^2 at indices 0, 1, 2 with the top grade
+    assert [i for i, p in enumerate(pattern) if p] == [
+        x * order + y for x in range(3) for y in range(3, order)
+    ]
 
 
 def test_equivalence_requires_same_group():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from u6n import ChainCounts, GroupParams, count_chains
+from u6n import ChainCounts, GroupParams, count_chains, cyclic, full, twisted
 from u6n.chains import chain_counts, compute_chain_table
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
@@ -305,6 +305,70 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     assert not result.passed
     assert result.check == "normal-in-supergroup"
     assert result.detail.startswith(f"{node} not normal in ")
+
+
+# U_12's subgroups in catalog order: C(1), C(2), C(4), F(1), F(2), F(4),
+# T(1,1), T(1,2); each law names its first failing pair or triple in that
+# order, as a loop over all pairs or triples would
+@pytest.mark.parametrize(
+    "flipped, detail",
+    [
+        ({(twisted(1, 1), twisted(1, 1))}, "leq not reflexive at T(1,1)"),
+        (
+            {(full(1), twisted(1, 1)), (full(2), cyclic(2))},
+            "antisymmetry fails at C(2), F(2)",
+        ),
+        (
+            {(cyclic(4), full(2)), (cyclic(4), twisted(1, 1))},
+            "transitivity fails at C(4) <= C(2) <= F(2)",
+        ),
+        (
+            {(cyclic(4), full(2)), (cyclic(4), full(1))},
+            "transitivity fails at C(4) <= C(1) <= F(1)",
+        ),
+    ],
+)
+def test_containment_names_the_first_broken_order_law(monkeypatch, flipped, detail):
+    # subgroup_leq negated on the flipped pairs, and element sets whose <=
+    # is that same relation, so only the partial-order laws can fail
+    import u6n.verify as verify_module
+    from u6n.subgroups import subgroup_leq
+
+    params = GroupParams(2)
+
+    def leq(p, d1, d2):
+        return subgroup_leq(p, d1, d2) != ((d1, d2) in flipped)
+
+    class Member:
+        def __init__(self, d):
+            self.d = d
+
+        def __le__(self, other):
+            return leq(params, self.d, other.d)
+
+    monkeypatch.setattr(verify_module, "subgroup_leq", leq)
+    monkeypatch.setattr(verify_module, "subgroup_elements", lambda p, d: Member(d))
+    result = check_containment(params)
+    assert (result.check, result.passed, result.detail) == (
+        "containment-closed-form", False, detail
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fuzzy_axioms_cross_check_catches_a_wrong_pattern(monkeypatch, n):
+    # dropping the pairs (e, y) merges the maps of H < G and {e} < H < G:
+    # e's grade is the top one in both, and only row e tells them apart
+    import u6n.verify as verify_module
+    from u6n.oracle import comparison_pattern
+
+    oracle = GroupOracle(GroupParams(n))
+    for doctored in (lambda mu: (), lambda mu: comparison_pattern(mu)[len(mu.grades):]):
+        monkeypatch.setattr(verify_module, "comparison_pattern", doctored)
+        fuzzy, classes = check_fuzzy_axioms(oracle)
+        assert (fuzzy.check, fuzzy.passed, fuzzy.detail) == (
+            "fuzzy-axioms", False, "all-pairs equivalence cross-check failed"
+        )
+        assert classes.passed
 
 
 def test_shape_vs_lattice_catches_mismatch(monkeypatch):
