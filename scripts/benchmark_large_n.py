@@ -4,8 +4,8 @@ the strict pairs of prime index (see the u6n.lattice docstring), and print
 the cover count, and time the JSON export (write_json, as `u6n lattice`
 writes it) into a sink that only counts its bytes.
 
-count_chains counts from the factorization shape of 2n, with a DP on the
-exponent grid of its 2^e2 * 3^e3 core; the lattice path builds every
+count_chains counts from the factorization shape of 2n, with the closed-form
+zeta polynomial of its 2^e2 * 3^e3 core; the lattice path builds every
 nontrivial subgroup and runs the level DP over the strict order.  The
 default ladder walks up the highly-composite numbers (360360 gives 2n with
 240 divisors and a lattice of 831 nodes), then takes the prime 2^61 - 1

@@ -13,6 +13,7 @@ for small n so the closed forms never go unchecked; import it from
 from .chains import (
     ChainCounts,
     ChainTable,
+    HeightLimitExceeded,
     chain_counts,
     compute_chain_table,
     count_chains,
@@ -64,6 +65,7 @@ __all__ = [
     "Element",
     "FactorizationBudgetExceeded",
     "GroupParams",
+    "HeightLimitExceeded",
     "Kind",
     "Lattice",
     "OracleLimitExceeded",

@@ -16,7 +16,13 @@ import re
 import sys
 from pathlib import Path
 
-from .chains import ChainCounts, count_chains, factorization_shape, shape_chain_counts
+from .chains import (
+    ChainCounts,
+    HeightLimitExceeded,
+    count_chains,
+    factorization_shape,
+    shape_chain_counts,
+)
 from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
 from .lattice import build_lattice, dot_text, hasse_edges, write_json
 from .subgroups import (
@@ -262,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    except FactorizationBudgetExceeded as exc:
+    except (FactorizationBudgetExceeded, HeightLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -373,7 +373,7 @@ def check_dp_vs_dfs(table: ChainTable) -> CheckResult:
 
 
 def check_shape_vs_lattice(table: ChainTable) -> CheckResult:
-    """count_chains (grid DP on the core, times the chain factors) equals
+    """count_chains (the core's closed form, times the chain factors) equals
     the DP over the pairwise strict order of the full lattice."""
     lat = table.lattice
     name = f"shape-vs-lattice[{lat.mode}]"

@@ -1,6 +1,8 @@
 """Chain-counting DP and the derived fuzzy-subgroup counts."""
 
+from itertools import accumulate
 from math import prod
+from operator import add, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,8 +24,14 @@ from u6n import (
     full,
     height,
 )
-from u6n.chains import shape_chain_counts
-from u6n.oracle import oracle_count_chains
+from u6n.chains import (
+    MAX_HEIGHT,
+    HeightLimitExceeded,
+    factorization_shape,
+    shape_chain_counts,
+)
+from u6n.group import DEFAULT_ORACLE_LIMIT
+from u6n.oracle import GroupOracle, oracle_count_chains
 
 # frozen anchor values, confirmed by the exhaustive DFS oracle
 ANCHORS = {
@@ -144,9 +152,95 @@ def test_shape_count_equals_full_lattice(n, mode):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 6), st.sampled_from(["all", "normal"]))
 def test_core_grid_dp_equals_full_lattice(e2, e3, mode):
-    # 2n = 2^e2 * 3^e3: count_chains is the grid DP alone
+    # 2n = 2^e2 * 3^e3: count_chains is the core closed form alone
     n = 2 ** (e2 - 1) * 3**e3
     assert count_chains(GroupParams(n), mode) == _lattice_counts(n, mode)
+
+
+def _prefix_sums(grid: list[list[int]]) -> list[list[int]]:
+    """out[i][j] = sum of grid[i'][j'] over i' <= i and j' <= j."""
+    out, acc = [], [0] * len(grid[0])
+    for row in grid:
+        acc = list(map(add, acc, accumulate(row)))
+        out.append(acc)
+    return out
+
+
+def _core_chain_counts(e2: int, e3: int, mode: str) -> list[int]:
+    """c_1, c_2, ... of the core lattice of 2n' = 2^e2 * 3^e3, on its grid.
+
+    The reference for the closed form: a level DP that applies the grid
+    rules of the u6n.chains docstring directly.  Level k holds, for every
+    nontrivial subgroup H, the number of strictly ascending chains of k+1
+    subgroups from H up to G, and c_(k+1) is its sum.  f, c and g hold one
+    level for F(t), C(t) and T(t, 1) = T(t, 2) at t = 2^i * 3^j, as rows i
+    of columns j; both twisted nodes at a point carry the same value, since
+    b -> b^-1, a -> a swaps them and fixes every other node.
+    """
+    zero = [0] * (e3 + 1)
+    f = [[1] + zero[1:]] + [zero] * e2
+    c = g = [zero] * (e2 + 1)
+    counts = []
+    while total := sum(map(sum, f)) + sum(map(sum, c)) + 2 * sum(map(sum, g)):
+        counts.append(total)
+        pf, pc = _prefix_sums(f), _prefix_sums(c)
+        f = [list(map(sub, p, row)) for p, row in zip(pf, f)]
+        c = [list(map(sub, map(add, p, q), row)) for p, q, row in zip(pf, pc, c)]
+        if mode == "all":
+            pg = _prefix_sums(g)
+            # C at i >= 1 lies below both T at (0, j) and every T at j' < j
+            c[1:] = [
+                [x + 2 * (y + z) for x, y, z in zip(row, g[0], [0] + p[:-1])]
+                for row, p in zip(c[1:], pg[1:])
+            ]
+            # T at i = 0: the odd column above it; T at i >= 1: the column
+            # i' < i above it, which exists only where j < e3
+            new_g = [list(map(add, pf[0], [0] + pg[0][:-1]))]
+            column = zero
+            for p, row in zip(pf[1:], g[1:]):
+                new_g.append(list(map(add, p, column))[:e3] + [0])
+                column = list(map(add, column, row))
+            g = new_g
+        else:
+            c[0] = zero
+        c[e2] = c[e2][:e3] + [0]
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 40), st.sampled_from(["all", "normal"]))
+def test_core_closed_form_equals_grid_dp(e2, e3, mode):
+    assert list(shape_chain_counts(2**e2 * 3**e3, [], mode)) == _core_chain_counts(
+        e2, e3, mode)
+
+
+# the first n of every factorization shape of 2n within the oracle limit
+SHAPE_FIRSTS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27,
+                30, 32, 35, 36, 40, 45, 48, 50]
+
+
+def test_shape_firsts_cover_every_shape():
+    firsts = {}
+    for n in range(1, DEFAULT_ORACLE_LIMIT // 6 + 1):
+        firsts.setdefault(factorization_shape(2 * n), n)
+    assert sorted(firsts.values()) == SHAPE_FIRSTS
+
+
+@pytest.mark.parametrize("n", SHAPE_FIRSTS)
+def test_count_chains_equals_oracle_on_every_shape(n):
+    params = GroupParams(n)
+    oracle = GroupOracle(params)
+    for mode in ("all", "normal"):
+        assert list(count_chains(params, mode).per_length) == oracle.count_set_chains(
+            normal_only=mode == "normal", include_trivial=False), mode
+
+
+def test_height_at_the_limit_answers_and_above_it_raises():
+    # 2n = 2 * 5^a has height a + 2
+    per_length = shape_chain_counts(2, [MAX_HEIGHT - 2], "normal")
+    assert len(per_length) == MAX_HEIGHT and per_length[-1] > 0
+    with pytest.raises(HeightLimitExceeded, match=f"height {MAX_HEIGHT + 1} "):
+        shape_chain_counts(2, [MAX_HEIGHT - 1], "normal")
 
 
 def test_count_chains_builds_no_lattice(monkeypatch):

@@ -24,6 +24,7 @@ from u6n import (
     export_json,
     subgroup_order,
 )
+from u6n.chains import MAX_HEIGHT
 from u6n.cli import CliError, _cmd_count, build_parser, main
 from u6n.oracle import transitive_reduction
 from u6n.subgroups import split_core
@@ -125,6 +126,22 @@ def test_unfactorable_n_exits_1_within_5_s():
     assert result.stderr == (
         f"error: could not factor {n} within budget (4194304 Pollard rho steps)\n"
     )
+
+
+def test_height_above_the_limit_exits_1_within_1_s(capsys):
+    # 2n = 2^2000 * 3^2000: a lattice of height 4001
+    n = str(2**1999 * 3**2000)
+    src = str(Path(u6n.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "u6n.cli", "count", "--n", n],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert time.perf_counter() - start < 1.0
+    message = (f"error: lattice height 4001 is above {MAX_HEIGHT}, "
+               "the largest the chain count answers\n")
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", message)
+    assert run_cli(capsys, "chains", "--n", n) == (1, "", message)
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
