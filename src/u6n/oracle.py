@@ -8,12 +8,12 @@ the table.  Only the rows of b^0, b^1 and b^2 come from multiply, kept as
 they are; since a^u b^v y = a^u (b^v y) and a^u only adds u to the
 a-exponent, row (u, v) is row v with 3u added to each index mod 6n.
 verify.check_group_laws compares every entry with multiply.  Subgroups are
-discovered once by closing generator sets to a fixpoint.  A subgroup is
+discovered once by joining cyclic subgroups of prime-power order to a
+fixpoint.  A subgroup is
 normal iff conjugating it by every group element keeps it inside itself:
 the conjugation rows g^-1 x g are read off the table once, on first use,
 and each subgroup is tested once against every row, with no generator
-shortcut.  Discovery extends a subgroup H by one g per right coset Hg,
-since <H, g> = <H, x g> for x in H.  Chains are listed by explicit
+shortcut.  Chains are listed by explicit
 depth-first search, over the oracle's own index sets
 (GroupOracle.set_chains) or over a catalog lattice (lattice_chains).
 Fuzzy subgroups are materialized as exact rational grade maps, one grade
@@ -87,7 +87,6 @@ class GroupOracle:
                               for shift in range(3, order, 3) for row in b_rows]
         self.inv = [_index(inverse(params, x)) for x in elements]
         self.identity = _index(identity(params))
-        self._subgroups: list[frozenset[int]] | None = None
         self._normal: dict[frozenset[int], bool] = {}
 
     def index_set(self, elements: Iterable[Element]) -> frozenset[int]:
@@ -113,12 +112,37 @@ class GroupOracle:
             frontier = nxt
         return frozenset(seen)
 
-    @property
+    @cached_property
     def subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, {e} and the whole group included, by size."""
-        if self._subgroups is None:
-            self._subgroups = _discover_subgroups(self)
-        return self._subgroups
+        """Every subgroup, {e} and the whole group included, by size.
+
+        Seeds with the distinct cyclic subgroups <g>, one generator kept
+        for each, then joins every found H with every cyclic subgroup c
+        of prime-power order not inside it until nothing new appears.
+        An element of order p^i q^j ... is the product of powers of itself
+        of orders p^i, q^j, ..., so a subgroup is the join of the cyclic
+        subgroups of prime-power order inside it, and is reached by adding
+        them one at a time; <H, c> needs only one generator of c.
+        """
+        found: dict[frozenset[int], tuple[int, ...]] = {}
+        cyclic: list[tuple[frozenset[int], int]] = []
+        for g in range(len(self.mult)):
+            c = self.generated((g,))
+            if c not in found:
+                found[c] = (g,)
+                if len(trial_division_factorize(len(c))) <= 1:
+                    cyclic.append((c, g))
+        work = list(found)
+        while work:
+            h = work.pop()
+            gens = found[h]
+            for c, g in cyclic:
+                if not c <= h:
+                    joined = self.generated(gens + (g,))
+                    if joined not in found:
+                        found[joined] = gens + (g,)
+                        work.append(joined)
+        return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     @cached_property
     def conj(self) -> list[tuple[int, ...]]:
@@ -136,7 +160,7 @@ class GroupOracle:
             )
         return self._normal[h]
 
-    @property
+    @cached_property
     def normal_subgroups(self) -> list[frozenset[int]]:
         return [h for h in self.subgroups if self.is_normal(h)]
 
@@ -214,39 +238,6 @@ def trial_division_factorize(m: int) -> list[tuple[int, int]]:
     if m > 1:
         out.append((m, 1))
     return out
-
-
-def _discover_subgroups(group: GroupOracle) -> list[frozenset[int]]:
-    """Fixpoint closure discovery over element indices.
-
-    Seeds with every cyclic subgroup, then repeatedly extends a known
-    subgroup by an outside element and closes again.  Any subgroup is
-    reachable this way: grow a generating set one element at a time.
-    One g per right coset Hg suffices: for x in H, x g is in <H, g> and
-    g = x^-1 (x g) is in <H, x g>, so <H, g> = <H, x g>.
-    """
-    mult = group.mult
-    size = len(mult)
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    work: list[frozenset[int]] = []
-    for g in range(size):
-        h = group.generated((g,))
-        if h not in found:
-            found[h] = (g,)
-            work.append(h)
-    while work:
-        h = work.pop()
-        gens = found[h]
-        tried = set(h)
-        for g in range(size):
-            if g in tried:
-                continue
-            tried.update(mult[x][g] for x in h)
-            extended = group.generated(gens + (g,))
-            if extended not in found:
-                found[extended] = gens + (g,)
-                work.append(extended)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def _chains_from(

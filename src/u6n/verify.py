@@ -11,7 +11,8 @@ oracle limit, and one Lattice and one ChainTable per mode.  The oracle limit is 
 gate of every exhaustive check: the group laws, membership, containment,
 subgroup closure, normal-in-supergroup, the oracle families and the fuzzy
 checks are skipped above it, whatever fuzzy_n_max says.  Under it the
-checks keep their own cost gates (n <= 4, n <= 6, fuzzy_n_max).
+checks keep their own cost gates (n <= 4, n <= 6, fuzzy_n_max), and
+set-chains runs at the first n of each factorization shape of 2n.
 
 The group laws run on the oracle's tables once the tables are shown to
 be multiply and inverse.  The fuzzy-axioms and equivalence-classes
@@ -506,15 +507,23 @@ def run_verification(
     fuzzy_n_max: int = 4,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> list[CheckResult]:
-    """The full battery for n = 1..n_max, each check gated by its cost."""
+    """The full battery for n = 1..n_max, each check gated by its cost.
+
+    set-chains runs once per factorization shape of 2n, at the first
+    n <= n_max of that shape: count_chains depends on n only through the
+    shape, so that one oracle comparison covers every n sharing it."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if fuzzy_n_max < 0 or oracle_limit < 0:
         raise ValueError("fuzzy_n_max and oracle_limit must be nonnegative")
     results: list[CheckResult] = []
     fuzzy_counts: dict[int, tuple[int, ...]] = {}
+    shapes: set[tuple[int, tuple[int, ...]]] = set()
     for n in range(1, n_max + 1):
         params = GroupParams(n)
+        shape = factorization_shape(2 * n)
+        first_of_shape = shape not in shapes
+        shapes.add(shape)
         oracle = (
             GroupOracle(params, oracle_limit)
             if params.order <= oracle_limit else None
@@ -538,7 +547,7 @@ def run_verification(
             results.append(check_hasse_closure(lat))
             results.append(check_dp_vs_dfs(table))
             results.append(check_shape_vs_lattice(table))
-            if n <= 6 and oracle is not None:
+            if first_of_shape and oracle is not None:
                 results.append(check_set_chains(oracle, lat.mode))
         if n <= fuzzy_n_max and oracle is not None:
             results.extend(check_fuzzy_axioms(oracle))

@@ -200,6 +200,19 @@ def test_oracle_limit_gates_the_fuzzy_checks():
         assert f"n=6 {check}" not in labels
 
 
+def test_set_chains_run_once_per_factorization_shape():
+    # only the first n <= 16 of each shape of 2n meets the oracle: 7, 11
+    # and 13 share the shape of 5, and 14 that of 10
+    results = run_verification(16)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    ran = {r.n for r in results if r.check.startswith("set-chains[")}
+    assert ran == {1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16}
+    labels = {f"n={r.n} {r.check}" for r in results}
+    for n in (8, 9, 10, 12, 15, 16):
+        assert f"n={n} set-chains[all]" in labels
+        assert f"n={n} set-chains[normal]" in labels
+
+
 def test_one_lattice_and_chain_table_per_n_and_mode(monkeypatch):
     import u6n.verify as verify_module
 
