@@ -6,13 +6,16 @@ DP, and reports a counterexample on mismatch.
 
 run_verification computes each object once per n and hands every check
 the object it checks: one GroupOracle (integer Cayley table, conjugation
-rows, subgroup family, normality flags) when the group is within the
-oracle limit, and one Lattice and one ChainTable per mode.  The oracle limit is the one
-gate of every exhaustive check: the group laws, membership, containment,
-subgroup closure, normal-in-supergroup, the oracle families and the fuzzy
-checks are skipped above it, whatever fuzzy_n_max says.  Under it the
-checks keep their own cost gates (n <= 4, n <= 6, fuzzy_n_max), and
-set-chains runs at the first n of each factorization shape of 2n.
+rows, subgroup family, normality flags) and one catalog_sets map from the
+catalog's descriptors to the oracle's index sets when the group is within
+the oracle limit, and one Lattice and one ChainTable per mode.  The oracle
+limit is the one gate of every exhaustive check: the group laws,
+membership, containment, subgroup closure, normal-in-supergroup, the
+oracle families and the fuzzy checks are skipped above it, whatever
+fuzzy_n_max says.  Under it the group laws keep n <= 4 and the fuzzy
+checks fuzzy_n_max; membership, containment, subgroup closure,
+normal-in-supergroup and set-chains run at the first n of each
+factorization shape of 2n.
 
 The group laws run on the oracle's tables once the tables are shown to
 be multiply and inverse.  The fuzzy-axioms and equivalence-classes
@@ -26,6 +29,7 @@ No result depends on an assert statement, so python -O reports the same.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +43,6 @@ from .chains import (
 from .group import (
     DEFAULT_ORACLE_LIMIT,
     GroupParams,
-    all_elements,
     format_element,
     inverse,
     multiply,
@@ -53,6 +56,7 @@ from .oracle import (
     representative_from_sets,
 )
 from .subgroups import (
+    SubgroupDescriptor,
     contains_element,
     divisors,
     enumerate_normal_subgroups,
@@ -143,14 +147,26 @@ def check_count_formula(params: GroupParams) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_subgroup_family(oracle: GroupOracle) -> CheckResult:
+CatalogSets = dict[SubgroupDescriptor, frozenset[int]]
+
+
+def catalog_sets(oracle: GroupOracle) -> CatalogSets:
+    """Each catalog descriptor, in catalog order, with its element set as
+    oracle indices.  The one place where descriptors meet the oracle."""
+    params = oracle.params
+    return {
+        d: oracle.index_set(subgroup_elements(params, d))
+        for d in enumerate_subgroups(params)
+    }
+
+
+def check_subgroup_family(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
     """Catalog element sets == closure-discovered subgroup family, and no
     two descriptors name the same set."""
     name = "subgroups-vs-oracle"
     params = oracle.params
-    descs = enumerate_subgroups(params)
-    catalog = {oracle.index_set(subgroup_elements(params, d)) for d in descs}
-    if len(catalog) < len(descs):
+    catalog = set(sets.values())
+    if len(catalog) < len(sets):
         return _fail(params.n, name, "descriptor element sets collide")
     discovered = set(oracle.subgroups)
     if catalog != discovered:
@@ -162,18 +178,21 @@ def check_subgroup_family(oracle: GroupOracle) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_normal_family(oracle: GroupOracle) -> CheckResult:
+def check_normal_family(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
     """Normal catalog == conjugation-filtered oracle list, kind by kind."""
     name = "normality-vs-oracle"
     params = oracle.params
-    normal_descs = set(enumerate_normal_subgroups(params))
-    for d in enumerate_subgroups(params):
-        expected = d in normal_descs
-        h = oracle.index_set(subgroup_elements(params, d))
+    normal_descs = enumerate_normal_subgroups(params)
+    missing = next((d for d in normal_descs if d not in sets), None)
+    if missing is not None:
+        return _fail(params.n, name, f"normal {missing} is not in the catalog")
+    normal = set(normal_descs)
+    for d, h in sets.items():
+        expected = d in normal
         if oracle.is_normal(h) != expected:
             verdict = "should be normal" if expected else "should not be normal"
             return _fail(params.n, name, f"{d} {verdict} per conjugation")
-    catalog = {oracle.index_set(subgroup_elements(params, d)) for d in normal_descs}
+    catalog = {sets[d] for d in normal_descs}
     discovered = set(oracle.normal_subgroups)
     if catalog != discovered:
         diff = next(iter(catalog.symmetric_difference(discovered)))
@@ -186,30 +205,30 @@ def check_normal_family(oracle: GroupOracle) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_membership(params: GroupParams) -> CheckResult:
+def check_membership(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
     """contains_element == literal element-set membership."""
     name = "membership-closed-form"
-    for d in enumerate_subgroups(params):
-        members = subgroup_elements(params, d)
-        for x in all_elements(params):
-            if contains_element(params, d, x) != (x in members):
+    params = oracle.params
+    for d, h in sets.items():
+        for i, x in enumerate(oracle.elements):
+            if contains_element(params, d, x) != (i in h):
                 return _fail(
                     params.n, name, f"{d} disagrees at {format_element(x)}"
                 )
     return _ok(params.n, name)
 
 
-def check_containment(params: GroupParams) -> CheckResult:
+def check_containment(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
     """subgroup_leq == element-set inclusion, and partial-order laws."""
     name = "containment-closed-form"
-    descs = enumerate_subgroups(params)
-    sets = [subgroup_elements(params, d) for d in descs]
+    params = oracle.params
+    descs = list(sets)
     # above[i]: every j with leq(descs[i], descs[j]); each law below names
     # the first failing pair or triple in index order
     above: list[set[int]] = []
-    for d1, s1 in zip(descs, sets):
+    for d1, s1 in sets.items():
         ups = set()
-        for j, (d2, s2) in enumerate(zip(descs, sets)):
+        for j, (d2, s2) in enumerate(sets.items()):
             got = subgroup_leq(params, d1, d2)
             if got != (s1 <= s2):
                 return _fail(params.n, name, f"leq({d1}, {d2}) = {got} is wrong")
@@ -237,14 +256,13 @@ def check_containment(params: GroupParams) -> CheckResult:
     return _ok(params.n, name)
 
 
-def check_subgroup_closure(oracle: GroupOracle) -> CheckResult:
+def check_subgroup_closure(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
     """Each catalog element set is the subgroup it generates on the
     oracle's table: it holds e and is closed under products (and so under
     inverses, the group being finite)."""
     name = "subgroup-closure"
     params = oracle.params
-    for d in enumerate_subgroups(params):
-        h = oracle.index_set(subgroup_elements(params, d))
+    for d, h in sets.items():
         closure = oracle.generated(tuple(h))
         if closure != h:
             return _fail(
@@ -276,16 +294,15 @@ def check_lattice_order_laws(lat: Lattice) -> CheckResult:
 
 
 def check_normal_restriction(
-    oracle: GroupOracle, lat_all: Lattice, lat_normal: Lattice
+    oracle: GroupOracle, sets: CatalogSets, lat_all: Lattice, lat_normal: Lattice
 ) -> CheckResult:
     """Normal lattice == full lattice restricted to oracle-normal nodes."""
     name = "normal-restriction"
     params = oracle.params
     normal_sets = {h for h in oracle.normal_subgroups if len(h) > 1}
-    want_nodes = {
-        d for d in lat_all.nodes
-        if oracle.index_set(subgroup_elements(params, d)) in normal_sets
-    }
+    # a node missing from the catalog is not oracle-normal, so a normal one
+    # shows up as a node mismatch
+    want_nodes = {d for d in lat_all.nodes if sets.get(d) in normal_sets}
     if set(lat_normal.nodes) != want_nodes:
         diff = next(iter(set(lat_normal.nodes) ^ want_nodes))
         return _fail(params.n, name, f"node mismatch at {diff}")
@@ -302,18 +319,21 @@ def check_normal_restriction(
 
 
 def check_normal_in_supergroup(
-    oracle: GroupOracle, lat_normal: Lattice
+    oracle: GroupOracle, sets: CatalogSets, lat_normal: Lattice
 ) -> CheckResult:
     """Each normal node is normal inside every node above it, not just in
     G: the oracle's conjugation rows, as GroupOracle.is_normal reads them."""
     name = "normal-in-supergroup"
     params = oracle.params
     conj = oracle.conj
-    sets = [oracle.index_set(subgroup_elements(params, d)) for d in lat_normal.nodes]
+    missing = next((d for d in lat_normal.nodes if d not in sets), None)
+    if missing is not None:
+        return _fail(params.n, name, f"normal {missing} is not in the catalog")
+    node_sets = [sets[d] for d in lat_normal.nodes]
     for i, ups in enumerate(lat_normal.strictly_below):
-        h = sets[i]
+        h = node_sets[i]
         for j in ups:
-            for g in sets[j]:
+            for g in node_sets[j]:
                 if not h.issuperset(map(conj[g].__getitem__, h)):
                     return _fail(
                         params.n,
@@ -394,21 +414,24 @@ def check_set_chains(oracle: GroupOracle, mode: str) -> CheckResult:
     the with-trivial total is exactly twice the proper total."""
     name = f"set-chains[{mode}]"
     params = oracle.params
-    normal_only = mode == "normal"
     counts = count_chains(params, mode)
-    proper = oracle.count_set_chains(normal_only=normal_only, include_trivial=False)
+    # one walk, {e} included: {e} is the least subgroup, so the chains that
+    # do not start at it are exactly the proper chains; the rest count at 0
+    lengths = Counter(
+        len(chain) if len(chain[0]) > 1 else 0
+        for chain in oracle.set_chains(mode == "normal", include_trivial=True)
+    )
+    total = sum(lengths.values())
+    proper = [lengths[k] for k in range(1, max(lengths) + 1)]
     if proper != list(counts.per_length):
         return _fail(
             params.n, name, f"set DFS {proper} != count_chains {list(counts.per_length)}"
         )
-    with_trivial = oracle.count_set_chains(
-        normal_only=normal_only, include_trivial=True
-    )
-    if sum(with_trivial) != counts.fuzzy_count:
+    if total != counts.fuzzy_count:
         return _fail(
             params.n,
             name,
-            f"all-chain total {sum(with_trivial)} != doubled proper total "
+            f"all-chain total {total} != doubled proper total "
             f"{counts.fuzzy_count}",
         )
     return _ok(params.n, name)
@@ -509,9 +532,11 @@ def run_verification(
 ) -> list[CheckResult]:
     """The full battery for n = 1..n_max, each check gated by its cost.
 
-    set-chains runs once per factorization shape of 2n, at the first
-    n <= n_max of that shape: count_chains depends on n only through the
-    shape, so that one oracle comparison covers every n sharing it."""
+    set-chains and the four Element-level checks (membership, containment,
+    subgroup closure, normal-in-supergroup) run once per factorization
+    shape of 2n, at the first n <= n_max of that shape: count_chains
+    depends on n only through the shape, and the subgroup lattice has the
+    same form for every n sharing it."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if fuzzy_n_max < 0 or oracle_limit < 0:
@@ -532,16 +557,17 @@ def run_verification(
         tables = [compute_chain_table(lat) for lat in lats]
         results.append(check_count_formula(params))
         if oracle is not None:
+            sets = catalog_sets(oracle)
             if n <= 4:
                 results.append(check_group_laws(oracle))
-            results.append(check_subgroup_family(oracle))
-            results.append(check_normal_family(oracle))
-            results.append(check_normal_restriction(oracle, lat_all, lat_normal))
-            if n <= 6:
-                results.append(check_membership(params))
-                results.append(check_containment(params))
-                results.append(check_subgroup_closure(oracle))
-                results.append(check_normal_in_supergroup(oracle, lat_normal))
+            results.append(check_subgroup_family(oracle, sets))
+            results.append(check_normal_family(oracle, sets))
+            results.append(check_normal_restriction(oracle, sets, lat_all, lat_normal))
+            if first_of_shape:
+                results.append(check_membership(oracle, sets))
+                results.append(check_containment(oracle, sets))
+                results.append(check_subgroup_closure(oracle, sets))
+                results.append(check_normal_in_supergroup(oracle, sets, lat_normal))
         for lat, table in zip(lats, tables):
             results.append(check_lattice_order_laws(lat))
             results.append(check_hasse_closure(lat))

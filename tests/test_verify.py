@@ -1,13 +1,18 @@
 """The verification battery itself: green on the real code, loud on bugs."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from u6n import ChainCounts, GroupParams, count_chains, cyclic, full, twisted
 from u6n.chains import chain_counts, compute_chain_table
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
+from u6n.subgroups import enumerate_subgroups
 from u6n.verify import (
     CheckResult,
+    catalog_sets,
     check_containment,
     check_count_formula,
     check_divisor_shape_dependence,
@@ -74,8 +79,10 @@ def test_individual_checks_pass():
     params = GroupParams(3)
     assert check_group_laws(GroupOracle(params)).passed
     assert check_count_formula(params).passed
-    assert check_subgroup_family(GroupOracle(params, 300)).passed
-    assert check_containment(params).passed
+    oracle = GroupOracle(params, 300)
+    sets = catalog_sets(oracle)
+    assert check_subgroup_family(oracle, sets).passed
+    assert check_containment(oracle, sets).passed
     assert check_dp_vs_dfs(_table(3, "all")).passed
     assert check_shape_vs_lattice(_table(35, "normal")).passed
     results = check_fuzzy_axioms(GroupOracle(params))
@@ -164,14 +171,12 @@ def test_group_laws_catch_a_non_canonical_product(monkeypatch, shift):
     assert result.detail == "table differs from multiply at (a, b)"
 
 
-def test_subgroup_family_reports_colliding_descriptors(monkeypatch):
-    import u6n.verify as verify_module
-
-    real = verify_module.enumerate_subgroups
-    monkeypatch.setattr(
-        verify_module, "enumerate_subgroups", lambda params: real(params) + real(params)[:1]
-    )
-    result = check_subgroup_family(GroupOracle(GroupParams(3)))
+def test_subgroup_family_reports_colliding_descriptors():
+    oracle = GroupOracle(GroupParams(3))
+    sets = catalog_sets(oracle)
+    first, second = list(sets)[:2]
+    sets[second] = sets[first]
+    result = check_subgroup_family(oracle, sets)
     assert not result.passed
     assert result.detail == "descriptor element sets collide"
 
@@ -205,12 +210,86 @@ def test_set_chains_run_once_per_factorization_shape():
     # and 13 share the shape of 5, and 14 that of 10
     results = run_verification(16)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+    first_of_shape = {1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16}
     ran = {r.n for r in results if r.check.startswith("set-chains[")}
-    assert ran == {1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16}
+    assert ran == first_of_shape
     labels = {f"n={r.n} {r.check}" for r in results}
     for n in (8, 9, 10, 12, 15, 16):
         assert f"n={n} set-chains[all]" in labels
         assert f"n={n} set-chains[normal]" in labels
+    # the Element-level checks take the same gate
+    for check in (
+        "membership-closed-form",
+        "containment-closed-form",
+        "subgroup-closure",
+        "normal-in-supergroup",
+    ):
+        assert {r.n for r in results if r.check == check} == first_of_shape
+        for n in (7, 11, 13, 14):
+            assert f"n={n} {check}" not in labels
+
+
+def test_catalog_sets_once_per_n_and_one_oracle_walk_per_chain_check(monkeypatch):
+    # each catalog descriptor becomes an element set once per n, and each
+    # set-chains or fuzzy-axioms check walks the oracle's chains once
+    import u6n.verify as verify_module
+
+    converted = []
+    real_elements = verify_module.subgroup_elements
+
+    def counting_elements(params, d):
+        converted.append(params.n)
+        return real_elements(params, d)
+
+    walks = []
+    real_walk = GroupOracle.set_chains
+
+    def counting_walk(self, *args, **kwargs):
+        walks.append(self.params.n)
+        return real_walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "subgroup_elements", counting_elements)
+    monkeypatch.setattr(GroupOracle, "set_chains", counting_walk)
+    results = run_verification(8)
+    assert all(r.passed for r in results)
+    assert {n: converted.count(n) for n in range(1, 9)} == {
+        n: len(enumerate_subgroups(GroupParams(n))) for n in range(1, 9)
+    }
+    chain_checks = [
+        r.n for r in results
+        if r.check.startswith("set-chains[") or r.check == "fuzzy-axioms"
+    ]
+    assert sorted(walks) == sorted(chain_checks)
+    # two modes at the 7 first-of-shape n <= 8, fuzzy-axioms at n <= 4
+    assert len(walks) == 2 * 7 + 4
+
+
+def test_a_normal_descriptor_missing_from_the_catalog_is_a_failure(monkeypatch):
+    # F(2) left out of the catalog but kept in the normal list: every check
+    # that looks it up reports it, and the battery still runs to the end
+    import u6n.verify as verify_module
+
+    want = [f"n={r.n} {r.check}" for r in run_verification(2)]
+    monkeypatch.setattr(
+        verify_module, "enumerate_subgroups",
+        lambda p: [d for d in enumerate_subgroups(p) if d != full(2)],
+    )
+    results = run_verification(2)
+    assert [f"n={r.n} {r.check}" for r in results] == want
+    failed = {r.check: r.detail for r in results if r.n == 2 and not r.passed}
+    assert failed["normality-vs-oracle"] == "normal F(2) is not in the catalog"
+    assert failed["normal-in-supergroup"] == "normal F(2) is not in the catalog"
+    assert failed["normal-restriction"] == "node mismatch at F(2)"
+
+
+def test_every_benchmark_label_runs_and_passes():
+    # the benchmark's verify workload expects each of these labels to pass
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "frozen_table.json"
+    labels = json.loads(path.read_text())["verify"]
+    for n_max in (12, 16):
+        got = {f"n={r.n} {r.check}": r.passed for r in run_verification(n_max)}
+        missing = [lbl for lbl in labels[str(n_max)] if got.get(lbl) is not True]
+        assert not missing, (n_max, missing)
 
 
 def test_one_lattice_and_chain_table_per_n_and_mode(monkeypatch):
@@ -250,71 +329,49 @@ def test_one_group_oracle_per_n_within_the_limit(monkeypatch):
 
 def test_oracle_checks_name_the_missing_subgroup(monkeypatch):
     import u6n.verify as verify_module
-    from u6n.subgroups import enumerate_normal_subgroups, enumerate_subgroups, full
+    from u6n.subgroups import enumerate_normal_subgroups
 
     params = GroupParams(2)
     oracle = GroupOracle(params, 300)
     # drop the normal subgroup F(2) = <a^2, b> from the catalog
-    monkeypatch.setattr(
-        verify_module, "enumerate_subgroups",
-        lambda p: [d for d in enumerate_subgroups(p) if d != full(2)],
-    )
-    result = check_subgroup_family(oracle)
+    sets = {d: h for d, h in catalog_sets(oracle).items() if d != full(2)}
+    result = check_subgroup_family(oracle, sets)
     assert not result.passed
     assert result.detail == "oracle-only subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
     monkeypatch.setattr(
         verify_module, "enumerate_normal_subgroups",
         lambda p: [d for d in enumerate_normal_subgroups(p) if d != full(2)],
     )
-    result = check_normal_family(oracle)
+    result = check_normal_family(oracle, sets)
     assert not result.passed
     assert result.detail == (
         "oracle-only normal subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
     )
 
 
-def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
-    import u6n.verify as verify_module
-    from u6n.group import identity
-    from u6n.subgroups import (
-        enumerate_normal_subgroups,
-        enumerate_subgroups,
-        subgroup_elements,
-    )
+def test_closure_checks_catch_a_corrupted_catalog_set():
+    from u6n.subgroups import enumerate_normal_subgroups
 
     params = GroupParams(2)
     oracle = GroupOracle(params)
     lat = build_lattice(params, "normal")
-    assert check_subgroup_closure(oracle).passed
-    assert check_normal_in_supergroup(oracle, lat).passed
+    sets = catalog_sets(oracle)
+    assert check_subgroup_closure(oracle, sets).passed
+    assert check_normal_in_supergroup(oracle, sets, lat).passed
     # drop a non-identity element from a subgroup of order >= 3: x = y (y^-1 x)
     # with both factors kept, so the set is no longer product-closed
-    bad = next(
-        d for d in enumerate_subgroups(params)
-        if len(subgroup_elements(params, d)) >= 3
-    )
-    dropped = next(
-        x for x in subgroup_elements(params, bad) if x != identity(params)
-    )
-    monkeypatch.setattr(
-        verify_module, "subgroup_elements",
-        lambda p, d: subgroup_elements(p, d) - {dropped} if d == bad
-        else subgroup_elements(p, d),
-    )
-    result = check_subgroup_closure(oracle)
+    bad = next(d for d, h in sets.items() if len(h) >= 3)
+    dropped = next(x for x in sets[bad] if x != oracle.identity)
+    result = check_subgroup_closure(oracle, {**sets, bad: sets[bad] - {dropped}})
     assert not result.passed
     assert result.check == "subgroup-closure"
     assert str(bad) in result.detail
     # give a normal node the elements of a non-normal subgroup: conjugation
     # by the whole group, a node above it, moves them
     normal = set(enumerate_normal_subgroups(params))
-    outsider = next(d for d in enumerate_subgroups(params) if d not in normal)
+    outsider = next(d for d in sets if d not in normal)
     node = lat.nodes[next(i for i, ups in enumerate(lat.strictly_below) if ups)]
-    monkeypatch.setattr(
-        verify_module, "subgroup_elements",
-        lambda p, d: subgroup_elements(p, outsider if d == node else d),
-    )
-    result = check_normal_in_supergroup(oracle, lat)
+    result = check_normal_in_supergroup(oracle, {**sets, node: sets[outsider]}, lat)
     assert not result.passed
     assert result.check == "normal-in-supergroup"
     assert result.detail.startswith(f"{node} not normal in ")
@@ -360,8 +417,8 @@ def test_containment_names_the_first_broken_order_law(monkeypatch, flipped, deta
             return leq(params, self.d, other.d)
 
     monkeypatch.setattr(verify_module, "subgroup_leq", leq)
-    monkeypatch.setattr(verify_module, "subgroup_elements", lambda p, d: Member(d))
-    result = check_containment(params)
+    sets = {d: Member(d) for d in enumerate_subgroups(params)}
+    result = check_containment(GroupOracle(params), sets)
     assert (result.check, result.passed, result.detail) == (
         "containment-closed-form", False, detail
     )
