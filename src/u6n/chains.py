@@ -29,7 +29,8 @@ height, and inverts.  The cost does not depend on the divisors of m.
 The core zeta polynomial has a closed form.  Node (kind, t, s) with
 t = 2^i * 3^j sits at point (i, j) of the exponent grid of
 2n' = 2^E2 * 3^E3; a node above it has t' | t, so i' <= i and j' <= j.
-The rules of _strict_order_edges in lattice.py become rules on the grid:
+The containment rule subgroup_leq, which build_lattice applies pairwise,
+becomes rules on the grid:
 
   nodes     F at every point; C at every point but (E2, E3), which is
             the trivial subgroup, and in normal mode only where i >= 1;

@@ -204,7 +204,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _params(args.n_max)  # the same "n must be at least 1" as --n
+    if args.n_max < 1:
+        raise CliError(f"--n-max must be at least 1, got {args.n_max}")
     for flag, value in (("--fuzzy-n-max", args.fuzzy_n_max),
                         ("--oracle-limit", args.oracle_limit)):
         if value < 0:

@@ -15,10 +15,13 @@ a^t b^s is a^(pt) b^(ps): T(p*t, s*p mod 3) lies in T(t, s), and a prime
 p = 2 mod 3 swaps s.  As u is prime to 3, u * u = 1 mod 3 and the relabel
 is its own inverse.
 
-build_lattice runs the pairwise rule of _strict_order_edges on the small
-core only, including the core's trivial subgroup C(c), which is a proper
-subgroup of U_6n once m > 1, and lifts it to the product.  m = 1 is the
-empty product: every u is 1, and the lift is the identity.
+build_lattice applies the containment rule subgroup_leq pairwise
+(_strict_order_edges) on the small core only, including the core's
+trivial subgroup C(c), which is a proper subgroup of U_6n once m > 1, and
+lifts the order to the product.  m = 1 is the empty product: every u is
+1, and the lift is the identity.  The one split_core call also gives the
+primes of 6n that hasse_edges reads, so 2n is factorized twice in all:
+once for the catalog's divisors and once for the primes of m.
 
 hasse_edges needs no product structure.  U_6n is supersolvable: the
 normal series 1 < <b> < ... < F(t) < F(t/p) < ... < F(1) has factors of
@@ -56,6 +59,7 @@ from .subgroups import (
     enumerate_subgroups,
     format_descriptor,
     split_core,
+    subgroup_leq,
     subgroup_order,
 )
 
@@ -65,6 +69,8 @@ MODES = ("all", "normal")
 @dataclass(frozen=True)
 class Lattice:
     params: GroupParams
+    #: the primes of 6n: 2, 3 and the primes p >= 5 of 2n
+    primes: tuple[int, ...]
     mode: str
     nodes: tuple[SubgroupDescriptor, ...]
     #: orders[i] = subgroup_order of nodes[i]
@@ -75,41 +81,24 @@ class Lattice:
 
 
 def _strict_order_edges(nodes: tuple[SubgroupDescriptor, ...]) -> list[set[int]]:
-    """Successor sets of the strict containment order.
+    """Successor sets of the strict containment order under subgroup_leq.
 
-    Grouping nodes by their divisor t and walking only the pairs with
-    t2 | t1 evaluates the same generator-membership rule as subgroup_leq
-    while skipping the quadratically many incomparable pairs; the test
-    suite checks the result against the naive all-pairs loop.
+    Grouping nodes by their divisor t and testing only the pairs with
+    t2 | t1 skips the quadratically many incomparable pairs.
     """
-    by_t: dict[int, list[tuple[int, Kind, int]]] = {}
+    by_t: dict[int, list[int]] = {}
     for i, d in enumerate(nodes):
-        by_t.setdefault(d.t, []).append((i, d.kind, d.s or 0))
+        by_t.setdefault(d.t, []).append(i)
     above: list[set[int]] = [set() for _ in nodes]
     for t1, group1 in by_t.items():
         for t2, group2 in by_t.items():
             if t1 % t2 != 0:
                 continue
-            k = t1 // t2
-            t2_odd = t2 % 2 == 1
-            km = k % 2 if t2_odd else k % 3
-            for i, kind1, s1 in group1:
-                for j, kind2, s2 in group2:
-                    if i == j:
-                        continue
-                    if kind2 is Kind.FULL:
-                        ok = True
-                    elif kind1 is Kind.FULL:
-                        ok = False  # b never lies in <a^t> or <a^t b^s>
-                    elif kind1 is Kind.CYCLIC:
-                        # a^t1 has trivial b-part
-                        ok = (s2 * km) % 3 == 0 if kind2 is Kind.TWISTED else True
-                    elif kind2 is Kind.CYCLIC:
-                        ok = False  # twisted generator carries b^s1 != e
-                    else:
-                        ok = (s2 * km) % 3 == s1
-                    if ok:
-                        above[i].add(j)
+            for i in group1:
+                d1, ups = nodes[i], above[i]
+                for j in group2:
+                    if i != j and subgroup_leq(d1, nodes[j]):
+                        ups.add(j)
     return above
 
 
@@ -165,10 +154,12 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
     trivial = (Kind.CYCLIC, params.two_n)
     nodes = tuple(d for d in descs if (d.kind, d.t) != trivial)
     top_index = nodes.index(SubgroupDescriptor(Kind.FULL, 1))
-    core, coords = _product_coords(nodes, split_core(params.two_n)[0])
+    core_two_n, rest = split_core(params.two_n)
+    core, coords = _product_coords(nodes, core_two_n)
     above = _lifted_order(coords, _strict_order_edges(core))
     return Lattice(
         params=params,
+        primes=(2, 3, *(p for p, _ in rest)),
         mode=mode,
         nodes=nodes,
         orders=tuple(subgroup_order(params, d) for d in nodes),
@@ -197,18 +188,17 @@ def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
     """Covers (i, j): node j contains node i with nothing strictly between.
 
     The strict pairs of prime index, in both modes (module docstring): for
-    each node and each prime p of 6n (2, 3 and the primes of m), the nodes
-    of p times its order that lie above it.
+    each node and each prime p of 6n (lat.primes), the nodes of p times its
+    order that lie above it.
     """
     orders = lat.orders
     by_order: dict[int, list[int]] = {}
     for j, o in enumerate(orders):
         by_order.setdefault(o, []).append(j)
-    primes = [2, 3] + [p for p, _ in split_core(lat.params.two_n)[1]]
     return {
         (i, j)
         for i, ups in enumerate(lat.strictly_below)
-        for p in primes
+        for p in lat.primes
         for j in by_order.get(orders[i] * p, ())
         if j in ups
     }

@@ -229,7 +229,7 @@ def check_containment(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
     for d1, s1 in sets.items():
         ups = set()
         for j, (d2, s2) in enumerate(sets.items()):
-            got = subgroup_leq(params, d1, d2)
+            got = subgroup_leq(d1, d2)
             if got != (s1 <= s2):
                 return _fail(params.n, name, f"leq({d1}, {d2}) = {got} is wrong")
             if got:
@@ -322,7 +322,8 @@ def check_normal_in_supergroup(
     oracle: GroupOracle, sets: CatalogSets, lat_normal: Lattice
 ) -> CheckResult:
     """Each normal node is normal inside every node above it, not just in
-    G: the oracle's conjugation rows, as GroupOracle.is_normal reads them."""
+    G: every element of the node above lies in the node's normalizer, read
+    off the oracle's conjugation rows as GroupOracle.is_normal reads them."""
     name = "normal-in-supergroup"
     params = oracle.params
     conj = oracle.conj
@@ -331,10 +332,15 @@ def check_normal_in_supergroup(
         return _fail(params.n, name, f"normal {missing} is not in the catalog")
     node_sets = [sets[d] for d in lat_normal.nodes]
     for i, ups in enumerate(lat_normal.strictly_below):
+        if not ups:
+            continue
         h = node_sets[i]
+        normalizer = {
+            g for g, row in enumerate(conj) if h.issuperset(map(row.__getitem__, h))
+        }
         for j in ups:
             for g in node_sets[j]:
-                if not h.issuperset(map(conj[g].__getitem__, h)):
+                if g not in normalizer:
                     return _fail(
                         params.n,
                         name,

@@ -70,6 +70,7 @@ def test_level_table_boundary():
 def test_single_node_lattice():
     lat = Lattice(
         params=GroupParams(1),
+        primes=(2, 3),
         mode="all",
         nodes=(full(1),),
         orders=(6,),

@@ -309,12 +309,46 @@ def test_batch_rows_recompute(capsys):
         ("chains", "--n", "1", "--parallel"),
         ("verify", "--n-max", "3", "--oracle-limit", "-5"),
         ("verify", "--n-max", "3", "--fuzzy-n-max", "-1"),
+        ("verify", "--n-max", "0"),
     ],
 )
 def test_invalid_input_exits_1(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n-max", "0"), "--n-max must be at least 1, got 0"),
+        (("--n-max", "3", "--fuzzy-n-max", "-1"),
+         "--fuzzy-n-max must be at least 0, got -1"),
+        (("--n-max", "3", "--oracle-limit", "-5"),
+         "--oracle-limit must be at least 0, got -5"),
+    ],
+)
+def test_verify_bad_argument_names_its_flag(capsys, argv, message):
+    assert run_cli(capsys, "verify", *argv) == (1, "", message + "\n")
+
+
+def test_lattice_factorizes_2n_twice(capsys, monkeypatch):
+    # once for the catalog's divisors, once in split_core for the primes of
+    # m, which hasse_edges reads off the lattice instead of factorizing again
+    calls = []
+    real = u6n.subgroups.factorize
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(u6n.subgroups, "factorize", counting)
+    n = 1000003 * 1000033
+    code, out, _ = run_cli(capsys, "lattice", "--n", str(n))
+    assert code == 0
+    assert calls == [2 * n, n]
+    assert out == json.dumps(export_json(build_lattice(GroupParams(n), "all")),
+                             indent=2) + "\n"
 
 
 def test_verify_ok(capsys):

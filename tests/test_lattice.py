@@ -18,8 +18,11 @@ from u6n import (
     subgroup_leq,
     subgroup_order,
 )
+from u6n.chains import factorization_shape
+from u6n.group import DEFAULT_ORACLE_LIMIT
 from u6n.lattice import MODES, Lattice, _strict_order_edges, write_json
-from u6n.oracle import transitive_reduction
+from u6n.oracle import GroupOracle, transitive_reduction
+from u6n.verify import catalog_sets
 
 
 def _strict_pairs(lat):
@@ -77,11 +80,34 @@ def test_grouped_edges_match_pairwise_leq(n, mode):
         frozenset(
             j
             for j, d2 in enumerate(lat.nodes)
-            if i != j and subgroup_leq(params, d1, d2)
+            if i != j and subgroup_leq(d1, d2)
         )
         for i, d1 in enumerate(lat.nodes)
     ]
     assert list(lat.strictly_below) == naive
+
+
+def _shape_firsts():
+    """The first n of each factorization shape of 2n with 6n within the
+    oracle limit."""
+    firsts = {}
+    for n in range(1, DEFAULT_ORACLE_LIMIT // 6 + 1):
+        firsts.setdefault(factorization_shape(2 * n), n)
+    return list(firsts.values())
+
+
+@pytest.mark.parametrize("n", _shape_firsts())
+@pytest.mark.parametrize("mode", MODES)
+def test_strict_order_is_the_oracles_proper_inclusion(n, mode):
+    # the lattice against the oracle's element sets, not against subgroup_leq
+    params = GroupParams(n)
+    lat = build_lattice(params, mode)
+    sets = catalog_sets(GroupOracle(params))
+    node_sets = [sets[d] for d in lat.nodes]
+    for i, h in enumerate(node_sets):
+        assert lat.strictly_below[i] == {
+            j for j, k in enumerate(node_sets) if h < k
+        }, lat.nodes[i]
 
 
 @settings(max_examples=25)
@@ -197,8 +223,9 @@ def _first_difference(a, b):
 
 def test_write_json_one_node_lattice_writes_empty_pair_lists():
     # F(1) alone: both pair lists are empty and take the "[]" branch
-    lat = Lattice(params=GroupParams(1), mode="all", nodes=(full(1),),
-                  orders=(6,), top_index=0, strictly_below=(frozenset(),))
+    lat = Lattice(params=GroupParams(1), primes=(2, 3), mode="all",
+                  nodes=(full(1),), orders=(6,), top_index=0,
+                  strictly_below=(frozenset(),))
     text = "".join(_written(lat))
     assert text == json.dumps(export_json(lat), indent=2) + "\n"
     assert '"edges_strict": [],' in text and '"edges_hasse": []\n}' in text

@@ -253,9 +253,9 @@ def test_subgroup_elements_rejects_bad_descriptor():
 
 
 def test_leq_published_cases():
-    assert subgroup_leq(GroupParams(2), cyclic(2), twisted(1, 1))
-    assert not subgroup_leq(GroupParams(2), cyclic(1), full(2))
-    assert not subgroup_leq(GroupParams(1), full(2), cyclic(1))
+    assert subgroup_leq(cyclic(2), twisted(1, 1))
+    assert not subgroup_leq(cyclic(1), full(2))
+    assert not subgroup_leq(full(2), cyclic(1))
 
 
 @settings(max_examples=30)
@@ -265,7 +265,7 @@ def test_leq_equals_set_inclusion(params):
     sets = {d: subgroup_elements(params, d) for d in descs}
     for d1 in descs:
         for d2 in descs:
-            assert subgroup_leq(params, d1, d2) == (sets[d1] <= sets[d2])
+            assert subgroup_leq(d1, d2) == (sets[d1] <= sets[d2])
 
 
 def test_format_descriptor_is_injective():

@@ -406,15 +406,15 @@ def test_containment_names_the_first_broken_order_law(monkeypatch, flipped, deta
 
     params = GroupParams(2)
 
-    def leq(p, d1, d2):
-        return subgroup_leq(p, d1, d2) != ((d1, d2) in flipped)
+    def leq(d1, d2):
+        return subgroup_leq(d1, d2) != ((d1, d2) in flipped)
 
     class Member:
         def __init__(self, d):
             self.d = d
 
         def __le__(self, other):
-            return leq(params, self.d, other.d)
+            return leq(self.d, other.d)
 
     monkeypatch.setattr(verify_module, "subgroup_leq", leq)
     sets = {d: Member(d) for d in enumerate_subgroups(params)}
