@@ -1,8 +1,12 @@
 """Time factorize and count_chains against the full-lattice build and chain
-DP, and check that the two paths agree; also time hasse_edges, which keeps
-the strict pairs of prime index (see the u6n.lattice docstring), and print
+DP, and check that the two paths agree; also time hasse_edges, which steps
+one product coordinate at a time (see the u6n.lattice docstring), and print
 the cover count, and time the JSON export (write_json, as `u6n lattice`
-writes it) into a sink that only counts its bytes.
+writes it) into a sink that only counts its bytes.  The process's peak RSS
+(ru_maxrss) is printed after the export and before the DP: the DP builds
+the lattice's strict relation, and the peak only grows, so this is the one
+point where it shows what the export path alone needed (the peak so far in
+the whole run, so a later n never reads below an earlier one).
 
 count_chains counts from the factorization shape of 2n, with the closed-form
 zeta polynomial of its 2^e2 * 3^e3 core; the lattice path builds every
@@ -21,6 +25,7 @@ Usage:
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -51,22 +56,23 @@ def bench(n: int) -> bool:
         counted = time.perf_counter()
         lat = build_lattice(params, mode)
         built = time.perf_counter()
-        counts = chain_counts(compute_chain_table(lat))
-        done = time.perf_counter()
         covers = hasse_edges(lat)
         reduced = time.perf_counter()
         sizes = []  # json.dumps escapes to ASCII: one byte per character
         write_json(lat, sorted(covers), lambda chunk: sizes.append(len(chunk)))
         exported = time.perf_counter()
+        export_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        counts = chain_counts(compute_chain_table(lat))
+        done = time.perf_counter()
         same = shape == counts
         agree = agree and same
         print(
             f"n={n} mode={mode}: factorize {factorize_s:.4f}s, "
             f"count_chains {counted - start:.4f}s; "
             f"{len(lat.nodes)} nodes, build {built - counted:.3f}s, "
-            f"dp {done - built:.3f}s, "
-            f"hasse_edges {reduced - done:.3f}s ({len(covers)} covers), "
-            f"export {exported - reduced:.3f}s ({sum(sizes)} bytes); "
+            f"hasse_edges {reduced - built:.3f}s ({len(covers)} covers), "
+            f"export {exported - reduced:.3f}s ({sum(sizes)} bytes), "
+            f"peak RSS {export_rss_mb:.1f} MB, dp {done - exported:.3f}s; "
             f"count has {len(str(counts.fuzzy_count))} digits, "
             f"{'paths agree' if same else 'PATHS DIFFER'}"
         )

@@ -1,6 +1,6 @@
 """Strict containment order on the nontrivial subgroups of U_6n.
 
-Write 2n = c * m with core c = 2^e2 * 3^e3 and gcd(m, 6) = 1 (split_core).
+Write 2n = c * m with core c = 2^e2 * 3^e3 and gcd(m, 6) = 1 (core_of).
 As the chains.py docstring derives, U_6n = U_(c/2) x C_m with coprime
 factor orders, so every subgroup, and every normal subgroup, is a pair
 (x, u): a subgroup x of the core group U_(c/2) times the subgroup of
@@ -17,25 +17,21 @@ is its own inverse.
 
 build_lattice applies the containment rule subgroup_leq pairwise
 (_strict_order_edges) on the small core only, including the core's
-trivial subgroup C(c), which is a proper subgroup of U_6n once m > 1, and
-lifts the order to the product.  m = 1 is the empty product: every u is
-1, and the lift is the identity.  The one split_core call also gives the
-primes of 6n that hasse_edges reads, so 2n is factorized twice in all:
-once for the catalog's divisors and once for the primes of m.
+trivial subgroup C(c), which is a proper subgroup of U_6n once m > 1.
+Lattice.row(i) makes node i's strict successors from the coordinates;
+strictly_below, the whole relation, is built from the rows on first read
+(verify, the level DP), never by the lattice command.  The primes of m
+are the u with just two divisors among the u, so 2n is factorized once,
+for the catalog.  m = 1 is the empty product: every u is 1.
 
-hasse_edges needs no product structure.  U_6n is supersolvable: the
-normal series 1 < <b> < ... < F(t) < F(t/p) < ... < F(1) has factors of
-prime order.  So every maximal subgroup of a subgroup has prime index
-(Huppert 1954), and in the normal lattice every cover is a chief factor,
-of prime order.  With Lagrange's theorem for the converse, a strict pair
-H < K is a cover exactly when |K|/|H| is prime, in both modes.
-
-The lattice stores the full strict relation (every pair H < K), not just
-the Hasse covers, because the chain-counting recurrence sums over all
-strict successors.  For the normal-mode lattice the relation is simply
-the restriction of containment to normal subgroups: every listed normal
-subgroup is normal in the whole group, hence in any subgroup above it
-(the verification suite re-checks this pairwise at small n).
+U_6n is supersolvable: the normal series 1 < <b> < ... < F(t) < F(t/p)
+< ... < F(1) has factors of prime order.  So every maximal subgroup of a
+subgroup has prime index (Huppert 1954), and in the normal lattice every
+cover is a chief factor, of prime order.  With Lagrange's theorem for the
+converse, a strict pair H < K is a cover exactly when |K|/|H| is prime,
+in both modes: a prime step in one coordinate (hasse_edges).  The normal
+lattice is the restriction of containment to normal subgroups, as each is
+normal in every subgroup above it (verify re-checks this at small n).
 
 The lattice command prints json.dumps(export_json(lat), indent=2).  json's
 indent encoder is pure Python, so write_json produces the same bytes with
@@ -49,16 +45,18 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from math import gcd
 
 from .group import GroupParams
 from .subgroups import (
     Kind,
     SubgroupDescriptor,
+    core_of,
     enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
-    split_core,
     subgroup_leq,
     subgroup_order,
 )
@@ -69,15 +67,32 @@ MODES = ("all", "normal")
 @dataclass(frozen=True)
 class Lattice:
     params: GroupParams
-    #: the primes of 6n: 2, 3 and the primes p >= 5 of 2n
-    primes: tuple[int, ...]
     mode: str
     nodes: tuple[SubgroupDescriptor, ...]
     #: orders[i] = subgroup_order of nodes[i]
     orders: tuple[int, ...]
     top_index: int
-    #: strictly_below[i] = indices of the nodes strictly containing node i
-    strictly_below: tuple[frozenset[int], ...]
+    #: coords[i] = (x, u): core node x times the subgroup of index u in C_m
+    coords: tuple[tuple[int, int], ...]
+    #: core_above[x] = the core nodes strictly containing core node x
+    core_above: tuple[tuple[int, ...], ...]
+    #: column[u][x] = the nodes (x, v) for v | u, ascending in v, so the
+    #: last one is node (x, u) itself
+    column: dict[int, list[tuple[int, ...]]]
+
+    def row(self, i: int) -> list[int]:
+        """The nodes strictly containing node (x, u) = coords[i], unsorted:
+        (x, v) for v | u, v != u, and (y, v) for each core y > x and v | u.
+        Each is a node: only the trivial (C(c), m) is not, and it is in no row."""
+        x, u = self.coords[i]
+        column = self.column[u]
+        above = map(column.__getitem__, self.core_above[x])
+        return [*column[x][:-1], *chain.from_iterable(above)]
+
+    @cached_property
+    def strictly_below(self) -> tuple[frozenset[int], ...]:
+        """strictly_below[i] = the set of row(i), built on first use and kept."""
+        return tuple(frozenset(self.row(i)) for i in range(len(self.nodes)))
 
 
 def _strict_order_edges(nodes: tuple[SubgroupDescriptor, ...]) -> list[set[int]]:
@@ -121,28 +136,6 @@ def _product_coords(
     return core, coords
 
 
-def _lifted_order(
-    coords: list[tuple[int, int]], core_above: list[set[int]]
-) -> list[frozenset[int]]:
-    """Successor sets of the product order, from the core's successor sets.
-
-    The successors of (x, u) are (x, v) for v | u, v != u, and (y, v) for
-    every core y > x and v | u.  Every such pair is a node: only the
-    trivial subgroup (C(c), m) is missing, and it lies above nothing.
-    """
-    index = {xu: i for i, xu in enumerate(coords)}
-    divs = sorted({u for _, u in coords})  # every divisor of m, as F(u) is a node
-    # column[i]: nodes (x, v) for v | u, ascending in v, so ending at node i
-    column = [[index[x, v] for v in divs if u % v == 0] for x, u in coords]
-    above = []
-    for i, (x, u) in enumerate(coords):
-        ups = column[i][:-1]
-        for y in core_above[x]:
-            ups += column[index[y, u]]
-        above.append(frozenset(ups))
-    return above
-
-
 def build_lattice(params: GroupParams, mode: str) -> Lattice:
     """Lattice of all (or all normal) subgroups, trivial subgroup excluded."""
     if mode not in MODES:
@@ -154,54 +147,56 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
     trivial = (Kind.CYCLIC, params.two_n)
     nodes = tuple(d for d in descs if (d.kind, d.t) != trivial)
     top_index = nodes.index(SubgroupDescriptor(Kind.FULL, 1))
-    core_two_n, rest = split_core(params.two_n)
-    core, coords = _product_coords(nodes, core_two_n)
-    above = _lifted_order(coords, _strict_order_edges(core))
+    core, coords = _product_coords(nodes, core_of(params.two_n))
+    divs = sorted({u for _, u in coords})  # every divisor of m, as F(u) is a node
+    divs_of = {u: [v for v in divs if u % v == 0] for u in divs}
+    grid = {u: [None] * len(core) for u in divs}  # None: the trivial (C(c), m)
+    for i, (x, u) in enumerate(coords):
+        grid[u][x] = i
     return Lattice(
         params=params,
-        primes=(2, 3, *(p for p, _ in rest)),
         mode=mode,
         nodes=nodes,
         orders=tuple(subgroup_order(params, d) for d in nodes),
         top_index=top_index,
-        strictly_below=tuple(above),
+        coords=tuple(coords),
+        core_above=tuple(map(tuple, _strict_order_edges(core))),
+        column={u: list(zip(*map(grid.__getitem__, vs))) for u, vs in divs_of.items()},
     )
 
 
 def height(lat: Lattice) -> int:
     """Number of nodes on the longest chain ending at the top."""
-    longest: dict[int, int] = {}
-    preds: list[list[int]] = [[] for _ in lat.nodes]
-    for i, ups in enumerate(lat.strictly_below):
-        for j in ups:
-            preds[j].append(i)
-
-    order = sorted(range(len(lat.nodes)), key=lambda i: len(lat.strictly_below[i]),
-                   reverse=True)
-    # more successors = lower in the order, so predecessors resolve first
-    for j in order:
-        longest[j] = 1 + max((longest[i] for i in preds[j]), default=0)
-    return longest[lat.top_index]
+    below = lat.strictly_below
+    up: dict[int, int] = {}  # nodes on the longest chain from node i up to the top
+    # fewer successors = higher in the order, so successors resolve first
+    for i in sorted(range(len(below)), key=lambda i: len(below[i])):
+        up[i] = 1 + max((up[j] for j in below[i]), default=0)
+    return max(up.values())
 
 
 def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
     """Covers (i, j): node j contains node i with nothing strictly between.
 
-    The strict pairs of prime index, in both modes (module docstring): for
-    each node and each prime p of 6n (lat.primes), the nodes of p times its
-    order that lie above it.
+    The strict pairs of prime index, in both modes (module docstring).  In
+    product coordinates a pair of prime index is a step in one coordinate:
+    (x, u) below (x, u/p) for each prime p | u, and (x, u) below (y, u) for
+    each core pair x < y whose orders differ by a factor 2 or 3.
     """
-    orders = lat.orders
-    by_order: dict[int, list[int]] = {}
-    for j, o in enumerate(orders):
-        by_order.setdefault(o, []).append(j)
-    return {
-        (i, j)
-        for i, ups in enumerate(lat.strictly_below)
-        for p in lat.primes
-        for j in by_order.get(orders[i] * p, ())
-        if j in ups
-    }
+    column, orders = lat.column, lat.orders
+    core_order = [orders[col[-1]] for col in column[1]]
+    core_covers = [[y for y in ups if core_order[y] // core_order[x] in (2, 3)]
+                   for x, ups in enumerate(lat.core_above)]
+    primes = [u for u, cols in column.items() if len(cols[0]) == 2]  # the primes of m
+    down = {u: [u // p for p in primes if u % p == 0] for u in column}
+    covers = set()
+    for i, (x, u) in enumerate(lat.coords):
+        col = column[u]
+        for v in down[u]:
+            covers.add((i, column[v][x][-1]))
+        for y in core_covers[x]:
+            covers.add((i, col[y][-1]))
+    return covers
 
 
 def dot_text(lat: Lattice, covers: list[tuple[int, int]]) -> str:
@@ -264,7 +259,8 @@ def write_json(lat: Lattice, covers: list[tuple[int, int]],
     write(f'{{\n  "n": {params.n},\n  "mode": {json.dumps(lat.mode)},\n'
           f'  "nodes": [\n{nodes}\n  ],\n  "edges_strict": ')
     names = [str(j) for j in range(len(lat.nodes))]
-    _write_pairs(map(sorted, lat.strictly_below), names, write, ',\n  "edges_hasse": ')
+    rows = (sorted(lat.row(i)) for i in range(len(lat.nodes)))
+    _write_pairs(rows, names, write, ',\n  "edges_hasse": ')
     cover_rows: list[list[int]] = [[] for _ in lat.nodes]
     for i, j in covers:
         cover_rows[i].append(j)

@@ -199,18 +199,22 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return sorted(exponents.items())
 
 
-def split_core(two_n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Split 2n = c * m into its core c = 2^e2 * 3^e3 and gcd(m, 6) = 1.
-
-    Returns c and the factorization of m, the primes p >= 5 with their
-    exponents a_p; m = 1 costs no factorization.  U_6n = U_(c/2) x C_m is
-    the product structure that count_chains and build_lattice rest on.
-    """
+def core_of(two_n: int) -> int:
+    """The core c = 2^e2 * 3^e3 of 2n = c * m, gcd(m, 6) = 1: U_6n is
+    U_(c/2) x C_m, the product that build_lattice rests on."""
     m = two_n
     for p in (2, 3):
         while m % p == 0:
             m //= p
-    return two_n // m, factorize(m) if m > 1 else []
+    return two_n // m
+
+
+def split_core(two_n: int) -> tuple[int, list[tuple[int, int]]]:
+    """The core c of 2n = c * m (core_of) and the factorization of m, the
+    primes p >= 5 with their exponents a_p; m = 1 costs no factorization.
+    U_6n = U_(c/2) x C_m is the product that count_chains rests on."""
+    c = core_of(two_n)
+    return c, factorize(two_n // c) if c < two_n else []
 
 
 def divisors(m: int) -> list[int]:

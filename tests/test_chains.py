@@ -70,12 +70,13 @@ def test_level_table_boundary():
 def test_single_node_lattice():
     lat = Lattice(
         params=GroupParams(1),
-        primes=(2, 3),
         mode="all",
         nodes=(full(1),),
         orders=(6,),
         top_index=0,
-        strictly_below=(frozenset(),),
+        coords=((0, 1),),
+        core_above=((),),
+        column={1: [(0,)]},
     )
     table = compute_chain_table(lat)
     assert [list(level) for level in table.levels] == [[1]]

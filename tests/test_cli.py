@@ -332,9 +332,9 @@ def test_verify_bad_argument_names_its_flag(capsys, argv, message):
     assert run_cli(capsys, "verify", *argv) == (1, "", message + "\n")
 
 
-def test_lattice_factorizes_2n_twice(capsys, monkeypatch):
-    # once for the catalog's divisors, once in split_core for the primes of
-    # m, which hasse_edges reads off the lattice instead of factorizing again
+def test_lattice_factorizes_2n_once(capsys, monkeypatch):
+    # for the catalog's divisors; build_lattice reads the primes of m off
+    # those divisors instead of factorizing m again
     calls = []
     real = u6n.subgroups.factorize
 
@@ -346,7 +346,7 @@ def test_lattice_factorizes_2n_twice(capsys, monkeypatch):
     n = 1000003 * 1000033
     code, out, _ = run_cli(capsys, "lattice", "--n", str(n))
     assert code == 0
-    assert calls == [2 * n, n]
+    assert calls == [2 * n]
     assert out == json.dumps(export_json(build_lattice(GroupParams(n), "all")),
                              indent=2) + "\n"
 

@@ -110,6 +110,16 @@ def test_strict_order_is_the_oracles_proper_inclusion(n, mode):
         }, lat.nodes[i]
 
 
+@pytest.mark.parametrize("n", [*_shape_firsts(), 2 * 5 * 7 * 11 * 13])
+@pytest.mark.parametrize("mode", MODES)
+def test_rows_and_covers_from_coordinates(n, mode):
+    lat = build_lattice(GroupParams(n), mode)
+    for i, ups in enumerate(lat.strictly_below):
+        row = lat.row(i)
+        assert len(row) == len(ups) and set(row) == ups  # no repeats to write
+    assert hasse_edges(lat) == transitive_reduction(lat)
+
+
 @settings(max_examples=25)
 @given(st.integers(1, 20).map(GroupParams), st.sampled_from(["all", "normal"]))
 def test_strict_order_laws(params, mode):
@@ -223,9 +233,9 @@ def _first_difference(a, b):
 
 def test_write_json_one_node_lattice_writes_empty_pair_lists():
     # F(1) alone: both pair lists are empty and take the "[]" branch
-    lat = Lattice(params=GroupParams(1), primes=(2, 3), mode="all",
-                  nodes=(full(1),), orders=(6,), top_index=0,
-                  strictly_below=(frozenset(),))
+    lat = Lattice(params=GroupParams(1), mode="all",
+                  nodes=(full(1),), orders=(6,), top_index=0, coords=((0, 1),),
+                  core_above=((),), column={1: [(0,)]})
     text = "".join(_written(lat))
     assert text == json.dumps(export_json(lat), indent=2) + "\n"
     assert '"edges_strict": [],' in text and '"edges_hasse": []\n}' in text
@@ -236,6 +246,8 @@ def test_write_json_streams_one_row_per_write(mode):
     lat = build_lattice(GroupParams(360360), mode)
     covers = hasse_edges(lat)
     chunks = _written(lat)
+    # the export runs on rows made one at a time; the relation is never built
+    assert "strictly_below" not in lat.__dict__
     reference = json.dumps(export_json(lat), indent=2) + "\n"
     assert _first_difference("".join(chunks), reference) is None
     # node block, one write per nonempty row of each pair list, and the

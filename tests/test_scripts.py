@@ -3,6 +3,8 @@ sweep_counts.py prints the subgroup and fuzzy-subgroup count table."""
 
 import importlib.util
 import json
+import re
+import resource
 import sys
 from pathlib import Path
 
@@ -30,6 +32,11 @@ def test_benchmark_large_n_agrees(monkeypatch, capsys):
     assert out.count("factorize ") == 6
     assert out.count("hasse_edges ") == 6
     assert out.count("export ") == 6
+    # ru_maxrss is in KiB on Linux; the peak so far, read before each DP
+    peaks = [float(mb) for mb in re.findall(r"peak RSS (\d+\.\d) MB, dp ", out)]
+    assert len(peaks) == 6 and peaks == sorted(peaks)
+    peak_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    assert 0 < peaks[-1] <= peak_mb
     for mode in ("all", "normal"):
         text = json.dumps(export_json(build_lattice(GroupParams(12), mode)), indent=2)
         line = next(x for x in out.splitlines() if x.startswith(f"n=12 mode={mode}:"))
