@@ -29,8 +29,8 @@ height, and inverts.  The cost does not depend on the divisors of m.
 The core zeta polynomial has a closed form.  Node (kind, t, s) with
 t = 2^i * 3^j sits at point (i, j) of the exponent grid of
 2n' = 2^E2 * 3^E3; a node above it has t' | t, so i' <= i and j' <= j.
-The containment rule subgroup_leq, which build_lattice applies pairwise,
-becomes rules on the grid:
+The containment rule subgroup_leq, which build_lattice applies pairwise
+on the core nodes, becomes rules on the grid:
 
   nodes     F at every point; C at every point but (E2, E3), which is
             the trivial subgroup, and in normal mode only where i >= 1;
@@ -75,9 +75,12 @@ and no binomial in the inversion.  A height above MAX_HEIGHT is refused
 before any arithmetic.
 
 The full-lattice path, build_lattice -> compute_chain_table ->
-chain_counts, stays public as the independent cross-check: it builds
-every subgroup and the strict order pairwise, and each level of its table
-is the predecessor-sum of the one before it.  It stops at the first
+chain_counts, stays public as the cross-check: it builds every subgroup,
+the strict order of the small core pairwise and the rest from product
+coordinates, and each level of its table is the predecessor-sum of the
+one before it.  So verify's shape-vs-lattice holds the core zeta closed
+form and the difference table to the level DP on the product lattice;
+lattice-vs-oracle holds that lattice to the oracle's set inclusion.  It stops at the first
 all-zero level and leaves out the trivial subgroup, so per_length[j-1]
 is c_j above.
 Counts are plain Python ints: they outgrow 64 bits for divisor-rich n,

@@ -8,12 +8,16 @@ the table.  Only the rows of b^0, b^1 and b^2 come from multiply, kept as
 they are; since a^u b^v y = a^u (b^v y) and a^u only adds u to the
 a-exponent, row (u, v) is row v with 3u added to each index mod 6n.
 verify.check_group_laws compares every entry with multiply.  Subgroups are
-discovered once by joining cyclic subgroups of prime-power order to a
-fixpoint.  A subgroup is
-normal iff conjugating it by every group element keeps it inside itself:
-the conjugation rows g^-1 x g are read off the table once, on first use,
-and each subgroup is tested once against every row, with no generator
-shortcut.  Chains are listed by explicit
+discovered once: the cyclic subgroups <g> come from walking the powers of
+g, each other generator g^k of <g> (gcd(k, |<g>|) = 1) skipped, and
+subgroups are joined with cyclic subgroups of prime-power order to a
+fixpoint, each join <H, g> closed as a union of right cosets H r.  A
+subgroup is normal iff conjugating it by every group element keeps it
+inside itself, that is, iff it holds the whole conjugacy class
+{g^-1 x g : g in G} of each of its elements x: the conjugation rows
+g^-1 x g are read off the table once, on first use, the classes once
+from every row, and each subgroup is tested once against the classes of
+its elements, with no generator shortcut.  Chains are listed by explicit
 depth-first search, over the oracle's own index sets
 (GroupOracle.set_chains) or over a catalog lattice (lattice_chains).
 Fuzzy subgroups are materialized as exact rational grade maps, one grade
@@ -23,8 +27,12 @@ one-to-one relabel, so >=, min and = carry over exactly to int
 comparisons.  GroupOracle checks the defining axioms on those ranks over
 its tables, and two maps are equivalent exactly when their ranks
 coincide, that is, when their comparison_pattern, the literal all-pairs
-relation mu(x) > mu(y), coincides.  None of it consults the divisor-based
-catalog, so agreement between the two paths is evidence, not circularity.
+relation mu(x) > mu(y), coincides.  Grades are compared as exact
+integers: the ranking keys each grade on its (numerator, denominator),
+and the distinct grades are ordered, as comparison_pattern compares all
+grades, after scaling each to the lcm of their denominators.  None of it
+consults the divisor-based catalog, so agreement between the two paths is
+evidence, not circularity.
 Factorization is plain trial division, the reference for the catalog's
 Miller-Rabin and Pollard-rho factorizer.
 
@@ -39,7 +47,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .group import (
@@ -112,52 +121,105 @@ class GroupOracle:
             frontier = nxt
         return frozenset(seen)
 
+    def join(self, h: frozenset[int], gens: Sequence[int]) -> frozenset[int]:
+        """<gens> as a union of right cosets H r, for a subgroup h inside <gens>.
+
+        Starts from the coset H e = H and right-multiplies each new coset
+        representative r by every generator; a product x outside the
+        cosets found so far adds the coset H x = {y x : y in H}.  As r s in
+        H r' gives H r s in H r', the union is closed under right
+        multiplication by every generator, so it holds <gens>; it lies
+        inside <gens> as h does.
+        """
+        columns = self.columns
+        seen = set(h)
+        reps = [self.identity]
+        for r in reps:  # grows while it is walked
+            row = self.mult[r]
+            for s in gens:
+                x = row[s]
+                if x not in seen:
+                    seen.update(map(columns[x].__getitem__, h))
+                    reps.append(x)
+        return frozenset(seen)
+
+    @cached_property
+    def cyclic_subgroups(self) -> dict[frozenset[int], int]:
+        """Each distinct cyclic subgroup <g>, with its least generator g.
+
+        <g> is the walk e, g, g^2, ... back to e.  Every g^k with
+        gcd(k, |<g>|) = 1 generates the same subgroup and is skipped when
+        its turn comes; any other element generates a new subgroup.
+        """
+        found: dict[frozenset[int], int] = {}
+        skip = set()
+        mult, e = self.mult, self.identity
+        for g in range(len(mult)):
+            if g in skip:
+                continue
+            powers = [e]
+            x = g
+            while x != e:
+                powers.append(x)
+                x = mult[x][g]
+            order = len(powers)
+            skip.update(x for k, x in enumerate(powers) if gcd(k, order) == 1)
+            found[frozenset(powers)] = g
+        return found
+
     @cached_property
     def subgroups(self) -> list[frozenset[int]]:
         """Every subgroup, {e} and the whole group included, by size.
 
-        Seeds with the distinct cyclic subgroups <g>, one generator kept
-        for each, then joins every found H with every cyclic subgroup c
-        of prime-power order not inside it until nothing new appears.
+        Seeds with the cyclic subgroups (cyclic_subgroups), one generator
+        kept for each, then joins every found H with every cyclic subgroup
+        <g> of prime-power order not inside it (g not in H) until nothing
+        new appears, each join as a union of right cosets of H (join).
         An element of order p^i q^j ... is the product of powers of itself
         of orders p^i, q^j, ..., so a subgroup is the join of the cyclic
         subgroups of prime-power order inside it, and is reached by adding
         them one at a time; <H, c> needs only one generator of c.
         """
-        found: dict[frozenset[int], tuple[int, ...]] = {}
-        cyclic: list[tuple[frozenset[int], int]] = []
-        for g in range(len(self.mult)):
-            c = self.generated((g,))
-            if c not in found:
-                found[c] = (g,)
-                if len(trial_division_factorize(len(c))) <= 1:
-                    cyclic.append((c, g))
+        found = {c: (g,) for c, g in self.cyclic_subgroups.items()}
+        prime_power = [g for c, g in self.cyclic_subgroups.items()
+                       if len(trial_division_factorize(len(c))) <= 1]
         work = list(found)
         while work:
             h = work.pop()
             gens = found[h]
-            for c, g in cyclic:
-                if not c <= h:
-                    joined = self.generated(gens + (g,))
+            for g in prime_power:
+                if g not in h:
+                    joined = self.join(h, gens + (g,))
                     if joined not in found:
                         found[joined] = gens + (g,)
                         work.append(joined)
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     @cached_property
+    def columns(self) -> list[tuple[int, ...]]:
+        """columns[y][x] is the index of x y: the table read by columns."""
+        return list(zip(*self.mult))
+
+    @cached_property
     def conj(self) -> list[tuple[int, ...]]:
         """conj[g][x] is the index of g^-1 x g: (g^-1 x) g read off the
         table, row g^-1 then column g."""
-        columns = list(zip(*self.mult))
+        columns = self.columns
         return [tuple(map(columns[g].__getitem__, self.mult[g_inv]))
                 for g, g_inv in enumerate(self.inv)]
 
+    @cached_property
+    def classes(self) -> list[frozenset[int]]:
+        """classes[x] = {g^-1 x g : g in G}, the conjugacy class of x,
+        read from every conjugation row."""
+        return [frozenset(column) for column in zip(*self.conj)]
+
     def is_normal(self, h: frozenset[int]) -> bool:
-        """True iff g^-1 x g lies in h for every x in h and every g in G."""
+        """True iff g^-1 x g lies in h for every x in h and every g in G:
+        iff h holds the conjugacy class of each of its elements."""
         if h not in self._normal:
-            self._normal[h] = all(
-                h.issuperset(map(c.__getitem__, h)) for c in self.conj
-            )
+            classes = self.classes
+            self._normal[h] = all(classes[x] <= h for x in h)
         return self._normal[h]
 
     @cached_property
@@ -326,13 +388,17 @@ class FuzzyMap:
         if len(self.grades) != self.params.order:
             raise ValueError("grades must cover exactly the group elements")
         grades = tuple(map(_exact, self.grades))
-        # one hash per grade: each grade's first-appearance id, then the
-        # k distinct values sorted and each id relabelled by its rank
-        first: dict[Fraction, int] = {}
-        ids = [first.setdefault(g, len(first)) for g in grades]
-        distinct = list(first)
-        order = sorted(range(len(distinct)), key=distinct.__getitem__)
-        if distinct[order[0]] < 0 or distinct[order[-1]] > 1:
+        # each grade's first-appearance id, keyed on its exact (numerator,
+        # denominator), cheaper than a Fraction hash; then the k distinct
+        # grades sorted as integers scaled to the lcm of their denominators
+        # and each id relabelled by its rank
+        first: dict[tuple[int, int], int] = {}
+        ids = [first.setdefault((g.numerator, g.denominator), len(first))
+               for g in grades]
+        scale = lcm(*(q for _, q in first))
+        scaled = [p * (scale // q) for p, q in first]
+        order = sorted(range(len(scaled)), key=scaled.__getitem__)
+        if scaled[order[0]] < 0 or scaled[order[-1]] > scale:
             raise ValueError("grades must lie in [0, 1]")
         rank = [0] * len(order)
         for r, i in enumerate(order):
@@ -352,6 +418,11 @@ def _exact(grade: object) -> Fraction:
     return Fraction(grade)
 
 
+@lru_cache(maxsize=16)
+def _whole_group(order: int) -> frozenset[int]:
+    return frozenset(range(order))
+
+
 def representative_from_sets(
     params: GroupParams,
     sets: Sequence[frozenset[int]],
@@ -368,7 +439,7 @@ def representative_from_sets(
     for small, big in zip(sets, sets[1:]):
         if not small < big:
             raise ValueError("chain sets must be strictly ascending")
-    if sets[-1] != frozenset(range(params.order)):
+    if sets[-1] != _whole_group(params.order):
         raise ValueError("chain must end at the whole group")
     if levels is None:
         levels = [Fraction(1, i) for i in range(1, len(sets) + 1)]
@@ -407,9 +478,13 @@ def equivalent(mu: FuzzyMap, nu: FuzzyMap) -> bool:
 
 def comparison_pattern(mu: FuzzyMap) -> tuple[bool, ...]:
     """mu(x) > mu(y) for every ordered pair (x, y) of elements, x major,
-    in the tables' index order: the literal relation that ~ compares."""
+    in the tables' index order: the literal relation that ~ compares,
+    on the grades scaled to exact integers by the lcm of their
+    denominators."""
     grades = mu.grades
-    return tuple(gx > gy for gx in grades for gy in grades)
+    scale = lcm(*(g.denominator for g in grades))
+    scaled = [g.numerator * (scale // g.denominator) for g in grades]
+    return tuple(gx > gy for gx in scaled for gy in scaled)
 
 
 def equivalent_by_pairs(mu: FuzzyMap, nu: FuzzyMap) -> bool:

@@ -12,8 +12,8 @@ Membership (contains_element), containment (subgroup_leq) and orders all
 reduce to modular arithmetic on the t and s parameters, so the catalog
 never materializes element sets; subgroup_elements does, for the checks
 that compare against them.  subgroup_leq is the one containment rule:
-build_lattice applies it pairwise, and verify's containment-closed-form
-holds it to the oracle's set inclusion.
+build_lattice applies it pairwise to the core nodes, and verify's
+containment-closed-form holds it to the oracle's set inclusion.
 
 The divisors come from factorize(2n), Miller-Rabin plus Pollard rho; its
 docstring gives the method, the 3.3e24 determinism bound and the step

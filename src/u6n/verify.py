@@ -6,16 +6,19 @@ DP, and reports a counterexample on mismatch.
 
 run_verification computes each object once per n and hands every check
 the object it checks: one GroupOracle (integer Cayley table, conjugation
-rows, subgroup family, normality flags) and one catalog_sets map from the
-catalog's descriptors to the oracle's index sets when the group is within
-the oracle limit, and one Lattice and one ChainTable per mode.  The oracle
-limit is the one gate of every exhaustive check: the group laws,
-membership, containment, subgroup closure, normal-in-supergroup, the
-oracle families and the fuzzy checks are skipped above it, whatever
-fuzzy_n_max says.  Under it the group laws keep n <= 4 and the fuzzy
-checks fuzzy_n_max; membership, containment, subgroup closure,
-normal-in-supergroup and set-chains run at the first n of each
-factorization shape of 2n.
+rows and classes, subgroup family, normality flags) and one catalog_sets
+map from the catalog's descriptors to the oracle's index sets when the
+group is within the oracle limit, and one Lattice and one ChainTable per
+mode.  The oracle limit is the one gate of every exhaustive check: the
+group laws, membership, containment, subgroup closure,
+normal-in-supergroup, the oracle families and the fuzzy checks are
+skipped above it, whatever fuzzy_n_max says.  Under it the group laws
+keep n <= 4 and the fuzzy checks fuzzy_n_max; membership, containment,
+subgroup closure, normal-in-supergroup, set-chains and lattice-vs-oracle
+run at the first n of each factorization shape of 2n.  lattice-vs-oracle holds the strict
+order and the covers the lattice makes from product coordinates to
+proper inclusion of the oracle's sets, so the s relabel and the divisor
+columns are checked, not only subgroup_leq.
 
 The group laws run on the oracle's tables once the tables are shown to
 be multiply and inverse.  The fuzzy-axioms and equivalence-classes
@@ -28,7 +31,6 @@ No result depends on an assert statement, so python -O reports the same.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,11 +117,16 @@ def check_group_laws(oracle: GroupOracle) -> CheckResult:
             return _fail(n, name, f"identity law fails at {fmt(x)}")
         if row[inv[x]] != e or mult[inv[x]][x] != e:
             return _fail(n, name, f"inverse law fails at {fmt(x)}")
-    for x, y, z in itertools.product(range(order), repeat=3):
-        if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
-            return _fail(
-                n, name, f"associativity fails at ({fmt(x)}, {fmt(y)}, {fmt(z)})"
-            )
+    # row by row: x (y z) for every z is row x read at row y, and (x y) z
+    # is row xy; the first differing z gives the first failing triple
+    for x, row in enumerate(mult):
+        for y, xy in enumerate(row):
+            x_yz = [row[v] for v in mult[y]]
+            if x_yz != mult[xy]:
+                z = next(z for z, (a, b) in enumerate(zip(x_yz, mult[xy])) if a != b)
+                return _fail(
+                    n, name, f"associativity fails at ({fmt(x)}, {fmt(y)}, {fmt(z)})"
+                )
     for x in range(order):
         acc = e
         for k in range(3 * order + 1):
@@ -399,9 +406,44 @@ def check_dp_vs_dfs(table: ChainTable) -> CheckResult:
     return _ok(n, name)
 
 
+def check_lattice_vs_oracle(
+    oracle: GroupOracle, sets: CatalogSets, lat: Lattice
+) -> CheckResult:
+    """The strict order and the covers the lattice makes from product
+    coordinates are proper inclusion of the nodes' oracle sets and the
+    covers of that inclusion, found from the sets with no prime index:
+    (i, j) with no node set strictly between."""
+    name = f"lattice-vs-oracle[{lat.mode}]"
+    n = oracle.params.n
+    missing = next((d for d in lat.nodes if d not in sets), None)
+    if missing is not None:
+        return _fail(n, name, f"{missing} is not in the catalog")
+    node_sets = [sets[d] for d in lat.nodes]
+    above = [[j for j, t in enumerate(node_sets) if s < t] for s in node_sets]
+    for i, ups in enumerate(above):
+        row = lat.row(i)
+        if sorted(row) != ups:
+            j = min(set(row).symmetric_difference(ups))
+            side = "in the lattice only" if j in row else "missing from the lattice"
+            return _fail(n, name, f"{lat.nodes[i]} < {lat.nodes[j]} is {side}")
+    covers = {
+        (i, j) for i, ups in enumerate(above) for j in ups
+        if not any(node_sets[k] < node_sets[j] for k in ups)
+    }
+    hasse = hasse_edges(lat)
+    if hasse != covers:
+        i, j = min(hasse.symmetric_difference(covers))
+        side = "is not a cover" if (i, j) in hasse else "is a missing cover"
+        return _fail(n, name, f"{lat.nodes[i]} -> {lat.nodes[j]} {side}")
+    return _ok(n, name)
+
+
 def check_shape_vs_lattice(table: ChainTable) -> CheckResult:
-    """count_chains (the core's closed form, times the chain factors) equals
-    the DP over the pairwise strict order of the full lattice."""
+    """count_chains equals the level DP on the full lattice: the core zeta
+    closed form times the chain factors, inverted by the difference
+    table, against predecessor sums over the product lattice, whose
+    strict order is pairwise on the core only (lattice-vs-oracle holds
+    that order to the oracle's sets)."""
     lat = table.lattice
     name = f"shape-vs-lattice[{lat.mode}]"
     shape = count_chains(lat.params, lat.mode)
@@ -538,11 +580,11 @@ def run_verification(
 ) -> list[CheckResult]:
     """The full battery for n = 1..n_max, each check gated by its cost.
 
-    set-chains and the four Element-level checks (membership, containment,
-    subgroup closure, normal-in-supergroup) run once per factorization
-    shape of 2n, at the first n <= n_max of that shape: count_chains
-    depends on n only through the shape, and the subgroup lattice has the
-    same form for every n sharing it."""
+    set-chains, lattice-vs-oracle and the four Element-level checks
+    (membership, containment, subgroup closure, normal-in-supergroup) run
+    once per factorization shape of 2n, at the first n <= n_max of that
+    shape: count_chains depends on n only through the shape, and the
+    subgroup lattice has the same form for every n sharing it."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if fuzzy_n_max < 0 or oracle_limit < 0:
@@ -581,6 +623,7 @@ def run_verification(
             results.append(check_shape_vs_lattice(table))
             if first_of_shape and oracle is not None:
                 results.append(check_set_chains(oracle, lat.mode))
+                results.append(check_lattice_vs_oracle(oracle, sets, lat))
         if n <= fuzzy_n_max and oracle is not None:
             results.extend(check_fuzzy_axioms(oracle))
         fuzzy_counts[n] = tuple(chain_counts(t).fuzzy_count for t in tables)

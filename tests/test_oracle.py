@@ -1,6 +1,7 @@
 """Brute-force oracle: closure discovery, normality, fuzzy materialization."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,46 @@ def test_is_normal_is_conjugation_by_every_element(n):
         assert oracle.is_normal(h) == all(
             conjugate(params, x, g) in members for g in elems for x in members
         )
+
+
+def _small_generators(oracle, h):
+    """A generating tuple of h, built greedily in index order."""
+    gens = ()
+    for x in sorted(h):
+        if x not in oracle.generated(gens):
+            gens += (x,)
+    return gens
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_coset_join_is_the_generated_subgroup(n):
+    oracle = GroupOracle(GroupParams(n))
+    for h in oracle.subgroups:
+        gens = _small_generators(oracle, h)
+        assert oracle.generated(gens) == h
+        for g in range(len(oracle.elements)):
+            assert oracle.join(h, gens + (g,)) == oracle.generated(gens + (g,))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_power_walk_seeds_are_the_cyclic_subgroups(n):
+    oracle = GroupOracle(GroupParams(n))
+    order = len(oracle.elements)
+    seeds = oracle.cyclic_subgroups
+    assert set(seeds) == {oracle.generated((g,)) for g in range(order)}
+    # each kept generator generates its subgroup and is its least generator
+    for c, g in seeds.items():
+        assert oracle.generated((g,)) == c
+        assert g == min(x for x in range(order) if oracle.generated((x,)) == c)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_classes_are_read_from_every_conjugation_row(n):
+    oracle = GroupOracle(GroupParams(n))
+    order = len(oracle.elements)
+    assert oracle.classes == [
+        frozenset(oracle.conj[g][x] for g in range(order)) for x in range(order)
+    ]
 
 
 def test_group_oracle_indices_follow_all_elements():
@@ -445,6 +486,45 @@ def test_ranks_and_axioms_on_arbitrary_grade_maps(maps):
         mu[multiply(params, x, y)] == mu[multiply(params, y, x)]
         for x in elems for y in elems
     )
+
+
+# p/q in [0, 1] for small q, so distinct pairs often name one grade
+_GRADES = st.integers(1, 60).flatmap(
+    lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_GRADES, min_size=6, max_size=6))
+def test_integer_grade_comparisons_match_fractions(grades):
+    mu = FuzzyMap(GroupParams(1), tuple(grades))
+    assert comparison_pattern(mu) == tuple(a > b for a in grades for b in grades)
+    # the reference ranking: each grade's position among the sorted
+    # distinct Fractions
+    distinct = sorted(set(grades))
+    assert mu.ranks == tuple(distinct.index(g) for g in grades)
+
+
+def test_oracle_imports_nothing_from_the_paths_it_checks():
+    import ast
+
+    import u6n.oracle as oracle_module
+
+    tree = ast.parse(Path(oracle_module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a relative import names a u6n module
+                module = "u6n." + module if module else "u6n"
+            imported.add(module)
+            imported.update(f"{module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    for checked in ("u6n.chains", "u6n.verify"):
+        assert not any(
+            m == checked or m.startswith(checked + ".") for m in imported
+        ), checked
 
 
 def test_representative_from_sets_checks_ascent():

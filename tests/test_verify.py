@@ -20,6 +20,7 @@ from u6n.verify import (
     check_fuzzy_axioms,
     check_group_laws,
     check_hasse_closure,
+    check_lattice_vs_oracle,
     check_normal_family,
     check_normal_in_supergroup,
     check_shape_vs_lattice,
@@ -69,6 +70,8 @@ def test_full_battery_to_8():
         "shape-vs-lattice[normal]",
         "set-chains[all]",
         "set-chains[normal]",
+        "lattice-vs-oracle[all]",
+        "lattice-vs-oracle[normal]",
         "fuzzy-axioms",
         "equivalence-classes",
         "shape-dependence",
@@ -217,12 +220,14 @@ def test_set_chains_run_once_per_factorization_shape():
     for n in (8, 9, 10, 12, 15, 16):
         assert f"n={n} set-chains[all]" in labels
         assert f"n={n} set-chains[normal]" in labels
-    # the Element-level checks take the same gate
+    # the Element-level checks and lattice-vs-oracle take the same gate
     for check in (
         "membership-closed-form",
         "containment-closed-form",
         "subgroup-closure",
         "normal-in-supergroup",
+        "lattice-vs-oracle[all]",
+        "lattice-vs-oracle[normal]",
     ):
         assert {r.n for r in results if r.check == check} == first_of_shape
         for n in (7, 11, 13, 14):
@@ -469,6 +474,100 @@ def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
     assert not result.passed
     assert result.check == "hasse-closure[all]"
     assert "is not a cover" in result.detail
+
+
+def _mutated_coords(relabel_odd_t):
+    """lattice._product_coords with the s relabel broken: left out, or
+    applied to odd t instead of even t."""
+    from math import gcd
+
+    def coords(nodes, core_two_n):
+        core = tuple(d for d in nodes if core_two_n % d.t == 0)
+        core_index = {(d.kind, d.t, d.s): x for x, d in enumerate(core)}
+        out = []
+        for d in nodes:
+            g = gcd(d.t, core_two_n)
+            u = d.t // g
+            if relabel_odd_t and d.s is not None and d.t % 2:
+                s = d.s * u % 3
+            else:
+                s = d.s
+            out.append((core_index[d.kind, g, s], u))
+        return core, out
+
+    return coords
+
+
+@pytest.mark.parametrize("relabel_odd_t", [False, True])
+def test_lattice_vs_oracle_catches_a_broken_s_relabel(monkeypatch, relabel_odd_t):
+    import u6n.lattice as lattice_module
+
+    monkeypatch.setattr(
+        lattice_module, "_product_coords", _mutated_coords(relabel_odd_t)
+    )
+    results = run_verification(16)
+    failed = [r for r in results if not r.passed]
+    assert failed
+    assert {r.check for r in failed} == {"lattice-vs-oracle[all]"}
+
+
+def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
+    import u6n.verify as verify_module
+    from u6n.lattice import hasse_edges
+
+    oracle = GroupOracle(GroupParams(2))
+    sets = catalog_sets(oracle)
+    lat = build_lattice(oracle.params, "all")
+    assert check_lattice_vs_oracle(oracle, sets, lat).passed
+    covers = hasse_edges(lat)
+    i, j = min(covers)
+    monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: covers - {(i, j)})
+    result = check_lattice_vs_oracle(oracle, sets, lat)
+    assert not result.passed
+    assert result.check == "lattice-vs-oracle[all]"
+    assert result.detail == f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover"
+    # a lattice whose row for node i also holds a node not above it
+    outside = min(set(range(len(lat.nodes))) - set(lat.row(i)) - {i})
+    real_row = type(lat).row
+    monkeypatch.setattr(
+        type(lat), "row",
+        lambda self, k: real_row(self, k) + ([outside] if k == i else []),
+    )
+    result = check_lattice_vs_oracle(oracle, sets, lat)
+    assert result.detail == (
+        f"{lat.nodes[i]} < {lat.nodes[outside]} is in the lattice only"
+    )
+    missing = {d: h for d, h in sets.items() if d != lat.nodes[i]}
+    result = check_lattice_vs_oracle(oracle, missing, lat)
+    assert result.detail == f"{lat.nodes[i]} is not in the catalog"
+
+
+def test_group_laws_name_the_first_non_associative_triple(monkeypatch):
+    # swap two entries of one row, away from e and x^-1: the identity and
+    # inverse laws still hold, and multiply is doctored to match the table
+    import itertools
+
+    import u6n.verify as verify_module
+    from u6n.group import format_element
+
+    params = GroupParams(2)
+    oracle = GroupOracle(params)
+    mult, elems = oracle.mult, oracle.elements
+    x = 1
+    y1, y2 = [y for y in range(len(elems))
+              if y not in (oracle.identity, oracle.inv[x])][:2]
+    mult[x][y1], mult[x][y2] = mult[x][y2], mult[x][y1]
+    index = {z: i for i, z in enumerate(elems)}
+    monkeypatch.setattr(
+        verify_module, "multiply", lambda p, a, b: elems[mult[index[a]][index[b]]]
+    )
+    first = next(
+        (a, b, c) for a, b, c in itertools.product(range(len(elems)), repeat=3)
+        if mult[mult[a][b]][c] != mult[a][mult[b][c]]
+    )
+    result = check_group_laws(oracle)
+    names = ", ".join(format_element(elems[i]) for i in first)
+    assert result.detail == f"associativity fails at ({names})"
 
 
 def test_shape_dependence_reports_matches():
