@@ -1,12 +1,15 @@
 """Time factorize and count_chains against the full-lattice build and chain
 DP, and check that the two paths agree; also time hasse_edges, which steps
 one product coordinate at a time (see the u6n.lattice docstring), and print
-the cover count, and time the JSON export (write_json, as `u6n lattice`
-writes it) into a sink that only counts its bytes.  The process's peak RSS
-(ru_maxrss) is printed after the export and before the DP: the DP builds
-the lattice's strict relation, and the peak only grows, so this is the one
-point where it shows what the export path alone needed (the peak so far in
-the whole run, so a later n never reads below an earlier one).
+the cover count, and time the JSON export (the node texts and write_json,
+as `u6n lattice` writes it) into a sink that only counts its bytes and the
+DOT text (dot_text, as `u6n lattice --dot` writes it, from the same covers
+and node texts), so every stage of `lattice --dot` is timed.  The
+process's peak RSS (ru_maxrss) is printed after the exports and before
+the DP: the DP builds the lattice's strict relation, and the peak only
+grows, so this is the one point where it shows what the export path alone
+needed (the peak so far in the whole run, so a later n never reads below
+an earlier one).
 
 count_chains counts from the factorization shape of 2n, with the closed-form
 zeta polynomial of its 2^e2 * 3^e3 core; the lattice path builds every
@@ -36,9 +39,10 @@ from u6n import (
     compute_chain_table,
     count_chains,
     factorize,
+    format_descriptor,
     hasse_edges,
 )
-from u6n.lattice import write_json
+from u6n.lattice import dot_text, write_json
 
 LADDER = [5040, 55440, 360360, 2**61 - 1, 9999991 * 9999973, 2**15 * 3**10]
 
@@ -58,9 +62,12 @@ def bench(n: int) -> bool:
         built = time.perf_counter()
         covers = hasse_edges(lat)
         reduced = time.perf_counter()
-        sizes = []  # json.dumps escapes to ASCII: one byte per character
-        write_json(lat, sorted(covers), lambda chunk: sizes.append(len(chunk)))
+        sizes = []  # the JSON is ASCII: one byte per character
+        texts = list(map(format_descriptor, lat.nodes))
+        write_json(lat, covers, texts, lambda chunk: sizes.append(len(chunk)))
         exported = time.perf_counter()
+        dot_bytes = len(dot_text(lat, covers, texts))
+        dotted = time.perf_counter()
         export_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         counts = chain_counts(compute_chain_table(lat))
         done = time.perf_counter()
@@ -72,7 +79,8 @@ def bench(n: int) -> bool:
             f"{len(lat.nodes)} nodes, build {built - counted:.3f}s, "
             f"hasse_edges {reduced - built:.3f}s ({len(covers)} covers), "
             f"export {exported - reduced:.3f}s ({sum(sizes)} bytes), "
-            f"peak RSS {export_rss_mb:.1f} MB, dp {done - exported:.3f}s; "
+            f"dot {dotted - exported:.3f}s ({dot_bytes} bytes), "
+            f"peak RSS {export_rss_mb:.1f} MB, dp {done - dotted:.3f}s; "
             f"count has {len(str(counts.fuzzy_count))} digits, "
             f"{'paths agree' if same else 'PATHS DIFFER'}"
         )

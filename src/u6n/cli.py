@@ -191,15 +191,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     lat = build_lattice(_params(args.n), args.mode)
-    covers = sorted(hasse_edges(lat))
+    covers, texts = hasse_edges(lat), list(map(format_descriptor, lat.nodes))
     if args.dot_path:
         try:
-            Path(args.dot_path).write_text(dot_text(lat, covers))
+            Path(args.dot_path).write_text(dot_text(lat, covers, texts))
         except OSError as exc:
             raise CliError(
                 f"cannot write DOT file {args.dot_path}: {exc.strerror or exc}"
             ) from exc
-    write_json(lat, covers, sys.stdout.write)
+    write_json(lat, covers, texts, sys.stdout.write)
     return 0
 
 

@@ -20,9 +20,9 @@ build_lattice applies the containment rule subgroup_leq pairwise
 trivial subgroup C(c), which is a proper subgroup of U_6n once m > 1.
 Lattice.row(i) makes node i's strict successors from the coordinates;
 strictly_below, the whole relation, is built from the rows on first read
-(verify, the level DP), never by the lattice command.  The primes of m
-are the u with just two divisors among the u, so 2n is factorized once,
-for the catalog.  m = 1 is the empty product: every u is 1.
+(verify, the level DP), never by the lattice command or export_json.  The
+primes of m are the u with just two divisors among the u, so 2n is
+factorized once, for the catalog.  m = 1 is the empty product: every u is 1.
 
 U_6n is supersolvable: the normal series 1 < <b> < ... < F(t) < F(t/p)
 < ... < F(1) has factors of prime order.  So every maximal subgroup of a
@@ -37,16 +37,17 @@ The lattice command prints json.dumps(export_json(lat), indent=2).  json's
 indent encoder is pure Python, so write_json produces the same bytes with
 f-strings instead: the header and node records as one block, then each pair
 list one sorted row per write, so no text of the whole relation is ever
-held in memory.
+held in memory.  The command makes each node's descriptor text once and
+hands it to both dot_text and write_json; descriptors are plain ASCII, so
+the node records need no json.dumps.  hasse_edges already lists the covers
+in order, node by node, so neither export sorts them.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import gcd
 
 from .group import GroupParams
@@ -58,7 +59,6 @@ from .subgroups import (
     enumerate_subgroups,
     format_descriptor,
     subgroup_leq,
-    subgroup_order,
 )
 
 MODES = ("all", "normal")
@@ -86,8 +86,10 @@ class Lattice:
         Each is a node: only the trivial (C(c), m) is not, and it is in no row."""
         x, u = self.coords[i]
         column = self.column[u]
-        above = map(column.__getitem__, self.core_above[x])
-        return [*column[x][:-1], *chain.from_iterable(above)]
+        r = list(column[x][:-1])
+        for y in self.core_above[x]:
+            r += column[y]
+        return r
 
     @cached_property
     def strictly_below(self) -> tuple[frozenset[int], ...]:
@@ -126,13 +128,16 @@ def _product_coords(
     include the core's trivial subgroup C(c).
     """
     core = tuple(d for d in nodes if core_two_n % d.t == 0)
-    core_index = {(d.kind, d.t, d.s): x for x, d in enumerate(core)}
+    # keyed on (t, s, is Full), which tells the kinds apart without hashing
+    # a Kind: Enum.__hash__ is Python code, and this runs once per node
+    full = Kind.FULL
+    core_index = {(d.t, d.s, d.kind is full): x for x, d in enumerate(core)}
     coords = []
     for d in nodes:
         g = gcd(d.t, core_two_n)
         u = d.t // g
         s = d.s if d.s is None or d.t % 2 else d.s * u % 3
-        coords.append((core_index[d.kind, g, s], u))
+        coords.append((core_index[g, s, d.kind is full], u))
     return core, coords
 
 
@@ -144,10 +149,11 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
         descs = enumerate_subgroups(params)
     else:
         descs = enumerate_normal_subgroups(params)
-    trivial = (Kind.CYCLIC, params.two_n)
-    nodes = tuple(d for d in descs if (d.kind, d.t) != trivial)
-    top_index = nodes.index(SubgroupDescriptor(Kind.FULL, 1))
-    core, coords = _product_coords(nodes, core_of(params.two_n))
+    two_n, cyclic, full = params.two_n, Kind.CYCLIC, Kind.FULL
+    nodes = tuple(d for d in descs if d.t != two_n or d.kind is not cyclic)
+    # the catalog is in (kind, t, s) order, so Full(1) is the first Full node
+    top_index = next(i for i, d in enumerate(nodes) if d.kind is full)
+    core, coords = _product_coords(nodes, core_of(two_n))
     divs = sorted({u for _, u in coords})  # every divisor of m, as F(u) is a node
     divs_of = {u: [v for v in divs if u % v == 0] for u in divs}
     grid = {u: [None] * len(core) for u in divs}  # None: the trivial (C(c), m)
@@ -157,7 +163,8 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
         params=params,
         mode=mode,
         nodes=nodes,
-        orders=tuple(subgroup_order(params, d) for d in nodes),
+        orders=tuple(3 * two_n // d.t if d.kind is full else two_n // d.t
+                     for d in nodes),
         top_index=top_index,
         coords=tuple(coords),
         core_above=tuple(map(tuple, _strict_order_edges(core))),
@@ -175,8 +182,10 @@ def height(lat: Lattice) -> int:
     return max(up.values())
 
 
-def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
-    """Covers (i, j): node j contains node i with nothing strictly between.
+def hasse_edges(lat: Lattice) -> list[tuple[int, int]]:
+    """Covers (i, j): node j contains node i with nothing strictly between,
+    each once, in sorted order; made node by node, so only each node's few
+    covers are sorted.
 
     The strict pairs of prime index, in both modes (module docstring).  In
     product coordinates a pair of prime index is a step in one coordinate:
@@ -189,36 +198,35 @@ def hasse_edges(lat: Lattice) -> set[tuple[int, int]]:
                    for x, ups in enumerate(lat.core_above)]
     primes = [u for u, cols in column.items() if len(cols[0]) == 2]  # the primes of m
     down = {u: [u // p for p in primes if u % p == 0] for u in column}
-    covers = set()
+    covers = []
     for i, (x, u) in enumerate(lat.coords):
         col = column[u]
-        for v in down[u]:
-            covers.add((i, column[v][x][-1]))
-        for y in core_covers[x]:
-            covers.add((i, col[y][-1]))
+        ups = [column[v][x][-1] for v in down[u]]
+        ups += [col[y][-1] for y in core_covers[x]]
+        ups.sort()
+        covers += [(i, j) for j in ups]
     return covers
 
 
-def dot_text(lat: Lattice, covers: list[tuple[int, int]]) -> str:
-    """export_dot(lat), given the sorted covers."""
+def dot_text(lat: Lattice, covers: list[tuple[int, int]], texts: list[str]) -> str:
+    """export_dot(lat), given hasse_edges(lat) and the format_descriptor
+    text of each node."""
     lines = [f"digraph u6n_lattice_{lat.mode} {{", "  rankdir=BT;"]
-    for i, (d, o) in enumerate(zip(lat.nodes, lat.orders)):
-        label = f"{format_descriptor(d)} (order {o})"
-        lines.append(f'  n{i} [label="{label}"];')
-    for i, j in covers:
-        lines.append(f"  n{i} -> n{j};")
+    lines += [f'  n{i} [label="{text} (order {o})"];'
+              for i, (text, o) in enumerate(zip(texts, lat.orders))]
+    lines += [f"  n{i} -> n{j};" for i, j in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_dot(lat: Lattice) -> str:
     """DOT digraph, edges oriented subgroup -> supergroup, deterministic."""
-    return dot_text(lat, sorted(hasse_edges(lat)))
+    return dot_text(lat, hasse_edges(lat), list(map(format_descriptor, lat.nodes)))
 
 
 def export_json(lat: Lattice) -> dict:
-    """JSON-ready dict with nodes, the full strict relation and the covers."""
-    strict = sorted((i, j) for i, ups in enumerate(lat.strictly_below) for j in ups)
+    """JSON-ready dict with nodes, the full strict relation and the covers;
+    the relation is read row by row, so strictly_below is not built."""
     return {
         "n": lat.params.n,
         "mode": lat.mode,
@@ -226,8 +234,9 @@ def export_json(lat: Lattice) -> dict:
             {"id": i, "desc": format_descriptor(d), "order": o}
             for i, (d, o) in enumerate(zip(lat.nodes, lat.orders))
         ],
-        "edges_strict": [list(e) for e in strict],
-        "edges_hasse": [list(e) for e in sorted(hasse_edges(lat))],
+        "edges_strict": [[i, j] for i in range(len(lat.nodes))
+                         for j in sorted(lat.row(i))],
+        "edges_hasse": [list(e) for e in hasse_edges(lat)],
     }
 
 
@@ -245,18 +254,17 @@ def _write_pairs(rows: Iterable[Iterable[int]], names: list[str],
     write(("[]" if sep == "[\n" else "\n  ]") + close)
 
 
-def write_json(lat: Lattice, covers: list[tuple[int, int]],
+def write_json(lat: Lattice, covers: list[tuple[int, int]], texts: list[str],
                write: Callable[[str], object]) -> None:
     """Write json.dumps(export_json(lat), indent=2) + "\n" through write,
-    given the sorted covers: the header and node records in one call, then
-    one call per nonempty row of each pair list."""
-    params = lat.params
+    given hasse_edges(lat) and the node texts as for dot_text: the header
+    and node records in one call, then one call per nonempty row of each pair list.  The
+    mode and the texts are plain ASCII, so they are written unescaped."""
     nodes = ",\n".join(
-        f'    {{\n      "id": {i},\n      "desc": {json.dumps(format_descriptor(d))},'
-        f'\n      "order": {o}\n    }}'
-        for i, (d, o) in enumerate(zip(lat.nodes, lat.orders))
+        f'    {{\n      "id": {i},\n      "desc": "{text}",\n      "order": {o}\n    }}'
+        for i, (text, o) in enumerate(zip(texts, lat.orders))
     )
-    write(f'{{\n  "n": {params.n},\n  "mode": {json.dumps(lat.mode)},\n'
+    write(f'{{\n  "n": {lat.params.n},\n  "mode": "{lat.mode}",\n'
           f'  "nodes": [\n{nodes}\n  ],\n  "edges_strict": ')
     names = [str(j) for j in range(len(lat.nodes))]
     rows = (sorted(lat.row(i)) for i in range(len(lat.nodes)))

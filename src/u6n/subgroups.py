@@ -37,8 +37,9 @@ class Kind(enum.Enum):
 
 #: subgroup_leq runs on every comparable pair of core nodes (2.7 M at
 #: 2n = 2^38 * 3^20), and reading a member off the Enum class costs more
-#: than the rest of its test: it compares against these names instead.
-_CYCLIC, _FULL = Kind.CYCLIC, Kind.FULL
+#: than the rest of its test: it compares against these names instead, as
+#: does format_descriptor, which the lattice export runs once per node.
+_CYCLIC, _FULL, _TWISTED = Kind.CYCLIC, Kind.FULL, Kind.TWISTED
 _KIND_RANK = {Kind.CYCLIC: 0, Kind.FULL: 1, Kind.TWISTED: 2}
 
 
@@ -242,8 +243,10 @@ def validate_descriptor(params: GroupParams, d: SubgroupDescriptor) -> None:
 
 
 def enumerate_subgroups(params: GroupParams) -> list[SubgroupDescriptor]:
-    """All subgroups of U_6n as descriptors, sorted by (kind, t, s).
+    """All subgroups of U_6n as descriptors, in (kind, t, s) order.
 
+    The order needs no sort: divisors is ascending, and the lists go
+    Cyclic, Full, Twisted, each Twisted t with s = 1 before s = 2.
     Includes the trivial subgroup as Cyclic(2n).  Pure divisor arithmetic:
     that distinct descriptors name distinct subgroups is checked against
     the element sets by verify's subgroups-vs-oracle check, not here.
@@ -252,16 +255,15 @@ def enumerate_subgroups(params: GroupParams) -> list[SubgroupDescriptor]:
     out = [cyclic(t) for t in divs]
     out += [full(t) for t in divs]
     out += [twisted(t, s) for t in divs if twisted_exists(params, t) for s in (1, 2)]
-    out.sort(key=SubgroupDescriptor.sort_key)
     return out
 
 
 def enumerate_normal_subgroups(params: GroupParams) -> list[SubgroupDescriptor]:
-    """All normal subgroups: Cyclic(t) for even t, Full(t) for every t."""
+    """All normal subgroups, in (kind, t, s) order as enumerate_subgroups:
+    Cyclic(t) for even t, Full(t) for every t."""
     divs = divisors(params.two_n)
     out = [cyclic(t) for t in divs if t % 2 == 0]
     out += [full(t) for t in divs]
-    out.sort(key=SubgroupDescriptor.sort_key)
     return out
 
 
@@ -333,6 +335,8 @@ def subgroup_leq(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
 
 
 def format_descriptor(d: SubgroupDescriptor) -> str:
-    if d.kind is Kind.TWISTED:
+    """C(t), F(t) or T(t,s): plain ASCII, so JSON needs no escaping."""
+    kind = d.kind
+    if kind is _TWISTED:
         return f"T({d.t},{d.s})"
-    return f"{d.kind.value}({d.t})"
+    return f"{'C' if kind is _CYCLIC else 'F'}({d.t})"

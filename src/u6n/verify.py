@@ -412,7 +412,8 @@ def check_lattice_vs_oracle(
     """The strict order and the covers the lattice makes from product
     coordinates are proper inclusion of the nodes' oracle sets and the
     covers of that inclusion, found from the sets with no prime index:
-    (i, j) with no node set strictly between."""
+    (i, j) with no node set strictly between.  hasse_edges must also list
+    each cover once, in sorted order, as write_json and dot_text print it."""
     name = f"lattice-vs-oracle[{lat.mode}]"
     n = oracle.params.n
     missing = next((d for d in lat.nodes if d not in sets), None)
@@ -431,9 +432,14 @@ def check_lattice_vs_oracle(
         if not any(node_sets[k] < node_sets[j] for k in ups)
     }
     hasse = hasse_edges(lat)
-    if hasse != covers:
-        i, j = min(hasse.symmetric_difference(covers))
-        side = "is not a cover" if (i, j) in hasse else "is a missing cover"
+    for (i, j), (k, l) in zip(hasse, hasse[1:]):
+        if (i, j) >= (k, l):
+            how = "listed twice" if (i, j) == (k, l) else "out of order"
+            return _fail(n, name, f"{lat.nodes[k]} -> {lat.nodes[l]} {how}")
+    listed = set(hasse)
+    if listed != covers:
+        i, j = min(listed.symmetric_difference(covers))
+        side = "is not a cover" if (i, j) in listed else "is a missing cover"
         return _fail(n, name, f"{lat.nodes[i]} -> {lat.nodes[j]} {side}")
     return _ok(n, name)
 

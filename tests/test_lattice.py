@@ -20,7 +20,13 @@ from u6n import (
 )
 from u6n.chains import factorization_shape
 from u6n.group import DEFAULT_ORACLE_LIMIT
-from u6n.lattice import MODES, Lattice, _strict_order_edges, write_json
+from u6n.lattice import (
+    MODES,
+    Lattice,
+    _strict_order_edges,
+    dot_text,
+    write_json,
+)
 from u6n.oracle import GroupOracle, transitive_reduction
 from u6n.verify import catalog_sets
 
@@ -117,7 +123,8 @@ def test_rows_and_covers_from_coordinates(n, mode):
     for i, ups in enumerate(lat.strictly_below):
         row = lat.row(i)
         assert len(row) == len(ups) and set(row) == ups  # no repeats to write
-    assert hasse_edges(lat) == transitive_reduction(lat)
+    # the covers come sorted, each once: the exports print them as listed
+    assert hasse_edges(lat) == sorted(transitive_reduction(lat))
 
 
 @settings(max_examples=25)
@@ -218,7 +225,7 @@ def test_json_export_schema():
 
 def _written(lat):
     chunks = []
-    write_json(lat, sorted(hasse_edges(lat)), chunks.append)
+    write_json(lat, hasse_edges(lat), list(map(str, lat.nodes)), chunks.append)
     return chunks
 
 
@@ -264,6 +271,31 @@ def test_write_json_streams_one_row_per_write(mode):
     assert max(map(len, chunks[1:])) <= longest < len("".join(chunks)) // 10
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_export_json_reads_rows_not_the_relation(mode):
+    lat = build_lattice(GroupParams(5040), mode)
+    payload = export_json(lat)
+    assert "strictly_below" not in lat.__dict__
+    assert payload["edges_strict"] == sorted(
+        [i, j] for i, ups in enumerate(lat.strictly_below) for j in ups
+    )
+
+
+@pytest.mark.parametrize("n", [1, 30, 360360])
+@pytest.mark.parametrize("mode", MODES)
+def test_exports_share_one_node_text_list(n, mode):
+    # the lattice command makes each node's text once for both exports
+    lat = build_lattice(GroupParams(n), mode)
+    covers, texts = hasse_edges(lat), list(map(str, lat.nodes))
+    assert all(text.isascii() and '"' not in text and "\\" not in text
+               for text in texts)
+    assert dot_text(lat, covers, texts) == export_dot(lat)
+    chunks = []
+    write_json(lat, covers, texts, chunks.append)
+    reference = json.dumps(export_json(lat), indent=2) + "\n"
+    assert _first_difference("".join(chunks), reference) is None
+
+
 def test_strict_edges_helper_is_pure():
     lat = build_lattice(GroupParams(4), "all")
     again = _strict_order_edges(lat.nodes)
@@ -293,7 +325,7 @@ def _assert_product_lattice_matches_references(n, mode):
     assert list(lat.strictly_below) == [
         frozenset(s) for s in _strict_order_edges(lat.nodes)
     ]
-    assert hasse_edges(lat) == transitive_reduction(lat)
+    assert hasse_edges(lat) == sorted(transitive_reduction(lat))
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ import resource
 import sys
 from pathlib import Path
 
-from u6n import ChainCounts, GroupParams, build_lattice, export_json
+from u6n import ChainCounts, GroupParams, build_lattice, export_dot, export_json
 from u6n.oracle import transitive_reduction
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -32,15 +32,18 @@ def test_benchmark_large_n_agrees(monkeypatch, capsys):
     assert out.count("factorize ") == 6
     assert out.count("hasse_edges ") == 6
     assert out.count("export ") == 6
+    assert len(re.findall(r", dot \d+\.\d{3}s \(\d+ bytes\), peak RSS ", out)) == 6
     # ru_maxrss is in KiB on Linux; the peak so far, read before each DP
     peaks = [float(mb) for mb in re.findall(r"peak RSS (\d+\.\d) MB, dp ", out)]
     assert len(peaks) == 6 and peaks == sorted(peaks)
     peak_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     assert 0 < peaks[-1] <= peak_mb
     for mode in ("all", "normal"):
-        text = json.dumps(export_json(build_lattice(GroupParams(12), mode)), indent=2)
+        lat = build_lattice(GroupParams(12), mode)
+        text = json.dumps(export_json(lat), indent=2)
         line = next(x for x in out.splitlines() if x.startswith(f"n=12 mode={mode}:"))
-        assert f"({len(text) + 1} bytes)" in line  # the newline print adds
+        assert f"({len(text) + 1} bytes), dot " in line  # the newline print adds
+        assert f"s ({len(export_dot(lat))} bytes), peak RSS " in line
     for n in (35, 72):
         covers = len(transitive_reduction(build_lattice(GroupParams(n), "all")))
         line = next(x for x in out.splitlines() if x.startswith(f"n={n} mode=all:"))

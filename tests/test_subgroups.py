@@ -281,3 +281,29 @@ def test_descriptor_ordering_is_kind_then_t_then_s():
     assert keys == sorted(keys)
     kinds = [d.kind for d in descs]
     assert kinds == sorted(kinds, key=[Kind.CYCLIC, Kind.FULL, Kind.TWISTED].index)
+
+
+def _assert_catalog_in_order(params):
+    # the catalogs are built in (kind, t, s) order, with no sort to fall back on
+    key = SubgroupDescriptor.sort_key
+    for descs in (enumerate_subgroups(params), enumerate_normal_subgroups(params)):
+        assert descs == sorted(descs, key=key)
+        assert len({key(d) for d in descs}) == len(descs)
+
+
+@pytest.mark.parametrize("n", range(1, 301))
+def test_catalogs_come_in_sort_key_order(n):
+    _assert_catalog_in_order(GroupParams(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 8),
+    st.dictionaries(st.sampled_from([5, 7, 11, 13, 101, 2**31 - 1]),
+                    st.integers(1, 3), max_size=3),
+)
+def test_catalogs_come_in_sort_key_order_for_any_shape(e2, e3, others):
+    # 2n = 2^e2 * 3^e3 * prod p^a
+    n = 2 ** (e2 - 1) * 3**e3 * math.prod(p**a for p, a in others.items())
+    _assert_catalog_in_order(GroupParams(n))

@@ -9,7 +9,7 @@ from u6n import ChainCounts, GroupParams, count_chains, cyclic, full, twisted
 from u6n.chains import chain_counts, compute_chain_table
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
-from u6n.subgroups import enumerate_subgroups
+from u6n.subgroups import Kind, enumerate_subgroups
 from u6n.verify import (
     CheckResult,
     catalog_sets,
@@ -469,7 +469,8 @@ def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
         if (i, k) not in covers
     )
     assert check_hasse_closure(lat).passed
-    monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: covers | {skip})
+    monkeypatch.setattr(verify_module, "hasse_edges",
+                        lambda lat: sorted(set(covers) | {skip}))
     result = check_hasse_closure(lat)
     assert not result.passed
     assert result.check == "hasse-closure[all]"
@@ -483,7 +484,7 @@ def _mutated_coords(relabel_odd_t):
 
     def coords(nodes, core_two_n):
         core = tuple(d for d in nodes if core_two_n % d.t == 0)
-        core_index = {(d.kind, d.t, d.s): x for x, d in enumerate(core)}
+        core_index = {(d.t, d.s, d.kind is Kind.FULL): x for x, d in enumerate(core)}
         out = []
         for d in nodes:
             g = gcd(d.t, core_two_n)
@@ -492,7 +493,7 @@ def _mutated_coords(relabel_odd_t):
                 s = d.s * u % 3
             else:
                 s = d.s
-            out.append((core_index[d.kind, g, s], u))
+            out.append((core_index[g, s, d.kind is Kind.FULL], u))
         return core, out
 
     return coords
@@ -521,7 +522,8 @@ def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
     assert check_lattice_vs_oracle(oracle, sets, lat).passed
     covers = hasse_edges(lat)
     i, j = min(covers)
-    monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: covers - {(i, j)})
+    monkeypatch.setattr(verify_module, "hasse_edges",
+                        lambda lat: sorted(set(covers) - {(i, j)}))
     result = check_lattice_vs_oracle(oracle, sets, lat)
     assert not result.passed
     assert result.check == "lattice-vs-oracle[all]"
@@ -540,6 +542,32 @@ def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
     missing = {d: h for d, h in sets.items() if d != lat.nodes[i]}
     result = check_lattice_vs_oracle(oracle, missing, lat)
     assert result.detail == f"{lat.nodes[i]} is not in the catalog"
+
+
+def test_lattice_vs_oracle_needs_each_cover_once_and_in_order(monkeypatch):
+    # write_json and dot_text print the covers as hasse_edges lists them
+    import u6n.verify as verify_module
+    from u6n.lattice import hasse_edges
+
+    oracle = GroupOracle(GroupParams(6))
+    sets = catalog_sets(oracle)
+    lat = build_lattice(oracle.params, "all")
+    covers = hasse_edges(lat)
+    assert covers == sorted(set(covers))
+    k = len(covers) // 2
+    (i, j), (a, b) = covers[k], covers[k + 1]
+    twice = [*covers[:k + 1], (i, j), *covers[k + 1:]]
+    swapped = [*covers[:k], (a, b), (i, j), *covers[k + 2:]]
+    for listed, detail in (
+        (twice, f"{lat.nodes[i]} -> {lat.nodes[j]} listed twice"),
+        (swapped, f"{lat.nodes[i]} -> {lat.nodes[j]} out of order"),
+    ):
+        assert set(listed) == set(covers)  # the same covers as a set
+        monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: listed)
+        result = check_lattice_vs_oracle(oracle, sets, lat)
+        assert not result.passed
+        assert result.check == "lattice-vs-oracle[all]"
+        assert result.detail == detail
 
 
 def test_group_laws_name_the_first_non_associative_triple(monkeypatch):
