@@ -5,11 +5,8 @@ the cover count, and time the JSON export (the node texts and write_json,
 as `u6n lattice` writes it) into a sink that only counts its bytes and the
 DOT text (dot_text, as `u6n lattice --dot` writes it, from the same covers
 and node texts), so every stage of `lattice --dot` is timed.  The
-process's peak RSS (ru_maxrss) is printed after the exports and before
-the DP: the DP builds the lattice's strict relation, and the peak only
-grows, so this is the one point where it shows what the export path alone
-needed (the peak so far in the whole run, so a later n never reads below
-an earlier one).
+process's peak RSS (ru_maxrss) is printed after the DP: the peak so far in
+the whole run, so a later n never reads below an earlier one.
 
 count_chains counts from the factorization shape of 2n, with the closed-form
 zeta polynomial of its 2^e2 * 3^e3 core; the lattice path builds every
@@ -68,9 +65,9 @@ def bench(n: int) -> bool:
         exported = time.perf_counter()
         dot_bytes = len(dot_text(lat, covers, texts))
         dotted = time.perf_counter()
-        export_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         counts = chain_counts(compute_chain_table(lat))
         done = time.perf_counter()
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         same = shape == counts
         agree = agree and same
         print(
@@ -80,7 +77,7 @@ def bench(n: int) -> bool:
             f"hasse_edges {reduced - built:.3f}s ({len(covers)} covers), "
             f"export {exported - reduced:.3f}s ({sum(sizes)} bytes), "
             f"dot {dotted - exported:.3f}s ({dot_bytes} bytes), "
-            f"peak RSS {export_rss_mb:.1f} MB, dp {done - dotted:.3f}s; "
+            f"dp {done - dotted:.3f}s, peak RSS {peak_mb:.1f} MB; "
             f"count has {len(str(counts.fuzzy_count))} digits, "
             f"{'paths agree' if same else 'PATHS DIFFER'}"
         )

@@ -159,15 +159,12 @@ class ChainCounts:
 
 def compute_chain_table(lat: Lattice) -> ChainTable:
     """Run the level recurrence until the first empty level."""
-    first = [0] * len(lat.nodes)
-    first[lat.top_index] = 1
-    levels = [tuple(first)]
-    while True:
-        prev = levels[-1]
-        nxt = tuple(sum(map(prev.__getitem__, ups)) for ups in lat.strictly_below)
-        if not any(nxt):
-            break
-        levels.append(nxt)
+    rows = [lat.row(i) for i in range(len(lat.nodes))]
+    level = tuple(int(i == lat.top_index) for i in range(len(rows)))
+    levels = []
+    while any(level):
+        levels.append(level)
+        level = tuple(sum(map(level.__getitem__, ups)) for ups in rows)
     return ChainTable(lattice=lat, levels=tuple(levels))
 
 

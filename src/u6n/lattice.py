@@ -18,11 +18,11 @@ is its own inverse.
 build_lattice applies the containment rule subgroup_leq pairwise
 (_strict_order_edges) on the small core only, including the core's
 trivial subgroup C(c), which is a proper subgroup of U_6n once m > 1.
-Lattice.row(i) makes node i's strict successors from the coordinates;
-strictly_below, the whole relation, is built from the rows on first read
-(verify, the level DP), never by the lattice command or export_json.  The
-primes of m are the u with just two divisors among the u, so 2n is
-factorized once, for the catalog.  m = 1 is the empty product: every u is 1.
+Lattice.row(i) makes node i's strict successors from the coordinates; it
+is the only form of the strict order that u6n reads, so the whole relation
+is never kept.  The primes of m are the u with just two divisors among the
+u, so 2n is factorized once, for the catalog.  m = 1 is the empty product:
+every u is 1.
 
 U_6n is supersolvable: the normal series 1 < <b> < ... < F(t) < F(t/p)
 < ... < F(1) has factors of prime order.  So every maximal subgroup of a
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .group import GroupParams
@@ -91,9 +90,10 @@ class Lattice:
             r += column[y]
         return r
 
-    @cached_property
+    @property
     def strictly_below(self) -> tuple[frozenset[int], ...]:
-        """strictly_below[i] = the set of row(i), built on first use and kept."""
+        """Each row(i) as a set, made afresh on every read.  No u6n code reads
+        it; it stays for perfbench's tracing._strict_pairs and make_table.py."""
         return tuple(frozenset(self.row(i)) for i in range(len(self.nodes)))
 
 
@@ -174,11 +174,11 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
 
 def height(lat: Lattice) -> int:
     """Number of nodes on the longest chain ending at the top."""
-    below = lat.strictly_below
+    rows = [lat.row(i) for i in range(len(lat.nodes))]
     up: dict[int, int] = {}  # nodes on the longest chain from node i up to the top
     # fewer successors = higher in the order, so successors resolve first
-    for i in sorted(range(len(below)), key=lambda i: len(below[i])):
-        up[i] = 1 + max((up[j] for j in below[i]), default=0)
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        up[i] = 1 + max((up[j] for j in rows[i]), default=0)
     return max(up.values())
 
 
@@ -225,8 +225,7 @@ def export_dot(lat: Lattice) -> str:
 
 
 def export_json(lat: Lattice) -> dict:
-    """JSON-ready dict with nodes, the full strict relation and the covers;
-    the relation is read row by row, so strictly_below is not built."""
+    """JSON-ready dict with nodes, the full strict relation and the covers."""
     return {
         "n": lat.params.n,
         "mode": lat.mode,

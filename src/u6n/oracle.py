@@ -330,8 +330,8 @@ def lattice_chains(lat: Lattice) -> Iterator[tuple[int, ...]]:
     """Every ascending chain of lattice nodes ending at the top, as node
     indices, listed by explicit depth-first search."""
     below: list[list[int]] = [[] for _ in lat.nodes]
-    for i, ups in enumerate(lat.strictly_below):
-        for j in ups:
+    for i in range(len(below)):
+        for j in lat.row(i):
             below[j].append(i)
     return _chains_from(lat.top_index, below)
 
@@ -346,7 +346,7 @@ def transitive_reduction(lat: Lattice) -> set[tuple[int, int]]:
     """Hasse covers by definition, from the strict relation alone: (i, j)
     is kept iff no node k has i < k < j.  The reference for hasse_edges."""
     edges = set()
-    below = lat.strictly_below
+    below = [set(lat.row(i)) for i in range(len(lat.nodes))]
     for i, ups in enumerate(below):
         for j in ups:
             if not any(j in below[k] for k in ups):

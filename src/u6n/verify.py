@@ -89,6 +89,11 @@ def _set_name(s: frozenset) -> str:
     return "{" + ", ".join(sorted(format_element(x) for x in s)) + "}"
 
 
+def _row_sets(lat: Lattice) -> list[set[int]]:
+    """The set of each lat.row(i), for the checks that test membership."""
+    return [set(lat.row(i)) for i in range(len(lat.nodes))]
+
+
 def check_group_laws(oracle: GroupOracle) -> CheckResult:
     """The oracle's tables are multiply and inverse, entry by entry and in
     canonical form; then identity, inverses and associativity on the
@@ -279,10 +284,10 @@ def check_subgroup_closure(oracle: GroupOracle, sets: CatalogSets) -> CheckResul
 
 
 def check_lattice_order_laws(lat: Lattice) -> CheckResult:
-    """strictly_below is irreflexive, antisymmetric, and transitive."""
+    """The sets of the rows are irreflexive, antisymmetric, and transitive."""
     name = f"lattice-order-laws[{lat.mode}]"
     n = lat.params.n
-    below = lat.strictly_below
+    below = _row_sets(lat)
     for i in range(len(lat.nodes)):
         if i in below[i]:
             return _fail(n, name, f"self-edge at {lat.nodes[i]}")
@@ -314,14 +319,11 @@ def check_normal_restriction(
         diff = next(iter(set(lat_normal.nodes) ^ want_nodes))
         return _fail(params.n, name, f"node mismatch at {diff}")
     index_all = {d: i for i, d in enumerate(lat_all.nodes)}
+    below_normal, below_all = _row_sets(lat_normal), _row_sets(lat_all)
     for i, d1 in enumerate(lat_normal.nodes):
         for j, d2 in enumerate(lat_normal.nodes):
-            in_normal = j in lat_normal.strictly_below[i]
-            in_all = index_all[d2] in lat_all.strictly_below[index_all[d1]]
-            if in_normal != in_all:
-                return _fail(
-                    params.n, name, f"relation differs at {d1} < {d2}"
-                )
+            if (j in below_normal[i]) != (index_all[d2] in below_all[index_all[d1]]):
+                return _fail(params.n, name, f"relation differs at {d1} < {d2}")
     return _ok(params.n, name)
 
 
@@ -338,10 +340,10 @@ def check_normal_in_supergroup(
     if missing is not None:
         return _fail(params.n, name, f"normal {missing} is not in the catalog")
     node_sets = [sets[d] for d in lat_normal.nodes]
-    for i, ups in enumerate(lat_normal.strictly_below):
+    for i, h in enumerate(node_sets):
+        ups = lat_normal.row(i)
         if not ups:
             continue
-        h = node_sets[i]
         normalizer = {
             g for g, row in enumerate(conj) if h.issuperset(map(row.__getitem__, h))
         }
@@ -363,7 +365,7 @@ def check_hasse_closure(lat: Lattice) -> CheckResult:
     the strict order."""
     name = f"hasse-closure[{lat.mode}]"
     n = lat.params.n
-    below = lat.strictly_below
+    below = _row_sets(lat)
     count = len(lat.nodes)
     closure: list[set[int]] = [set() for _ in range(count)]
     for i, j in hasse_edges(lat):
@@ -385,7 +387,7 @@ def check_hasse_closure(lat: Lattice) -> CheckResult:
                 closure[i] |= extra
                 changed = True
     for i in range(count):
-        if closure[i] != set(below[i]):
+        if closure[i] != below[i]:
             return _fail(n, name, f"closure differs at {lat.nodes[i]}")
     return _ok(n, name)
 

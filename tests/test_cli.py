@@ -245,8 +245,8 @@ def test_lattice_output_is_the_indent_2_json_of_the_order(capsys, tmp_path, n, m
             {"id": i, "desc": str(d), "order": subgroup_order(lat.params, d)}
             for i, d in enumerate(lat.nodes)
         ],
-        "edges_strict": sorted([i, j] for i, ups in enumerate(lat.strictly_below)
-                               for j in ups),
+        "edges_strict": sorted([i, j] for i in range(len(lat.nodes))
+                               for j in lat.row(i)),
         "edges_hasse": [list(e) for e in covers],
     }
     _assert_same_text(out, json.dumps(expected, indent=2) + "\n", "lattice JSON")

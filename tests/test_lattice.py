@@ -1,6 +1,7 @@
 """Containment lattice construction, Hasse reduction, and exports."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from u6n import (
     GroupParams,
     build_lattice,
+    chain_counts,
+    compute_chain_table,
+    count_chains,
     export_dot,
     export_json,
     factorize,
@@ -19,6 +23,7 @@ from u6n import (
     subgroup_order,
 )
 from u6n.chains import factorization_shape
+from u6n.cli import main
 from u6n.group import DEFAULT_ORACLE_LIMIT
 from u6n.lattice import (
     MODES,
@@ -27,14 +32,22 @@ from u6n.lattice import (
     dot_text,
     write_json,
 )
-from u6n.oracle import GroupOracle, transitive_reduction
-from u6n.verify import catalog_sets
+from u6n.oracle import GroupOracle, oracle_count_chains, transitive_reduction
+from u6n.verify import catalog_sets, run_verification
+
+
+def _rows(lat):
+    return [lat.row(i) for i in range(len(lat.nodes))]
+
+
+def _row_sets(lat):
+    return [set(lat.row(i)) for i in range(len(lat.nodes))]
 
 
 def _strict_pairs(lat):
     return {
         (str(lat.nodes[i]), str(lat.nodes[j]))
-        for i, ups in enumerate(lat.strictly_below)
+        for i, ups in enumerate(_rows(lat))
         for j in ups
     }
 
@@ -90,7 +103,7 @@ def test_grouped_edges_match_pairwise_leq(n, mode):
         )
         for i, d1 in enumerate(lat.nodes)
     ]
-    assert list(lat.strictly_below) == naive
+    assert _row_sets(lat) == naive
 
 
 def _shape_firsts():
@@ -111,7 +124,7 @@ def test_strict_order_is_the_oracles_proper_inclusion(n, mode):
     sets = catalog_sets(GroupOracle(params))
     node_sets = [sets[d] for d in lat.nodes]
     for i, h in enumerate(node_sets):
-        assert lat.strictly_below[i] == {
+        assert set(lat.row(i)) == {
             j for j, k in enumerate(node_sets) if h < k
         }, lat.nodes[i]
 
@@ -120,9 +133,8 @@ def test_strict_order_is_the_oracles_proper_inclusion(n, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_rows_and_covers_from_coordinates(n, mode):
     lat = build_lattice(GroupParams(n), mode)
-    for i, ups in enumerate(lat.strictly_below):
-        row = lat.row(i)
-        assert len(row) == len(ups) and set(row) == ups  # no repeats to write
+    for row in _rows(lat):
+        assert len(row) == len(set(row))  # no repeats to write
     # the covers come sorted, each once: the exports print them as listed
     assert hasse_edges(lat) == sorted(transitive_reduction(lat))
 
@@ -131,7 +143,7 @@ def test_rows_and_covers_from_coordinates(n, mode):
 @given(st.integers(1, 20).map(GroupParams), st.sampled_from(["all", "normal"]))
 def test_strict_order_laws(params, mode):
     lat = build_lattice(params, mode)
-    below = lat.strictly_below
+    below = _row_sets(lat)
     for i, ups in enumerate(below):
         assert i not in ups
         for j in ups:
@@ -143,7 +155,7 @@ def test_everything_sits_below_top():
     for n in (1, 2, 5, 12):
         lat = build_lattice(GroupParams(n), "all")
         for i in range(len(lat.nodes)):
-            assert i == lat.top_index or lat.top_index in lat.strictly_below[i]
+            assert i == lat.top_index or lat.top_index in lat.row(i)
 
 
 def test_height_examples():
@@ -190,7 +202,7 @@ def test_hasse_closure_recovers_strict_order(n, mode):
             if extra:
                 closure[i] |= extra
                 changed = True
-    assert [set(s) for s in lat.strictly_below] == closure
+    assert _row_sets(lat) == closure
 
 
 def test_dot_export():
@@ -253,20 +265,18 @@ def test_write_json_streams_one_row_per_write(mode):
     lat = build_lattice(GroupParams(360360), mode)
     covers = hasse_edges(lat)
     chunks = _written(lat)
-    # the export runs on rows made one at a time; the relation is never built
-    assert "strictly_below" not in lat.__dict__
     reference = json.dumps(export_json(lat), indent=2) + "\n"
     assert _first_difference("".join(chunks), reference) is None
     # node block, one write per nonempty row of each pair list, and the
     # two closing writes
-    rows = sum(1 for ups in lat.strictly_below if ups) + len({i for i, _ in covers})
+    rows = sum(1 for ups in _rows(lat) if ups) + len({i for i, _ in covers})
     assert len(chunks) == rows + 3
     assert chunks[0].endswith('  ],\n  "edges_strict": ')
     # a row of pairs [i, j] is written with the 2-character separator
     # before each pair text, its own first one included
     longest = max(
         sum(len(f"    [\n      {i},\n      {j}\n    ]") + 2 for j in ups)
-        for i, ups in enumerate(lat.strictly_below)
+        for i, ups in enumerate(_rows(lat))
     )
     assert max(map(len, chunks[1:])) <= longest < len("".join(chunks)) // 10
 
@@ -275,9 +285,8 @@ def test_write_json_streams_one_row_per_write(mode):
 def test_export_json_reads_rows_not_the_relation(mode):
     lat = build_lattice(GroupParams(5040), mode)
     payload = export_json(lat)
-    assert "strictly_below" not in lat.__dict__
     assert payload["edges_strict"] == sorted(
-        [i, j] for i, ups in enumerate(lat.strictly_below) for j in ups
+        [i, j] for i, ups in enumerate(_rows(lat)) for j in ups
     )
 
 
@@ -299,7 +308,7 @@ def test_exports_share_one_node_text_list(n, mode):
 def test_strict_edges_helper_is_pure():
     lat = build_lattice(GroupParams(4), "all")
     again = _strict_order_edges(lat.nodes)
-    assert [frozenset(s) for s in again] == list(lat.strictly_below)
+    assert again == _row_sets(lat)
 
 
 @st.composite
@@ -322,9 +331,7 @@ def _shapes(draw):
 
 def _assert_product_lattice_matches_references(n, mode):
     lat = build_lattice(GroupParams(n), mode)
-    assert list(lat.strictly_below) == [
-        frozenset(s) for s in _strict_order_edges(lat.nodes)
-    ]
+    assert _row_sets(lat) == _strict_order_edges(lat.nodes)
     assert hasse_edges(lat) == sorted(transitive_reduction(lat))
 
 
@@ -350,3 +357,59 @@ def test_even_t_relabels_s_through_p():
     names = {i: str(d) for i, d in enumerate(lat.nodes)}
     covers = {(names[i], names[j]) for i, j in hasse_edges(lat)}
     assert ("T(10,1)", "T(2,2)") in covers
+
+
+@pytest.mark.parametrize("n", [1, 35, 360360])
+@pytest.mark.parametrize("mode", MODES)
+def test_strictly_below_is_each_row_as_a_set(n, mode):
+    # no u6n code reads it; the benchmark counts the strict pairs through it
+    lat = build_lattice(GroupParams(n), mode)
+    below = lat.strictly_below
+    assert len(below) == len(lat.nodes)
+    assert all(below[i] == frozenset(lat.row(i)) for i in range(len(lat.nodes)))
+    assert "strictly_below" not in lat.__dict__  # made afresh, never kept
+
+
+def _forbid_strictly_below(monkeypatch):
+    def forbidden(lat):
+        raise AssertionError("Lattice.strictly_below was read")
+
+    monkeypatch.setattr(Lattice, "strictly_below", property(forbidden))
+
+
+@pytest.mark.parametrize("n", [35, 360360])
+@pytest.mark.parametrize("mode", MODES)
+def test_package_reads_rows_not_strictly_below(monkeypatch, capsys, n, mode):
+    params = GroupParams(n)
+    lat = build_lattice(params, mode)
+    _forbid_strictly_below(monkeypatch)
+    counts = chain_counts(compute_chain_table(lat))
+    assert counts == count_chains(params, mode)
+    assert height(lat) == sum(e for _, e in factorize(6 * n))
+    covers = hasse_edges(lat)
+    assert covers == sorted(transitive_reduction(lat))
+    if n == 35:  # at 360360 the DFS would list tens of millions of chains
+        assert oracle_count_chains(lat) == list(counts.per_length)
+    reference = json.dumps(export_json(lat), indent=2) + "\n"
+    chunks = []
+    write_json(lat, covers, list(map(str, lat.nodes)), chunks.append)
+    assert _first_difference("".join(chunks), reference) is None
+    assert export_dot(lat).count(" -> ") == len(covers)
+    assert main(["lattice", "--n", str(n), "--mode", mode]) == 0
+    assert _first_difference(capsys.readouterr().out, reference) is None
+
+
+def test_verify_reads_rows_not_strictly_below(monkeypatch, capsys):
+    _forbid_strictly_below(monkeypatch)
+    assert all(result.passed for result in run_verification(12))
+    assert main(["verify", "--n-max", "8"]) == 0
+    assert "checks passed" in capsys.readouterr().out
+
+
+def test_no_package_or_script_source_reads_strictly_below():
+    root = Path(__file__).resolve().parent.parent
+    sources = [*(root / "src" / "u6n").glob("*.py"), *(root / "scripts").glob("*.py")]
+    assert len(sources) > 2
+    for path in sources:
+        assert ".strictly_below" not in path.read_text(), path.name
+    assert "cached_property" not in (root / "src" / "u6n" / "lattice.py").read_text()

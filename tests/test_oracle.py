@@ -432,7 +432,7 @@ def test_signature_agrees_with_pairwise():
     lat = build_lattice(params, "all")
     reps = []
     for i in range(len(lat.nodes)):
-        if lat.top_index in lat.strictly_below[i]:
+        if lat.top_index in lat.row(i):
             reps.append(
                 chain_to_representative(params, [lat.nodes[i], full(1)])
             )

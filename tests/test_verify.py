@@ -375,7 +375,7 @@ def test_closure_checks_catch_a_corrupted_catalog_set():
     # by the whole group, a node above it, moves them
     normal = set(enumerate_normal_subgroups(params))
     outsider = next(d for d in sets if d not in normal)
-    node = lat.nodes[next(i for i, ups in enumerate(lat.strictly_below) if ups)]
+    node = lat.nodes[next(i for i in range(len(lat.nodes)) if lat.row(i))]
     result = check_normal_in_supergroup(oracle, {**sets, node: sets[outsider]}, lat)
     assert not result.passed
     assert result.check == "normal-in-supergroup"
@@ -465,7 +465,7 @@ def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
     covers = hasse_edges(lat)
     # a strict pair i < k with some j between: its closure adds nothing new
     skip = min(
-        (i, k) for i, ups in enumerate(lat.strictly_below) for k in ups
+        (i, k) for i in range(len(lat.nodes)) for k in lat.row(i)
         if (i, k) not in covers
     )
     assert check_hasse_closure(lat).passed
