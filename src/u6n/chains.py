@@ -95,8 +95,8 @@ less than twice that.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import comb, prod
 from operator import sub
 
@@ -113,25 +113,25 @@ class HeightLimitExceeded(ArithmeticError):
     """The lattice height of 2n is above MAX_HEIGHT."""
 
 
-@dataclass(frozen=True)
-class ChainTable:
-    lattice: Lattice
-    #: levels[k][j] = number of (k+1)-node ascending chains from node j to top
-    levels: tuple[tuple[int, ...], ...]
+class ChainTable(namedtuple("ChainTable", (
+    "lattice",
+    "levels",  # levels[k][j] = number of (k+1)-node ascending chains from node j to top
+))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChainCounts:
-    n: int
-    mode: str
-    #: per_length[k] = number of proper chains with k+1 subgroups
-    per_length: tuple[int, ...]
+class ChainCounts(namedtuple("ChainCounts", (
+    "n", "mode",
+    "per_length",  # per_length[k] = number of proper chains with k+1 subgroups
+))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.per_length or self.per_length[0] != 1:
+    def __new__(cls, n: int, mode: str, per_length: tuple[int, ...]) -> ChainCounts:
+        if not per_length or per_length[0] != 1:
             raise ValueError("chain counts must start with the single chain (G)")
-        if any(c < 0 for c in self.per_length) or self.per_length[-1] == 0:
+        if any(c < 0 for c in per_length) or per_length[-1] == 0:
             raise ValueError("chain counts must be nonnegative with nonzero tail")
+        return tuple.__new__(cls, (n, mode, per_length))
 
     @property
     def total(self) -> int:

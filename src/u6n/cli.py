@@ -9,12 +9,9 @@ consumers limited to 64-bit integers.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import re
 import sys
-from pathlib import Path
 
 from .chains import (
     ChainCounts,
@@ -64,6 +61,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo < 1 or hi < lo:
         raise CliError(f"invalid range {text!r}: need 1 <= A <= B")
     return lo, hi
+
+
+# json and csv are imported where they are used, not with the module: most
+# queries print neither.
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
+def _csv_writer():
+    import csv
+
+    return csv.writer(sys.stdout, lineterminator="\n")
 
 
 def _params(n: int) -> GroupParams:
@@ -136,9 +147,9 @@ def _cmd_listing(args: argparse.Namespace) -> int:
             "mode": "normal" if normal else "all",
             "subgroups": [{"desc": d, "order": o} for d, o in rows],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
         writer.writerow(["desc", "order"])
         writer.writerows(rows)
     else:
@@ -152,9 +163,9 @@ def _cmd_listing(args: argparse.Namespace) -> int:
 def _cmd_chains(args: argparse.Namespace) -> int:
     counts = count_chains(_params(args.n), args.mode)
     if args.fmt == "json":
-        print(json.dumps(counts.to_json_dict(), indent=2))
+        _print_json(counts.to_json_dict())
     elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
         writer.writerow(["length", "count"])
         for k, c in enumerate(counts.per_length):
             writer.writerow([k + 1, str(c)])
@@ -179,9 +190,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "relation": args.relation,
             "count": str(value),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
         writer.writerow(["n", "mode", "relation", "count"])
         writer.writerow([args.n, args.mode, args.relation, str(value)])
     else:
@@ -194,7 +205,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     covers, texts = hasse_edges(lat), list(map(format_descriptor, lat.nodes))
     if args.dot_path:
         try:
-            Path(args.dot_path).write_text(dot_text(lat, covers, texts))
+            with open(args.dot_path, "w") as fh:
+                fh.write(dot_text(lat, covers, texts))
         except OSError as exc:
             raise CliError(
                 f"cannot write DOT file {args.dot_path}: {exc.strerror or exc}"
@@ -216,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.n_max, fuzzy_n_max=args.fuzzy_n_max, oracle_limit=args.oracle_limit
     )
     if args.fmt == "json":
-        print(json.dumps(report_json(results), indent=2))
+        _print_json(report_json(results))
     else:
         print(render_report(results))
     return 0 if all(r.passed for r in results) else 2
@@ -224,7 +236,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n_range)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer = _csv_writer()
     writer.writerow(
         ["n", "mode", "per_length", "total", "fuzzy_count", "mm_count"]
     )

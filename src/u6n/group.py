@@ -9,7 +9,7 @@ below are therefore O(1) integer arithmetic on the two exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: Exhaustive (Cayley-table / closure) checks refuse groups larger than this.
 DEFAULT_ORACLE_LIMIT = 300
@@ -19,15 +19,19 @@ class OracleLimitExceeded(Exception):
     """An exhaustive check was requested for a group above the size bound."""
 
 
-@dataclass(frozen=True)
-class GroupParams:
+# The value types of the counting path (these two, SubgroupDescriptor,
+# Lattice, ChainTable, ChainCounts) are namedtuple subclasses with empty
+# __slots__, not frozen dataclasses, because importing dataclasses (and with
+# it inspect, ast, dis and tokenize) was about a third of `import u6n.cli`.
+class GroupParams(namedtuple("GroupParams", "n")):
     """Family parameter n; U_6n has order 6n and a has order 2n."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+    def __new__(cls, n: int) -> GroupParams:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        return tuple.__new__(cls, (n,))
 
     @property
     def two_n(self) -> int:
@@ -38,12 +42,11 @@ class GroupParams:
         return 6 * self.n
 
 
-@dataclass(frozen=True, order=True)
-class Element:
-    """Canonical word a^a_exp b^b_exp; construct via the module functions."""
+class Element(namedtuple("Element", "a_exp b_exp")):
+    """Canonical word a^a_exp b^b_exp; construct via the module functions.
+    Elements sort as their (a_exp, b_exp) pairs."""
 
-    a_exp: int
-    b_exp: int
+    __slots__ = ()
 
 
 def identity(params: GroupParams) -> Element:

@@ -45,8 +45,8 @@ in order, node by node, so neither export sorts them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from math import gcd
 
 from .group import GroupParams
@@ -63,21 +63,16 @@ from .subgroups import (
 MODES = ("all", "normal")
 
 
-@dataclass(frozen=True)
-class Lattice:
-    params: GroupParams
-    mode: str
-    nodes: tuple[SubgroupDescriptor, ...]
-    #: orders[i] = subgroup_order of nodes[i]
-    orders: tuple[int, ...]
-    top_index: int
-    #: coords[i] = (x, u): core node x times the subgroup of index u in C_m
-    coords: tuple[tuple[int, int], ...]
-    #: core_above[x] = the core nodes strictly containing core node x
-    core_above: tuple[tuple[int, ...], ...]
-    #: column[u][x] = the nodes (x, v) for v | u, ascending in v, so the
-    #: last one is node (x, u) itself
-    column: dict[int, list[tuple[int, ...]]]
+class Lattice(namedtuple("Lattice", (
+    "params", "mode", "nodes",
+    "orders",      # orders[i] = subgroup_order of nodes[i]
+    "top_index",
+    "coords",      # coords[i] = (x, u): core node x times the index-u subgroup of C_m
+    "core_above",  # core_above[x] = the core nodes strictly containing core node x
+    "column",      # column[u][x] = the nodes (x, v) for v | u, ascending in v,
+                   # so the last one is node (x, u) itself
+))):
+    __slots__ = ()
 
     def row(self, i: int) -> list[int]:
         """The nodes strictly containing node (x, u) = coords[i], unsorted:

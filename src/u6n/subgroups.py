@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .group import Element, GroupParams
 
@@ -43,20 +43,20 @@ _CYCLIC, _FULL, _TWISTED = Kind.CYCLIC, Kind.FULL, Kind.TWISTED
 _KIND_RANK = {Kind.CYCLIC: 0, Kind.FULL: 1, Kind.TWISTED: 2}
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
-    kind: Kind
-    t: int
-    s: int | None = None
+class SubgroupDescriptor(namedtuple("SubgroupDescriptor", "kind t s")):
+    """One catalog subgroup: kind, divisor t of 2n, and s for Twisted only."""
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"t must be positive, got {self.t}")
-        if self.kind is Kind.TWISTED:
-            if self.s not in (1, 2):
-                raise ValueError(f"twisted subgroup needs s in {{1, 2}}, got {self.s}")
-        elif self.s is not None:
-            raise ValueError(f"{self.kind.value}({self.t}) takes no s parameter")
+    __slots__ = ()
+
+    def __new__(cls, kind: Kind, t: int, s: int | None = None) -> SubgroupDescriptor:
+        if t < 1:
+            raise ValueError(f"t must be positive, got {t}")
+        if kind is _TWISTED:
+            if s not in (1, 2):
+                raise ValueError(f"twisted subgroup needs s in {{1, 2}}, got {s}")
+        elif s is not None:
+            raise ValueError(f"{kind.value}({t}) takes no s parameter")
+        return tuple.__new__(cls, (kind, t, s))
 
     def sort_key(self) -> tuple[int, int, int]:
         return (_KIND_RANK[self.kind], self.t, self.s or 0)

@@ -314,13 +314,15 @@ def test_large_n_counts(mode, fuzzy):
 
 
 def test_counts_validation():
-    with pytest.raises(ValueError):
+    start = r"^chain counts must start with the single chain \(G\)$"
+    tail = "^chain counts must be nonnegative with nonzero tail$"
+    with pytest.raises(ValueError, match=start):
         ChainCounts(n=1, mode="all", per_length=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=start):
         ChainCounts(n=1, mode="all", per_length=(2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=tail):
         ChainCounts(n=1, mode="all", per_length=(1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=tail):
         ChainCounts(n=1, mode="all", per_length=(1, -2, 1))
 
 

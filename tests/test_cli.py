@@ -257,13 +257,20 @@ def test_lattice_output_is_the_indent_2_json_of_the_order(capsys, tmp_path, n, m
     ]
 
 
-@pytest.mark.parametrize("target", ["missing/x.dot", "."])
+_DOT_ERRORS = {
+    "missing/x.dot": "No such file or directory",
+    ".": "Is a directory",
+    "x.dot/": "Is a directory",  # opened as given, not as x.dot
+}
+
+
+@pytest.mark.parametrize("target", list(_DOT_ERRORS))
 def test_lattice_unwritable_dot_exits_1(capsys, tmp_path, target):
-    code, _, err = run_cli(
-        capsys, "lattice", "--n", "1", "--dot", str(tmp_path / target)
-    )
-    assert code == 1
-    assert err and "Traceback" not in err
+    path = os.path.join(tmp_path, target)
+    code, out, err = run_cli(capsys, "lattice", "--n", "1", "--dot", path)
+    assert (code, out) == (1, "")
+    assert err == f"cannot write DOT file {path}: {_DOT_ERRORS[target]}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_batch_csv(capsys):
@@ -457,15 +464,17 @@ def test_parser_error_is_cli_error():
 
 
 def test_cli_import_loads_only_the_counting_path():
+    # -S: a site-packages .pth file may import pathlib or typing itself
     code = (
         "import sys, u6n.cli; "
         "print(sorted(m for m in ('u6n.oracle', 'u6n.verify', 'u6n.cache', "
-        "'concurrent.futures', 'fractions') if m in sys.modules))"
+        "'concurrent.futures', 'fractions', 'dataclasses', 'inspect', 'json', "
+        "'csv', 'pathlib') if m in sys.modules))"
     )
     src = str(Path(u6n.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"
 

@@ -35,10 +35,14 @@ def param_elements(draw, count=1):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
         GroupParams(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be a positive integer, got -3$"):
         GroupParams(-3)
+    with pytest.raises(ValueError, match="^n must be a positive integer, got True$"):
+        GroupParams(True)
+    with pytest.raises(ValueError, match="^n must be a positive integer, got 5.0$"):
+        GroupParams(5.0)
     assert GroupParams(5).two_n == 10
     assert GroupParams(5).order == 30
 

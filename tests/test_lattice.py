@@ -367,7 +367,7 @@ def test_strictly_below_is_each_row_as_a_set(n, mode):
     below = lat.strictly_below
     assert len(below) == len(lat.nodes)
     assert all(below[i] == frozenset(lat.row(i)) for i in range(len(lat.nodes)))
-    assert "strictly_below" not in lat.__dict__  # made afresh, never kept
+    assert not hasattr(lat, "__dict__")  # slotted: nothing can be kept
 
 
 def _forbid_strictly_below(monkeypatch):

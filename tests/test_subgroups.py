@@ -139,13 +139,16 @@ def test_divisors_complete_and_sorted(m):
 
 
 def test_descriptor_validation():
-    with pytest.raises(ValueError):
+    needs_s = r"^twisted subgroup needs s in \{1, 2\}, got "
+    with pytest.raises(ValueError, match="^t must be positive, got 0$"):
         cyclic(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=needs_s + "3$"):
         twisted(1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^C\(2\) takes no s parameter$"):
         SubgroupDescriptor(Kind.CYCLIC, 2, 1)  # s only belongs on twisted
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^F\(4\) takes no s parameter$"):
+        SubgroupDescriptor(kind=Kind.FULL, t=4, s=2)
+    with pytest.raises(ValueError, match=needs_s + "None$"):
         SubgroupDescriptor(Kind.TWISTED, 2)  # twisted needs s
 
 
