@@ -96,8 +96,8 @@ less than twice that.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
-from math import comb, prod
+from collections.abc import Iterator, Sequence
+from math import prod
 from operator import sub
 
 from .group import GroupParams
@@ -176,16 +176,21 @@ def chain_counts(table: ChainTable) -> ChainCounts:
     )
 
 
-def _core_zeta(e2: int, e3: int, k: int, mode: str) -> int:
-    """Z(k), k >= 1, of the core lattice of 2^e2 * 3^e3: the closed form
-    of the module docstring."""
-    if k == 1:  # just 1 = K_0 <= K_1 = G; comb would raise on C(x, -1) below
-        return 1
-    w2, w3 = comb(e2 + k - 1, k - 1), comb(e3 + k - 1, k - 1)
-    if mode == "normal":
-        return w3 * (k * w2 - comb(e2 + k - 1, k - 2))
-    return (k * w2 * w3 + 2 * e3 * w2 * comb(e3 + k - 1, k - 2)
-            + 2 * comb(e2 + e3 + k - 1, k - 2))
+def _core_zeta(e2: int, e3: int, top: int, mode: str) -> Iterator[int]:
+    """Z(1), ..., Z(top) of the core lattice of 2^e2 * 3^e3: the closed
+    form of the module docstring.  Each C(x+k-1, k-1) steps to k+1 as
+    C(x+k, k) = C(x+k-1, k-1) * (x+k) / k, and C(x+k-1, k-2) is
+    C(x+k-1, k-1) * (k-1) / (x+1): one multiply and one exact divide."""
+    w2 = w3 = w23 = 1  # C(x+k-1, k-1) at k = 1, for x = e2, e3, e2+e3
+    for k in range(1, top + 1):
+        if mode == "normal":
+            yield w3 * (k * w2 - w2 * (k - 1) // (e2 + 1))
+        else:
+            yield (k * w2 * w3 + 2 * e3 * w2 * (w3 * (k - 1) // (e3 + 1))
+                   + 2 * (w23 * (k - 1) // (e2 + e3 + 1)))
+        w2 = w2 * (e2 + k) // k
+        w3 = w3 * (e3 + k) // k
+        w23 = w23 * (e2 + e3 + k) // k
 
 
 def factorization_shape(two_n: int) -> tuple[int, tuple[int, ...]]:
@@ -216,10 +221,11 @@ def shape_chain_counts(
             f"lattice height {top} is above {MAX_HEIGHT}, the largest "
             "the chain count answers"
         )
-    row = [0] + [
-        _core_zeta(e2, e3, k, mode) * prod(comb(a + k - 1, k - 1) for a in exponents)
-        for k in range(1, top + 1)
-    ]
+    row = [0]
+    factor = 1  # prod_p C(a_p + k - 1, k - 1), each stepped as in _core_zeta
+    for k, z in enumerate(_core_zeta(e2, e3, top, mode), 1):
+        row.append(z * factor)
+        factor = factor * prod(a + k for a in exponents) // k ** len(exponents)
     counts = []
     for _ in range(top):
         row = list(map(sub, row[1:], row[:-1]))

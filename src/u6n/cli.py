@@ -236,27 +236,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n_range)
-    writer = _csv_writer()
-    writer.writerow(
-        ["n", "mode", "per_length", "total", "fuzzy_count", "mm_count"]
-    )
-    # rows of the same factorization shape share their per_length
-    by_shape: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+    write = sys.stdout.write
+    write("n,mode,per_length,total,fuzzy_count,mm_count\n")
+    # rows of the same factorization shape share all text after n; no
+    # field holds a comma, quote or newline, so none needs CSV quoting
+    tails: dict[tuple[int, tuple[int, ...]], str] = {}
     for n in range(lo, hi + 1):
         shape = factorization_shape(2 * n)
-        if shape not in by_shape:
-            by_shape[shape] = shape_chain_counts(*shape, args.mode)
-        counts = ChainCounts(n=n, mode=args.mode, per_length=by_shape[shape])
-        writer.writerow(
-            [
-                n,
-                args.mode,
-                ";".join(str(c) for c in counts.per_length),
-                str(counts.total),
-                str(counts.fuzzy_count),
-                str(counts.mm_count),
-            ]
-        )
+        tail = tails.get(shape)
+        if tail is None:
+            c = ChainCounts(n, args.mode, shape_chain_counts(*shape, args.mode))
+            tail = tails[shape] = (
+                f",{c.mode},{';'.join(map(str, c.per_length))},"
+                f"{c.total},{c.fuzzy_count},{c.mm_count}\n"
+            )
+        write(f"{n}{tail}")
     return 0
 
 

@@ -18,7 +18,9 @@ subgroup closure, normal-in-supergroup, set-chains and lattice-vs-oracle
 run at the first n of each factorization shape of 2n.  lattice-vs-oracle holds the strict
 order and the covers the lattice makes from product coordinates to
 proper inclusion of the oracle's sets, so the s relabel and the divisor
-columns are checked, not only subgroup_leq.
+columns are checked, not only subgroup_leq.  hasse-closure holds
+hasse_edges, at every n, to oracle.transitive_reduction, the covers of
+the lattice's rows found by definition.
 
 The group laws run on the oracle's tables once the tables are shown to
 be multiply and inverse.  The fuzzy-axioms and equivalence-classes
@@ -56,6 +58,7 @@ from .oracle import (
     comparison_pattern,
     oracle_count_chains,
     representative_from_sets,
+    transitive_reduction,
 )
 from .subgroups import (
     SubgroupDescriptor,
@@ -361,35 +364,27 @@ def check_normal_in_supergroup(
 
 
 def check_hasse_closure(lat: Lattice) -> CheckResult:
-    """The Hasse edges are covers, and their transitive closure reproduces
-    the strict order."""
+    """The Hasse edges are exactly the covers of the strict order, as
+    oracle.transitive_reduction finds them by definition.  In a finite
+    order this is the same as: every edge is a cover, and the transitive
+    closure of the edges is the strict order, since a cover is reached by
+    no path of two or more edges."""
     name = f"hasse-closure[{lat.mode}]"
     n = lat.params.n
-    below = _row_sets(lat)
-    count = len(lat.nodes)
-    closure: list[set[int]] = [set() for _ in range(count)]
-    for i, j in hasse_edges(lat):
-        between = next((k for k in below[i] if j in below[k]), None)
-        if between is not None:
-            return _fail(
-                n,
-                name,
-                f"{lat.nodes[i]} -> {lat.nodes[j]} is not a cover: "
-                f"{lat.nodes[between]} lies between",
-            )
-        closure[i].add(j)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(count):
-            extra = set().union(*(closure[j] for j in closure[i])) - closure[i]
-            if extra:
-                closure[i] |= extra
-                changed = True
-    for i in range(count):
-        if closure[i] != below[i]:
-            return _fail(n, name, f"closure differs at {lat.nodes[i]}")
-    return _ok(n, name)
+    listed = hasse_edges(lat)
+    covers = transitive_reduction(lat)
+    if set(listed) == covers:
+        return _ok(n, name)
+    wrong = [(i, j) for i, j in listed if (i, j) not in covers]
+    if wrong:
+        i, j = wrong[0]
+        between = next((k for k in set(lat.row(i)) if j in lat.row(k)), None)
+        why = "" if between is None else f": {lat.nodes[between]} lies between"
+        return _fail(
+            n, name, f"{lat.nodes[i]} -> {lat.nodes[j]} is not a cover{why}"
+        )
+    i, j = min(covers.difference(listed))
+    return _fail(n, name, f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover")
 
 
 def check_dp_vs_dfs(table: ChainTable) -> CheckResult:

@@ -299,6 +299,22 @@ def test_batch_rows_recompute(capsys):
         assert row[4] == str(counts.fuzzy_count)
 
 
+@pytest.mark.parametrize("mode", ["all", "normal"])
+def test_batch_bytes_are_csv_writer_rows(capsys, mode):
+    # batch writes its rows without the csv module: the bytes must be what
+    # csv.writer makes of count_chains, so no field may ever need quoting
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["n", "mode", "per_length", "total", "fuzzy_count", "mm_count"])
+    for n in range(1, 3001):
+        counts = count_chains(GroupParams(n), mode)
+        writer.writerow([n, mode, ";".join(map(str, counts.per_length)),
+                         counts.total, counts.fuzzy_count, counts.mm_count])
+    code, out, err = run_cli(capsys, "batch", "--range", "1..3000", "--mode", mode)
+    assert (code, err) == (0, "")
+    _assert_same_text(out, want.getvalue(), "batch stdout")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

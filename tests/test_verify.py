@@ -477,6 +477,22 @@ def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
     assert "is not a cover" in result.detail
 
 
+def test_hasse_closure_names_a_missing_cover(monkeypatch):
+    import u6n.verify as verify_module
+    from u6n.lattice import build_lattice, hasse_edges
+
+    lat = build_lattice(GroupParams(6), "all")
+    covers = hasse_edges(lat)
+    i, j = dropped = covers[len(covers) // 2]
+    assert check_hasse_closure(lat).passed
+    monkeypatch.setattr(verify_module, "hasse_edges",
+                        lambda lat: [e for e in covers if e != dropped])
+    result = check_hasse_closure(lat)
+    assert not result.passed
+    assert result.check == "hasse-closure[all]"
+    assert result.detail == f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover"
+
+
 def _mutated_coords(relabel_odd_t):
     """lattice._product_coords with the s relabel broken: left out, or
     applied to odd t instead of even t."""
