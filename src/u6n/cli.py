@@ -21,7 +21,7 @@ from .chains import (
     shape_chain_counts,
 )
 from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
-from .lattice import build_lattice, dot_text, hasse_edges, write_json
+from .lattice import MODES, build_lattice, dot_text, hasse_edges, write_json
 from .subgroups import (
     FactorizationBudgetExceeded,
     enumerate_normal_subgroups,
@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
         p.set_defaults(handler=handler)
         p.add_argument("--n", type=int, required=True, help="group parameter n >= 1")
         if mode:
-            p.add_argument("--mode", choices=("all", "normal"), default="all")
+            p.add_argument("--mode", choices=MODES, default="all")
         if fmt:
             p.add_argument("--format", choices=("table", "json", "csv"),
                            default="table", dest="fmt")
@@ -132,7 +132,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_batch)
     p.add_argument("--range", required=True, dest="n_range",
                    help="inclusive range A..B (or a single N)")
-    p.add_argument("--mode", choices=("all", "normal"), default="all")
+    p.add_argument("--mode", choices=MODES, default="all")
     return parser
 
 
@@ -203,7 +203,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_lattice(args: argparse.Namespace) -> int:
     lat = build_lattice(_params(args.n), args.mode)
     covers, texts = hasse_edges(lat), list(map(format_descriptor, lat.nodes))
-    if args.dot_path:
+    if args.dot_path is not None:
         try:
             with open(args.dot_path, "w") as fh:
                 fh.write(dot_text(lat, covers, texts))

@@ -33,7 +33,8 @@ integers: the ranking keys each grade on its (numerator, denominator),
 and the distinct grades are ordered, as comparison_pattern compares all
 grades, after scaling each to the lcm of their denominators.  None of it
 consults the divisor-based catalog, so agreement between the two paths is
-evidence, not circularity.
+evidence, not circularity: descriptors meet the oracle only in
+verify.catalog_sets, which maps each one to its index set.
 Factorization is plain trial division, the reference for the catalog's
 Miller-Rabin and Pollard-rho factorizer.
 
@@ -63,7 +64,6 @@ from .group import (
     multiply,
 )
 from .lattice import Lattice
-from .subgroups import SubgroupDescriptor, full, subgroup_elements
 
 
 def _index(x: Element) -> int:
@@ -459,25 +459,6 @@ def representative_from_sets(
     return FuzzyMap(params, tuple(grades))
 
 
-def chain_to_representative(
-    params: GroupParams,
-    chain: Sequence[SubgroupDescriptor],
-    levels: Sequence[Fraction] | None = None,
-) -> FuzzyMap:
-    """Representative fuzzy subgroup of a descriptor chain ending at F(1)."""
-    if not chain or chain[-1] != full(1):
-        raise ValueError("chain must end at the whole group F(1)")
-    sets = [frozenset(map(_index, subgroup_elements(params, d))) for d in chain]
-    return representative_from_sets(params, sets, levels)
-
-
-def equivalent(mu: FuzzyMap, nu: FuzzyMap) -> bool:
-    """True iff mu(x) > mu(y) exactly when nu(x) > nu(y), for all pairs."""
-    if mu.params != nu.params:
-        raise ValueError("fuzzy maps over different groups are not comparable")
-    return mu.ranks == nu.ranks
-
-
 def comparison_pattern(mu: FuzzyMap) -> tuple[bool, ...]:
     """mu(x) > mu(y) for every ordered pair (x, y) of elements, x major,
     in the tables' index order: the literal relation that ~ compares,
@@ -487,11 +468,3 @@ def comparison_pattern(mu: FuzzyMap) -> tuple[bool, ...]:
     scale = lcm(*(g.denominator for g in grades))
     scaled = [g.numerator * (scale // g.denominator) for g in grades]
     return tuple(gx > gy for gx in scaled for gy in scaled)
-
-
-def equivalent_by_pairs(mu: FuzzyMap, nu: FuzzyMap) -> bool:
-    """Literal all-pairs form of the equivalence, as a cross-check."""
-    if mu.params != nu.params:
-        raise ValueError("fuzzy maps over different groups are not comparable")
-    return comparison_pattern(mu) == comparison_pattern(nu)
-

@@ -29,13 +29,12 @@ from u6n import (
 )
 from u6n.oracle import (
     GroupOracle,
-    chain_to_representative,
-    equivalent,
     lattice_chains,
     oracle_count_chains,
+    representative_from_sets,
 )
 from u6n.subgroups import Kind
-from u6n.verify import check_fuzzy_axioms
+from u6n.verify import catalog_sets, check_fuzzy_axioms
 
 
 def _report(num: int, slug: str, ok: bool) -> bool:
@@ -108,24 +107,25 @@ def test_criterion_4_fuzzy_axioms_end_to_end():
     for n in range(1, 5):
         params = GroupParams(n)
         oracle = GroupOracle(params)
+        catalog = catalog_sets(oracle)
         lat = build_lattice(params, "all")
         chains = list(lattice_chains(lat))
         signatures = set()
         for chain in chains:
-            descs = [lat.nodes[i] for i in chain]
-            rep = chain_to_representative(params, descs)
+            sets = [catalog[lat.nodes[i]] for i in chain]
+            rep = representative_from_sets(params, sets)
             ok = ok and oracle.is_fuzzy_subgroup(rep)
-            relevel = [Fraction(3, 3 + i) for i in range(1, len(descs) + 1)]
-            ok = ok and equivalent(
-                rep, chain_to_representative(params, descs, relevel)
+            relevel = [Fraction(3, 3 + i) for i in range(1, len(sets) + 1)]
+            ok = ok and rep.ranks == (
+                representative_from_sets(params, sets, relevel).ranks
             )
             signatures.add(rep.ranks)
         ok = ok and len(signatures) == len(chains)  # pairwise inequivalent
 
         lat_normal = build_lattice(params, "normal")
         for chain in lattice_chains(lat_normal):
-            descs = [lat_normal.nodes[i] for i in chain]
-            rep = chain_to_representative(params, descs)
+            sets = [catalog[lat_normal.nodes[i]] for i in chain]
+            rep = representative_from_sets(params, sets)
             ok = ok and oracle.is_fuzzy_subgroup(rep) and oracle.is_normal_fuzzy(rep)
 
         counts = count_chains(params, "all")

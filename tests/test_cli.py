@@ -258,6 +258,7 @@ def test_lattice_output_is_the_indent_2_json_of_the_order(capsys, tmp_path, n, m
 
 
 _DOT_ERRORS = {
+    "": "No such file or directory",  # given as is: an empty path, no option
     "missing/x.dot": "No such file or directory",
     ".": "Is a directory",
     "x.dot/": "Is a directory",  # opened as given, not as x.dot
@@ -266,11 +267,25 @@ _DOT_ERRORS = {
 
 @pytest.mark.parametrize("target", list(_DOT_ERRORS))
 def test_lattice_unwritable_dot_exits_1(capsys, tmp_path, target):
-    path = os.path.join(tmp_path, target)
+    path = os.path.join(tmp_path, target) if target else target
     code, out, err = run_cli(capsys, "lattice", "--n", "1", "--dot", path)
     assert (code, out) == (1, "")
     assert err == f"cannot write DOT file {path}: {_DOT_ERRORS[target]}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "5", "--mode", "bogus"),
+    ("batch", "--range", "1", "--mode", "bogus"),
+])
+def test_bogus_mode_lists_the_lattice_modes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"u6n {argv[0]}: error: argument --mode: invalid choice: 'bogus' "
+        "(choose from 'all', 'normal')\n"
+    )
+    assert run_cli(capsys, argv[0], "-h")[1].count("--mode {all,normal}") == 2
 
 
 def test_batch_csv(capsys):

@@ -1,5 +1,6 @@
 """Brute-force oracle: closure discovery, normality, fuzzy materialization."""
 
+import ast
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,15 +28,18 @@ from u6n import (
 from u6n.oracle import (
     FuzzyMap,
     GroupOracle,
-    chain_to_representative,
     comparison_pattern,
-    equivalent,
-    equivalent_by_pairs,
     lattice_chains,
     oracle_count_chains,
     representative_from_sets,
 )
-from u6n.verify import check_fuzzy_axioms
+from u6n.verify import catalog_sets, check_fuzzy_axioms
+
+
+def _rep(params, chain, levels=None):
+    """The representative of a descriptor chain, through verify's bridge."""
+    sets = catalog_sets(GroupOracle(params))
+    return representative_from_sets(params, [sets[d] for d in chain], levels)
 
 
 def test_oracle_subgroup_counts():
@@ -268,13 +272,13 @@ def test_fuzzy_map_grades_are_read_only():
 
 def test_representative_construction():
     params = GroupParams(1)
-    mu = chain_to_representative(params, [full(2), full(1)])
+    mu = _rep(params, [full(2), full(1)])
     for x in all_elements(params):
         expected = Fraction(1) if x.a_exp == 0 else Fraction(1, 2)
         assert mu[x] == expected
     assert len(set(mu.grades)) == 2
 
-    constant = chain_to_representative(params, [full(1)])
+    constant = _rep(params, [full(1)])
     assert set(constant.grades) == {Fraction(1)}
     assert GroupOracle(params).is_fuzzy_subgroup(constant)
 
@@ -282,32 +286,32 @@ def test_representative_construction():
 def test_representative_validation():
     params = GroupParams(1)
     with pytest.raises(ValueError):
-        chain_to_representative(params, [])
+        _rep(params, [])
     with pytest.raises(ValueError):
-        chain_to_representative(params, [full(2)])  # must end at F(1)
+        _rep(params, [full(2)])  # must end at F(1)
     with pytest.raises(ValueError):
-        chain_to_representative(params, [full(1), full(2)])
+        _rep(params, [full(1), full(2)])
     with pytest.raises(ValueError):
-        chain_to_representative(params, [full(2), full(1)], [Fraction(1)])
+        _rep(params, [full(2), full(1)], [Fraction(1)])
     with pytest.raises(ValueError):
-        chain_to_representative(
+        _rep(
             params, [full(2), full(1)], [Fraction(1, 2), Fraction(1, 2)]
         )
     with pytest.raises(ValueError):
-        chain_to_representative(params, [full(2), full(1)], [1.0, 0.5])
+        _rep(params, [full(2), full(1)], [1.0, 0.5])
     with pytest.raises(ValueError):
-        chain_to_representative(params, [full(2), full(1)], [Fraction(3, 2), 1])
+        _rep(params, [full(2), full(1)], [Fraction(3, 2), 1])
     with pytest.raises(ValueError):
-        chain_to_representative(params, [full(2), full(1)], [1, Fraction(-1, 2)])
+        _rep(params, [full(2), full(1)], [1, Fraction(-1, 2)])
 
 
 def test_levels_need_not_start_at_one():
     params = GroupParams(1)
-    mu = chain_to_representative(
+    mu = _rep(
         params, [full(2), full(1)], [Fraction(1, 3), Fraction(1, 7)]
     )
     assert GroupOracle(params).is_fuzzy_subgroup(mu)
-    assert equivalent(mu, chain_to_representative(params, [full(2), full(1)]))
+    assert mu.ranks == _rep(params, [full(2), full(1)]).ranks
 
 
 def test_fuzzy_axiom_checks():
@@ -343,19 +347,19 @@ def test_normal_fuzzy_with_close_levels():
     oracle = GroupOracle(params)
     levels = [Fraction(1, 2) + Fraction(1, 10**9), Fraction(1, 2)]
     assert oracle.is_normal_fuzzy(
-        chain_to_representative(params, [full(2), full(1)], levels)
+        _rep(params, [full(2), full(1)], levels)
     )
     assert not oracle.is_normal_fuzzy(
-        chain_to_representative(params, [cyclic(1), full(1)], levels)
+        _rep(params, [cyclic(1), full(1)], levels)
     )
 
 
 def test_normal_fuzzy_examples():
     params = GroupParams(1)
     oracle = GroupOracle(params)
-    assert oracle.is_normal_fuzzy(chain_to_representative(params, [full(2), full(1)]))
+    assert oracle.is_normal_fuzzy(_rep(params, [full(2), full(1)]))
     assert not oracle.is_normal_fuzzy(
-        chain_to_representative(params, [cyclic(1), full(1)])
+        _rep(params, [cyclic(1), full(1)])
     )
 
 
@@ -366,7 +370,7 @@ def test_oracle_fuzzy_checks_run_on_its_own_tables():
     for mode in ("all", "normal"):
         lat = build_lattice(params, mode)
         for chain in lattice_chains(lat):
-            mu = chain_to_representative(params, [lat.nodes[i] for i in chain])
+            mu = _rep(params, [lat.nodes[i] for i in chain])
             # FG1/FG2 and mu(xy) = mu(yx) literally, on Elements and Fractions
             assert oracle.is_fuzzy_subgroup(mu) and all(
                 mu[multiply(params, x, y)] >= min(mu[x], mu[y])
@@ -389,21 +393,20 @@ def test_oracle_fuzzy_checks_run_on_its_own_tables():
 
 def test_equivalence_examples():
     params = GroupParams(1)
-    mu = chain_to_representative(params, [full(2), full(1)])
-    assert equivalent(mu, mu)
-    nu = chain_to_representative(
+    mu = _rep(params, [full(2), full(1)])
+    nu = _rep(
         params, [full(2), full(1)], [Fraction(1), Fraction(1, 3)]
     )
-    assert equivalent(mu, nu)
-    assert equivalent_by_pairs(mu, nu)
-    other = chain_to_representative(params, [cyclic(1), full(1)])
-    assert not equivalent(mu, other)
-    assert not equivalent_by_pairs(mu, other)
+    assert mu.ranks == nu.ranks
+    assert comparison_pattern(mu) == comparison_pattern(nu)
+    other = _rep(params, [cyclic(1), full(1)])
+    assert mu.ranks != other.ranks
+    assert comparison_pattern(mu) != comparison_pattern(other)
 
 
 def test_comparison_pattern_is_the_strict_order_on_grades():
     params = GroupParams(1)
-    mu = chain_to_representative(params, [full(2), full(1)])
+    mu = _rep(params, [full(2), full(1)])
     pattern = comparison_pattern(mu)
     order = params.order
     assert len(pattern) == order * order
@@ -413,16 +416,9 @@ def test_comparison_pattern_is_the_strict_order_on_grades():
     ]
 
 
-def test_equivalence_requires_same_group():
-    mu = chain_to_representative(GroupParams(1), [full(1)])
-    nu = chain_to_representative(GroupParams(2), [full(1)])
-    with pytest.raises(ValueError):
-        equivalent(mu, nu)
-
-
 def test_ranks_are_dense():
     params = GroupParams(2)
-    mu = chain_to_representative(params, [cyclic(2), full(2), full(1)])
+    mu = _rep(params, [cyclic(2), full(2), full(1)])
     assert set(mu.ranks) == {0, 1, 2}
     assert len(mu.ranks) == len(all_elements(params))
 
@@ -433,12 +429,12 @@ def test_signature_agrees_with_pairwise():
     reps = []
     for i in range(len(lat.nodes)):
         if lat.top_index in lat.row(i):
-            reps.append(
-                chain_to_representative(params, [lat.nodes[i], full(1)])
-            )
+            reps.append(_rep(params, [lat.nodes[i], full(1)]))
     for mu in reps:
         for nu in reps:
-            assert equivalent(mu, nu) == equivalent_by_pairs(mu, nu)
+            assert (mu.ranks == nu.ranks) == (
+                comparison_pattern(mu) == comparison_pattern(nu)
+            )
 
 
 # ties, and two grades a hair apart
@@ -475,7 +471,7 @@ def test_ranks_and_axioms_on_arbitrary_grade_maps(maps):
         (mu.ranks[i] < mu.ranks[j]) == (mu[elems[i]] < mu[elems[j]])
         for i, j in pairs
     )
-    assert equivalent(mu, nu) == equivalent_by_pairs(mu, nu)
+    assert (mu.ranks == nu.ranks) == (comparison_pattern(mu) == comparison_pattern(nu))
     # FG1/FG2 and mu(xy) = mu(yx) literally, on Elements and Fractions
     assert oracle.is_fuzzy_subgroup(mu) == all(
         mu[multiply(params, x, y)] >= min(mu[x], mu[y])
@@ -505,12 +501,15 @@ def test_integer_grade_comparisons_match_fractions(grades):
     assert mu.ranks == tuple(distinct.index(g) for g in grades)
 
 
-def test_oracle_imports_nothing_from_the_paths_it_checks():
-    import ast
-
+def _oracle_source():
     import u6n.oracle as oracle_module
 
-    tree = ast.parse(Path(oracle_module.__file__).read_text())
+    return ast.parse(Path(oracle_module.__file__).read_text())
+
+
+def _imported_names(tree):
+    """Each module an import names, as a dotted u6n path where relative, and
+    each module.name it imports from."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -521,10 +520,33 @@ def test_oracle_imports_nothing_from_the_paths_it_checks():
             imported.update(f"{module}.{a.name}" for a in node.names)
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
+    return imported
+
+
+def test_oracle_imports_nothing_from_the_paths_it_checks():
+    imported = _imported_names(_oracle_source())
     for checked in ("u6n.chains", "u6n.verify"):
         assert not any(
             m == checked or m.startswith(checked + ".") for m in imported
         ), checked
+
+
+def test_oracle_is_independent_of_the_catalog():
+    # descriptors meet the oracle only in verify.catalog_sets
+    tree = _oracle_source()
+    imported = _imported_names(tree)
+    assert not any(
+        m == checked or m.startswith(checked + ".")
+        for checked in ("u6n.subgroups", "subgroups") for m in imported
+    ), imported
+    names = {
+        getattr(node, "name", None) or getattr(node, "id", None)
+        or getattr(node, "attr", None)
+        for node in ast.walk(tree)
+    }
+    assert "representative_from_sets" in names
+    for gone in ("chain_to_representative", "equivalent", "equivalent_by_pairs"):
+        assert gone not in names, gone
 
 
 def test_representative_from_sets_checks_ascent():
@@ -542,20 +564,22 @@ def test_representative_from_sets_checks_ascent():
 
 
 def test_index_sets_and_descriptors_build_the_same_map():
-    # the oracle's index sets and the catalog's descriptors give one map per
-    # chain, {e} included, laid out in all_elements order
+    # a descriptor chain's map through catalog_sets grades each Element by
+    # the first descriptor whose element set holds it, {e} included, laid
+    # out in all_elements order
     for n in (1, 2, 3):
         params = GroupParams(n)
-        oracle = GroupOracle(params)
         lat = build_lattice(params, "all")
         for chain in lattice_chains(lat):
             descs = [lat.nodes[i] for i in chain]
             for descs in (descs, [cyclic(params.two_n)] + descs):
-                mu = chain_to_representative(params, descs)
-                sets = [oracle.index_set(subgroup_elements(params, d)) for d in descs]
-                assert representative_from_sets(params, sets).ranks == mu.ranks
+                mu = _rep(params, descs)
+                members = [subgroup_elements(params, d) for d in descs]
                 assert all(
                     mu[x] == mu.grades[3 * x.a_exp + x.b_exp]
+                    == Fraction(1, 1 + next(
+                        i for i, h in enumerate(members) if x in h
+                    ))
                     for x in all_elements(params)
                 )
 

@@ -1,6 +1,9 @@
 """The scripts: benchmark_large_n.py checks that the two counting paths agree,
-sweep_counts.py prints the subgroup and fuzzy-subgroup count table."""
+sweep_counts.py prints the subgroup and fuzzy-subgroup count table.  Also
+the u6n names the benchmark under perfbench/ imports."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import re
@@ -12,6 +15,7 @@ from u6n import ChainCounts, GroupParams, build_lattice, export_dot, export_json
 from u6n.oracle import transitive_reduction
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def _load_script(name="benchmark_large_n"):
@@ -80,3 +84,22 @@ def test_sweep_counts_table(monkeypatch, capsys):
         "3     18         14       6   54    16\n"
         "4     24         10       7   56    32\n"
     )
+
+
+def test_every_u6n_name_the_benchmark_imports_resolves():
+    # the benchmark imports some names only inside functions, where a
+    # deleted name fails only when that function runs
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                module = node.module or ""
+                if module == "u6n" or module.startswith("u6n."):
+                    found.update((path.name, module, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                found.update((path.name, a.name, None) for a in node.names
+                             if a.name == "u6n" or a.name.startswith("u6n."))
+    assert "reference.py" in {where for where, _, _ in found}
+    for where, module, name in found:
+        imported = importlib.import_module(module)
+        assert name is None or hasattr(imported, name), (where, module, name)
