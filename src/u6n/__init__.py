@@ -39,7 +39,6 @@ from .lattice import (
     export_dot,
     export_json,
     hasse_edges,
-    height,
 )
 from .subgroups import (
     FactorizationBudgetExceeded,
@@ -90,7 +89,6 @@ __all__ = [
     "format_element",
     "full",
     "hasse_edges",
-    "height",
     "identity",
     "inverse",
     "multiply",

@@ -167,16 +167,6 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
     )
 
 
-def height(lat: Lattice) -> int:
-    """Number of nodes on the longest chain ending at the top."""
-    rows = [lat.row(i) for i in range(len(lat.nodes))]
-    up: dict[int, int] = {}  # nodes on the longest chain from node i up to the top
-    # fewer successors = higher in the order, so successors resolve first
-    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-        up[i] = 1 + max((up[j] for j in rows[i]), default=0)
-    return max(up.values())
-
-
 def hasse_edges(lat: Lattice) -> list[tuple[int, int]]:
     """Covers (i, j): node j contains node i with nothing strictly between,
     each once, in sorted order; made node by node, so only each node's few

@@ -346,8 +346,8 @@ def oracle_count_chains(lat: Lattice) -> list[int]:
 def transitive_reduction(lat: Lattice) -> set[tuple[int, int]]:
     """Hasse covers by definition, from the strict relation alone: (i, j)
     is kept iff no node k has i < k < j.  The covers of i are its strict
-    successors R_i less every R_k for k in R_i, as set differences.  The
-    reference for hasse_edges, and what verify's hasse-closure holds it to."""
+    successors R_i less every R_k for k in R_i, as set differences.
+    verify's hasse-closure holds the whole hasse_edges list to it, at every n."""
     above = [set(lat.row(i)) for i in range(len(lat.nodes))]
     return {
         (i, j)

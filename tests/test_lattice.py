@@ -18,7 +18,6 @@ from u6n import (
     factorize,
     full,
     hasse_edges,
-    height,
     subgroup_leq,
     subgroup_order,
 )
@@ -158,10 +157,15 @@ def test_everything_sits_below_top():
             assert i == lat.top_index or lat.top_index in lat.row(i)
 
 
+def _longest_chain(lat):
+    """Nodes on the longest chain: the length of the DP's per-length list."""
+    return len(chain_counts(compute_chain_table(lat)).per_length)
+
+
 def test_height_examples():
-    assert height(build_lattice(GroupParams(1), "all")) == 2
-    assert height(build_lattice(GroupParams(2), "all")) == 3
-    assert height(build_lattice(GroupParams(1), "normal")) == 2
+    assert _longest_chain(build_lattice(GroupParams(1), "all")) == 2
+    assert _longest_chain(build_lattice(GroupParams(2), "all")) == 3
+    assert _longest_chain(build_lattice(GroupParams(1), "normal")) == 2
 
 
 @pytest.mark.parametrize("n", range(1, 61))
@@ -170,7 +174,7 @@ def test_height_is_omega_of_6n(n, mode):
     # U_6n is supersolvable: every maximal chain, of subgroups and of normal
     # subgroups alike, has prime steps, so Omega(6n) nodes above the trivial one
     omega = sum(e for _, e in factorize(6 * n))
-    assert height(build_lattice(GroupParams(n), mode)) == omega
+    assert _longest_chain(build_lattice(GroupParams(n), mode)) == omega
 
 
 def test_hasse_n1():
@@ -385,7 +389,7 @@ def test_package_reads_rows_not_strictly_below(monkeypatch, capsys, n, mode):
     _forbid_strictly_below(monkeypatch)
     counts = chain_counts(compute_chain_table(lat))
     assert counts == count_chains(params, mode)
-    assert height(lat) == sum(e for _, e in factorize(6 * n))
+    assert len(counts.per_length) == sum(e for _, e in factorize(6 * n))
     covers = hasse_edges(lat)
     assert covers == sorted(transitive_reduction(lat))
     if n == 35:  # at 360360 the DFS would list tens of millions of chains

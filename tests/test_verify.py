@@ -481,16 +481,95 @@ def test_hasse_closure_names_a_missing_cover(monkeypatch):
     import u6n.verify as verify_module
     from u6n.lattice import build_lattice, hasse_edges
 
+    # a middle cover at n = 6, and the least cover at n = 2
+    for n, pick in ((6, lambda covers: covers[len(covers) // 2]), (2, min)):
+        lat = build_lattice(GroupParams(n), "all")
+        covers = hasse_edges(lat)
+        i, j = dropped = pick(covers)
+        assert check_hasse_closure(lat).passed
+        with monkeypatch.context() as m:
+            m.setattr(verify_module, "hasse_edges",
+                      lambda lat: [e for e in covers if e != dropped])
+            result = check_hasse_closure(lat)
+        assert not result.passed
+        assert result.check == "hasse-closure[all]"
+        assert result.detail == f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover"
+
+
+def test_hasse_closure_needs_each_cover_once_and_in_order(monkeypatch):
+    # write_json and dot_text print the covers as hasse_edges lists them
+    import u6n.verify as verify_module
+    from u6n.lattice import hasse_edges
+
     lat = build_lattice(GroupParams(6), "all")
     covers = hasse_edges(lat)
-    i, j = dropped = covers[len(covers) // 2]
-    assert check_hasse_closure(lat).passed
-    monkeypatch.setattr(verify_module, "hasse_edges",
-                        lambda lat: [e for e in covers if e != dropped])
-    result = check_hasse_closure(lat)
-    assert not result.passed
-    assert result.check == "hasse-closure[all]"
-    assert result.detail == f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover"
+    assert covers == sorted(set(covers))
+    k = len(covers) // 2
+    (i, j), (a, b) = covers[k], covers[k + 1]
+    twice = [*covers[:k + 1], (i, j), *covers[k + 1:]]
+    swapped = [*covers[:k], (a, b), (i, j), *covers[k + 2:]]
+    for listed, detail in (
+        (twice, f"{lat.nodes[i]} -> {lat.nodes[j]} listed twice"),
+        (swapped, f"{lat.nodes[i]} -> {lat.nodes[j]} out of order"),
+    ):
+        assert set(listed) == set(covers)  # the same covers as a set
+        monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: listed)
+        result = check_hasse_closure(lat)
+        assert not result.passed
+        assert result.check == "hasse-closure[all]"
+        assert result.detail == detail
+
+
+def _add(covers, edge):
+    return sorted([*covers, edge])
+
+
+def _drop(covers, edge):
+    return [e for e in covers if e != edge]
+
+
+def _double(covers, edge):
+    k = covers.index(edge)
+    return [*covers[:k + 1], edge, *covers[k + 1:]]
+
+
+def _swap(covers, edge):
+    k = covers.index(edge)
+    return [*covers[:k], covers[k + 1], edge, *covers[k + 2:]]
+
+
+@pytest.mark.parametrize("kwargs, n, fault, edge, detail", [
+    ({"n_max": 6}, 6, _add, ("C(2)", "F(1)"),
+     "C(2) -> F(1) is not a cover: C(1) lies between"),
+    ({"n_max": 6}, 6, _drop, ("F(3)", "F(1)"), "F(3) -> F(1) is a missing cover"),
+    ({"n_max": 6}, 6, _double, ("F(3)", "F(1)"), "F(3) -> F(1) listed twice"),
+    ({"n_max": 6}, 6, _swap, ("F(3)", "F(1)"), "F(3) -> F(1) out of order"),
+    # no oracle check runs here: 2n = 28 repeats the shape of 2n = 20,
+    # and |U_36| = 36 is above the limit
+    ({"n_max": 16}, 14, _double, ("F(2)", "F(1)"), "F(2) -> F(1) listed twice"),
+    ({"n_max": 6, "oracle_limit": 24}, 6, _double, ("F(3)", "F(1)"),
+     "F(3) -> F(1) listed twice"),
+], ids=["non-cover", "dropped", "doubled", "swapped", "repeat-shape",
+        "above-oracle-limit"])
+def test_hasse_closure_alone_owns_the_cover_list(
+    monkeypatch, kwargs, n, fault, edge, detail
+):
+    # the fault is in the all-mode covers at n only
+    import u6n.verify as verify_module
+    from u6n.lattice import hasse_edges
+
+    def doctored(lat):
+        covers = hasse_edges(lat)
+        if lat.params.n != n or lat.mode != "all":
+            return covers
+        names = [str(d) for d in lat.nodes]
+        return fault(covers, (names.index(edge[0]), names.index(edge[1])))
+
+    monkeypatch.setattr(verify_module, "hasse_edges", doctored)
+    failed = [r for r in run_verification(**kwargs) if not r.passed]
+    assert [(r.n, r.check, r.detail) for r in failed] == [
+        (n, "hasse-closure[all]", detail)
+    ]
 
 
 def _mutated_coords(relabel_odd_t):
@@ -529,22 +608,12 @@ def test_lattice_vs_oracle_catches_a_broken_s_relabel(monkeypatch, relabel_odd_t
 
 
 def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
-    import u6n.verify as verify_module
-    from u6n.lattice import hasse_edges
-
     oracle = GroupOracle(GroupParams(2))
     sets = catalog_sets(oracle)
     lat = build_lattice(oracle.params, "all")
     assert check_lattice_vs_oracle(oracle, sets, lat).passed
-    covers = hasse_edges(lat)
-    i, j = min(covers)
-    monkeypatch.setattr(verify_module, "hasse_edges",
-                        lambda lat: sorted(set(covers) - {(i, j)}))
-    result = check_lattice_vs_oracle(oracle, sets, lat)
-    assert not result.passed
-    assert result.check == "lattice-vs-oracle[all]"
-    assert result.detail == f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover"
     # a lattice whose row for node i also holds a node not above it
+    i = 0
     outside = min(set(range(len(lat.nodes))) - set(lat.row(i)) - {i})
     real_row = type(lat).row
     monkeypatch.setattr(
@@ -552,38 +621,13 @@ def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
         lambda self, k: real_row(self, k) + ([outside] if k == i else []),
     )
     result = check_lattice_vs_oracle(oracle, sets, lat)
+    assert result.check == "lattice-vs-oracle[all]"
     assert result.detail == (
         f"{lat.nodes[i]} < {lat.nodes[outside]} is in the lattice only"
     )
     missing = {d: h for d, h in sets.items() if d != lat.nodes[i]}
     result = check_lattice_vs_oracle(oracle, missing, lat)
     assert result.detail == f"{lat.nodes[i]} is not in the catalog"
-
-
-def test_lattice_vs_oracle_needs_each_cover_once_and_in_order(monkeypatch):
-    # write_json and dot_text print the covers as hasse_edges lists them
-    import u6n.verify as verify_module
-    from u6n.lattice import hasse_edges
-
-    oracle = GroupOracle(GroupParams(6))
-    sets = catalog_sets(oracle)
-    lat = build_lattice(oracle.params, "all")
-    covers = hasse_edges(lat)
-    assert covers == sorted(set(covers))
-    k = len(covers) // 2
-    (i, j), (a, b) = covers[k], covers[k + 1]
-    twice = [*covers[:k + 1], (i, j), *covers[k + 1:]]
-    swapped = [*covers[:k], (a, b), (i, j), *covers[k + 2:]]
-    for listed, detail in (
-        (twice, f"{lat.nodes[i]} -> {lat.nodes[j]} listed twice"),
-        (swapped, f"{lat.nodes[i]} -> {lat.nodes[j]} out of order"),
-    ):
-        assert set(listed) == set(covers)  # the same covers as a set
-        monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: listed)
-        result = check_lattice_vs_oracle(oracle, sets, lat)
-        assert not result.passed
-        assert result.check == "lattice-vs-oracle[all]"
-        assert result.detail == detail
 
 
 def test_group_laws_name_the_first_non_associative_triple(monkeypatch):
@@ -660,3 +704,23 @@ def test_run_verification_rejects_bad_range():
         run_verification(3, oracle_limit=-5)
     with pytest.raises(ValueError):
         run_verification(3, fuzzy_n_max=-1)
+
+
+def test_run_verification_calls_every_check():
+    # a check_* function the battery never calls would pass silently
+    import ast
+
+    import u6n.verify as verify_module
+
+    tree = ast.parse(Path(verify_module.__file__).read_text())
+    defs = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    checks = {name for name in defs if name.startswith("check_")}
+    called = {
+        node.func.id
+        for node in ast.walk(defs["run_verification"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert checks
+    assert checks - called == set()
