@@ -42,7 +42,6 @@ from .lattice import (
 )
 from .subgroups import (
     FactorizationBudgetExceeded,
-    Kind,
     SubgroupDescriptor,
     contains_element,
     cyclic,
@@ -67,7 +66,6 @@ __all__ = [
     "FactorizationBudgetExceeded",
     "GroupParams",
     "HeightLimitExceeded",
-    "Kind",
     "Lattice",
     "OracleLimitExceeded",
     "SubgroupDescriptor",

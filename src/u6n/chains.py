@@ -78,11 +78,11 @@ The full-lattice path, build_lattice -> compute_chain_table ->
 chain_counts, stays public as the cross-check: it builds every subgroup,
 the strict order of the small core pairwise and the rest from product
 coordinates, and each level of its table is the predecessor-sum of the
-one before it.  So verify's shape-vs-lattice holds the core zeta closed
-form and the difference table to the level DP on the product lattice;
-lattice-vs-oracle holds that lattice to the oracle's set inclusion.  It stops at the first
-all-zero level and leaves out the trivial subgroup, so per_length[j-1]
-is c_j above.
+one before it.  It stops at the first all-zero level and leaves out the
+trivial subgroup, so per_length[j-1] is c_j above.  So verify's
+shape-vs-lattice holds the core zeta closed form and the difference
+table to the level DP on the product lattice; lattice-vs-oracle holds
+that lattice to the oracle's set inclusion.
 Counts are plain Python ints: they outgrow 64 bits for divisor-rich n,
 and nothing here ever rounds.
 
@@ -102,7 +102,7 @@ from operator import sub
 
 from .group import GroupParams
 from .lattice import MODES, Lattice
-from .subgroups import split_core
+from .subgroups import core_of, factorize
 
 #: The largest lattice height shape_chain_counts answers: at H = 2000
 #: (n = 2^1998) count_chains took 0.27 to 0.38 s on a 2-vCPU Xeon, and
@@ -197,8 +197,8 @@ def _core_zeta(e2: int, e3: int, top: int, mode: str) -> Iterator[int]:
 def factorization_shape(two_n: int) -> tuple[int, tuple[int, ...]]:
     """The core 2^e2 * 3^e3 of two_n and its sorted exponents a_p, p >= 5:
     every n whose 2n has this shape has the same chain counts."""
-    core_two_n, rest = split_core(two_n)
-    return core_two_n, tuple(sorted(a for _, a in rest))
+    c = core_of(two_n)
+    return c, tuple(sorted(a for _, a in factorize(two_n // c)))
 
 
 def shape_chain_counts(

@@ -30,7 +30,7 @@ from .subgroups import (
     subgroup_order,
 )
 
-_RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
+_RANGE_RE = re.compile(r"(\d+)(?:\.\.(\d+))?")
 
 
 class CliError(Exception):
@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = _RANGE_RE.match(text)
+    m = _RANGE_RE.fullmatch(text)
     if not m:
         raise CliError(f"invalid range {text!r}: expected N or A..B")
     lo = int(m.group(1))

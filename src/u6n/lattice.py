@@ -51,7 +51,6 @@ from math import gcd
 
 from .group import GroupParams
 from .subgroups import (
-    Kind,
     SubgroupDescriptor,
     core_of,
     enumerate_normal_subgroups,
@@ -123,16 +122,13 @@ def _product_coords(
     include the core's trivial subgroup C(c).
     """
     core = tuple(d for d in nodes if core_two_n % d.t == 0)
-    # keyed on (t, s, is Full), which tells the kinds apart without hashing
-    # a Kind: Enum.__hash__ is Python code, and this runs once per node
-    full = Kind.FULL
-    core_index = {(d.t, d.s, d.kind is full): x for x, d in enumerate(core)}
+    core_index = {d: x for x, d in enumerate(core)}
     coords = []
     for d in nodes:
         g = gcd(d.t, core_two_n)
         u = d.t // g
         s = d.s if d.s is None or d.t % 2 else d.s * u % 3
-        coords.append((core_index[g, s, d.kind is full], u))
+        coords.append((core_index[d.kind, g, s], u))
     return core, coords
 
 
@@ -144,10 +140,9 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
         descs = enumerate_subgroups(params)
     else:
         descs = enumerate_normal_subgroups(params)
-    two_n, cyclic, full = params.two_n, Kind.CYCLIC, Kind.FULL
-    nodes = tuple(d for d in descs if d.t != two_n or d.kind is not cyclic)
-    # the catalog is in (kind, t, s) order, so Full(1) is the first Full node
-    top_index = next(i for i, d in enumerate(nodes) if d.kind is full)
+    two_n = params.two_n
+    nodes = tuple(d for d in descs if d != ("C", two_n, None))
+    top_index = nodes.index(("F", 1, None))
     core, coords = _product_coords(nodes, core_of(two_n))
     divs = sorted({u for _, u in coords})  # every divisor of m, as F(u) is a node
     divs_of = {u: [v for v in divs if u % v == 0] for u in divs}
@@ -158,7 +153,7 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
         params=params,
         mode=mode,
         nodes=nodes,
-        orders=tuple(3 * two_n // d.t if d.kind is full else two_n // d.t
+        orders=tuple(3 * two_n // d.t if d.kind == "F" else two_n // d.t
                      for d in nodes),
         top_index=top_index,
         coords=tuple(coords),
@@ -242,8 +237,9 @@ def write_json(lat: Lattice, covers: list[tuple[int, int]], texts: list[str],
                write: Callable[[str], object]) -> None:
     """Write json.dumps(export_json(lat), indent=2) + "\n" through write,
     given hasse_edges(lat) and the node texts as for dot_text: the header
-    and node records in one call, then one call per nonempty row of each pair list.  The
-    mode and the texts are plain ASCII, so they are written unescaped."""
+    and node records in one call, then one call per nonempty row of each
+    pair list.  The mode and the texts are plain ASCII, so they are
+    written unescaped."""
     nodes = ",\n".join(
         f'    {{\n      "id": {i},\n      "desc": "{text}",\n      "order": {o}\n    }}'
         for i, (text, o) in enumerate(zip(texts, lat.orders))

@@ -8,6 +8,10 @@ Every subgroup is one of three shapes, indexed by a divisor t of 2n:
                               t odd, or t even with 2n/t divisible by 3
                               (otherwise <a^t b^s> collapses to <a^t, b>)
 
+A SubgroupDescriptor is the plain tuple (kind, t, s), and its kind is the
+letter it prints as: C(t), F(t) or T(t,s).  As "C" < "F" < "T", tuples
+sort in catalog order, kind then t then s.
+
 Membership (contains_element), containment (subgroup_leq) and orders all
 reduce to modular arithmetic on the t and s parameters, so the catalog
 never materializes element sets; subgroup_elements does, for the checks
@@ -22,59 +26,50 @@ budget that makes a hard cofactor fail fast.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 
 from .group import Element, GroupParams
 
 
-class Kind(enum.Enum):
-    CYCLIC = "C"
-    FULL = "F"
-    TWISTED = "T"
-
-
-#: subgroup_leq runs on every comparable pair of core nodes (2.7 M at
-#: 2n = 2^38 * 3^20), and reading a member off the Enum class costs more
-#: than the rest of its test: it compares against these names instead, as
-#: does format_descriptor, which the lattice export runs once per node.
-_CYCLIC, _FULL, _TWISTED = Kind.CYCLIC, Kind.FULL, Kind.TWISTED
-_KIND_RANK = {Kind.CYCLIC: 0, Kind.FULL: 1, Kind.TWISTED: 2}
+#: The descriptor kinds, as they print and sort: Cyclic, Full, Twisted.
+KINDS = ("C", "F", "T")
 
 
 class SubgroupDescriptor(namedtuple("SubgroupDescriptor", "kind t s")):
-    """One catalog subgroup: kind, divisor t of 2n, and s for Twisted only."""
+    """One catalog subgroup: kind, divisor t of 2n, and s for Twisted only.
+
+    A plain tuple (kind, t, s) whose natural order is the catalog order.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, kind: Kind, t: int, s: int | None = None) -> SubgroupDescriptor:
+    def __new__(cls, kind: str, t: int, s: int | None = None) -> SubgroupDescriptor:
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         if t < 1:
             raise ValueError(f"t must be positive, got {t}")
-        if kind is _TWISTED:
+        if kind == "T":
             if s not in (1, 2):
                 raise ValueError(f"twisted subgroup needs s in {{1, 2}}, got {s}")
         elif s is not None:
-            raise ValueError(f"{kind.value}({t}) takes no s parameter")
+            raise ValueError(f"{kind}({t}) takes no s parameter")
         return tuple.__new__(cls, (kind, t, s))
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (_KIND_RANK[self.kind], self.t, self.s or 0)
 
     def __str__(self) -> str:
         return format_descriptor(self)
 
 
 def cyclic(t: int) -> SubgroupDescriptor:
-    return SubgroupDescriptor(Kind.CYCLIC, t)
+    return SubgroupDescriptor("C", t)
 
 
 def full(t: int) -> SubgroupDescriptor:
-    return SubgroupDescriptor(Kind.FULL, t)
+    return SubgroupDescriptor("F", t)
 
 
 def twisted(t: int, s: int) -> SubgroupDescriptor:
-    return SubgroupDescriptor(Kind.TWISTED, t, s)
+    return SubgroupDescriptor("T", t, s)
 
 
 #: Trial divisors; any cofactor below 101**2 left after them is prime.
@@ -210,14 +205,6 @@ def core_of(two_n: int) -> int:
     return two_n // m
 
 
-def split_core(two_n: int) -> tuple[int, list[tuple[int, int]]]:
-    """The core c of 2n = c * m (core_of) and the factorization of m, the
-    primes p >= 5 with their exponents a_p; m = 1 costs no factorization.
-    U_6n = U_(c/2) x C_m is the product that count_chains rests on."""
-    c = core_of(two_n)
-    return c, factorize(two_n // c) if c < two_n else []
-
-
 def divisors(m: int) -> list[int]:
     """All divisors of m in increasing order, from the prime factorization."""
     divs = [1]
@@ -235,7 +222,7 @@ def twisted_exists(params: GroupParams, t: int) -> bool:
 def validate_descriptor(params: GroupParams, d: SubgroupDescriptor) -> None:
     if params.two_n % d.t != 0:
         raise ValueError(f"{d} invalid: t = {d.t} does not divide {params.two_n}")
-    if d.kind is Kind.TWISTED and not twisted_exists(params, d.t):
+    if d.kind == "T" and not twisted_exists(params, d.t):
         raise ValueError(
             f"{d} invalid: t = {d.t} is even and {params.two_n}/{d.t} is not "
             f"divisible by 3, so <a^{d.t} b^{d.s}> is <a^{d.t}, b> in disguise"
@@ -272,9 +259,9 @@ def subgroup_elements(params: GroupParams, d: SubgroupDescriptor) -> frozenset[E
     validate_descriptor(params, d)
     two_n = params.two_n
     q = two_n // d.t
-    if d.kind is Kind.CYCLIC:
+    if d.kind == "C":
         return frozenset(Element(d.t * k % two_n, 0) for k in range(q))
-    if d.kind is Kind.FULL:
+    if d.kind == "F":
         return frozenset(
             Element(d.t * k % two_n, v) for k in range(q) for v in range(3)
         )
@@ -286,7 +273,7 @@ def subgroup_elements(params: GroupParams, d: SubgroupDescriptor) -> frozenset[E
 
 def subgroup_order(params: GroupParams, d: SubgroupDescriptor) -> int:
     q = params.two_n // d.t
-    return 3 * q if d.kind is Kind.FULL else q
+    return 3 * q if d.kind == "F" else q
 
 
 def contains_element(params: GroupParams, d: SubgroupDescriptor, x: Element) -> bool:
@@ -298,9 +285,9 @@ def contains_element(params: GroupParams, d: SubgroupDescriptor, x: Element) -> 
     """
     if x.a_exp % d.t != 0:
         return False
-    if d.kind is Kind.FULL:
+    if d.kind == "F":
         return True
-    if d.kind is Kind.CYCLIC:
+    if d.kind == "C":
         return x.b_exp == 0
     k = x.a_exp // d.t
     if d.t % 2 == 1:
@@ -321,22 +308,19 @@ def subgroup_leq(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
     if t1 % t2:
         return False
     kind1, kind2 = d1.kind, d2.kind
-    if kind2 is _FULL:
+    if kind2 == "F":
         return True
-    if kind1 is _FULL:
+    if kind1 == "F":
         return False
-    if kind1 is _CYCLIC and kind2 is _CYCLIC:
-        return True
-    if kind2 is _CYCLIC:
-        return False
+    if kind2 == "C":
+        return kind1 == "C"
     k = t1 // t2
     km = k % 2 if t2 % 2 else k % 3
-    return d2.s * km % 3 == (0 if kind1 is _CYCLIC else d1.s)
+    return d2.s * km % 3 == (0 if kind1 == "C" else d1.s)
 
 
 def format_descriptor(d: SubgroupDescriptor) -> str:
     """C(t), F(t) or T(t,s): plain ASCII, so JSON needs no escaping."""
-    kind = d.kind
-    if kind is _TWISTED:
+    if d.kind == "T":
         return f"T({d.t},{d.s})"
-    return f"{'C' if kind is _CYCLIC else 'F'}({d.t})"
+    return f"{d.kind}({d.t})"

@@ -24,10 +24,9 @@ from u6n import (
     export_json,
     subgroup_order,
 )
-from u6n.chains import MAX_HEIGHT
+from u6n.chains import MAX_HEIGHT, factorization_shape
 from u6n.cli import CliError, _cmd_count, build_parser, main
 from u6n.oracle import transitive_reduction
-from u6n.subgroups import split_core
 from u6n.verify import CheckResult
 
 
@@ -348,6 +347,8 @@ def test_batch_bytes_are_csv_writer_rows(capsys, mode):
         ("verify", "--n-max", "3", "--oracle-limit", "-5"),
         ("verify", "--n-max", "3", "--fuzzy-n-max", "-1"),
         ("verify", "--n-max", "0"),
+        ("batch", "--range", "3\n"),
+        ("batch", "--range", "2..3\n"),
     ],
 )
 def test_invalid_input_exits_1(capsys, argv):
@@ -443,8 +444,7 @@ def test_batch_counts_each_shape_once_per_call(capsys, monkeypatch, mode):
         return real(*args)
 
     monkeypatch.setattr(u6n.cli, "shape_chain_counts", counting)
-    shapes = {(core, tuple(sorted(a for _, a in rest)))
-              for core, rest in map(split_core, range(2, 162, 2))}
+    shapes = set(map(factorization_shape, range(2, 162, 2)))
     for _ in range(2):  # the second call recomputes: nothing outlives a call
         calls.clear()
         code, out, _ = run_cli(capsys, "batch", "--range", "1..80", "--mode", mode)

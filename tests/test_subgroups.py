@@ -12,7 +12,6 @@ from u6n import (
     Element,
     FactorizationBudgetExceeded,
     GroupParams,
-    Kind,
     SubgroupDescriptor,
     all_elements,
     contains_element,
@@ -145,11 +144,18 @@ def test_descriptor_validation():
     with pytest.raises(ValueError, match=needs_s + "3$"):
         twisted(1, 3)
     with pytest.raises(ValueError, match=r"^C\(2\) takes no s parameter$"):
-        SubgroupDescriptor(Kind.CYCLIC, 2, 1)  # s only belongs on twisted
+        SubgroupDescriptor("C", 2, 1)  # s only belongs on twisted
     with pytest.raises(ValueError, match=r"^F\(4\) takes no s parameter$"):
-        SubgroupDescriptor(kind=Kind.FULL, t=4, s=2)
+        SubgroupDescriptor(kind="F", t=4, s=2)
     with pytest.raises(ValueError, match=needs_s + "None$"):
-        SubgroupDescriptor(Kind.TWISTED, 2)  # twisted needs s
+        SubgroupDescriptor("T", 2)  # twisted needs s
+
+
+@pytest.mark.parametrize("kind", ["X", None, "c", "", "CF"])
+def test_descriptor_kind_must_be_a_printed_letter(kind):
+    with pytest.raises(ValueError,
+                       match=r"^kind must be one of \('C', 'F', 'T'\), got "):
+        SubgroupDescriptor(kind, 2)
 
 
 def test_twisted_exists():
@@ -280,18 +286,34 @@ def test_format_descriptor_is_injective():
 
 def test_descriptor_ordering_is_kind_then_t_then_s():
     descs = enumerate_subgroups(GroupParams(6))
-    keys = [d.sort_key() for d in descs]
-    assert keys == sorted(keys)
+    assert descs == sorted(descs)
+    assert descs == sorted(descs, key=lambda d: (d.kind, d.t, d.s or 0))
     kinds = [d.kind for d in descs]
-    assert kinds == sorted(kinds, key=[Kind.CYCLIC, Kind.FULL, Kind.TWISTED].index)
+    assert kinds == sorted(kinds, key=["C", "F", "T"].index)
+
+
+def _parse_descriptor(text):
+    """The descriptor that format_descriptor prints as text: its letter,
+    then its integers."""
+    kind, args = text[0], text[2:-1].split(",")
+    assert text[1] + text[-1] == "()"
+    return SubgroupDescriptor(kind, *map(int, args))
+
+
+@pytest.mark.parametrize("n", range(1, 301, 50))
+def test_descriptor_text_round_trips(n):
+    for m in range(n, n + 50):
+        params = GroupParams(m)
+        for descs in (enumerate_subgroups(params), enumerate_normal_subgroups(params)):
+            for d in descs:
+                assert _parse_descriptor(format_descriptor(d)) == d
 
 
 def _assert_catalog_in_order(params):
     # the catalogs are built in (kind, t, s) order, with no sort to fall back on
-    key = SubgroupDescriptor.sort_key
     for descs in (enumerate_subgroups(params), enumerate_normal_subgroups(params)):
-        assert descs == sorted(descs, key=key)
-        assert len({key(d) for d in descs}) == len(descs)
+        assert descs == sorted(descs)
+        assert len(set(descs)) == len(descs)
 
 
 @pytest.mark.parametrize("n", range(1, 301))

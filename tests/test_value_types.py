@@ -8,7 +8,6 @@ from u6n import (
     ChainTable,
     Element,
     GroupParams,
-    Kind,
     Lattice,
     SubgroupDescriptor,
     cyclic,
@@ -26,7 +25,7 @@ def _lattice(n=1):
 
 _LATTICE_REPR = (
     "Lattice(params=GroupParams(n=1), mode='all', "
-    "nodes=(SubgroupDescriptor(kind=<Kind.FULL: 'F'>, t=1, s=None),), "
+    "nodes=(SubgroupDescriptor(kind='F', t=1, s=None),), "
     "orders=(6,), top_index=0, coords=((0, 1),), core_above=((),), "
     "column={1: [(0,)]})"
 )
@@ -38,9 +37,9 @@ CASES = {
     "Element": (lambda: Element(a_exp=3, b_exp=2), lambda: Element(3, 1),
                 "Element(a_exp=3, b_exp=2)", True),
     "SubgroupDescriptor": (
-        lambda: SubgroupDescriptor(kind=Kind.FULL, t=3),
-        lambda: SubgroupDescriptor(Kind.CYCLIC, 3),
-        "SubgroupDescriptor(kind=<Kind.FULL: 'F'>, t=3, s=None)", True),
+        lambda: SubgroupDescriptor(kind="F", t=3),
+        lambda: SubgroupDescriptor("C", 3),
+        "SubgroupDescriptor(kind='F', t=3, s=None)", True),
     "Lattice": (_lattice, lambda: _lattice(2), _LATTICE_REPR, False),
     "ChainTable": (lambda: ChainTable(lattice=_lattice(), levels=((1,),)),
                    lambda: ChainTable(_lattice(2), ((1,),)),
@@ -74,9 +73,9 @@ def test_value_type_repr_equality_hash_and_immutability(name):
 
 
 def test_descriptor_keywords_and_default_s():
-    assert SubgroupDescriptor(kind=Kind.CYCLIC, t=4) == cyclic(4)
+    assert SubgroupDescriptor(kind="C", t=4) == cyclic(4)
     assert cyclic(4).s is None and full(2).s is None
-    assert SubgroupDescriptor(Kind.TWISTED, t=3, s=2) == twisted(3, 2)
+    assert SubgroupDescriptor("T", t=3, s=2) == twisted(3, 2)
     assert twisted(3, 2).s == 2
 
 

@@ -9,7 +9,7 @@ from u6n import ChainCounts, GroupParams, count_chains, cyclic, full, twisted
 from u6n.chains import chain_counts, compute_chain_table
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
-from u6n.subgroups import Kind, enumerate_subgroups
+from u6n.subgroups import enumerate_subgroups
 from u6n.verify import (
     CheckResult,
     catalog_sets,
@@ -579,7 +579,7 @@ def _mutated_coords(relabel_odd_t):
 
     def coords(nodes, core_two_n):
         core = tuple(d for d in nodes if core_two_n % d.t == 0)
-        core_index = {(d.t, d.s, d.kind is Kind.FULL): x for x, d in enumerate(core)}
+        core_index = {d: x for x, d in enumerate(core)}
         out = []
         for d in nodes:
             g = gcd(d.t, core_two_n)
@@ -588,7 +588,7 @@ def _mutated_coords(relabel_odd_t):
                 s = d.s * u % 3
             else:
                 s = d.s
-            out.append((core_index[g, s, d.kind is Kind.FULL], u))
+            out.append((core_index[d.kind, g, s], u))
         return core, out
 
     return coords
