@@ -1,6 +1,8 @@
 """Command-line interface: enumeration, counting, export, verification.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 verification failure.
+Every integer on the command line is read and bounded by the argparse types
+below (`_integer`): ASCII digits 0-9 only, no sign, space or underscore.
 All outputs are deterministic for a given invocation; counts appear as
 decimal strings in JSON and CSV so arbitrarily large values survive
 consumers limited to 64-bit integers.
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from .chains import (
@@ -20,7 +21,7 @@ from .chains import (
     factorization_shape,
     shape_chain_counts,
 )
-from .group import DEFAULT_ORACLE_LIMIT, GroupParams, OracleLimitExceeded
+from .group import DEFAULT_ORACLE_LIMIT, GroupParams
 from .lattice import MODES, build_lattice, dot_text, hasse_edges, write_json
 from .subgroups import (
     FactorizationBudgetExceeded,
@@ -30,36 +31,46 @@ from .subgroups import (
     subgroup_order,
 )
 
-_RANGE_RE = re.compile(r"(\d+)(?:\.\.(\d+))?")
-
 
 class CliError(Exception):
     """Invalid input or usage; mapped to exit code 1."""
-
-
-class _ParserExit(Exception):
-    """Raised where argparse would call sys.exit, after -h/--help; main
-    returns the status, args[0]."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
         raise CliError(f"{self.prog}: error: {message}")
 
-    def exit(self, status: int = 0, message: str | None = None) -> None:
-        if message:
-            self._print_message(message, sys.stderr)
-        raise _ParserExit(status)  # return from main, not sys.exit
+
+def _integer(least: int):
+    """argparse type: ASCII decimal digits, at least `least`."""
+
+    def read(text: str) -> int:
+        if not (text.isascii() and text.isdigit()):
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {text!r}: use digits 0-9 only")
+        try:
+            value = int(text)
+        except ValueError:  # longer than int() reads from a string
+            raise argparse.ArgumentTypeError(
+                f"{len(text)} digits is above Python's int() limit") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return read
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    m = _RANGE_RE.fullmatch(text)
-    if not m:
-        raise CliError(f"invalid range {text!r}: expected N or A..B")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
-    if lo < 1 or hi < lo:
-        raise CliError(f"invalid range {text!r}: need 1 <= A <= B")
+# built once, not per build_parser call: the parser is most of a count query
+_NATURAL, _POSITIVE = _integer(0), _integer(1)
+
+
+def _n_range(text: str) -> tuple[int, int]:
+    """argparse type of --range: N or A..B, each end read by _POSITIVE."""
+    a, dots, b = text.partition("..")
+    lo = _POSITIVE(a)
+    hi = _POSITIVE(b) if dots else lo
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"invalid range {text!r}: need A <= B")
     return lo, hi
 
 
@@ -77,12 +88,6 @@ def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def _params(n: int) -> GroupParams:
-    if n < 1:
-        raise CliError(f"n must be at least 1, got {n}")
-    return GroupParams(n)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="u6n",
@@ -92,7 +97,8 @@ def build_parser() -> _Parser:
 
     def add_common(p: _Parser, handler, mode: bool = True, fmt: bool = True) -> None:
         p.set_defaults(handler=handler)
-        p.add_argument("--n", type=int, required=True, help="group parameter n >= 1")
+        p.add_argument("--n", type=_POSITIVE, required=True,
+                       help="group parameter n >= 1")
         if mode:
             p.add_argument("--mode", choices=MODES, default="all")
         if fmt:
@@ -119,10 +125,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the oracle cross-check battery")
     p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--fuzzy-n-max", type=int, default=4, dest="fuzzy_n_max",
+    p.add_argument("--n-max", type=_POSITIVE, required=True, dest="n_max")
+    p.add_argument("--fuzzy-n-max", type=_NATURAL, default=4, dest="fuzzy_n_max",
                    help="largest n for the fuzzy-map end-to-end checks")
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
+    p.add_argument("--oracle-limit", type=_NATURAL, default=DEFAULT_ORACLE_LIMIT,
                    dest="oracle_limit", help="largest group order the "
                    "brute-force oracle will accept")
     p.add_argument("--format", choices=("table", "json"), default="table",
@@ -130,14 +136,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("batch", help="CSV sweep over a range of n")
     p.set_defaults(handler=_cmd_batch)
-    p.add_argument("--range", required=True, dest="n_range",
+    p.add_argument("--range", type=_n_range, required=True, dest="n_range",
                    help="inclusive range A..B (or a single N)")
     p.add_argument("--mode", choices=MODES, default="all")
     return parser
 
 
 def _cmd_listing(args: argparse.Namespace) -> int:
-    params = _params(args.n)
+    params = GroupParams(args.n)
     normal = args.command == "normal"
     descs = enumerate_normal_subgroups(params) if normal else enumerate_subgroups(params)
     rows = [(format_descriptor(d), subgroup_order(params, d)) for d in descs]
@@ -161,7 +167,7 @@ def _cmd_listing(args: argparse.Namespace) -> int:
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
-    counts = count_chains(_params(args.n), args.mode)
+    counts = count_chains(GroupParams(args.n), args.mode)
     if args.fmt == "json":
         _print_json(counts.to_json_dict())
     elif args.fmt == "csv":
@@ -181,7 +187,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    counts = count_chains(_params(args.n), args.mode)
+    counts = count_chains(GroupParams(args.n), args.mode)
     value = counts.mm_count if args.relation == "murali" else counts.fuzzy_count
     if args.fmt == "json":
         payload = {
@@ -201,7 +207,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    lat = build_lattice(_params(args.n), args.mode)
+    lat = build_lattice(GroupParams(args.n), args.mode)
     covers, texts = hasse_edges(lat), list(map(format_descriptor, lat.nodes))
     if args.dot_path is not None:
         try:
@@ -216,12 +222,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        raise CliError(f"--n-max must be at least 1, got {args.n_max}")
-    for flag, value in (("--fuzzy-n-max", args.fuzzy_n_max),
-                        ("--oracle-limit", args.oracle_limit)):
-        if value < 0:
-            raise CliError(f"{flag} must be at least 0, got {value}")
     from .verify import render_report, report_json, run_verification
 
     results = run_verification(
@@ -235,7 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    lo, hi = _parse_range(args.n_range)
+    lo, hi = args.n_range
     write = sys.stdout.write
     write("n,mode,per_length,total,fuzzy_count,mm_count\n")
     # rows of the same factorization shape share all text after n; no
@@ -260,20 +260,13 @@ def main(argv: list[str] | None = None) -> int:
         status = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return status
+    except SystemExit as exc:  # only argparse raises it, after -h/--help
+        return exc.code
     except BrokenPipeError:  # reader gone: devnull takes the shutdown flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _ParserExit as exc:
-        return exc.args[0]
     except CliError as exc:
         print(exc, file=sys.stderr)
-        return 1
-    except OracleLimitExceeded as exc:
-        print(
-            f"error: {exc}\n"
-            "hint: raise --oracle-limit or pick a smaller n",
-            file=sys.stderr,
-        )
         return 1
     except (FactorizationBudgetExceeded, HeightLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

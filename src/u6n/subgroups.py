@@ -47,11 +47,12 @@ class SubgroupDescriptor(namedtuple("SubgroupDescriptor", "kind t s")):
     def __new__(cls, kind: str, t: int, s: int | None = None) -> SubgroupDescriptor:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        if t < 1:
-            raise ValueError(f"t must be positive, got {t}")
+        # exactly int: True and 2.0 compare equal to 1 and 2 but print otherwise
+        if type(t) is not int or t < 1:
+            raise ValueError(f"t must be a positive integer, got {t!r}")
         if kind == "T":
-            if s not in (1, 2):
-                raise ValueError(f"twisted subgroup needs s in {{1, 2}}, got {s}")
+            if type(s) is not int or s not in (1, 2):
+                raise ValueError(f"twisted subgroup needs s in {{1, 2}}, got {s!r}")
         elif s is not None:
             raise ValueError(f"{kind}({t}) takes no s parameter")
         return tuple.__new__(cls, (kind, t, s))

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, import footprint."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -360,15 +361,78 @@ def test_invalid_input_exits_1(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--n-max", "0"), "--n-max must be at least 1, got 0"),
+        (("--n-max", "0"), "argument --n-max: must be at least 1, got 0"),
         (("--n-max", "3", "--fuzzy-n-max", "-1"),
-         "--fuzzy-n-max must be at least 0, got -1"),
+         "argument --fuzzy-n-max: invalid integer '-1': use digits 0-9 only"),
         (("--n-max", "3", "--oracle-limit", "-5"),
-         "--oracle-limit must be at least 0, got -5"),
+         "argument --oracle-limit: invalid integer '-5': use digits 0-9 only"),
     ],
+    ids=["n-max-0", "fuzzy-n-max-minus-1", "oracle-limit-minus-5"],
 )
 def test_verify_bad_argument_names_its_flag(capsys, argv, message):
-    assert run_cli(capsys, "verify", *argv) == (1, "", message + "\n")
+    assert run_cli(capsys, "verify", *argv) == (
+        1, "", f"u6n verify: error: {message}\n",
+    )
+
+
+_BAD_INTEGERS = {
+    "leading-space": " 3",
+    "trailing-space": "3 ",
+    "underscore": "1_0",
+    "arabic-indic": "٣",
+    "sign": "+3",
+    "hex": "0x3",
+    "5000-digits": "9" * 5000,
+}
+
+# every integer on the CLI: (flag, argv with {} for the bad value)
+_INTEGER_SLOTS = {
+    **{f"{cmd}-n": ("--n", (cmd, "--n", "{}"))
+       for cmd in ("subgroups", "normal", "chains", "count", "lattice")},
+    "verify-n-max": ("--n-max", ("verify", "--n-max", "{}")),
+    "verify-fuzzy-n-max": ("--fuzzy-n-max",
+                           ("verify", "--n-max", "1", "--fuzzy-n-max", "{}")),
+    "verify-oracle-limit": ("--oracle-limit",
+                            ("verify", "--n-max", "1", "--oracle-limit", "{}")),
+    "batch-range-A": ("--range", ("batch", "--range", "{}..3")),
+    "batch-range-B": ("--range", ("batch", "--range", "1..{}")),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_INTEGERS)
+@pytest.mark.parametrize("slot", _INTEGER_SLOTS)
+def test_bad_integer_exits_1_naming_its_flag(capsys, slot, bad):
+    # int() would take the first five (as 3, 3, 10, 3 and 3) and fail on the
+    # 5000 digits with a ValueError of its own
+    flag, argv = _INTEGER_SLOTS[slot]
+    value = _BAD_INTEGERS[bad]
+    code, out, err = run_cli(capsys, *(a.format(value) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"u6n {argv[0]}: error: argument {flag}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_every_integer_option_reads_the_one_grammar():
+    # a plain type=int would bring back a second, more lenient grammar
+    (subparsers,) = (a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    free = {
+        (command, action.dest): action.type
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.nargs is None
+        and action.choices is None and action.dest != "dot_path"
+    }
+    positive, natural = u6n.cli._POSITIVE, u6n.cli._NATURAL
+    assert free == {
+        **{(cmd, "n"): positive
+           for cmd in ("subgroups", "normal", "chains", "count", "lattice")},
+        ("verify", "n_max"): positive,
+        ("verify", "fuzzy_n_max"): natural,
+        ("verify", "oracle_limit"): natural,
+        ("batch", "n_range"): u6n.cli._n_range,
+    }
 
 
 def test_lattice_factorizes_2n_once(capsys, monkeypatch):
@@ -516,7 +580,8 @@ _GARBAGE = ("", "-", "--", "--x", "-n", "abc", "1.5", "1e3", "0x10", "٣",
 
 
 def _numbers(lo, hi):
-    return st.integers(lo, hi).map(str)
+    good = st.integers(lo, hi).map(str)
+    return st.one_of(good, good, good, st.sampled_from(list(_BAD_INTEGERS.values())))
 
 
 def _ranges():
@@ -524,7 +589,9 @@ def _ranges():
     return st.one_of(
         ends.map(str),
         st.tuples(ends, ends).map(lambda r: f"{r[0]}..{r[1]}"),
-        st.sampled_from(["a..b", "1...2", " 3", "2..x", ""]),
+        st.sampled_from(["a..b", "1...2", " 3", "2..x", "",
+                         *_BAD_INTEGERS.values(),
+                         *(f"1..{b}" for b in _BAD_INTEGERS.values())]),
     )
 
 

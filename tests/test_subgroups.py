@@ -139,7 +139,7 @@ def test_divisors_complete_and_sorted(m):
 
 def test_descriptor_validation():
     needs_s = r"^twisted subgroup needs s in \{1, 2\}, got "
-    with pytest.raises(ValueError, match="^t must be positive, got 0$"):
+    with pytest.raises(ValueError, match="^t must be a positive integer, got 0$"):
         cyclic(0)
     with pytest.raises(ValueError, match=needs_s + "3$"):
         twisted(1, 3)
@@ -149,6 +149,20 @@ def test_descriptor_validation():
         SubgroupDescriptor(kind="F", t=4, s=2)
     with pytest.raises(ValueError, match=needs_s + "None$"):
         SubgroupDescriptor("T", 2)  # twisted needs s
+
+
+@pytest.mark.parametrize("t, s, message", [
+    (2.0, None, "^t must be a positive integer, got 2.0$"),
+    (True, None, "^t must be a positive integer, got True$"),
+    ("2", None, "^t must be a positive integer, got '2'$"),
+    (1, True, r"^twisted subgroup needs s in \{1, 2\}, got True$"),
+    (1, 1.0, r"^twisted subgroup needs s in \{1, 2\}, got 1.0$"),
+], ids=["t-float", "t-bool", "t-str", "s-bool", "s-float"])
+def test_descriptor_parameters_must_be_ints(t, s, message):
+    # 2.0 and True equal 2 and 1, so they would hash and compare as valid
+    # descriptors while printing as C(2.0) or T(1,True)
+    with pytest.raises(ValueError, match=message):
+        SubgroupDescriptor("T" if s is not None else "C", t, s)
 
 
 @pytest.mark.parametrize("kind", ["X", None, "c", "", "CF"])
