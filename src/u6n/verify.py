@@ -1,8 +1,9 @@
 """Cross-checks of every fast-path claim against the brute-force oracle.
 
-Each check compares a closed-form or DP result with an exhaustive
-recomputation, or the shape-based count_chains with the full-lattice
-DP, and reports a counterexample on mismatch.
+Each check owns one property: it compares a fast path with an exhaustive
+recomputation, or count_chains with the full-lattice DP, and names a
+counterexample on mismatch.  What follows from checks that run at the
+same n is not checked again; each check's docstring says what covers it.
 
 run_verification computes each object once per n and hands every check
 the object it checks: one GroupOracle (integer Cayley table, conjugation
@@ -16,12 +17,10 @@ skipped above it, whatever fuzzy_n_max says.  Under it the group laws
 keep n <= 4 and the fuzzy checks fuzzy_n_max; membership, containment,
 subgroup closure, normal-in-supergroup, set-chains and lattice-vs-oracle
 run at the first n of each factorization shape of 2n.  lattice-vs-oracle
-holds the strict order the lattice makes from product coordinates to
-proper inclusion of the oracle's sets, so the s relabel and the divisor
-columns are checked, not only subgroup_leq.  hasse-closure holds the
-printed cover list, at every n and in both modes: hasse_edges lists each
-cover once, in sorted order, and its set is oracle.transitive_reduction,
-the covers of the lattice's rows found by definition.
+holds the rows to proper inclusion of the oracle's sets, so the s relabel
+and the divisor columns are checked, not only subgroup_leq.
+hasse-closure owns the printed cover list at every n and in both modes:
+each cover once, in sorted order, and as a set transitive_reduction.
 
 The group laws run on the oracle's tables once the tables are shown to
 be multiply and inverse.  The fuzzy-axioms and equivalence-classes
@@ -195,7 +194,8 @@ def check_subgroup_family(oracle: GroupOracle, sets: CatalogSets) -> CheckResult
 
 
 def check_normal_family(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
-    """Normal catalog == conjugation-filtered oracle list, kind by kind."""
+    """Each descriptor is normal per conjugation iff the normal catalog lists
+    it: with subgroups-vs-oracle, the normal family is the oracle's."""
     name = "normality-vs-oracle"
     params = oracle.params
     normal_descs = enumerate_normal_subgroups(params)
@@ -208,16 +208,6 @@ def check_normal_family(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
         if oracle.is_normal(h) != expected:
             verdict = "should be normal" if expected else "should not be normal"
             return _fail(params.n, name, f"{d} {verdict} per conjugation")
-    catalog = {sets[d] for d in normal_descs}
-    discovered = set(oracle.normal_subgroups)
-    if catalog != discovered:
-        diff = next(iter(catalog.symmetric_difference(discovered)))
-        side = "catalog-only" if diff in catalog else "oracle-only"
-        return _fail(
-            params.n,
-            name,
-            f"{side} normal subgroup {_set_name(oracle.element_set(diff))}",
-        )
     return _ok(params.n, name)
 
 
@@ -228,47 +218,21 @@ def check_membership(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
     for d, h in sets.items():
         for i, x in enumerate(oracle.elements):
             if contains_element(params, d, x) != (i in h):
-                return _fail(
-                    params.n, name, f"{d} disagrees at {format_element(x)}"
-                )
+                return _fail(params.n, name, f"{d} disagrees at {format_element(x)}")
     return _ok(params.n, name)
 
 
 def check_containment(oracle: GroupOracle, sets: CatalogSets) -> CheckResult:
-    """subgroup_leq == element-set inclusion, and partial-order laws."""
+    """subgroup_leq == element-set inclusion, pair by pair.  Inclusion is
+    reflexive and transitive, and antisymmetric once subgroups-vs-oracle
+    finds no two descriptors sharing a set, so no order law is checked."""
     name = "containment-closed-form"
     params = oracle.params
-    descs = list(sets)
-    # above[i]: every j with leq(descs[i], descs[j]); each law below names
-    # the first failing pair or triple in index order
-    above: list[set[int]] = []
     for d1, s1 in sets.items():
-        ups = set()
-        for j, (d2, s2) in enumerate(sets.items()):
+        for d2, s2 in sets.items():
             got = subgroup_leq(d1, d2)
             if got != (s1 <= s2):
                 return _fail(params.n, name, f"leq({d1}, {d2}) = {got} is wrong")
-            if got:
-                ups.add(j)
-        above.append(ups)
-    for i, ups in enumerate(above):
-        if i not in ups:
-            return _fail(params.n, name, f"leq not reflexive at {descs[i]}")
-    for i, ups in enumerate(above):
-        for j in sorted(ups):
-            if j != i and i in above[j]:
-                return _fail(
-                    params.n, name, f"antisymmetry fails at {descs[i]}, {descs[j]}"
-                )
-    for i, ups in enumerate(above):
-        for j in sorted(ups):
-            if not above[j] <= ups:
-                k = min(above[j] - ups)
-                return _fail(
-                    params.n,
-                    name,
-                    f"transitivity fails at {descs[i]} <= {descs[j]} <= {descs[k]}",
-                )
     return _ok(params.n, name)
 
 
@@ -392,9 +356,9 @@ def check_hasse_closure(lat: Lattice) -> CheckResult:
 
 
 def check_dp_vs_dfs(table: ChainTable) -> CheckResult:
-    """DP per-length chain counts == explicit DFS enumeration, and the top
-    node is counted at level 0 only.  Neither list has a zero entry, so
-    equal lists also give a level table as long as the longest chain."""
+    """DP per-length chain counts == explicit DFS enumeration.  Neither list
+    has a zero entry, so equal lists also give a level table as long as the
+    longest chain.  No cycle runs through the top: lattice-order-laws passed."""
     lat = table.lattice
     name = f"dp-vs-dfs[{lat.mode}]"
     n = lat.params.n
@@ -402,8 +366,6 @@ def check_dp_vs_dfs(table: ChainTable) -> CheckResult:
     dfs = oracle_count_chains(lat)
     if list(counts.per_length) != dfs:
         return _fail(n, name, f"DP {list(counts.per_length)} != DFS {dfs}")
-    if any(table.levels[k][lat.top_index] != 0 for k in range(1, len(table.levels))):
-        return _fail(n, name, "top node recounted beyond level 0")
     return _ok(n, name)
 
 
@@ -577,7 +539,8 @@ def run_verification(
     (membership, containment, subgroup closure, normal-in-supergroup) run
     once per factorization shape of 2n, at the first n <= n_max of that
     shape: count_chains depends on n only through the shape, and the
-    subgroup lattice has the same form for every n sharing it."""
+    subgroup lattice has the same form for every n sharing it.  A mode that
+    fails lattice-order-laws gets no chain table and no check that reads one."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if fuzzy_n_max < 0 or oracle_limit < 0:
@@ -590,12 +553,9 @@ def run_verification(
         shape = factorization_shape(2 * n)
         first_of_shape = shape not in shapes
         shapes.add(shape)
-        oracle = (
-            GroupOracle(params, oracle_limit)
-            if params.order <= oracle_limit else None
-        )
+        within = params.order <= oracle_limit
+        oracle = GroupOracle(params, oracle_limit) if within else None
         lat_all, lat_normal = lats = [build_lattice(params, m) for m in MODES]
-        tables = [compute_chain_table(lat) for lat in lats]
         results.append(check_count_formula(params))
         if oracle is not None:
             sets = catalog_sets(oracle)
@@ -609,17 +569,21 @@ def run_verification(
                 results.append(check_containment(oracle, sets))
                 results.append(check_subgroup_closure(oracle, sets))
                 results.append(check_normal_in_supergroup(oracle, sets, lat_normal))
-        for lat, table in zip(lats, tables):
-            results.append(check_lattice_order_laws(lat))
-            results.append(check_hasse_closure(lat))
-            results.append(check_dp_vs_dfs(table))
-            results.append(check_shape_vs_lattice(table))
+        counts = []
+        for lat in lats:
+            laws = check_lattice_order_laws(lat)
+            results += [laws, check_hasse_closure(lat)]
+            if laws.passed:  # irreflexive and transitive: acyclic, so the DP ends
+                table = compute_chain_table(lat)
+                results += [check_dp_vs_dfs(table), check_shape_vs_lattice(table)]
+                counts.append(chain_counts(table).fuzzy_count)
             if first_of_shape and oracle is not None:
                 results.append(check_set_chains(oracle, lat.mode))
                 results.append(check_lattice_vs_oracle(oracle, sets, lat))
         if n <= fuzzy_n_max and oracle is not None:
             results.extend(check_fuzzy_axioms(oracle))
-        fuzzy_counts[n] = tuple(chain_counts(t).fuzzy_count for t in tables)
+        if len(counts) == len(MODES):
+            fuzzy_counts[n] = tuple(counts)
     results.extend(check_divisor_shape_dependence(fuzzy_counts))
     return results
 

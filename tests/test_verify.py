@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from u6n import ChainCounts, GroupParams, count_chains, cyclic, full, twisted
+from u6n import ChainCounts, GroupParams, count_chains, full
 from u6n.chains import chain_counts, compute_chain_table
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
@@ -86,6 +86,7 @@ def test_individual_checks_pass():
     sets = catalog_sets(oracle)
     assert check_subgroup_family(oracle, sets).passed
     assert check_containment(oracle, sets).passed
+    assert check_normal_family(oracle, sets).passed
     assert check_dp_vs_dfs(_table(3, "all")).passed
     assert check_shape_vs_lattice(_table(35, "normal")).passed
     results = check_fuzzy_axioms(GroupOracle(params))
@@ -288,9 +289,12 @@ def test_a_normal_descriptor_missing_from_the_catalog_is_a_failure(monkeypatch):
 
 
 def test_every_benchmark_label_runs_and_passes():
-    # the benchmark's verify workload expects each of these labels to pass
+    # the benchmark's verify workload counts a frozen label that is missing
+    # or failing as a failed output, so a check keeps its label until a
+    # change to the benchmark drops it
     path = Path(__file__).resolve().parents[1] / "perfbench" / "frozen_table.json"
     labels = json.loads(path.read_text())["verify"]
+    assert sorted(labels) == ["12", "16"] and all(labels.values())
     for n_max in (12, 16):
         got = {f"n={r.n} {r.check}": r.passed for r in run_verification(n_max)}
         missing = [lbl for lbl in labels[str(n_max)] if got.get(lbl) is not True]
@@ -332,26 +336,13 @@ def test_one_group_oracle_per_n_within_the_limit(monkeypatch):
     assert built == [1, 2, 3, 4, 5]
 
 
-def test_oracle_checks_name_the_missing_subgroup(monkeypatch):
-    import u6n.verify as verify_module
-    from u6n.subgroups import enumerate_normal_subgroups
-
-    params = GroupParams(2)
-    oracle = GroupOracle(params, 300)
+def test_oracle_checks_name_the_missing_subgroup():
+    oracle = GroupOracle(GroupParams(2), 300)
     # drop the normal subgroup F(2) = <a^2, b> from the catalog
     sets = {d: h for d, h in catalog_sets(oracle).items() if d != full(2)}
     result = check_subgroup_family(oracle, sets)
     assert not result.passed
     assert result.detail == "oracle-only subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
-    monkeypatch.setattr(
-        verify_module, "enumerate_normal_subgroups",
-        lambda p: [d for d in enumerate_normal_subgroups(p) if d != full(2)],
-    )
-    result = check_normal_family(oracle, sets)
-    assert not result.passed
-    assert result.detail == (
-        "oracle-only normal subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
-    )
 
 
 def test_closure_checks_catch_a_corrupted_catalog_set():
@@ -380,53 +371,6 @@ def test_closure_checks_catch_a_corrupted_catalog_set():
     assert not result.passed
     assert result.check == "normal-in-supergroup"
     assert result.detail.startswith(f"{node} not normal in ")
-
-
-# U_12's subgroups in catalog order: C(1), C(2), C(4), F(1), F(2), F(4),
-# T(1,1), T(1,2); each law names its first failing pair or triple in that
-# order, as a loop over all pairs or triples would
-@pytest.mark.parametrize(
-    "flipped, detail",
-    [
-        ({(twisted(1, 1), twisted(1, 1))}, "leq not reflexive at T(1,1)"),
-        (
-            {(full(1), twisted(1, 1)), (full(2), cyclic(2))},
-            "antisymmetry fails at C(2), F(2)",
-        ),
-        (
-            {(cyclic(4), full(2)), (cyclic(4), twisted(1, 1))},
-            "transitivity fails at C(4) <= C(2) <= F(2)",
-        ),
-        (
-            {(cyclic(4), full(2)), (cyclic(4), full(1))},
-            "transitivity fails at C(4) <= C(1) <= F(1)",
-        ),
-    ],
-)
-def test_containment_names_the_first_broken_order_law(monkeypatch, flipped, detail):
-    # subgroup_leq negated on the flipped pairs, and element sets whose <=
-    # is that same relation, so only the partial-order laws can fail
-    import u6n.verify as verify_module
-    from u6n.subgroups import subgroup_leq
-
-    params = GroupParams(2)
-
-    def leq(d1, d2):
-        return subgroup_leq(d1, d2) != ((d1, d2) in flipped)
-
-    class Member:
-        def __init__(self, d):
-            self.d = d
-
-        def __le__(self, other):
-            return leq(self.d, other.d)
-
-    monkeypatch.setattr(verify_module, "subgroup_leq", leq)
-    sets = {d: Member(d) for d in enumerate_subgroups(params)}
-    result = check_containment(GroupOracle(params), sets)
-    assert (result.check, result.passed, result.detail) == (
-        "containment-closed-form", False, detail
-    )
 
 
 @pytest.mark.parametrize("n", [1, 2])
