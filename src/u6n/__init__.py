@@ -26,12 +26,10 @@ from .group import (
     GroupParams,
     OracleLimitExceeded,
     all_elements,
-    conjugate,
     format_element,
     identity,
     inverse,
     multiply,
-    power,
 )
 from .lattice import (
     Lattice,
@@ -74,7 +72,6 @@ __all__ = [
     "chain_counts",
     "compute_chain_table",
     "count_chains",
-    "conjugate",
     "contains_element",
     "cyclic",
     "divisors",
@@ -90,7 +87,6 @@ __all__ = [
     "identity",
     "inverse",
     "multiply",
-    "power",
     "subgroup_elements",
     "subgroup_leq",
     "subgroup_order",

@@ -102,7 +102,7 @@ from operator import sub
 
 from .group import GroupParams
 from .lattice import MODES, Lattice
-from .subgroups import core_of, factorize
+from .subgroups import factorize
 
 #: The largest lattice height shape_chain_counts answers: at H = 2000
 #: (n = 2^1998) count_chains took 0.27 to 0.38 s on a 2-vCPU Xeon, and
@@ -194,28 +194,22 @@ def _core_zeta(e2: int, e3: int, top: int, mode: str) -> Iterator[int]:
         w23 = w23 * (e2 + e3 + k) // k
 
 
-def factorization_shape(two_n: int) -> tuple[int, tuple[int, ...]]:
-    """The core 2^e2 * 3^e3 of two_n and its sorted exponents a_p, p >= 5:
+def factorization_shape(two_n: int) -> tuple[int, int, tuple[int, ...]]:
+    """(e2, e3, sorted a_p) of two_n = 2^e2 * 3^e3 * prod_p p^a_p, p >= 5:
     every n whose 2n has this shape has the same chain counts."""
-    c = core_of(two_n)
-    return c, tuple(sorted(a for _, a in factorize(two_n // c)))
+    powers = dict(factorize(two_n))
+    return powers.pop(2, 0), powers.pop(3, 0), tuple(sorted(powers.values()))
 
 
 def shape_chain_counts(
-    core_two_n: int, exponents: Sequence[int], mode: str
+    e2: int, e3: int, exponents: Sequence[int], mode: str
 ) -> tuple[int, ...]:
-    """per_length of every n whose 2n has core 2^e2 * 3^e3 = core_two_n and
-    the exponents a_p of its primes p >= 5, in any order."""
+    """per_length of every n whose 2n is 2^e2 * 3^e3 times primes p >= 5
+    with the exponents a_p, in any order."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    e2 = e3 = 0
-    rest = core_two_n
-    while rest > 0 and rest % 2 == 0:
-        rest, e2 = rest // 2, e2 + 1
-    while rest > 0 and rest % 3 == 0:
-        rest, e3 = rest // 3, e3 + 1
-    if e2 < 1 or rest != 1:
-        raise ValueError(f"core must be 2^e2 * 3^e3 with e2 >= 1, got {core_two_n}")
+    if e2 < 1 or e3 < 0:
+        raise ValueError(f"shape needs e2 >= 1 and e3 >= 0, got {e2} and {e3}")
     top = e2 + e3 + 1 + sum(exponents)
     if top > MAX_HEIGHT:
         raise HeightLimitExceeded(

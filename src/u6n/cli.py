@@ -240,7 +240,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     write("n,mode,per_length,total,fuzzy_count,mm_count\n")
     # rows of the same factorization shape share all text after n; no
     # field holds a comma, quote or newline, so none needs CSV quoting
-    tails: dict[tuple[int, tuple[int, ...]], str] = {}
+    tails: dict[tuple[int, int, tuple[int, ...]], str] = {}
     for n in range(lo, hi + 1):
         shape = factorization_shape(2 * n)
         tail = tails.get(shape)

@@ -71,31 +71,6 @@ def inverse(params: GroupParams, x: Element) -> Element:
     return Element(u, v)
 
 
-def power(params: GroupParams, x: Element, k: int) -> Element:
-    """k-th power of x by the closed forms for canonical words, k >= 0.
-
-    (a^u b^v)^k is a^(uk mod 2n) times: b^0 when v = 0; b^(vk mod 3) when
-    u is even; b^0 when u is odd and k is even; b^v when u and k are odd.
-    """
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    u = (x.a_exp * k) % params.two_n
-    if x.b_exp == 0:
-        v = 0
-    elif x.a_exp % 2 == 0:
-        v = (x.b_exp * k) % 3
-    elif k % 2 == 0:
-        v = 0
-    else:
-        v = x.b_exp
-    return Element(u, v)
-
-
-def conjugate(params: GroupParams, h: Element, g: Element) -> Element:
-    """g^-1 h g."""
-    return multiply(params, multiply(params, inverse(params, g), h), g)
-
-
 def all_elements(params: GroupParams) -> list[Element]:
     """All 6n canonical elements, ordered lexicographically by (a_exp, b_exp)."""
     return [Element(u, v) for u in range(params.two_n) for v in range(3)]

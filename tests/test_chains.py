@@ -211,7 +211,7 @@ def _core_chain_counts(e2: int, e3: int, mode: str) -> list[int]:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 40), st.sampled_from(["all", "normal"]))
 def test_core_closed_form_equals_grid_dp(e2, e3, mode):
-    assert list(shape_chain_counts(2**e2 * 3**e3, [], mode)) == _core_chain_counts(
+    assert list(shape_chain_counts(e2, e3, [], mode)) == _core_chain_counts(
         e2, e3, mode)
 
 
@@ -238,10 +238,10 @@ def test_count_chains_equals_oracle_on_every_shape(n):
 
 def test_height_at_the_limit_answers_and_above_it_raises():
     # 2n = 2 * 5^a has height a + 2
-    per_length = shape_chain_counts(2, [MAX_HEIGHT - 2], "normal")
+    per_length = shape_chain_counts(1, 0, [MAX_HEIGHT - 2], "normal")
     assert len(per_length) == MAX_HEIGHT and per_length[-1] > 0
     with pytest.raises(HeightLimitExceeded, match=f"height {MAX_HEIGHT + 1} "):
-        shape_chain_counts(2, [MAX_HEIGHT - 1], "normal")
+        shape_chain_counts(1, 0, [MAX_HEIGHT - 1], "normal")
 
 
 def test_count_chains_builds_no_lattice(monkeypatch):
@@ -263,10 +263,10 @@ def test_count_chains_builds_no_lattice(monkeypatch):
 def test_count_chains_rejects_bad_input():
     with pytest.raises(ValueError, match="mode must be one of"):
         count_chains(GroupParams(6), "odd")
-    for core in (0, 3, 9, 10, 2 * 3 * 5, -6):
-        with pytest.raises(ValueError, match="core must be"):
-            shape_chain_counts(core, [], "all")
-    assert shape_chain_counts(2 * 3, [1], "all") == count_chains(
+    for e2, e3 in ((0, 0), (0, 1), (0, 2), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="^shape needs e2 >= 1 and e3 >= 0, got "):
+            shape_chain_counts(e2, e3, [], "all")
+    assert shape_chain_counts(1, 1, [1], "all") == count_chains(
         GroupParams(15), "all").per_length
 
 

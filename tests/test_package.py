@@ -1,5 +1,6 @@
 """The package's public names: u6n.__all__ lists exactly what
-src/u6n/__init__.py imports, so neither list can drift from the other."""
+src/u6n/__init__.py imports, so neither list can drift from the other,
+and the package, its scripts or its benchmark reads each of them."""
 
 import ast
 from pathlib import Path
@@ -20,3 +21,18 @@ def test_all_is_exactly_the_imported_names():
     assert sorted(u6n.__all__) == sorted(imported)
     for name in u6n.__all__:
         assert hasattr(u6n, name), name
+
+
+def test_every_public_name_is_read_outside_the_package_init():
+    # a public name that only tests read is API kept for its own tests
+    root = INIT.parents[2]
+    files = [p for p in INIT.parent.glob("*.py") if p != INIT]
+    files += [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [name for name in u6n.__all__ if name not in read] == []

@@ -221,18 +221,21 @@ def test_set_chains_run_once_per_factorization_shape():
     for n in (8, 9, 10, 12, 15, 16):
         assert f"n={n} set-chains[all]" in labels
         assert f"n={n} set-chains[normal]" in labels
-    # the Element-level checks and lattice-vs-oracle take the same gate
+    # the Element-level checks take the same gate
     for check in (
         "membership-closed-form",
         "containment-closed-form",
         "subgroup-closure",
         "normal-in-supergroup",
-        "lattice-vs-oracle[all]",
-        "lattice-vs-oracle[normal]",
     ):
         assert {r.n for r in results if r.check == check} == first_of_shape
         for n in (7, 11, 13, 14):
             assert f"n={n} {check}" not in labels
+    # the s relabel depends on p mod 3 as well: lattice-vs-oracle runs at
+    # every n within the oracle limit
+    for mode in ("all", "normal"):
+        ran = {r.n for r in results if r.check == f"lattice-vs-oracle[{mode}]"}
+        assert ran == set(range(1, 17))
 
 
 def test_catalog_sets_once_per_n_and_one_oracle_walk_per_chain_check(monkeypatch):
