@@ -39,6 +39,7 @@ from u6n import (
     format_descriptor,
     hasse_edges,
 )
+from u6n.cli import _POSITIVE
 from u6n.lattice import dot_text, write_json
 
 LADDER = [5040, 55440, 360360, 2**61 - 1, 9999991 * 9999973, 2**15 * 3**10]
@@ -86,8 +87,7 @@ def bench(n: int) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, nargs="+",
-                        default=LADDER)
+    parser.add_argument("--n", type=_POSITIVE, nargs="+", default=LADDER)
     args = parser.parse_args()
     agree = True
     for n in args.n:

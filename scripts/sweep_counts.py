@@ -13,11 +13,12 @@ from u6n import (
     enumerate_normal_subgroups,
     enumerate_subgroups,
 )
+from u6n.cli import _POSITIVE
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=24)
+    parser.add_argument("--n-max", type=_POSITIVE, default=24)
     parser.add_argument("--markdown", action="store_true",
                         help="emit a Markdown table instead of plain columns")
     args = parser.parse_args()

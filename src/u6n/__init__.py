@@ -8,8 +8,9 @@ number of fuzzy subgroups (and normal fuzzy subgroups) up to the
 grade-comparison equivalence.  A brute-force oracle recomputes everything the slow way
 for small n so the closed forms never go unchecked; import it from
 `u6n.oracle` and `u6n.verify`, which the counting path never loads.
-Neither `import u6n` nor `import u6n.cli` loads dataclasses, json, csv
-or pathlib: the CLI imports json and csv only to print JSON or CSV.
+No u6n module imports dataclasses, and neither `import u6n` nor `import
+u6n.cli` loads json, csv or pathlib: the CLI imports json and csv only to
+print JSON or CSV.
 """
 
 from .chains import (

@@ -19,10 +19,11 @@ class OracleLimitExceeded(Exception):
     """An exhaustive check was requested for a group above the size bound."""
 
 
-# The value types of the counting path (these two, SubgroupDescriptor,
-# Lattice, ChainTable, ChainCounts) are namedtuple subclasses with empty
-# __slots__, not frozen dataclasses, because importing dataclasses (and with
-# it inspect, ast, dis and tokenize) was about a third of `import u6n.cli`.
+# The eight value types (these two, SubgroupDescriptor, Lattice, ChainTable,
+# ChainCounts, oracle.FuzzyMap and verify.CheckResult) are namedtuple
+# subclasses with empty __slots__, not frozen dataclasses, because importing
+# dataclasses (and with it inspect, ast, dis and tokenize) was about a third
+# of `import u6n.cli`.
 class GroupParams(namedtuple("GroupParams", "n")):
     """Family parameter n; U_6n has order 6n and a has order 2n."""
 

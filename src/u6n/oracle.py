@@ -46,12 +46,11 @@ All of this is exponential in spirit and guarded by an order limit.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
 
 from .group import (
     DEFAULT_ORACLE_LIMIT,
@@ -370,8 +369,7 @@ def oracle_count_set_chains(
     return GroupOracle(params, limit).count_set_chains(normal_only, include_trivial)
 
 
-@dataclass(frozen=True)
-class FuzzyMap:
+class FuzzyMap(namedtuple("FuzzyMap", "params grades ranks")):
     """Total map from group elements to exact membership grades in [0, 1].
 
     grades is a tuple in all_elements order, so a^u b^v's grade sits at
@@ -380,16 +378,15 @@ class FuzzyMap:
     relabel is order-preserving and one-to-one on grades, so >=, min and
     = give the same answers on ranks, and two maps over one group have
     the same strict-comparison pattern exactly when their ranks coincide.
+    Built from (params, grades) alone; ranks is computed, never passed.
     """
 
-    params: GroupParams
-    grades: tuple[Fraction, ...]
-    ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.grades) != self.params.order:
+    def __new__(cls, params: GroupParams, grades: Sequence) -> FuzzyMap:
+        if len(grades) != params.order:
             raise ValueError("grades must cover exactly the group elements")
-        grades = tuple(map(_exact, self.grades))
+        grades = tuple(map(_exact, grades))
         # each grade's first-appearance id, keyed on its exact (numerator,
         # denominator), cheaper than a Fraction hash; then the k distinct
         # grades sorted as integers scaled to the lcm of their denominators
@@ -405,8 +402,11 @@ class FuzzyMap:
         rank = [0] * len(order)
         for r, i in enumerate(order):
             rank[i] = r
-        object.__setattr__(self, "grades", grades)
-        object.__setattr__(self, "ranks", tuple(map(rank.__getitem__, ids)))
+        return tuple.__new__(cls, (params, grades, tuple(map(rank.__getitem__, ids))))
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle call __new__ with these, not with all three fields
+        return self.params, self.grades
 
     def __getitem__(self, x: Element) -> Fraction:
         return self.grades[_index(x)]
@@ -418,11 +418,6 @@ def _exact(grade: object) -> Fraction:
     if isinstance(grade, float) or not isinstance(grade, (int, Fraction)):
         raise ValueError(f"grade {grade!r} is not an exact rational")
     return Fraction(grade)
-
-
-@lru_cache(maxsize=16)
-def _whole_group(order: int) -> frozenset[int]:
-    return frozenset(range(order))
 
 
 def representative_from_sets(
@@ -441,7 +436,7 @@ def representative_from_sets(
     for small, big in zip(sets, sets[1:]):
         if not small < big:
             raise ValueError("chain sets must be strictly ascending")
-    if sets[-1] != _whole_group(params.order):
+    if sets[-1] != frozenset(range(params.order)):
         raise ValueError("chain must end at the whole group")
     if levels is None:
         levels = [Fraction(1, i) for i in range(1, len(sets) + 1)]

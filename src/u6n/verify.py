@@ -33,8 +33,7 @@ No result depends on an assert statement, so python -O reports the same.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import prod
 
@@ -70,12 +69,8 @@ from .subgroups import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    n: int
-    check: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "n check passed detail", defaults=("",))):
+    __slots__ = ()
 
 
 def _ok(n: int, check: str) -> CheckResult:
@@ -604,14 +599,6 @@ def render_report(results: list[CheckResult]) -> str:
 
 def report_json(results: list[CheckResult]) -> dict:
     return {
-        "checks": [
-            {
-                "n": r.n,
-                "check": r.check,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [r._asdict() for r in results],
         "passed": all(r.passed for r in results),
     }

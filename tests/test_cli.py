@@ -558,20 +558,32 @@ def test_parser_error_is_cli_error():
         build_parser().parse_args(["count"])
 
 
-def test_cli_import_loads_only_the_counting_path():
-    # -S: a site-packages .pth file may import pathlib or typing itself
-    code = (
-        "import sys, u6n.cli; "
-        "print(sorted(m for m in ('u6n.oracle', 'u6n.verify', 'u6n.cache', "
-        "'concurrent.futures', 'fractions', 'dataclasses', 'inspect', 'json', "
-        "'csv', 'pathlib') if m in sys.modules))"
-    )
+def _loaded_under_dash_s(imports, modules):
+    """The sorted names in modules that `import <imports>` loads under
+    python -S, where no site-packages .pth file imports pathlib or typing."""
+    code = (f"import sys, {imports}; "
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     src = str(Path(u6n.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_only_the_counting_path():
+    assert _loaded_under_dash_s("u6n.cli", (
+        "u6n.oracle", "u6n.verify", "u6n.cache", "concurrent.futures",
+        "fractions", "dataclasses", "inspect", "json", "csv", "pathlib",
+    )) == "[]"
+
+
+def test_verify_import_loads_no_dataclasses_or_typing():
+    # verify and the oracle use namedtuples and collections.abc, as the
+    # counting path does; dataclasses alone would pull in inspect and ast
+    assert _loaded_under_dash_s(
+        "u6n.cli, u6n.verify", ("dataclasses", "inspect", "typing", "ast")
+    ) == "[]"
 
 
 _GARBAGE = ("", "-", "--", "--x", "-n", "abc", "1.5", "1e3", "0x10", "٣",

@@ -11,6 +11,8 @@ import resource
 import sys
 from pathlib import Path
 
+import pytest
+
 from u6n import ChainCounts, GroupParams, build_lattice, export_dot, export_json
 from u6n.oracle import transitive_reduction
 
@@ -84,6 +86,24 @@ def test_sweep_counts_table(monkeypatch, capsys):
         "3     18         14       6   54    16\n"
         "4     24         10       7   56    32\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep_counts", "--n-max", "0"],
+    ["sweep_counts", "--n-max", "-1"],
+    ["benchmark_large_n", "--n", "0"],
+    ["benchmark_large_n", "--n", "12", "-5"],
+])
+def test_scripts_read_integers_with_the_cli_grammar(monkeypatch, capsys, argv):
+    # the scripts' integer options use u6n's one integer type: a bad value
+    # is argparse's exit 2 and one-line message, not a traceback from main
+    script = _load_script(argv[0])
+    monkeypatch.setattr(sys, "argv", [f"{argv[0]}.py", *argv[1:]])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[1]}: " in err.splitlines()[-1]
 
 
 def test_every_u6n_name_the_benchmark_imports_resolves():

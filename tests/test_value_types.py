@@ -1,5 +1,10 @@
-"""The six value types of the counting path: keyword construction, repr
-text, immutability, equality, hashing, and the order of Element."""
+"""The eight value types, the six of the counting path and the two of
+verify and the oracle: keyword construction, repr text, immutability,
+equality, hashing, copy and pickle round trips, and the order of Element."""
+
+import copy
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +19,8 @@ from u6n import (
     full,
     twisted,
 )
+from u6n.oracle import FuzzyMap
+from u6n.verify import CheckResult
 
 
 def _lattice(n=1):
@@ -29,6 +36,9 @@ _LATTICE_REPR = (
     "orders=(6,), top_index=0, coords=((0, 1),), core_above=((),), "
     "column={1: [(0,)]})"
 )
+
+# <b> = {e, b, b^2} at grade 1, the rest of U_6 at 1/2
+_GRADES = (Fraction(1),) * 3 + (Fraction(1, 2),) * 3
 
 #: type name -> (make a value, make a different value, its repr, hashable)
 CASES = {
@@ -47,6 +57,13 @@ CASES = {
     "ChainCounts": (lambda: ChainCounts(n=5, mode="all", per_length=(1, 4)),
                     lambda: ChainCounts(5, "normal", (1, 4)),
                     "ChainCounts(n=5, mode='all', per_length=(1, 4))", True),
+    "CheckResult": (lambda: CheckResult(n=1, check="demo", passed=True),
+                    lambda: CheckResult(1, "demo", False, "witness"),
+                    "CheckResult(n=1, check='demo', passed=True, detail='')", True),
+    "FuzzyMap": (lambda: FuzzyMap(params=GroupParams(1), grades=_GRADES),
+                 lambda: FuzzyMap(GroupParams(1), _GRADES[::-1]),
+                 "FuzzyMap(params=GroupParams(n=1), grades=(" + ", ".join(
+                     map(repr, _GRADES)) + "), ranks=(1, 1, 1, 0, 0, 0))", True),
 }
 
 
@@ -70,6 +87,15 @@ def test_value_type_repr_equality_hash_and_immutability(name):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == b
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_value_type_copy_and_pickle_round_trip(name):
+    # a __new__ that takes fewer arguments than the fields needs its own
+    # __getnewargs__, or copy and pickle call it with every field
+    a = CASES[name][0]()
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is type(a) and b == a and repr(b) == repr(a)
 
 
 def test_descriptor_keywords_and_default_s():
