@@ -134,6 +134,10 @@ class ChainCounts(namedtuple("ChainCounts", (
             raise ValueError("chain counts must be nonnegative with nonzero tail")
         return tuple.__new__(cls, (n, mode, per_length))
 
+    @classmethod
+    def _make(cls, fields) -> ChainCounts:
+        return cls(*fields)
+
     @property
     def total(self) -> int:
         return sum(self.per_length)

@@ -5,7 +5,9 @@ Every integer on the command line is read and bounded by the argparse types
 below (`_integer`): ASCII digits 0-9 only, no sign, space or underscore.
 All outputs are deterministic for a given invocation; counts appear as
 decimal strings in JSON and CSV so arbitrarily large values survive
-consumers limited to 64-bit integers.
+consumers limited to 64-bit integers.  CSV is written as csv.writer would:
+fields joined by commas, a field quoted only when it holds a comma (only
+T(t,s) does; none holds a quote or a line break).
 """
 
 from __future__ import annotations
@@ -74,18 +76,11 @@ def _n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# json and csv are imported where they are used, not with the module: most
-# queries print neither.
+# json is imported on use, not with the module: most queries print none.
 def _print_json(payload) -> None:
     import json
 
     print(json.dumps(payload, indent=2))
-
-
-def _csv_writer():
-    import csv
-
-    return csv.writer(sys.stdout, lineterminator="\n")
 
 
 def build_parser() -> _Parser:
@@ -125,12 +120,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the oracle cross-check battery")
     p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--n-max", type=_POSITIVE, required=True, dest="n_max")
-    p.add_argument("--fuzzy-n-max", type=_NATURAL, default=4, dest="fuzzy_n_max",
+    p.add_argument("--n-max", type=_POSITIVE, required=True)
+    p.add_argument("--fuzzy-n-max", type=_NATURAL, default=4,
                    help="largest n for the fuzzy-map end-to-end checks")
     p.add_argument("--oracle-limit", type=_NATURAL, default=DEFAULT_ORACLE_LIMIT,
-                   dest="oracle_limit", help="largest group order the "
-                   "brute-force oracle will accept")
+                   help="largest group order the brute-force oracle will accept")
     p.add_argument("--format", choices=("table", "json"), default="table",
                    dest="fmt")
 
@@ -155,9 +149,8 @@ def _cmd_listing(args: argparse.Namespace) -> int:
         }
         _print_json(payload)
     elif args.fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["desc", "order"])
-        writer.writerows(rows)
+        sys.stdout.write("desc,order\n" + "".join(
+            f'"{d}",{o}\n' if "," in d else f"{d},{o}\n" for d, o in rows))
     else:
         width = max(len(d) for d, _ in rows)
         for d, o in rows:
@@ -171,10 +164,8 @@ def _cmd_chains(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         _print_json(counts.to_json_dict())
     elif args.fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["length", "count"])
-        for k, c in enumerate(counts.per_length):
-            writer.writerow([k + 1, str(c)])
+        sys.stdout.write("length,count\n" + "".join(
+            f"{k},{c}\n" for k, c in enumerate(counts.per_length, 1)))
     else:
         print("length  count")
         for k, c in enumerate(counts.per_length):
@@ -198,9 +189,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         }
         _print_json(payload)
     elif args.fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["n", "mode", "relation", "count"])
-        writer.writerow([args.n, args.mode, args.relation, str(value)])
+        sys.stdout.write("n,mode,relation,count\n"
+                         f"{args.n},{args.mode},{args.relation},{value}\n")
     else:
         print(value)
     return 0
@@ -238,8 +228,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     lo, hi = args.n_range
     write = sys.stdout.write
     write("n,mode,per_length,total,fuzzy_count,mm_count\n")
-    # rows of the same factorization shape share all text after n; no
-    # field holds a comma, quote or newline, so none needs CSV quoting
+    # rows of the same factorization shape share all text after n
     tails: dict[tuple[int, int, tuple[int, ...]], str] = {}
     for n in range(lo, hi + 1):
         shape = factorization_shape(2 * n)

@@ -23,7 +23,8 @@ class OracleLimitExceeded(Exception):
 # ChainCounts, oracle.FuzzyMap and verify.CheckResult) are namedtuple
 # subclasses with empty __slots__, not frozen dataclasses, because importing
 # dataclasses (and with it inspect, ast, dis and tokenize) was about a third
-# of `import u6n.cli`.
+# of `import u6n.cli`.  A type whose __new__ checks its fields overrides
+# _make too (_replace calls it): the inherited one skips __new__.
 class GroupParams(namedtuple("GroupParams", "n")):
     """Family parameter n; U_6n has order 6n and a has order 2n."""
 
@@ -33,6 +34,10 @@ class GroupParams(namedtuple("GroupParams", "n")):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         return tuple.__new__(cls, (n,))
+
+    @classmethod
+    def _make(cls, fields) -> GroupParams:
+        return cls(*fields)
 
     @property
     def two_n(self) -> int:

@@ -39,7 +39,7 @@ Factorization is plain trial division, the reference for the catalog's
 Miller-Rabin and Pollard-rho factorizer.
 
 GroupOracle is the one way to ask about a group; oracle_count_set_chains
-is a thin wrapper over it that only the benchmark still imports.
+counts a fresh oracle's set_chains by length.
 
 All of this is exponential in spirit and guarded by an order limit.
 """
@@ -271,13 +271,6 @@ class GroupOracle:
         for chain in _chains_from(len(family) - 1, below):
             yield tuple(family[i] for i in chain)
 
-    def count_set_chains(
-        self, normal_only: bool = False, include_trivial: bool = True
-    ) -> list[int]:
-        """Per-length counts of set_chains; index k counts the chains with
-        k+1 members."""
-        return _per_length(self.set_chains(normal_only, include_trivial))
-
 
 def trial_division_factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 by trial division up to sqrt(m).
@@ -361,12 +354,10 @@ def oracle_count_set_chains(
     include_trivial: bool = True,
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> list[int]:
-    """GroupOracle.count_set_chains on a fresh oracle for params.
-
-    The one module-level wrapper left: the benchmark's reference side
-    imports it, and it goes once that side calls GroupOracle directly.
-    """
-    return GroupOracle(params, limit).count_set_chains(normal_only, include_trivial)
+    """Per-length counts of GroupOracle(params, limit).set_chains; index k
+    counts the chains with k+1 members."""
+    oracle = GroupOracle(params, limit)
+    return _per_length(oracle.set_chains(normal_only, include_trivial))
 
 
 class FuzzyMap(namedtuple("FuzzyMap", "params grades ranks")):
@@ -407,6 +398,11 @@ class FuzzyMap(namedtuple("FuzzyMap", "params grades ranks")):
     def __getnewargs__(self) -> tuple:
         # copy and pickle call __new__ with these, not with all three fields
         return self.params, self.grades
+
+    @classmethod
+    def _make(cls, fields) -> FuzzyMap:
+        params, grades, _ = fields  # ranks follow from the grades
+        return cls(params, grades)
 
     def __getitem__(self, x: Element) -> Fraction:
         return self.grades[_index(x)]

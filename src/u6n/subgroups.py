@@ -57,6 +57,10 @@ class SubgroupDescriptor(namedtuple("SubgroupDescriptor", "kind t s")):
             raise ValueError(f"{kind}({t}) takes no s parameter")
         return tuple.__new__(cls, (kind, t, s))
 
+    @classmethod
+    def _make(cls, fields) -> SubgroupDescriptor:
+        return cls(*fields)
+
     def __str__(self) -> str:
         return format_descriptor(self)
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,11 @@ from u6n import (
     GroupParams,
     build_lattice,
     count_chains,
+    enumerate_normal_subgroups,
+    enumerate_subgroups,
     export_dot,
     export_json,
+    format_descriptor,
     subgroup_order,
 )
 from u6n.chains import MAX_HEIGHT, factorization_shape
@@ -314,20 +318,68 @@ def test_batch_rows_recompute(capsys):
         assert row[4] == str(counts.fuzzy_count)
 
 
-@pytest.mark.parametrize("mode", ["all", "normal"])
-def test_batch_bytes_are_csv_writer_rows(capsys, mode):
-    # batch writes its rows without the csv module: the bytes must be what
-    # csv.writer makes of count_chains, so no field may ever need quoting
-    want = io.StringIO()
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(["n", "mode", "per_length", "total", "fuzzy_count", "mm_count"])
+def _listing_rows(command, n):
+    params = GroupParams(n)
+    enum = enumerate_normal_subgroups if command == "normal" else enumerate_subgroups
+    return [("desc", "order"),
+            *((format_descriptor(d), subgroup_order(params, d)) for d in enum(params))]
+
+
+def _chains_rows(n, mode):
+    per_length = count_chains(GroupParams(n), mode).per_length
+    return [("length", "count"), *enumerate(per_length, 1)]
+
+
+def _count_rows(n, mode, relation):
+    counts = count_chains(GroupParams(n), mode)
+    value = counts.mm_count if relation == "murali" else counts.fuzzy_count
+    return [("n", "mode", "relation", "count"), (n, mode, relation, value)]
+
+
+def _batch_rows(mode):
+    rows = [("n", "mode", "per_length", "total", "fuzzy_count", "mm_count")]
     for n in range(1, 3001):
         counts = count_chains(GroupParams(n), mode)
-        writer.writerow([n, mode, ";".join(map(str, counts.per_length)),
-                         counts.total, counts.fuzzy_count, counts.mm_count])
-    code, out, err = run_cli(capsys, "batch", "--range", "1..3000", "--mode", mode)
+        rows.append((n, mode, ";".join(map(str, counts.per_length)),
+                     counts.total, counts.fuzzy_count, counts.mm_count))
+    return rows
+
+
+def _csv_cases():
+    """case id -> (a CSV argv, the rows it prints, built from the library)"""
+    cases = {}
+    for command in ("subgroups", "normal"):
+        for n in (1, 2, 6):
+            cases[f"{command}-{n}"] = ((command, "--n", str(n), "--format", "csv"),
+                                       partial(_listing_rows, command, n))
+    for n in (1, 12, 360360):
+        for mode in ("all", "normal"):
+            flags = ("--n", str(n), "--mode", mode, "--format", "csv")
+            cases[f"chains-{n}-{mode}"] = (("chains", *flags),
+                                           partial(_chains_rows, n, mode))
+            for rel in ("tarnauceanu", "murali"):
+                cases[f"count-{n}-{mode}-{rel}"] = (
+                    ("count", *flags, "--relation", rel),
+                    partial(_count_rows, n, mode, rel))
+    for mode in ("all", "normal"):
+        cases[f"batch-{mode}"] = (("batch", "--range", "1..3000", "--mode", mode),
+                                  partial(_batch_rows, mode))
+    return cases
+
+
+CSV_CASES = _csv_cases()
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_csv_bytes_are_csv_writer_rows(capsys, case):
+    # the CLI writes CSV lines as text, without the csv module: the bytes
+    # must be what csv.writer makes of the same rows, T(t,s) quoted
+    argv, rows = CSV_CASES[case]
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(rows())
+    code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    _assert_same_text(out, want.getvalue(), "batch stdout")
+    _assert_same_text(out, want.getvalue(), " ".join(argv))
 
 
 @pytest.mark.parametrize(
@@ -558,17 +610,19 @@ def test_parser_error_is_cli_error():
         build_parser().parse_args(["count"])
 
 
-def _loaded_under_dash_s(imports, modules):
-    """The sorted names in modules that `import <imports>` loads under
-    python -S, where no site-packages .pth file imports pathlib or typing."""
-    code = (f"import sys, {imports}; "
-            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+def _loaded_under_dash_s(imports, modules, argvs=()):
+    """The sorted names in modules that `import <imports>`, then
+    u6n.cli.main on each of argvs, loads under python -S, where no
+    site-packages .pth file imports pathlib or typing."""
+    code = (f"import sys, {imports}\n"
+            + "".join(f"u6n.cli.main({list(argv)!r})\n" for argv in argvs)
+            + f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     src = str(Path(u6n.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    return out.strip()
+    return out.splitlines()[-1]
 
 
 def test_cli_import_loads_only_the_counting_path():
@@ -576,6 +630,11 @@ def test_cli_import_loads_only_the_counting_path():
         "u6n.oracle", "u6n.verify", "u6n.cache", "concurrent.futures",
         "fractions", "dataclasses", "inspect", "json", "csv", "pathlib",
     )) == "[]"
+
+
+def test_csv_queries_leave_the_csv_module_unloaded():
+    argvs = [argv for argv, _ in CSV_CASES.values()]
+    assert _loaded_under_dash_s("u6n.cli", ("csv",), argvs) == "[]"
 
 
 def test_verify_import_loads_no_dataclasses_or_typing():

@@ -30,6 +30,7 @@ from u6n.oracle import (
     comparison_pattern,
     lattice_chains,
     oracle_count_chains,
+    oracle_count_set_chains,
     representative_from_sets,
 )
 from u6n.verify import catalog_sets, check_fuzzy_axioms
@@ -230,9 +231,9 @@ def test_set_chain_factor_two():
             for chain in oracle.set_chains(normal_only):
                 assert chain[-1] == whole
                 assert all(small < big for small, big in zip(chain, chain[1:]))
-            with_e = oracle.count_set_chains(normal_only=normal_only)
-            without_e = oracle.count_set_chains(
-                normal_only=normal_only, include_trivial=False
+            with_e = oracle_count_set_chains(params, normal_only=normal_only)
+            without_e = oracle_count_set_chains(
+                params, normal_only=normal_only, include_trivial=False
             )
             assert sum(with_e) == 2 * sum(without_e)
             counts = count_chains(params, "normal" if normal_only else "all")

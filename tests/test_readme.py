@@ -53,7 +53,7 @@ def test_every_readme_transcript_replays(monkeypatch, tmp_path, capsys):
     runs = _transcripts()
     assert BUDGET_EXAMPLE in [argv for argv, _ in runs]
     runs = [(argv, shown) for argv, shown in runs if argv != BUDGET_EXAMPLE]
-    assert len(runs) == 10
+    assert len(runs) == 11
     monkeypatch.chdir(tmp_path)  # for the files a command writes
     for argv, shown in runs:
         assert main(shlex.split(argv)) == 0, argv

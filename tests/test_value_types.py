@@ -1,6 +1,7 @@
 """The eight value types, the six of the counting path and the two of
 verify and the oracle: keyword construction, repr text, immutability,
-equality, hashing, copy and pickle round trips, and the order of Element."""
+equality, hashing, copy and pickle round trips, _make and _replace
+through the constructor, and the order of Element."""
 
 import copy
 import pickle
@@ -111,3 +112,41 @@ def test_element_sorts_as_its_exponent_pair():
     assert Element(1, 2) < Element(2, 0) < Element(2, 1)
     assert Element(0, 1) <= Element(0, 1) and Element(3, 0) > Element(2, 2)
     assert max(elems) == Element(4, 2) and min(elems) == Element(0, 0)
+
+
+#: _make and _replace calls whose fields the constructor refuses
+_REFUSED = {
+    "GroupParams._replace(n=-1)": lambda: GroupParams(5)._replace(n=-1),
+    "GroupParams._make([0])": lambda: GroupParams._make([0]),
+    "SubgroupDescriptor._make(['X', 0, 7])":
+        lambda: SubgroupDescriptor._make(["X", 0, 7]),
+    "SubgroupDescriptor._replace(s=1)": lambda: cyclic(4)._replace(s=1),
+    "ChainCounts._make([1, 'all', (0,)])":
+        lambda: ChainCounts._make([1, "all", (0,)]),
+    "FuzzyMap._replace(grades=2)":
+        lambda: FuzzyMap(GroupParams(1), _GRADES)._replace(grades=(Fraction(2),) * 6),
+}
+
+
+@pytest.mark.parametrize("call", _REFUSED)
+def test_make_and_replace_run_the_constructor_checks(call):
+    # namedtuple's own _make, which _replace calls, skips __new__
+    with pytest.raises(ValueError):
+        _REFUSED[call]()
+
+
+def test_make_and_replace_build_what_the_constructor_builds():
+    assert GroupParams(5)._replace(n=6) == GroupParams(6)
+    assert twisted(3, 1)._replace(s=2) == twisted(3, 2)
+    assert SubgroupDescriptor._make(("C", 4, None)) == cyclic(4)
+    counts = ChainCounts(5, "all", (1, 4))._replace(mode="normal")
+    assert counts == ChainCounts(5, "normal", (1, 4))
+
+
+def test_fuzzy_map_replace_and_make_recompute_the_ranks():
+    mu = FuzzyMap(GroupParams(1), _GRADES)
+    flipped = mu._replace(grades=_GRADES[::-1])
+    assert flipped.ranks == (0, 0, 0, 1, 1, 1)
+    assert flipped == FuzzyMap(GroupParams(1), _GRADES[::-1])
+    assert FuzzyMap._make((GroupParams(1), _GRADES, (9,) * 6)) == mu
+    assert mu._replace(ranks=(9,) * 6) == mu
