@@ -8,9 +8,11 @@ number of fuzzy subgroups (and normal fuzzy subgroups) up to the
 grade-comparison equivalence.  A brute-force oracle recomputes everything the slow way
 for small n so the closed forms never go unchecked; import it from
 `u6n.oracle` and `u6n.verify`, which the counting path never loads.
-No u6n module imports dataclasses, and neither `import u6n` nor `import
-u6n.cli` loads json, csv or pathlib: the CLI imports json and csv only to
-print JSON or CSV.
+No u6n module imports dataclasses or csv, and neither `import u6n` nor
+`import u6n.cli` loads json or pathlib: the CLI imports json only to
+print JSON.  The lattice export is u6n.lattice's write_json and dot_text;
+its dict form, export_json and export_dot, stays there as their
+reference.
 """
 
 from .chains import (
@@ -35,8 +37,6 @@ from .group import (
 from .lattice import (
     Lattice,
     build_lattice,
-    export_dot,
-    export_json,
     hasse_edges,
 )
 from .subgroups import (
@@ -78,8 +78,6 @@ __all__ = [
     "divisors",
     "enumerate_normal_subgroups",
     "enumerate_subgroups",
-    "export_dot",
-    "export_json",
     "factorize",
     "format_descriptor",
     "format_element",

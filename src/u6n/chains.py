@@ -214,6 +214,9 @@ def shape_chain_counts(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if e2 < 1 or e3 < 0:
         raise ValueError(f"shape needs e2 >= 1 and e3 >= 0, got {e2} and {e3}")
+    bad = next((a for a in exponents if type(a) is not int or a < 1), None)
+    if bad is not None:
+        raise ValueError(f"each a_p must be an int >= 1, got {bad!r}")
     top = e2 + e3 + 1 + sum(exponents)
     if top > MAX_HEIGHT:
         raise HeightLimitExceeded(

@@ -19,10 +19,12 @@ build_lattice applies the containment rule subgroup_leq pairwise
 (_strict_order_edges) on the small core only, including the core's
 trivial subgroup C(c), which is a proper subgroup of U_6n once m > 1.
 Lattice.row(i) makes node i's strict successors from the coordinates; it
-is the only form of the strict order that u6n reads, so the whole relation
-is never kept.  The primes of m are the u with just two divisors among the
-u, so 2n is factorized once, for the catalog.  m = 1 is the empty product:
-every u is 1.
+is the only form of the strict order that u6n reads, and Lattice never
+stores the relation.  The lattice command streams it one sorted row at a
+time; compute_chain_table and verify's lattice-order-laws hold every row
+for the length of one call.  The primes of m are the u with just two
+divisors among the u, so 2n is factorized once, for the catalog.  m = 1
+is the empty product: every u is 1.
 
 U_6n is supersolvable: the normal series 1 < <b> < ... < F(t) < F(t/p)
 < ... < F(1) has factors of prime order.  So every maximal subgroup of a
@@ -57,6 +59,7 @@ from .subgroups import (
     enumerate_subgroups,
     format_descriptor,
     subgroup_leq,
+    subgroup_order,
 )
 
 MODES = ("all", "normal")
@@ -153,8 +156,7 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
         params=params,
         mode=mode,
         nodes=nodes,
-        orders=tuple(3 * two_n // d.t if d.kind == "F" else two_n // d.t
-                     for d in nodes),
+        orders=tuple(subgroup_order(params, d) for d in nodes),
         top_index=top_index,
         coords=tuple(coords),
         core_above=tuple(map(tuple, _strict_order_edges(core))),

@@ -265,6 +265,10 @@ def test_count_chains_rejects_bad_input():
     for e2, e3 in ((0, 0), (0, 1), (0, 2), (-1, 1), (1, -1)):
         with pytest.raises(ValueError, match="^shape needs e2 >= 1 and e3 >= 0, got "):
             shape_chain_counts(e2, e3, [], "all")
+    # an a_p below 1 is no prime power, and a non-int one no exponent
+    for exponents in ((-1,), (0,), (1, 0), (2.0,), (True,), ("1",)):
+        with pytest.raises(ValueError, match="^each a_p must be an int >= 1, got "):
+            shape_chain_counts(1, 0, exponents, "all")
     assert shape_chain_counts(1, 1, [1], "all") == count_chains(
         GroupParams(15), "all").per_length
 

@@ -24,13 +24,12 @@ from u6n import (
     count_chains,
     enumerate_normal_subgroups,
     enumerate_subgroups,
-    export_dot,
-    export_json,
     format_descriptor,
     subgroup_order,
 )
 from u6n.chains import MAX_HEIGHT, factorization_shape
 from u6n.cli import CliError, _cmd_count, build_parser, main
+from u6n.lattice import export_dot, export_json
 from u6n.oracle import transitive_reduction
 from u6n.verify import CheckResult
 

@@ -13,8 +13,6 @@ from u6n import (
     chain_counts,
     compute_chain_table,
     count_chains,
-    export_dot,
-    export_json,
     factorize,
     full,
     hasse_edges,
@@ -29,6 +27,8 @@ from u6n.lattice import (
     Lattice,
     _strict_order_edges,
     dot_text,
+    export_dot,
+    export_json,
     write_json,
 )
 from u6n.oracle import GroupOracle, oracle_count_chains, transitive_reduction

@@ -155,6 +155,21 @@ def _row_without_column(real):
     return row
 
 
+def _normal_row_drops(cover):
+    # the first row of the normal lattice loses its first cover, or its
+    # first pair with a node between; the full lattice keeps its rows
+    def change(real):
+        def row(self, i):
+            r = real(self, i)
+            if self.mode == "normal" and i == 0:
+                drop = [j for j in r if any(j in real(self, k) for k in r) != cover]
+                if drop:
+                    r.remove(min(drop))
+            return r
+        return row
+    return change
+
+
 def _zeta_without_d(real):
     # normal mode without the - D term of the closed form
     def fake(e2, e3, top, mode):
@@ -248,6 +263,12 @@ MUTANTS = {
     "Lattice.row without its own column": (
         _method(L.Lattice, "row", _row_without_column), 16,
         both(HASSE) | both(LVO) | both(SVL)),
+    "Lattice.row drops a cover from the first normal row": (
+        _method(L.Lattice, "row", _normal_row_drops(True)), 16,
+        {f"{HASSE}[normal]", f"{LVO}[normal]", f"{SVL}[normal]"}),
+    "Lattice.row drops a non-cover pair from the first normal row": (
+        _method(L.Lattice, "row", _normal_row_drops(False)), 16,
+        {f"{LAWS}[normal]", f"{LVO}[normal]"}),
     "compute_chain_table drops its last level": (
         _wrap(C, "compute_chain_table", _table_one_level_short), 16,
         both(DFS) | both(SVL)),

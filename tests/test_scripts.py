@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from u6n import ChainCounts, GroupParams, build_lattice, export_dot, export_json
+from u6n import ChainCounts, GroupParams, build_lattice
+from u6n.lattice import export_dot, export_json
 from u6n.oracle import transitive_reduction
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
