@@ -212,8 +212,11 @@ def shape_chain_counts(
     with the exponents a_p, in any order."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if e2 < 1 or e3 < 0:
-        raise ValueError(f"shape needs e2 >= 1 and e3 >= 0, got {e2} and {e3}")
+    # exactly int, as for the a_p: range() would raise a bare TypeError on
+    # 1.5 and 2.0, and True would pass as 1
+    if type(e2) is not int or type(e3) is not int or e2 < 1 or e3 < 0:
+        raise ValueError(
+            f"shape needs int e2 >= 1 and int e3 >= 0, got {e2!r} and {e3!r}")
     bad = next((a for a in exponents if type(a) is not int or a < 1), None)
     if bad is not None:
         raise ValueError(f"each a_p must be an int >= 1, got {bad!r}")

@@ -43,8 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: error: {message}")
 
 
-def _integer(least: int):
-    """argparse type: ASCII decimal digits, at least `least`."""
+def _integer(least: int, most: int | None = None):
+    """argparse type: ASCII decimal digits, at least `least` and at most
+    `most` if given."""
 
     def read(text: str) -> int:
         if not (text.isascii() and text.isdigit()):
@@ -57,13 +58,20 @@ def _integer(least: int):
                 f"{len(text)} digits is above Python's int() limit") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
     return read
 
 
+#: The largest --oracle-limit: at group order 6000 (n = 1000) the oracle's
+#: table, subgroup family and normal family peak at 320 MB and take 7 s
+MAX_ORACLE_LIMIT = 6000
+
 # built once, not per build_parser call: the parser is most of a count query
 _NATURAL, _POSITIVE = _integer(0), _integer(1)
+_ORACLE_LIMIT = _integer(0, MAX_ORACLE_LIMIT)
 
 
 def _n_range(text: str) -> tuple[int, int]:
@@ -123,8 +131,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=_POSITIVE, required=True)
     p.add_argument("--fuzzy-n-max", type=_NATURAL, default=4,
                    help="largest n for the fuzzy-map end-to-end checks")
-    p.add_argument("--oracle-limit", type=_NATURAL, default=DEFAULT_ORACLE_LIMIT,
-                   help="largest group order the brute-force oracle will accept")
+    p.add_argument("--oracle-limit", type=_ORACLE_LIMIT, default=DEFAULT_ORACLE_LIMIT,
+                   help="largest group order the brute-force oracle will accept, "
+                        f"at most {MAX_ORACLE_LIMIT}")
     p.add_argument("--format", choices=("table", "json"), default="table",
                    dest="fmt")
 

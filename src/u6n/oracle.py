@@ -7,18 +7,18 @@ order of all_elements), and answers every question about that group on
 the table.  Only the rows of b^0, b^1 and b^2 come from multiply, kept as
 they are; since a^u b^v y = a^u (b^v y) and a^u only adds u to the
 a-exponent, row (u, v) is row v with 3u added to each index mod 6n.
-verify.check_group_laws compares every entry with multiply.  Subgroups are
-discovered once: the cyclic subgroups <g> come from walking the powers of
-g, each other generator g^k of <g> (gcd(k, |<g>|) = 1) skipped, and
-subgroups are joined with cyclic subgroups of prime-power order to a
-fixpoint, each join <H, g> closed as a union of right cosets H r.  A
-subgroup is normal iff conjugating it by every group element keeps it
-inside itself, that is, iff it holds the whole conjugacy class
-{g^-1 x g : g in G} of each of its elements x: the conjugation rows
-g^-1 x g are read off the table once, on first use, the classes once
-from every row, and each subgroup is tested once against the classes of
-its elements, with no generator shortcut.  Chains are listed by explicit
-depth-first search, over the oracle's own index sets
+verify.check_group_laws compares every entry with multiply.  The table
+is the one order x order structure, and all else is read off its rows.
+Subgroups are discovered once: the cyclic subgroups <g> come from walking
+the powers of g, each other generator g^k of <g> (gcd(k, |<g>|) = 1)
+skipped, and subgroups are joined with cyclic subgroups of prime-power
+order to a fixpoint, each join <H, g> closed as a union of left cosets
+r H.  A subgroup is normal iff it holds the whole conjugacy class
+{g x g^-1 : g in G} of each of its elements x: the classes are built
+once, on first use, from every g, g x g^-1 = (g (g x)^-1)^-1 read off
+row g and the inverse table, and each subgroup is tested once against
+the classes of its elements, with no generator shortcut.  Chains are
+listed by explicit depth-first search, over the oracle's own index sets
 (GroupOracle.set_chains) or over a catalog lattice (lattice_chains).
 Covers are found by definition, as set differences (transitive_reduction).
 Fuzzy subgroups are materialized as exact rational grade maps, one grade
@@ -36,7 +36,7 @@ consults the divisor-based catalog, so agreement between the two paths is
 evidence, not circularity: descriptors meet the oracle only in
 verify.catalog_sets, which maps each one to its index set.
 Factorization is plain trial division, the reference for the catalog's
-Miller-Rabin and Pollard-rho factorizer.
+BPSW and Pollard-rho factorizer.
 
 GroupOracle is the one way to ask about a group; oracle_count_set_chains
 counts a fresh oracle's set_chains by length.
@@ -73,11 +73,12 @@ def _index(x: Element) -> int:
 class GroupOracle:
     """The brute-force view of one group U_6n, built once and asked often.
 
-    The tables are built on construction; the conjugation rows, the
-    subgroup family and each subgroup's normality are computed on first
-    use and kept for the life of the object, never beyond it.  Subgroups
-    are frozensets of element indices; index_set and element_set convert
-    to and from Elements.
+    The Cayley table mult, its one order x order structure, and the
+    inverse table inv are built on construction.  The conjugacy classes,
+    the subgroup family and each subgroup's normality are read off the
+    rows of mult on first use and kept for the life of the object, never
+    beyond it.  Subgroups are frozensets of element indices; index_set
+    and element_set convert to and from Elements.
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
@@ -89,10 +90,12 @@ class GroupOracle:
         self.elements = elements = all_elements(params)
         order = params.order
         # b^v y from multiply, then a^u b^v y = a^u (b^v y): left
-        # multiplication by a^u adds u to the a-exponent, 3u to the index
+        # multiplication by a^u adds u to the a-exponent, 3u to the index;
+        # the derived rows share the one int object of ids for each index
+        ids = list(range(order))
         b_rows = [[_index(multiply(params, b, y)) for y in elements]
                   for b in elements[:3]]
-        self.mult = b_rows + [[(shift + z) % order for z in row]
+        self.mult = b_rows + [[ids[(shift + z) % order] for z in row]
                               for shift in range(3, order, 3) for row in b_rows]
         self.inv = [_index(inverse(params, x)) for x in elements]
         self.identity = _index(identity(params))
@@ -122,24 +125,23 @@ class GroupOracle:
         return frozenset(seen)
 
     def join(self, h: frozenset[int], gens: Sequence[int]) -> frozenset[int]:
-        """<gens> as a union of right cosets H r, for a subgroup h inside <gens>.
+        """<gens> as a union of left cosets r H, for a subgroup h inside <gens>.
 
-        Starts from the coset H e = H and right-multiplies each new coset
-        representative r by every generator; a product x outside the
-        cosets found so far adds the coset H x = {y x : y in H}.  As r s in
-        H r' gives H r s in H r', the union is closed under right
-        multiplication by every generator, so it holds <gens>; it lies
-        inside <gens> as h does.
+        Starts from the coset e H = H and left-multiplies each new coset
+        representative r by every generator s; a product x = s r outside
+        the cosets found so far adds the coset x H = {x y : y in H}, read
+        off row x.  As s (r H) = (s r) H, the union is closed under left
+        multiplication by every generator and holds e, so it holds <gens>;
+        it lies inside <gens> as h does.
         """
-        columns = self.columns
+        mult = self.mult
         seen = set(h)
         reps = [self.identity]
         for r in reps:  # grows while it is walked
-            row = self.mult[r]
             for s in gens:
-                x = row[s]
+                x = mult[s][r]
                 if x not in seen:
-                    seen.update(map(columns[x].__getitem__, h))
+                    seen.update(map(mult[x].__getitem__, h))
                     reps.append(x)
         return frozenset(seen)
 
@@ -174,7 +176,7 @@ class GroupOracle:
         Seeds with the cyclic subgroups (cyclic_subgroups), one generator
         kept for each, then joins every found H with every cyclic subgroup
         <g> of prime-power order not inside it (g not in H) until nothing
-        new appears, each join as a union of right cosets of H (join).
+        new appears, each join as a union of left cosets of H (join).
         An element of order p^i q^j ... is the product of powers of itself
         of orders p^i, q^j, ..., so a subgroup is the join of the cyclic
         subgroups of prime-power order inside it, and is reached by adding
@@ -196,26 +198,19 @@ class GroupOracle:
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     @cached_property
-    def columns(self) -> list[tuple[int, ...]]:
-        """columns[y][x] is the index of x y: the table read by columns."""
-        return list(zip(*self.mult))
-
-    @cached_property
-    def conj(self) -> list[tuple[int, ...]]:
-        """conj[g][x] is the index of g^-1 x g: (g^-1 x) g read off the
-        table, row g^-1 then column g."""
-        columns = self.columns
-        return [tuple(map(columns[g].__getitem__, self.mult[g_inv]))
-                for g, g_inv in enumerate(self.inv)]
-
-    @cached_property
     def classes(self) -> list[frozenset[int]]:
-        """classes[x] = {g^-1 x g : g in G}, the conjugacy class of x,
-        read from every conjugation row."""
-        return [frozenset(column) for column in zip(*self.conj)]
+        """classes[x] = {g x g^-1 : g in G}, the conjugacy class of x, over
+        every g, read off row g alone: g x g^-1 = (g (g x)^-1)^-1, so no
+        column is read."""
+        mult, inv = self.mult, self.inv
+        classes = [set() for _ in mult]
+        for row in mult:
+            for x, gx in enumerate(row):
+                classes[x].add(inv[row[inv[gx]]])
+        return list(map(frozenset, classes))
 
     def is_normal(self, h: frozenset[int]) -> bool:
-        """True iff g^-1 x g lies in h for every x in h and every g in G:
+        """True iff g x g^-1 lies in h for every x in h and every g in G:
         iff h holds the conjugacy class of each of its elements."""
         if h not in self._normal:
             classes = self.classes
@@ -276,7 +271,7 @@ def trial_division_factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 by trial division up to sqrt(m).
 
     The reference for subgroups.factorize: as slow as it is plain, and it
-    shares no code with the Miller-Rabin and Pollard-rho path.
+    shares no code with the BPSW and Pollard-rho path.
     """
     if m < 1:
         raise ValueError(f"cannot factorize {m}")

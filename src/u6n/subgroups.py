@@ -19,9 +19,9 @@ that compare against them.  subgroup_leq is the one containment rule:
 build_lattice applies it pairwise to the core nodes, and verify's
 containment-closed-form holds it to the oracle's set inclusion.
 
-The divisors come from factorize(2n), Miller-Rabin plus Pollard rho; its
-docstring gives the method, the 3.3e24 determinism bound and the step
-budget that makes a hard cofactor fail fast.
+The divisors come from factorize(2n), Baillie-PSW plus Pollard rho; its
+docstring gives the method, what is proven of its primality test and the
+step budget that makes a hard cofactor fail fast.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ def twisted(t: int, s: int) -> SubgroupDescriptor:
 #: Trial divisors; any cofactor below 101**2 left after them is prime.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
-#: The first 13 primes: as Miller-Rabin bases they admit no strong
-#: pseudoprime below 3317044064679887385961981 (Sorenson and Webster).
-_MR_BASES = _SMALL_PRIMES[:13]
 #: Pollard rho steps one factorize call may take over all its cofactors and
 #: retries: 2 to 2.6 s at the 1.6 to 2.2 M steps/s of a 2-vCPU Xeon.  No n
 #: of 100000 drawn log-uniformly up to 1e14 needed more than 8062.
@@ -94,27 +91,83 @@ class FactorizationBudgetExceeded(ArithmeticError):
 
 
 def _is_prime(m: int) -> bool:
-    """Miller-Rabin to the bases _MR_BASES, for m >= 101**2 with no prime
-    factor below 100.
+    """Baillie-PSW for odd m >= 3: a strong probable-prime test to base 2,
+    then a strong Lucas test with Selfridge's parameters.
 
-    Deterministic below about 3.3e24; above it, a composite built to fool
-    exactly these bases would pass, so the answer is only probable.
+    Every prime passes.  No composite below 2**64 passes (checked against
+    Feitsma's list of base-2 strong pseudoprimes), and none above it is
+    known, though none is proven not to exist.
     """
     d, r = m - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
+    x = pow(2, d, m)
+    if x != 1 and x != m - 1:
         for _ in range(r - 1):
             x = x * x % m
             if x == m - 1:
                 break
         else:
             return False
-    return True
+    return _is_strong_lucas_probable_prime(m)
+
+
+def _is_strong_lucas_probable_prime(m: int) -> bool:
+    """The strong Lucas test of odd m >= 3 with Selfridge's parameters: D
+    the first of 5, -7, 9, -11, ... with Jacobi symbol (D/m) = -1, P = 1,
+    Q = (1 - D)/4.  With m + 1 = d 2^s, d odd, m passes iff U_d = 0 or
+    V_(d 2^r) = 0 (mod m) for some 0 <= r < s.
+    """
+    if math.isqrt(m) ** 2 == m:  # no D exists for a square
+        return False
+    D = 5
+    while (j := _jacobi(D, m)) != -1:
+        if j == 0:  # D shares a factor with m, so m is prime only as |D|
+            return abs(D) == m
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = m + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k from k = 1 up to d, one bit of d at a time:
+    # k -> 2k by U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, and k -> k + 1 by
+    # U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2, halved mod m
+    u, v, qk = 1, 1, Q % m
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % m, (v * v - 2 * qk) % m, qk * qk % m
+        if bit == "1":
+            u, v = _half(u + v, m), _half(D * u + v, m)
+            qk = qk * Q % m
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % m, qk * qk % m
+        if v == 0:
+            return True
+    return False
+
+
+def _half(x: int, m: int) -> int:
+    """x / 2 mod the odd m."""
+    return (x + m if x % 2 else x) // 2 % m
+
+
+def _jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a/m) for odd m >= 3."""
+    a %= m
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                sign = -sign
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            sign = -sign
+        a %= m
+    return sign if m == 1 else 0
 
 
 def _find_factor(m: int, steps: int) -> tuple[int, int]:
@@ -170,16 +223,18 @@ def _over_budget(m: int) -> FactorizationBudgetExceeded:
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as (prime, exponent) pairs, primes ascending.
 
-    Trial division by the primes below 100, then Miller-Rabin with the 13
-    prime bases 2..41 on what is left, splitting composites with Pollard
-    rho (Brent's variant).  The primality test is deterministic for every
-    cofactor below 3.3e24 and probabilistic above it.  A prime such as
-    2**61 - 1 costs one Miller-Rabin test, well under a millisecond.  Rho
-    splits off a prime p in about sqrt(p) steps, and one call may take
-    RHO_STEP_BUDGET (2**22) steps in all, a few seconds; past that it raises
-    FactorizationBudgetExceeded.  So two prime factors both above about
-    1e13 can exhaust the budget: 1000000000000037 * 1000000000000091
-    would need about 3e7 steps and fails instead.
+    Trial division by the primes below 100, then the Baillie-PSW test
+    (_is_prime) on what is left, splitting composites with Pollard rho
+    (Brent's variant).  Proven: Baillie-PSW calls no composite below 2**64
+    prime, so the factorization is exact whenever every cofactor it tests
+    is below 2**64.  Only unrefuted: no composite above 2**64 is known to
+    pass, and none is proven not to.  A prime such as 2**61 - 1 costs one
+    test, well under a millisecond.  Rho splits off a prime p in about
+    sqrt(p) steps, and one call may take RHO_STEP_BUDGET (2**22) steps in
+    all, a few seconds; past that it raises FactorizationBudgetExceeded.
+    So two prime factors both above about 1e13 can exhaust the budget:
+    1000000000000037 * 1000000000000091 would need about 3e7 steps and
+    fails instead.
     """
     if m < 1:
         raise ValueError(f"cannot factorize {m}")

@@ -6,10 +6,10 @@ counterexample on mismatch.  What follows from checks that run at the
 same n is not checked again; each check's docstring says what covers it.
 
 run_verification computes each object once per n and hands every check
-the object it checks: one GroupOracle (integer Cayley table, conjugation
-rows and classes, subgroup family, normality flags) and one catalog_sets
-map from the catalog's descriptors to the oracle's index sets when the
-group is within the oracle limit, and one Lattice and one ChainTable per
+the object it checks: one GroupOracle (integer Cayley table, conjugacy
+classes, subgroup family, normality flags) and one catalog_sets map from
+the catalog's descriptors to the oracle's index sets when the group is
+within the oracle limit, and one Lattice and one ChainTable per
 mode.  The oracle limit is the one gate of every exhaustive check: the
 group laws, membership, containment, subgroup closure,
 normal-in-supergroup, the oracle families and the fuzzy checks are
@@ -285,11 +285,11 @@ def check_normal_in_supergroup(
     oracle: GroupOracle, sets: CatalogSets, lat_normal: Lattice
 ) -> CheckResult:
     """Each normal node is normal inside every node above it, not just in
-    G: every element of the node above lies in the node's normalizer, read
-    off the oracle's conjugation rows as GroupOracle.is_normal reads them."""
+    G: every element of the node above lies in the node's normalizer, each
+    g with g x g^-1 in the node for every x in it, read off row g."""
     name = "normal-in-supergroup"
     params = oracle.params
-    conj = oracle.conj
+    inv = oracle.inv
     missing = next((d for d in lat_normal.nodes if d not in sets), None)
     if missing is not None:
         return _fail(params.n, name, f"normal {missing} is not in the catalog")
@@ -299,7 +299,8 @@ def check_normal_in_supergroup(
         if not ups:
             continue
         normalizer = {
-            g for g, row in enumerate(conj) if h.issuperset(map(row.__getitem__, h))
+            g for g, row in enumerate(oracle.mult)
+            if h.issuperset(inv[row[inv[row[x]]]] for x in h)
         }
         for j in ups:
             for g in node_sets[j]:

@@ -262,8 +262,12 @@ def test_count_chains_builds_no_lattice(monkeypatch):
 def test_count_chains_rejects_bad_input():
     with pytest.raises(ValueError, match="mode must be one of"):
         count_chains(GroupParams(6), "odd")
-    for e2, e3 in ((0, 0), (0, 1), (0, 2), (-1, 1), (1, -1)):
-        with pytest.raises(ValueError, match="^shape needs e2 >= 1 and e3 >= 0, got "):
+    # out of range, or no int: 1.5, 0.5 and 2.0 are no exponents, and True
+    # only equals 1
+    for e2, e3 in ((0, 0), (0, 1), (0, 2), (-1, 1), (1, -1),
+                   (1.5, 0), (1, 0.5), (2.0, 0), (True, 0)):
+        with pytest.raises(ValueError,
+                           match="^shape needs int e2 >= 1 and int e3 >= 0, got "):
             shape_chain_counts(e2, e3, [], "all")
     # an a_p below 1 is no prime power, and a non-int one no exponent
     for exponents in ((-1,), (0,), (1, 0), (2.0,), (True,), ("1",)):

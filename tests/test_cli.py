@@ -131,6 +131,19 @@ def test_unfactorable_n_exits_1_within_5_s():
     )
 
 
+def test_psi13_counts_as_n_35(capsys):
+    # 2n = 2 p q, the shape of 2 * 5 * 7: a primality test that took the
+    # strong pseudoprime p q for a prime counted it as n = 5 (46, 12
+    # subgroups)
+    p, q = 1287836182261, 2575672364521
+    n = 3317044064679887385961981
+    assert p * q == n
+    assert run_cli(capsys, "count", "--n", str(n)) == (0, "274\n", "")
+    assert run_cli(capsys, "count", "--n", "35") == (0, "274\n", "")
+    code, out, _ = run_cli(capsys, "subgroups", "--n", str(n), "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 24
+
+
 def test_height_above_the_limit_exits_1_within_1_s(capsys):
     # 2n = 2^2000 * 3^2000: a lattice of height 4001
     n = str(2**1999 * 3**2000)
@@ -401,6 +414,7 @@ def test_csv_bytes_are_csv_writer_rows(capsys, case):
         ("verify", "--n-max", "0"),
         ("batch", "--range", "3\n"),
         ("batch", "--range", "2..3\n"),
+        ("verify", "--n-max", "3", "--oracle-limit", "6001"),
     ],
 )
 def test_invalid_input_exits_1(capsys, argv):
@@ -417,8 +431,11 @@ def test_invalid_input_exits_1(capsys, argv):
          "argument --fuzzy-n-max: invalid integer '-1': use digits 0-9 only"),
         (("--n-max", "3", "--oracle-limit", "-5"),
          "argument --oracle-limit: invalid integer '-5': use digits 0-9 only"),
+        (("--n-max", "3", "--oracle-limit", "6001"),
+         "argument --oracle-limit: must be at most 6000, got 6001"),
     ],
-    ids=["n-max-0", "fuzzy-n-max-minus-1", "oracle-limit-minus-5"],
+    ids=["n-max-0", "fuzzy-n-max-minus-1", "oracle-limit-minus-5",
+         "oracle-limit-6001"],
 )
 def test_verify_bad_argument_names_its_flag(capsys, argv, message):
     assert run_cli(capsys, "verify", *argv) == (
@@ -481,7 +498,7 @@ def test_every_integer_option_reads_the_one_grammar():
            for cmd in ("subgroups", "normal", "chains", "count", "lattice")},
         ("verify", "n_max"): positive,
         ("verify", "fuzzy_n_max"): natural,
-        ("verify", "oracle_limit"): natural,
+        ("verify", "oracle_limit"): u6n.cli._ORACLE_LIMIT,
         ("batch", "n_range"): u6n.cli._n_range,
     }
 

@@ -6,8 +6,9 @@ that looks it up (a bug in the function itself), or only where one fast
 path looks it up.  Each row pins exactly the checks that fail, so a check
 whose deletion would let a mutant through, or a mutant no check catches,
 shows up here.  KNOWN_GAPS lists mutants that verify misses, with why,
-and IN_SUBPROCESS the mutants that make a cycle, which run apart with a
-timeout.
+BEYOND_VERIFY the faults no n that verify can reach exposes, each with the
+tier-1 test that catches it, and IN_SUBPROCESS the mutants that make a
+cycle, which run apart with a timeout.
 """
 
 import os
@@ -27,6 +28,7 @@ from u6n.group import Element, GroupParams
 from u6n.lattice import build_lattice
 from u6n.verify import check_shape_vs_lattice, run_verification
 
+import test_subgroups
 from test_verify import _mutated_coords
 
 
@@ -309,13 +311,22 @@ KNOWN_GAPS = {
         lambda: _shape_vs_lattice_fails(125)),
 }
 
+#: name -> (mutant, n_max, the tier-1 test that fails under it): faults in
+#: code that only a far larger n than verify can run reaches
+BEYOND_VERIFY = {
+    # 13 bases call no composite below PSI13 prime, about 3.3e24
+    "_is_prime is Miller-Rabin to the 13 bases 2..41": (
+        _wrap(S, "_is_prime", lambda real: test_subgroups.miller_rabin_13), 16,
+        test_subgroups.test_psi13_passes_the_13_bases_but_not_baillie_psw),
+}
+
 #: cycle-making mutants run in a subprocess, which a timeout can stop
 IN_SUBPROCESS = {"lattice's subgroup_leq 2-cycle T(1,1), T(1,2)"}
 
 
 def failing_checks(name):
     """The check names that fail under the named mutant."""
-    mutant, n_max, _ = {**MUTANTS, **KNOWN_GAPS}[name]
+    mutant, n_max, _ = {**MUTANTS, **KNOWN_GAPS, **BEYOND_VERIFY}[name]
     with pytest.MonkeyPatch.context() as mp:
         mutant(mp)
         return {r.check for r in run_verification(n_max) if not r.passed}
@@ -338,6 +349,16 @@ def test_known_gap_passes_verify_though_a_check_would_catch_it(name):
     with pytest.MonkeyPatch.context() as mp:
         mutant(mp)
         assert caught_elsewhere()
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_VERIFY))
+def test_fault_beyond_verify_fails_its_tier_1_test(name):
+    mutant, _, test = BEYOND_VERIFY[name]
+    assert failing_checks(name) == set()
+    with pytest.MonkeyPatch.context() as mp:
+        mutant(mp)
+        with pytest.raises(AssertionError):
+            test()
 
 
 def test_a_cycle_in_the_order_fails_fast_instead_of_hanging():

@@ -1,6 +1,9 @@
 """Brute-force oracle: closure discovery, normality, fuzzy materialization."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,21 +148,20 @@ def test_cayley_table_is_the_literal_product_table(n):
     ]
 
 
+def _conjugate(params, x, g):
+    """g^-1 x g from multiply and inverse, not from the oracle's table."""
+    return multiply(params, multiply(params, inverse(params, g), x), g)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_is_normal_is_conjugation_by_every_element(n):
     params = GroupParams(n)
     oracle = GroupOracle(params)
     elems = oracle.elements
-    index = {x: i for i, x in enumerate(elems)}
-
-    def conjugate(x, g):
-        return multiply(params, multiply(params, inverse(params, g), x), g)
-
-    assert oracle.conj == [tuple(index[conjugate(x, g)] for x in elems) for g in elems]
     for h in oracle.subgroups:
         members = oracle.element_set(h)
         assert oracle.is_normal(h) == all(
-            conjugate(x, g) in members for g in elems for x in members
+            _conjugate(params, x, g) in members for g in elems for x in members
         )
 
 
@@ -196,11 +198,44 @@ def test_power_walk_seeds_are_the_cyclic_subgroups(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_classes_are_read_from_every_conjugation_row(n):
-    oracle = GroupOracle(GroupParams(n))
-    order = len(oracle.elements)
-    assert oracle.classes == [
-        frozenset(oracle.conj[g][x] for g in range(order)) for x in range(order)
+    # classes[x] holds the conjugates of x by every g, each read off row g
+    params = GroupParams(n)
+    oracle = GroupOracle(params)
+    elems = oracle.elements
+    assert [oracle.element_set(c) for c in oracle.classes] == [
+        frozenset(_conjugate(params, x, g) for g in elems) for x in elems
     ]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads the peak RSS from /proc")
+def test_oracle_keeps_one_table_of_shared_ints():
+    # mult is the only order x order structure, and its entries are one
+    # int object per index: at order 1200 the subgroup and normal families
+    # peak near 27 MB, where a table of fresh ints with its transpose and
+    # conjugation rows peaked at 83 MB.  The peak is VmHWM, the child's own
+    # high-water mark: ru_maxrss would carry over the peak of the process
+    # that spawned it
+    oracle = GroupOracle(GroupParams(50))  # ints above 256 are not cached
+    assert not hasattr(oracle, "columns") and not hasattr(oracle, "conj")
+    # every row but those of b^0, b^1, b^2, which keep multiply's own ints
+    # so that group-laws still sees an index off the table
+    assert len({id(x) for row in oracle.mult[3:] for x in row}) == len(oracle.elements)
+    code = (
+        "from u6n.group import GroupParams\n"
+        "from u6n.oracle import GroupOracle\n"
+        "oracle = GroupOracle(GroupParams(200), limit=1200)\n"
+        "oracle.subgroups, oracle.normal_subgroups\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(l.split()[1] for l in status if l.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 48 * 1024  # kB
 
 
 def test_group_oracle_indices_follow_all_elements():

@@ -4,7 +4,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import u6n.subgroups
@@ -56,7 +56,7 @@ def test_factorize_matches_trial_division(m):
 
 
 # Carmichael numbers; strong pseudoprimes, the last of them to every prime
-# base up to 37, so only the Miller-Rabin base 41 exposes it; two primes
+# base up to 37, so only the Lucas half of Baillie-PSW exposes it; two primes
 # near 1e9; prime powers, the first just past the reach of the trial
 # divisors; the Mersenne prime 2^61 - 1
 ADVERSARIAL = [
@@ -85,6 +85,57 @@ def test_factorize_adversarial(m, expected):
             assert trial_division_factorize(p) == [(p, 1)]
     if m <= 10**14:
         assert trial_division_factorize(m) == expected
+
+
+#: The least composite that passes Miller-Rabin to all 13 prime bases
+#: 2..41 (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI13 = 3317044064679887385961981
+
+
+def miller_rabin_13(m: int) -> bool:
+    """Miller-Rabin to the 13 prime bases 2..41, for odd m > 41: exact below
+    PSI13, and the primality test factorize used before Baillie-PSW."""
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5 * 10**5).map(lambda k: 2 * k + 1))
+def test_is_prime_is_trial_division_below_a_million(m):
+    assert u6n.subgroups._is_prime(m) == (trial_division_factorize(m) == [(m, 1)])
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.integers(21, PSI13 // 2 - 1).map(lambda k: 2 * k + 1),
+    # odd products of two numbers above the trial divisors
+    st.tuples(st.integers(50, 10**12), st.integers(50, 10**12)).map(
+        lambda ab: (2 * ab[0] + 1) * (2 * ab[1] + 1)),
+))
+def test_is_prime_is_the_13_bases_below_psi13(m):
+    assume(m < PSI13)
+    assert u6n.subgroups._is_prime(m) == miller_rabin_13(m)
+
+
+def test_psi13_passes_the_13_bases_but_not_baillie_psw():
+    p, q = 1287836182261, 2575672364521
+    assert p * q == PSI13 and miller_rabin_13(p) and miller_rabin_13(q)
+    assert miller_rabin_13(PSI13)
+    assert not u6n.subgroups._is_prime(PSI13)
+    assert factorize(2 * PSI13) == [(2, 1), (p, 1), (q, 1)]
 
 
 def test_factorize_gives_up_on_a_hard_semiprime_within_its_budget():
