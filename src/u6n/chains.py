@@ -101,7 +101,7 @@ from math import prod
 from operator import sub
 
 from .group import GroupParams
-from .lattice import MODES, Lattice
+from .lattice import Lattice, check_mode
 from .subgroups import factorize
 
 #: The largest lattice height shape_chain_counts answers: at H = 2000
@@ -128,6 +128,11 @@ class ChainCounts(namedtuple("ChainCounts", (
     __slots__ = ()
 
     def __new__(cls, n: int, mode: str, per_length: tuple[int, ...]) -> ChainCounts:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        check_mode(mode)
+        if type(per_length) is not tuple or any(type(c) is not int for c in per_length):
+            raise ValueError(f"per_length must be a tuple of ints, got {per_length!r}")
         if not per_length or per_length[0] != 1:
             raise ValueError("chain counts must start with the single chain (G)")
         if any(c < 0 for c in per_length) or per_length[-1] == 0:
@@ -210,8 +215,7 @@ def shape_chain_counts(
 ) -> tuple[int, ...]:
     """per_length of every n whose 2n is 2^e2 * 3^e3 times primes p >= 5
     with the exponents a_p, in any order."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     # exactly int, as for the a_p: range() would raise a bare TypeError on
     # 1.5 and 2.0, and True would pass as 1
     if type(e2) is not int or type(e3) is not int or e2 < 1 or e3 < 0:

@@ -23,7 +23,7 @@ from .chains import (
     factorization_shape,
     shape_chain_counts,
 )
-from .group import DEFAULT_ORACLE_LIMIT, GroupParams
+from .group import DEFAULT_FUZZY_N_MAX, DEFAULT_ORACLE_LIMIT, GroupParams
 from .lattice import MODES, build_lattice, dot_text, hasse_edges, write_json
 from .subgroups import (
     FactorizationBudgetExceeded,
@@ -129,7 +129,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the oracle cross-check battery")
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--n-max", type=_POSITIVE, required=True)
-    p.add_argument("--fuzzy-n-max", type=_NATURAL, default=4,
+    p.add_argument("--fuzzy-n-max", type=_NATURAL, default=DEFAULT_FUZZY_N_MAX,
                    help="largest n for the fuzzy-map end-to-end checks")
     p.add_argument("--oracle-limit", type=_ORACLE_LIMIT, default=DEFAULT_ORACLE_LIMIT,
                    help="largest group order the brute-force oracle will accept, "

@@ -14,6 +14,9 @@ from collections import namedtuple
 #: Exhaustive (Cayley-table / closure) checks refuse groups larger than this.
 DEFAULT_ORACLE_LIMIT = 300
 
+#: verify runs the fuzzy-map end-to-end checks up to this n by default.
+DEFAULT_FUZZY_N_MAX = 4
+
 
 class OracleLimitExceeded(Exception):
     """An exhaustive check was requested for a group above the size bound."""

@@ -65,6 +65,13 @@ from .subgroups import (
 MODES = ("all", "normal")
 
 
+def check_mode(mode: str) -> str:
+    """mode, if it is one of MODES; ValueError otherwise."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode
+
+
 class Lattice(namedtuple("Lattice", (
     "params", "mode", "nodes",
     "orders",      # orders[i] = subgroup_order of nodes[i]
@@ -137,9 +144,7 @@ def _product_coords(
 
 def build_lattice(params: GroupParams, mode: str) -> Lattice:
     """Lattice of all (or all normal) subgroups, trivial subgroup excluded."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "all":
+    if check_mode(mode) == "all":
         descs = enumerate_subgroups(params)
     else:
         descs = enumerate_normal_subgroups(params)

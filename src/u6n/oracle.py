@@ -13,13 +13,13 @@ Subgroups are discovered once: the cyclic subgroups <g> come from walking
 the powers of g, each other generator g^k of <g> (gcd(k, |<g>|) = 1)
 skipped, and subgroups are joined with cyclic subgroups of prime-power
 order to a fixpoint, each join <H, g> closed as a union of left cosets
-r H.  A subgroup is normal iff it holds the whole conjugacy class
-{g x g^-1 : g in G} of each of its elements x: the classes are built
-once, on first use, from every g, g x g^-1 = (g (g x)^-1)^-1 read off
-row g and the inverse table, and each subgroup is tested once against
-the classes of its elements, with no generator shortcut.  Chains are
-listed by explicit depth-first search, over the oracle's own index sets
-(GroupOracle.set_chains) or over a catalog lattice (lattice_chains).
+r H.  Each conjugate g x g^-1 = (g (g x)^-1)^-1 is read off row g and
+the inverse table, with no generator shortcut: a subgroup is normal iff
+it holds the conjugacy class of each of its elements, the classes built
+once, on first use, and normalizer(h) keeps each g conjugating h into h.
+Chains are listed by explicit depth-first search, over the oracle's own
+index sets (set_chains(mode), {e} always in) or over a catalog lattice
+(lattice_chains).
 Covers are found by definition, as set differences (transitive_reduction).
 Fuzzy subgroups are materialized as exact rational grade maps, one grade
 tuple per FuzzyMap in the tables' index order, ranked once when built:
@@ -39,7 +39,7 @@ Factorization is plain trial division, the reference for the catalog's
 BPSW and Pollard-rho factorizer.
 
 GroupOracle is the one way to ask about a group; oracle_count_set_chains
-counts a fresh oracle's set_chains by length.
+counts a fresh oracle's set_chains(mode) by length.
 
 All of this is exponential in spirit and guarded by an order limit.
 """
@@ -62,7 +62,7 @@ from .group import (
     inverse,
     multiply,
 )
-from .lattice import Lattice
+from .lattice import Lattice, check_mode
 
 
 def _index(x: Element) -> int:
@@ -74,11 +74,11 @@ class GroupOracle:
     """The brute-force view of one group U_6n, built once and asked often.
 
     The Cayley table mult, its one order x order structure, and the
-    inverse table inv are built on construction.  The conjugacy classes,
-    the subgroup family and each subgroup's normality are read off the
-    rows of mult on first use and kept for the life of the object, never
-    beyond it.  Subgroups are frozensets of element indices; index_set
-    and element_set convert to and from Elements.
+    inverse table inv are built on construction.  The conjugacy classes
+    and the subgroup families are read off the rows of mult on first use
+    and kept for the life of the object, never beyond it; no normality
+    answer is kept.  Subgroups are frozensets of element indices;
+    index_set and element_set convert to and from Elements.
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
@@ -99,7 +99,6 @@ class GroupOracle:
                               for shift in range(3, order, 3) for row in b_rows]
         self.inv = [_index(inverse(params, x)) for x in elements]
         self.identity = _index(identity(params))
-        self._normal: dict[frozenset[int], bool] = {}
 
     def index_set(self, elements: Iterable[Element]) -> frozenset[int]:
         return frozenset(map(_index, elements))
@@ -212,10 +211,14 @@ class GroupOracle:
     def is_normal(self, h: frozenset[int]) -> bool:
         """True iff g x g^-1 lies in h for every x in h and every g in G:
         iff h holds the conjugacy class of each of its elements."""
-        if h not in self._normal:
-            classes = self.classes
-            self._normal[h] = all(classes[x] <= h for x in h)
-        return self._normal[h]
+        classes = self.classes
+        return all(classes[x] <= h for x in h)
+
+    def normalizer(self, h: frozenset[int]) -> frozenset[int]:
+        """{g : g x g^-1 in h for all x in h}, read off row g as classes is."""
+        inv = self.inv
+        return frozenset(g for g, row in enumerate(self.mult)
+                         if h.issuperset(inv[row[inv[row[x]]]] for x in h))
 
     @cached_property
     def normal_subgroups(self) -> list[frozenset[int]]:
@@ -249,22 +252,15 @@ class GroupOracle:
             for y in range(x)
         )
 
-    def set_chains(
-        self, normal_only: bool = False, include_trivial: bool = True
-    ) -> Iterator[tuple[frozenset[int], ...]]:
-        """Every chain of subgroups ending at G, as ascending index sets.
-
-        Runs on the discovered index sets ordered by strict inclusion, with
-        no catalog descriptors involved.  include_trivial controls whether
-        {e} may appear as a chain member.
-        """
-        family = self.normal_subgroups if normal_only else self.subgroups
-        if not include_trivial:
-            family = [h for h in family if len(h) > 1]
+    def set_chains(self, mode: str) -> Iterator[tuple[frozenset[int], ...]]:
+        """Every chain of the mode's subgroups ending at G, {e} included, as
+        ascending index sets, on the discovered sets ordered by strict
+        inclusion, with no catalog descriptors involved."""
+        family = self.subgroups if check_mode(mode) == "all" else self.normal_subgroups
         below = [[j for j, t in enumerate(family) if t < s] for s in family]
         # the family is sorted by size, so G comes last
-        for chain in _chains_from(len(family) - 1, below):
-            yield tuple(family[i] for i in chain)
+        return (tuple(map(family.__getitem__, chain))
+                for chain in _chains_from(len(family) - 1, below))
 
 
 def trial_division_factorize(m: int) -> list[tuple[int, int]]:
@@ -349,10 +345,13 @@ def oracle_count_set_chains(
     include_trivial: bool = True,
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> list[int]:
-    """Per-length counts of GroupOracle(params, limit).set_chains; index k
-    counts the chains with k+1 members."""
-    oracle = GroupOracle(params, limit)
-    return _per_length(oracle.set_chains(normal_only, include_trivial))
+    """Per-length counts of GroupOracle(params, limit).set_chains, less the
+    chains starting at {e} unless include_trivial; index k counts the
+    chains with k+1 members."""
+    chains = GroupOracle(params, limit).set_chains("normal" if normal_only else "all")
+    if not include_trivial:
+        chains = (c for c in chains if len(c[0]) > 1)
+    return _per_length(chains)
 
 
 class FuzzyMap(namedtuple("FuzzyMap", "params grades ranks")):
@@ -406,7 +405,8 @@ class FuzzyMap(namedtuple("FuzzyMap", "params grades ranks")):
 def _exact(grade: object) -> Fraction:
     if type(grade) is Fraction:
         return grade
-    if isinstance(grade, float) or not isinstance(grade, (int, Fraction)):
+    # True would pass as the grade 1
+    if isinstance(grade, (bool, float)) or not isinstance(grade, (int, Fraction)):
         raise ValueError(f"grade {grade!r} is not an exact rational")
     return Fraction(grade)
 

@@ -7,7 +7,7 @@ same n is not checked again; each check's docstring says what covers it.
 
 run_verification computes each object once per n and hands every check
 the object it checks: one GroupOracle (integer Cayley table, conjugacy
-classes, subgroup family, normality flags) and one catalog_sets map from
+classes, subgroup families) and one catalog_sets map from
 the catalog's descriptors to the oracle's index sets when the group is
 within the oracle limit, and one Lattice and one ChainTable per
 mode.  The oracle limit is the one gate of every exhaustive check: the
@@ -23,11 +23,13 @@ hasse-closure owns the printed cover list at every n and in both modes:
 each cover once, in sorted order, and as a set transitive_reduction.
 
 The group laws run on the oracle's tables once the tables are shown to
-be multiply and inverse.  The fuzzy-axioms and equivalence-classes
-results come from one walk over the oracle's set chains, {e} included,
-which also holds the normal-fuzzy test to the normality of each chain's
-levels.  The catalog's normal lattice is tied to the oracle's normal sets
-by normality-vs-oracle and normal-restriction (its nodes), and
+be multiply and inverse; every other check asks the oracle, as
+normalizer(h) or set_chains(mode), and reads no table itself.  The
+fuzzy-axioms and equivalence-classes results come from one walk over
+the oracle's set_chains("all"), {e} included, which also holds the
+normal-fuzzy test to the normality of each chain's levels.  The
+catalog's normal lattice is tied to the oracle's normal sets by
+normality-vs-oracle and normal-restriction (its nodes), and
 lattice-vs-oracle[normal] owns its relation.
 No result depends on an assert statement, so python -O reports the same.
 """
@@ -46,6 +48,7 @@ from .chains import (
     factorization_shape,
 )
 from .group import (
+    DEFAULT_FUZZY_N_MAX,
     DEFAULT_ORACLE_LIMIT,
     GroupParams,
     format_element,
@@ -285,11 +288,9 @@ def check_normal_in_supergroup(
     oracle: GroupOracle, sets: CatalogSets, lat_normal: Lattice
 ) -> CheckResult:
     """Each normal node is normal inside every node above it, not just in
-    G: every element of the node above lies in the node's normalizer, each
-    g with g x g^-1 in the node for every x in it, read off row g."""
+    G: every element of the node above lies in oracle.normalizer(node)."""
     name = "normal-in-supergroup"
     params = oracle.params
-    inv = oracle.inv
     missing = next((d for d in lat_normal.nodes if d not in sets), None)
     if missing is not None:
         return _fail(params.n, name, f"normal {missing} is not in the catalog")
@@ -298,10 +299,7 @@ def check_normal_in_supergroup(
         ups = lat_normal.row(i)
         if not ups:
             continue
-        normalizer = {
-            g for g, row in enumerate(oracle.mult)
-            if h.issuperset(inv[row[inv[row[x]]]] for x in h)
-        }
+        normalizer = oracle.normalizer(h)
         for j in ups:
             for g in node_sets[j]:
                 if g not in normalizer:
@@ -409,7 +407,7 @@ def check_set_chains(oracle: GroupOracle, mode: str) -> CheckResult:
     # do not start at it are exactly the proper chains; the rest count at 0
     lengths = Counter(
         len(chain) if len(chain[0]) > 1 else 0
-        for chain in oracle.set_chains(mode == "normal", include_trivial=True)
+        for chain in oracle.set_chains(mode)
     )
     total = sum(lengths.values())
     proper = [lengths[k] for k in range(1, max(lengths) + 1)]
@@ -448,7 +446,7 @@ def check_fuzzy_axioms(oracle: GroupOracle) -> list[CheckResult]:
     seen: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
     reps = []
     chains = 0
-    for chain in oracle.set_chains(include_trivial=True):
+    for chain in oracle.set_chains("all"):
         chains += 1
         rep = representative_from_sets(params, chain)
         if failure is None:
@@ -517,7 +515,7 @@ def check_divisor_shape_dependence(
 
 def run_verification(
     n_max: int,
-    fuzzy_n_max: int = 4,
+    fuzzy_n_max: int = DEFAULT_FUZZY_N_MAX,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> list[CheckResult]:
     """The full battery for n = 1..n_max, each check gated by its cost.
@@ -529,6 +527,12 @@ def run_verification(
     n within the oracle limit: the s relabel of the product coordinates
     depends on each prime's residue mod 3 too.  A mode that fails
     lattice-order-laws gets no chain table and no check that reads one."""
+    # exactly int: range() would raise a bare TypeError on 2.5, True would
+    # pass as 1, and a float limit would run
+    if any(type(v) is not int for v in (n_max, fuzzy_n_max, oracle_limit)):
+        raise ValueError(
+            "n_max, fuzzy_n_max and oracle_limit must be ints, got "
+            f"{n_max!r}, {fuzzy_n_max!r} and {oracle_limit!r}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if fuzzy_n_max < 0 or oracle_limit < 0:

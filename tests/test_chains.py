@@ -3,6 +3,7 @@
 from itertools import accumulate
 from math import prod
 from operator import add, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -330,6 +331,31 @@ def test_counts_validation():
         ChainCounts(n=1, mode="all", per_length=(1, 0))
     with pytest.raises(ValueError, match=tail):
         ChainCounts(n=1, mode="all", per_length=(1, -2, 1))
+
+
+@pytest.mark.parametrize("n, mode, per_length, message", [
+    (0, "all", (1,), "^n must be a positive integer, got 0$"),
+    (True, "all", (1,), "^n must be a positive integer, got True$"),
+    (1.0, "all", (1,), "^n must be a positive integer, got 1.0$"),
+    (1, "bogus", (1, 2), "^mode must be one of"),
+    (1, True, (1, 2), "^mode must be one of"),
+    (1, "all", [1, 2], r"^per_length must be a tuple of ints, got \[1, 2\]$"),
+    (1, "all", (1, 2.0), r"^per_length must be a tuple of ints, got \(1, 2.0\)$"),
+    (1, "all", (1, True), r"^per_length must be a tuple of ints, got \(1, True\)$"),
+    (1, "all", (1, "2"), "^per_length must be a tuple of ints, got "),
+], ids=["n-0", "n-True", "n-float", "mode-bogus", "mode-True", "list",
+        "float-count", "bool-count", "str-count"])
+def test_counts_refuse_a_bad_field(n, mode, per_length, message):
+    with pytest.raises(ValueError, match=message):
+        ChainCounts(n, mode, per_length)
+
+
+def test_one_mode_check():
+    # build_lattice, shape_chain_counts, ChainCounts and the oracle's
+    # set_chains all refuse a mode through lattice.check_mode
+    src = Path(u6n.chains.__file__).parent
+    assert sum(p.read_text().count("mode must be one of")
+               for p in src.glob("*.py")) == 1
 
 
 def test_json_round_trip():

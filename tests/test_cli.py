@@ -621,6 +621,19 @@ def test_parser_defaults():
     assert args.handler is _cmd_count
 
 
+def test_verify_defaults_are_the_library_defaults():
+    # one constant each, beside each other in u6n.group
+    from inspect import signature
+
+    from u6n.group import DEFAULT_FUZZY_N_MAX, DEFAULT_ORACLE_LIMIT
+    from u6n.verify import run_verification
+
+    args = build_parser().parse_args(["verify", "--n-max", "1"])
+    defaults = signature(run_verification).parameters
+    assert args.fuzzy_n_max == defaults["fuzzy_n_max"].default == DEFAULT_FUZZY_N_MAX
+    assert args.oracle_limit == defaults["oracle_limit"].default == DEFAULT_ORACLE_LIMIT
+
+
 def test_parser_error_is_cli_error():
     with pytest.raises(CliError):
         build_parser().parse_args(["count"])

@@ -262,18 +262,93 @@ def test_set_chain_factor_two():
         params = GroupParams(n)
         oracle = GroupOracle(params)
         whole = frozenset(range(params.order))
-        for normal_only in (False, True):
-            for chain in oracle.set_chains(normal_only):
+        for mode in ("all", "normal"):
+            for chain in oracle.set_chains(mode):
                 assert chain[-1] == whole
                 assert all(small < big for small, big in zip(chain, chain[1:]))
+            normal_only = mode == "normal"
             with_e = oracle_count_set_chains(params, normal_only=normal_only)
             without_e = oracle_count_set_chains(
                 params, normal_only=normal_only, include_trivial=False
             )
             assert sum(with_e) == 2 * sum(without_e)
-            counts = count_chains(params, "normal" if normal_only else "all")
+            counts = count_chains(params, mode)
             assert without_e == list(counts.per_length)
             assert sum(with_e) == counts.fuzzy_count
+
+
+def test_set_chains_walk_the_family_of_the_mode():
+    # U_6 has six subgroups, four of them normal: 10 chains end at G in
+    # the whole family, {e} included, and 4 in the normal one
+    oracle = GroupOracle(GroupParams(1))
+    assert sum(1 for _ in oracle.set_chains("all")) == 10
+    assert sum(1 for _ in oracle.set_chains("normal")) == 4
+    normal = set(oracle.normal_subgroups)
+    assert all(set(chain) <= normal for chain in oracle.set_chains("normal"))
+
+
+@pytest.mark.parametrize("mode", [True, False, None, "bogus", "All", 0])
+def test_set_chains_refuse_anything_but_a_mode(mode):
+    # refused on the call, not on the first chain drawn
+    with pytest.raises(ValueError, match="^mode must be one of"):
+        GroupOracle(GroupParams(1)).set_chains(mode)
+
+
+# (n, mode) -> oracle_count_set_chains(GroupParams(n), mode == "normal",
+# include_trivial) for include_trivial False and True, frozen
+_SET_CHAIN_COUNTS = {
+    (1, "all"): ([1, 4], [1, 5, 4]),
+    (1, "normal"): ([1, 1], [1, 2, 1]),
+    (2, "all"): ([1, 6, 5], [1, 7, 11, 5]),
+    (2, "normal"): ([1, 3, 2], [1, 4, 5, 2]),
+    (3, "all"): ([1, 12, 14], [1, 13, 26, 14]),
+    (3, "normal"): ([1, 4, 3], [1, 5, 7, 3]),
+    (4, "all"): ([1, 8, 13, 6], [1, 9, 21, 19, 6]),
+    (4, "normal"): ([1, 5, 7, 3], [1, 6, 12, 10, 3]),
+    (5, "all"): ([1, 10, 12], [1, 11, 22, 12]),
+    (5, "normal"): ([1, 4, 3], [1, 5, 7, 3]),
+    (6, "all"): ([1, 18, 43, 26], [1, 19, 61, 69, 26]),
+    (6, "normal"): ([1, 8, 15, 8], [1, 9, 23, 23, 8]),
+    (7, "all"): ([1, 10, 12], [1, 11, 22, 12]),
+    (7, "normal"): ([1, 4, 3], [1, 5, 7, 3]),
+    (8, "all"): ([1, 10, 24, 22, 7], [1, 11, 34, 46, 29, 7]),
+    (8, "normal"): ([1, 7, 15, 13, 4], [1, 8, 22, 28, 17, 4]),
+    (9, "all"): ([1, 20, 49, 30], [1, 21, 69, 79, 30]),
+    (9, "normal"): ([1, 7, 12, 6], [1, 8, 19, 18, 6]),
+    (10, "all"): ([1, 14, 33, 20], [1, 15, 47, 53, 20]),
+    (10, "normal"): ([1, 8, 15, 8], [1, 9, 23, 23, 8]),
+    (11, "all"): ([1, 10, 12], [1, 11, 22, 12]),
+    (11, "normal"): ([1, 4, 3], [1, 5, 7, 3]),
+    (12, "all"): ([1, 24, 87, 106, 42], [1, 25, 111, 193, 148, 42]),
+    (12, "normal"): ([1, 12, 36, 40, 15], [1, 13, 48, 76, 55, 15]),
+}
+
+
+@pytest.mark.parametrize("n, mode", sorted(_SET_CHAIN_COUNTS))
+def test_oracle_count_set_chains_keeps_its_counts(n, mode):
+    without_e, with_e = _SET_CHAIN_COUNTS[n, mode]
+    params, normal_only = GroupParams(n), mode == "normal"
+    assert oracle_count_set_chains(params, normal_only=normal_only) == with_e
+    assert oracle_count_set_chains(
+        params, normal_only=normal_only, include_trivial=False) == without_e
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_normalizer_is_conjugation_by_every_element(n):
+    params = GroupParams(n)
+    oracle = GroupOracle(params)
+    elems = oracle.elements
+    for h in oracle.subgroups:
+        members = oracle.element_set(h)
+        # g x g^-1, not _conjugate's g^-1 x g: the two normalizers agree
+        # only because h is finite
+        want = oracle.index_set(
+            g for g in elems
+            if all(multiply(params, multiply(params, g, x), inverse(params, g))
+                   in members for x in members)
+        )
+        assert oracle.normalizer(h) == want
+        assert (want == set(range(params.order))) == oracle.is_normal(h)
 
 
 def test_fuzzy_map_validation():
@@ -295,6 +370,8 @@ def test_fuzzy_map_validation():
         FuzzyMap(params, with_a(Fraction(-1, 2)))
     with pytest.raises(ValueError):
         FuzzyMap(params, with_a(0.5))
+    with pytest.raises(ValueError, match="^grade True is not an exact rational$"):
+        FuzzyMap(params, [True] * params.order)
 
 
 def test_fuzzy_map_grades_are_read_only():
@@ -340,6 +417,8 @@ def test_representative_validation():
         _rep(params, [full(2), full(1)], [Fraction(3, 2), 1])
     with pytest.raises(ValueError):
         _rep(params, [full(2), full(1)], [1, Fraction(-1, 2)])
+    with pytest.raises(ValueError, match="^grade True is not an exact rational$"):
+        _rep(params, [full(1)], [True])
 
 
 def test_levels_need_not_start_at_one():
@@ -631,7 +710,7 @@ def test_equivalence_class_counts():
         fuzzy, classes = check_fuzzy_axioms(oracle)
         assert (fuzzy.check, classes.check) == ("fuzzy-axioms", "equivalence-classes")
         assert fuzzy.passed and classes.passed
-        got[n] = sum(1 for _ in oracle.set_chains())
+        got[n] = sum(1 for _ in oracle.set_chains("all"))
         assert got[n] % 2 == 0
         assert got[n] == count_chains(params, "all").fuzzy_count
     assert (got[1], got[2]) == (10, 24)

@@ -653,6 +653,17 @@ def test_run_verification_rejects_bad_range():
         run_verification(3, fuzzy_n_max=-1)
 
 
+@pytest.mark.parametrize("args", [
+    (2.5,), (True,), (2, True), (2, 4.0), (2, 4, 30.5), (2, 4, False),
+], ids=["n-max-float", "n-max-True", "fuzzy-True", "fuzzy-float",
+        "limit-float", "limit-False"])
+def test_run_verification_wants_exact_ints(args):
+    # range() would raise a bare TypeError on 2.5, and True would pass as 1
+    with pytest.raises(ValueError,
+                       match="^n_max, fuzzy_n_max and oracle_limit must be ints"):
+        run_verification(*args)
+
+
 def test_run_verification_calls_every_check():
     # a check_* function the battery never calls would pass silently
     import ast
