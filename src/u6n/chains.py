@@ -100,7 +100,7 @@ from collections.abc import Iterator, Sequence
 from math import prod
 from operator import sub
 
-from .group import GroupParams
+from .group import GroupParams, exact_int
 from .lattice import Lattice, check_mode
 from .subgroups import factorize
 
@@ -128,8 +128,7 @@ class ChainCounts(namedtuple("ChainCounts", (
     __slots__ = ()
 
     def __new__(cls, n: int, mode: str, per_length: tuple[int, ...]) -> ChainCounts:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        exact_int(n, 1, "n")
         check_mode(mode)
         if type(per_length) is not tuple or any(type(c) is not int for c in per_length):
             raise ValueError(f"per_length must be a tuple of ints, got {per_length!r}")
@@ -216,15 +215,9 @@ def shape_chain_counts(
     """per_length of every n whose 2n is 2^e2 * 3^e3 times primes p >= 5
     with the exponents a_p, in any order."""
     check_mode(mode)
-    # exactly int, as for the a_p: range() would raise a bare TypeError on
-    # 1.5 and 2.0, and True would pass as 1
-    if type(e2) is not int or type(e3) is not int or e2 < 1 or e3 < 0:
-        raise ValueError(
-            f"shape needs int e2 >= 1 and int e3 >= 0, got {e2!r} and {e3!r}")
-    bad = next((a for a in exponents if type(a) is not int or a < 1), None)
-    if bad is not None:
-        raise ValueError(f"each a_p must be an int >= 1, got {bad!r}")
-    top = e2 + e3 + 1 + sum(exponents)
+    top = exact_int(e2, 1, "e2") + exact_int(e3, 0, "e3") + 1
+    for a in exponents:
+        top += exact_int(a, 1, "each a_p")
     if top > MAX_HEIGHT:
         raise HeightLimitExceeded(
             f"lattice height {top} is above {MAX_HEIGHT}, the largest "

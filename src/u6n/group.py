@@ -22,6 +22,15 @@ class OracleLimitExceeded(Exception):
     """An exhaustive check was requested for a group above the size bound."""
 
 
+def exact_int(value: int, least: int, name: str) -> int:
+    """value, if it is exactly an int >= least; ValueError otherwise.  bool,
+    float, str and int subclasses are refused: True and 2.0 equal 1 and 2
+    but print otherwise, and range() raises a bare TypeError on a float."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
+
+
 # The eight value types (these two, SubgroupDescriptor, Lattice, ChainTable,
 # ChainCounts, oracle.FuzzyMap and verify.CheckResult) are namedtuple
 # subclasses with empty __slots__, not frozen dataclasses, because importing
@@ -34,9 +43,7 @@ class GroupParams(namedtuple("GroupParams", "n")):
     __slots__ = ()
 
     def __new__(cls, n: int) -> GroupParams:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        return tuple.__new__(cls, (n,))
+        return tuple.__new__(cls, (exact_int(n, 1, "n"),))
 
     @classmethod
     def _make(cls, fields) -> GroupParams:

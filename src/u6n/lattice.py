@@ -148,10 +148,10 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
         descs = enumerate_subgroups(params)
     else:
         descs = enumerate_normal_subgroups(params)
-    two_n = params.two_n
-    nodes = tuple(d for d in descs if d != ("C", two_n, None))
-    top_index = nodes.index(("F", 1, None))
-    core, coords = _product_coords(nodes, core_of(two_n))
+    # the trivial C(2n) is the last Cyclic, just before the top F(1)
+    top_index = descs.index(("F", 1, None)) - 1
+    nodes = (*descs[:top_index], *descs[top_index + 1:])
+    core, coords = _product_coords(nodes, core_of(params.two_n))
     divs = sorted({u for _, u in coords})  # every divisor of m, as F(u) is a node
     divs_of = {u: [v for v in divs if u % v == 0] for u in divs}
     grid = {u: [None] * len(core) for u in divs}  # None: the trivial (C(c), m)

@@ -58,6 +58,7 @@ from .group import (
     GroupParams,
     OracleLimitExceeded,
     all_elements,
+    exact_int,
     identity,
     inverse,
     multiply,
@@ -78,11 +79,13 @@ class GroupOracle:
     and the subgroup families are read off the rows of mult on first use
     and kept for the life of the object, never beyond it; no normality
     answer is kept.  Subgroups are frozensets of element indices;
-    index_set and element_set convert to and from Elements.
+    index_set and element_set convert to and from Elements.  A limit that
+    is not an int >= 0 raises ValueError (group.exact_int), and a group
+    of order above it OracleLimitExceeded.
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
-        if params.order > limit:
+        if params.order > exact_int(limit, 0, "limit"):
             raise OracleLimitExceeded(
                 f"group order {params.order} exceeds the oracle limit {limit}"
             )
@@ -269,8 +272,7 @@ def trial_division_factorize(m: int) -> list[tuple[int, int]]:
     The reference for subgroups.factorize: as slow as it is plain, and it
     shares no code with the BPSW and Pollard-rho path.
     """
-    if m < 1:
-        raise ValueError(f"cannot factorize {m}")
+    exact_int(m, 1, "m")
     out = []
     p = 2
     while p * p <= m:
@@ -347,7 +349,11 @@ def oracle_count_set_chains(
 ) -> list[int]:
     """Per-length counts of GroupOracle(params, limit).set_chains, less the
     chains starting at {e} unless include_trivial; index k counts the
-    chains with k+1 members."""
+    chains with k+1 members.  normal_only and include_trivial must be
+    bools, and anything else raises ValueError: "all" would be truthy."""
+    if type(normal_only) is not bool or type(include_trivial) is not bool:
+        raise ValueError("normal_only and include_trivial must be bools, got "
+                         f"{normal_only!r} and {include_trivial!r}")
     chains = GroupOracle(params, limit).set_chains("normal" if normal_only else "all")
     if not include_trivial:
         chains = (c for c in chains if len(c[0]) > 1)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .group import Element, GroupParams
+from .group import Element, GroupParams, exact_int
 
 
 #: The descriptor kinds, as they print and sort: Cyclic, Full, Twisted.
@@ -47,9 +47,7 @@ class SubgroupDescriptor(namedtuple("SubgroupDescriptor", "kind t s")):
     def __new__(cls, kind: str, t: int, s: int | None = None) -> SubgroupDescriptor:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        # exactly int: True and 2.0 compare equal to 1 and 2 but print otherwise
-        if type(t) is not int or t < 1:
-            raise ValueError(f"t must be a positive integer, got {t!r}")
+        exact_int(t, 1, "t")
         if kind == "T":
             if type(s) is not int or s not in (1, 2):
                 raise ValueError(f"twisted subgroup needs s in {{1, 2}}, got {s!r}")
@@ -236,8 +234,7 @@ def factorize(m: int) -> list[tuple[int, int]]:
     1000000000000037 * 1000000000000091 would need about 3e7 steps and
     fails instead.
     """
-    if m < 1:
-        raise ValueError(f"cannot factorize {m}")
+    exact_int(m, 1, "m")
     exponents: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while m % p == 0:

@@ -51,6 +51,7 @@ from .group import (
     DEFAULT_FUZZY_N_MAX,
     DEFAULT_ORACLE_LIMIT,
     GroupParams,
+    exact_int,
     format_element,
     inverse,
     multiply,
@@ -527,16 +528,9 @@ def run_verification(
     n within the oracle limit: the s relabel of the product coordinates
     depends on each prime's residue mod 3 too.  A mode that fails
     lattice-order-laws gets no chain table and no check that reads one."""
-    # exactly int: range() would raise a bare TypeError on 2.5, True would
-    # pass as 1, and a float limit would run
-    if any(type(v) is not int for v in (n_max, fuzzy_n_max, oracle_limit)):
-        raise ValueError(
-            "n_max, fuzzy_n_max and oracle_limit must be ints, got "
-            f"{n_max!r}, {fuzzy_n_max!r} and {oracle_limit!r}")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if fuzzy_n_max < 0 or oracle_limit < 0:
-        raise ValueError("fuzzy_n_max and oracle_limit must be nonnegative")
+    exact_int(n_max, 1, "n_max")
+    exact_int(fuzzy_n_max, 0, "fuzzy_n_max")
+    exact_int(oracle_limit, 0, "oracle_limit")
     results: list[CheckResult] = []
     fuzzy_counts: dict[int, tuple[int, ...]] = {}
     shapes: set[tuple[int, int, tuple[int, ...]]] = set()

@@ -264,11 +264,17 @@ def test_count_chains_rejects_bad_input():
     with pytest.raises(ValueError, match="mode must be one of"):
         count_chains(GroupParams(6), "odd")
     # out of range, or no int: 1.5, 0.5 and 2.0 are no exponents, and True
-    # only equals 1
-    for e2, e3 in ((0, 0), (0, 1), (0, 2), (-1, 1), (1, -1),
-                   (1.5, 0), (1, 0.5), (2.0, 0), (True, 0)):
-        with pytest.raises(ValueError,
-                           match="^shape needs int e2 >= 1 and int e3 >= 0, got "):
+    # only equals 1; e2 is checked before e3
+    for e2, e3, message in ((0, 0, "e2 must be an int >= 1, got 0"),
+                            (0, 1, "e2 must be an int >= 1, got 0"),
+                            (0, 2, "e2 must be an int >= 1, got 0"),
+                            (-1, 1, "e2 must be an int >= 1, got -1"),
+                            (1, -1, "e3 must be an int >= 0, got -1"),
+                            (1.5, 0, "e2 must be an int >= 1, got 1.5"),
+                            (1, 0.5, "e3 must be an int >= 0, got 0.5"),
+                            (2.0, 0, "e2 must be an int >= 1, got 2.0"),
+                            (True, 0, "e2 must be an int >= 1, got True")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             shape_chain_counts(e2, e3, [], "all")
     # an a_p below 1 is no prime power, and a non-int one no exponent
     for exponents in ((-1,), (0,), (1, 0), (2.0,), (True,), ("1",)):
@@ -334,9 +340,9 @@ def test_counts_validation():
 
 
 @pytest.mark.parametrize("n, mode, per_length, message", [
-    (0, "all", (1,), "^n must be a positive integer, got 0$"),
-    (True, "all", (1,), "^n must be a positive integer, got True$"),
-    (1.0, "all", (1,), "^n must be a positive integer, got 1.0$"),
+    (0, "all", (1,), "^n must be an int >= 1, got 0$"),
+    (True, "all", (1,), "^n must be an int >= 1, got True$"),
+    (1.0, "all", (1,), "^n must be an int >= 1, got 1.0$"),
     (1, "bogus", (1, 2), "^mode must be one of"),
     (1, True, (1, 2), "^mode must be one of"),
     (1, "all", [1, 2], r"^per_length must be a tuple of ints, got \[1, 2\]$"),

@@ -41,13 +41,13 @@ def _power(params, x, k):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
+    with pytest.raises(ValueError, match="^n must be an int >= 1, got 0$"):
         GroupParams(0)
-    with pytest.raises(ValueError, match="^n must be a positive integer, got -3$"):
+    with pytest.raises(ValueError, match="^n must be an int >= 1, got -3$"):
         GroupParams(-3)
-    with pytest.raises(ValueError, match="^n must be a positive integer, got True$"):
+    with pytest.raises(ValueError, match="^n must be an int >= 1, got True$"):
         GroupParams(True)
-    with pytest.raises(ValueError, match="^n must be a positive integer, got 5.0$"):
+    with pytest.raises(ValueError, match="^n must be an int >= 1, got 5.0$"):
         GroupParams(5.0)
     assert GroupParams(5).two_n == 10
     assert GroupParams(5).order == 30

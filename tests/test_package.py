@@ -1,6 +1,7 @@
 """The package's public names: u6n.__all__ lists exactly what
 src/u6n/__init__.py imports, so neither list can drift from the other,
-and the package or its scripts read each of them."""
+and the package or its scripts read each of them; and its modules check
+integer arguments one way only."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,23 @@ def test_every_public_name_is_read_outside_the_package_init():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert [name for name in u6n.__all__ if name not in read] == []
+
+
+def test_one_integer_argument_rule():
+    # every scalar integer argument goes through group.exact_int, so no
+    # module tests isinstance(x, int), which True and int subclasses pass,
+    # and the message is spelled once
+    bare_int_tests = []
+    text = ""
+    for path in INIT.parent.glob("*.py"):
+        source = path.read_text()
+        text += source
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and isinstance(node.args[1], ast.Name)
+                    and node.args[1].id == "int"):
+                bare_int_tests.append(f"{path.name}:{node.lineno}")
+    assert bare_int_tests == []
+    assert text.count("must be an int >= ") == 1
+    assert "positive integer" not in text

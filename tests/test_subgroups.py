@@ -190,7 +190,7 @@ def test_divisors_complete_and_sorted(m):
 
 def test_descriptor_validation():
     needs_s = r"^twisted subgroup needs s in \{1, 2\}, got "
-    with pytest.raises(ValueError, match="^t must be a positive integer, got 0$"):
+    with pytest.raises(ValueError, match="^t must be an int >= 1, got 0$"):
         cyclic(0)
     with pytest.raises(ValueError, match=needs_s + "3$"):
         twisted(1, 3)
@@ -203,9 +203,9 @@ def test_descriptor_validation():
 
 
 @pytest.mark.parametrize("t, s, message", [
-    (2.0, None, "^t must be a positive integer, got 2.0$"),
-    (True, None, "^t must be a positive integer, got True$"),
-    ("2", None, "^t must be a positive integer, got '2'$"),
+    (2.0, None, "^t must be an int >= 1, got 2.0$"),
+    (True, None, "^t must be an int >= 1, got True$"),
+    ("2", None, "^t must be an int >= 1, got '2'$"),
     (1, True, r"^twisted subgroup needs s in \{1, 2\}, got True$"),
     (1, 1.0, r"^twisted subgroup needs s in \{1, 2\}, got 1.0$"),
 ], ids=["t-float", "t-bool", "t-str", "s-bool", "s-float"])

@@ -653,14 +653,18 @@ def test_run_verification_rejects_bad_range():
         run_verification(3, fuzzy_n_max=-1)
 
 
-@pytest.mark.parametrize("args", [
-    (2.5,), (True,), (2, True), (2, 4.0), (2, 4, 30.5), (2, 4, False),
+@pytest.mark.parametrize("args, message", [
+    ((2.5,), "n_max must be an int >= 1, got 2.5"),
+    ((True,), "n_max must be an int >= 1, got True"),
+    ((2, True), "fuzzy_n_max must be an int >= 0, got True"),
+    ((2, 4.0), "fuzzy_n_max must be an int >= 0, got 4.0"),
+    ((2, 4, 30.5), "oracle_limit must be an int >= 0, got 30.5"),
+    ((2, 4, False), "oracle_limit must be an int >= 0, got False"),
 ], ids=["n-max-float", "n-max-True", "fuzzy-True", "fuzzy-float",
         "limit-float", "limit-False"])
-def test_run_verification_wants_exact_ints(args):
+def test_run_verification_wants_exact_ints(args, message):
     # range() would raise a bare TypeError on 2.5, and True would pass as 1
-    with pytest.raises(ValueError,
-                       match="^n_max, fuzzy_n_max and oracle_limit must be ints"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         run_verification(*args)
 
 
