@@ -299,7 +299,7 @@ MUTANTS = {
 
 def _shape_vs_lattice_fails(n):
     lat = build_lattice(GroupParams(n), "all")
-    return not check_shape_vs_lattice(compute_chain_table(lat)).passed
+    return check_shape_vs_lattice(compute_chain_table(lat)) is not None
 
 
 #: name -> (mutant, n_max, a check the fault fails where verify does not run

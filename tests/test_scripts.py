@@ -89,6 +89,20 @@ def test_sweep_counts_table(monkeypatch, capsys):
     )
 
 
+def test_sweep_counts_markdown(monkeypatch, capsys):
+    script = _load_script("sweep_counts")
+    monkeypatch.setattr(sys, "argv", ["sweep_counts.py", "--n-max", "4", "--markdown"])
+    script.main()
+    assert capsys.readouterr().out == (
+        "| n | order | subgroups | normal | N_F | N_NF |\n"
+        "|---|-------|-----------|--------|-----|------|\n"
+        "| 1 |     6 |         6 |      3 |  10 |    4 |\n"
+        "| 2 |    12 |         8 |      5 |  24 |   12 |\n"
+        "| 3 |    18 |        14 |      6 |  54 |   16 |\n"
+        "| 4 |    24 |        10 |      7 |  56 |   32 |\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep_counts", "--n-max", "0"],
     ["sweep_counts", "--n-max", "-1"],

@@ -326,6 +326,24 @@ def test_subgroup_elements_rejects_bad_descriptor():
         subgroup_elements(params, twisted(2, 1))  # T(2,s) is F(2) in disguise
 
 
+@pytest.mark.parametrize("d, x, message", [
+    # 2n = 4: a^8 is a^0 in a non-canonical form
+    (cyclic(2), Element(8, 0), r"^Element\(a_exp=8, b_exp=0\) is not a canonical "),
+    (cyclic(2), Element(-2, 0), r"^Element\(a_exp=-2, b_exp=0\) is not "),
+    (full(1), Element(0, 3), r"^Element\(a_exp=0, b_exp=3\) is not "),
+    (full(1), Element(2.0, 0), r"^Element\(a_exp=2.0, b_exp=0\) is not "),
+    (full(1), Element(0, True), r"^Element\(a_exp=0, b_exp=True\) is not "),
+    (full(1), (0, 0), r"^\(0, 0\) is not a canonical element of U_12$"),
+    # the descriptors subgroup_elements refuses at n = 2
+    (cyclic(3), Element(3, 0), r"^C\(3\) invalid: t = 3 does not divide 4$"),
+    (twisted(2, 1), Element(2, 1), r"^T\(2,1\) invalid: t = 2 is even "),
+], ids=["a_exp-2n", "a_exp-negative", "b_exp-3", "a_exp-float", "b_exp-bool",
+        "plain-tuple", "t-not-a-divisor", "twisted-in-disguise"])
+def test_contains_element_refuses_what_is_not_in_the_group(d, x, message):
+    with pytest.raises(ValueError, match=message):
+        contains_element(GroupParams(2), d, x)
+
+
 def test_leq_published_cases():
     assert subgroup_leq(cyclic(2), twisted(1, 1))
     assert not subgroup_leq(cyclic(1), full(2))

@@ -1,5 +1,6 @@
 """The verification battery itself: green on the real code, loud on bugs."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -34,6 +35,13 @@ from u6n.verify import (
 
 def _table(n, mode):
     return compute_chain_table(build_lattice(GroupParams(n), mode))
+
+
+def _reported(n, label, **kwargs):
+    """What run_verification reports under label at n, as a check answers:
+    None for a pass, else the failure text."""
+    [r] = [r for r in run_verification(n, **kwargs) if (r.n, r.check) == (n, label)]
+    return None if r.passed else r.detail
 
 
 def _fuzzy_counts(n_values):
@@ -80,16 +88,18 @@ def test_full_battery_to_8():
 
 def test_individual_checks_pass():
     params = GroupParams(3)
-    assert check_group_laws(GroupOracle(params)).passed
-    assert check_count_formula(params).passed
+    assert check_group_laws(GroupOracle(params)) is None
+    assert check_count_formula(params) is None
     oracle = GroupOracle(params, 300)
     sets = catalog_sets(oracle)
-    assert check_subgroup_family(oracle, sets).passed
-    assert check_containment(oracle, sets).passed
-    assert check_normal_family(oracle, sets).passed
-    assert check_dp_vs_dfs(_table(3, "all")).passed
-    assert check_shape_vs_lattice(_table(35, "normal")).passed
-    results = check_fuzzy_axioms(GroupOracle(params))
+    assert check_subgroup_family(oracle, sets) is None
+    assert check_containment(oracle, sets) is None
+    assert check_normal_family(oracle, sets) is None
+    assert check_dp_vs_dfs(_table(3, "all")) is None
+    assert check_shape_vs_lattice(_table(35, "normal")) is None
+    assert check_fuzzy_axioms(GroupOracle(params)) == (None, None)
+    fuzzy_labels = ("fuzzy-axioms", "equivalence-classes")
+    results = [r for r in run_verification(3) if r.n == 3 and r.check in fuzzy_labels]
     assert [(r.check, r.passed) for r in results] == [
         ("fuzzy-axioms", True), ("equivalence-classes", True)
     ]
@@ -170,9 +180,9 @@ def test_group_laws_catch_a_non_canonical_product(monkeypatch, shift):
     monkeypatch.setattr(oracle_module, "multiply", doctored)
     monkeypatch.setattr(verify_module, "multiply", doctored)
     result = check_group_laws(GroupOracle(params))
-    assert not result.passed
-    assert result.check == "group-laws"
-    assert result.detail == "table differs from multiply at (a, b)"
+    assert result is not None
+    assert _reported(2, "group-laws") == result
+    assert result == "table differs from multiply at (a, b)"
 
 
 def test_subgroup_family_reports_colliding_descriptors():
@@ -181,8 +191,8 @@ def test_subgroup_family_reports_colliding_descriptors():
     first, second = list(sets)[:2]
     sets[second] = sets[first]
     result = check_subgroup_family(oracle, sets)
-    assert not result.passed
-    assert result.detail == "descriptor element sets collide"
+    assert result is not None
+    assert result == "descriptor element sets collide"
 
 
 def test_oracle_limit_gates_the_fuzzy_checks():
@@ -304,6 +314,49 @@ def test_every_benchmark_label_runs_and_passes():
         assert not missing, (n_max, missing)
 
 
+def _top_level_uses(predicate):
+    """(module file, top-level def or None) of each node in src/u6n that
+    predicate accepts, nested functions counted in their outer def."""
+    import u6n
+
+    uses = []
+    for path in sorted(Path(u6n.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if predicate(node):
+                    uses.append((path.name, getattr(top, "name", None)))
+    return uses
+
+
+def test_run_verification_spells_each_label_once():
+    # a label is one string literal in the package, beside its gate in
+    # run_verification; a mode label is spelled up to its "[", the rest
+    # is the f-string's mode.  shape-dependence compares across n and
+    # names its own results.
+    labels = {r.check for r in run_verification(16)}
+    for label in labels:
+        spelled = label.partition("[")[0] + ("[" if "[" in label else "")
+        owner = (
+            "check_divisor_shape_dependence" if label == "shape-dependence"
+            else "run_verification"
+        )
+        assert _top_level_uses(
+            lambda node: isinstance(node, ast.Constant) and node.value == spelled
+        ) == [("verify.py", owner)], label
+
+
+def test_only_run_verification_and_shape_dependence_build_results():
+    # every other check answers None or its failure text
+    builders = _top_level_uses(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "CheckResult"
+    )
+    assert sorted(set(builders)) == [
+        ("verify.py", "check_divisor_shape_dependence"),
+        ("verify.py", "run_verification"),
+    ]
+
+
 def test_one_lattice_and_chain_table_per_n_and_mode(monkeypatch):
     import u6n.verify as verify_module
 
@@ -344,36 +397,49 @@ def test_oracle_checks_name_the_missing_subgroup():
     # drop the normal subgroup F(2) = <a^2, b> from the catalog
     sets = {d: h for d, h in catalog_sets(oracle).items() if d != full(2)}
     result = check_subgroup_family(oracle, sets)
-    assert not result.passed
-    assert result.detail == "oracle-only subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
+    assert result is not None
+    assert result == "oracle-only subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
 
 
-def test_closure_checks_catch_a_corrupted_catalog_set():
+def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
+    import u6n.verify as verify_module
     from u6n.subgroups import enumerate_normal_subgroups
 
     params = GroupParams(2)
     oracle = GroupOracle(params)
     lat = build_lattice(params, "normal")
     sets = catalog_sets(oracle)
-    assert check_subgroup_closure(oracle, sets).passed
-    assert check_normal_in_supergroup(oracle, sets, lat).passed
+    assert check_subgroup_closure(oracle, sets) is None
+    assert check_normal_in_supergroup(oracle, sets, lat) is None
+
+    def corrupt(corrupted):
+        # run_verification meets the corrupted sets at n = 2 only
+        monkeypatch.setattr(
+            verify_module, "catalog_sets",
+            lambda o: corrupted if o.params == params else catalog_sets(o),
+        )
+        return corrupted
+
     # drop a non-identity element from a subgroup of order >= 3: x = y (y^-1 x)
     # with both factors kept, so the set is no longer product-closed
     bad = next(d for d, h in sets.items() if len(h) >= 3)
     dropped = next(x for x in sets[bad] if x != oracle.identity)
-    result = check_subgroup_closure(oracle, {**sets, bad: sets[bad] - {dropped}})
-    assert not result.passed
-    assert result.check == "subgroup-closure"
-    assert str(bad) in result.detail
+    corrupted = corrupt({**sets, bad: sets[bad] - {dropped}})
+    result = check_subgroup_closure(oracle, corrupted)
+    assert result is not None
+    assert _reported(2, "subgroup-closure") == result
+    assert str(bad) in result
     # give a normal node the elements of a non-normal subgroup: conjugation
     # by the whole group, a node above it, moves them
     normal = set(enumerate_normal_subgroups(params))
     outsider = next(d for d in sets if d not in normal)
     node = lat.nodes[next(i for i in range(len(lat.nodes)) if lat.row(i))]
-    result = check_normal_in_supergroup(oracle, {**sets, node: sets[outsider]}, lat)
-    assert not result.passed
-    assert result.check == "normal-in-supergroup"
-    assert result.detail.startswith(f"{node} not normal in ")
+    result = check_normal_in_supergroup(
+        oracle, corrupt({**sets, node: sets[outsider]}), lat
+    )
+    assert result is not None
+    assert _reported(2, "normal-in-supergroup") == result
+    assert result.startswith(f"{node} not normal in ")
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -387,10 +453,10 @@ def test_fuzzy_axioms_cross_check_catches_a_wrong_pattern(monkeypatch, n):
     for doctored in (lambda mu: (), lambda mu: comparison_pattern(mu)[len(mu.grades):]):
         monkeypatch.setattr(verify_module, "comparison_pattern", doctored)
         fuzzy, classes = check_fuzzy_axioms(oracle)
-        assert (fuzzy.check, fuzzy.passed, fuzzy.detail) == (
-            "fuzzy-axioms", False, "all-pairs equivalence cross-check failed"
-        )
-        assert classes.passed
+        assert fuzzy is not None
+        assert _reported(n, "fuzzy-axioms") == fuzzy
+        assert fuzzy == "all-pairs equivalence cross-check failed"
+        assert classes is None
 
 
 def test_shape_vs_lattice_catches_mismatch(monkeypatch):
@@ -399,8 +465,8 @@ def test_shape_vs_lattice_catches_mismatch(monkeypatch):
     wrong = ChainCounts(n=5, mode="all", per_length=(1, 2))
     monkeypatch.setattr(verify_module, "count_chains", lambda params, mode: wrong)
     result = check_shape_vs_lattice(_table(5, "all"))
-    assert not result.passed
-    assert "shape [1, 2] != lattice" in result.detail
+    assert result is not None
+    assert "shape [1, 2] != lattice" in result
 
 
 def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
@@ -415,13 +481,16 @@ def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
         (i, k) for i in range(len(lat.nodes)) for k in lat.row(i)
         if (i, k) not in covers
     )
-    assert check_hasse_closure(lat).passed
-    monkeypatch.setattr(verify_module, "hasse_edges",
-                        lambda lat: sorted(set(covers) | {skip}))
+    assert check_hasse_closure(lat) is None
+    doctored = sorted(set(covers) | {skip})
+    monkeypatch.setattr(
+        verify_module, "hasse_edges",
+        lambda other: doctored if other == lat else hasse_edges(other),
+    )
     result = check_hasse_closure(lat)
-    assert not result.passed
-    assert result.check == "hasse-closure[all]"
-    assert "is not a cover" in result.detail
+    assert result is not None
+    assert _reported(2, "hasse-closure[all]") == result
+    assert "is not a cover" in result
 
 
 def test_hasse_closure_names_a_missing_cover(monkeypatch):
@@ -433,14 +502,17 @@ def test_hasse_closure_names_a_missing_cover(monkeypatch):
         lat = build_lattice(GroupParams(n), "all")
         covers = hasse_edges(lat)
         i, j = dropped = pick(covers)
-        assert check_hasse_closure(lat).passed
+        assert check_hasse_closure(lat) is None
         with monkeypatch.context() as m:
-            m.setattr(verify_module, "hasse_edges",
-                      lambda lat: [e for e in covers if e != dropped])
+            m.setattr(
+                verify_module, "hasse_edges",
+                lambda other: [e for e in covers if e != dropped]
+                if other == lat else hasse_edges(other),
+            )
             result = check_hasse_closure(lat)
-        assert not result.passed
-        assert result.check == "hasse-closure[all]"
-        assert result.detail == f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover"
+            assert result is not None
+            assert _reported(n, "hasse-closure[all]") == result
+        assert result == f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover"
 
 
 def test_hasse_closure_needs_each_cover_once_and_in_order(monkeypatch):
@@ -460,11 +532,14 @@ def test_hasse_closure_needs_each_cover_once_and_in_order(monkeypatch):
         (swapped, f"{lat.nodes[i]} -> {lat.nodes[j]} out of order"),
     ):
         assert set(listed) == set(covers)  # the same covers as a set
-        monkeypatch.setattr(verify_module, "hasse_edges", lambda lat: listed)
+        monkeypatch.setattr(
+            verify_module, "hasse_edges",
+            lambda other: listed if other == lat else hasse_edges(other),
+        )
         result = check_hasse_closure(lat)
-        assert not result.passed
-        assert result.check == "hasse-closure[all]"
-        assert result.detail == detail
+        assert result is not None
+        assert _reported(6, "hasse-closure[all]") == result
+        assert result == detail
 
 
 def _add(covers, edge):
@@ -558,23 +633,24 @@ def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
     oracle = GroupOracle(GroupParams(2))
     sets = catalog_sets(oracle)
     lat = build_lattice(oracle.params, "all")
-    assert check_lattice_vs_oracle(oracle, sets, lat).passed
+    assert check_lattice_vs_oracle(oracle, sets, lat) is None
     # a lattice whose row for node i also holds a node not above it
     i = 0
     outside = min(set(range(len(lat.nodes))) - set(lat.row(i)) - {i})
     real_row = type(lat).row
     monkeypatch.setattr(
         type(lat), "row",
-        lambda self, k: real_row(self, k) + ([outside] if k == i else []),
+        lambda self, k: real_row(self, k)
+        + ([outside] if (k, self) == (i, lat) else []),
     )
     result = check_lattice_vs_oracle(oracle, sets, lat)
-    assert result.check == "lattice-vs-oracle[all]"
-    assert result.detail == (
+    assert _reported(2, "lattice-vs-oracle[all]") == result
+    assert result == (
         f"{lat.nodes[i]} < {lat.nodes[outside]} is in the lattice only"
     )
     missing = {d: h for d, h in sets.items() if d != lat.nodes[i]}
     result = check_lattice_vs_oracle(oracle, missing, lat)
-    assert result.detail == f"{lat.nodes[i]} is not in the catalog"
+    assert result == f"{lat.nodes[i]} is not in the catalog"
 
 
 def test_group_laws_name_the_first_non_associative_triple(monkeypatch):
@@ -602,7 +678,7 @@ def test_group_laws_name_the_first_non_associative_triple(monkeypatch):
     )
     result = check_group_laws(oracle)
     names = ", ".join(format_element(elems[i]) for i in first)
-    assert result.detail == f"associativity fails at ({names})"
+    assert result == f"associativity fails at ({names})"
 
 
 def test_shape_dependence_reports_matches():
