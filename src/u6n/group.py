@@ -83,7 +83,7 @@ def inverse(params: GroupParams, x: Element) -> Element:
     """Canonical form of b^(3-v) a^(2n-u), the inverse of a^u b^v."""
     u = (-x.a_exp) % params.two_n
     # moving b^(3-v) past a^(2n-u): -2v = v mod 3 for odd u
-    v = (-x.b_exp) % 3 if x.a_exp % 2 == 0 else x.b_exp
+    v = (-x.b_exp) % 3 if x.a_exp % 2 == 0 else x.b_exp % 3
     return Element(u, v)
 
 

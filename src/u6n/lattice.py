@@ -157,11 +157,13 @@ def build_lattice(params: GroupParams, mode: str) -> Lattice:
     grid = {u: [None] * len(core) for u in divs}  # None: the trivial (C(c), m)
     for i, (x, u) in enumerate(coords):
         grid[u][x] = i
+    # node (x, u) is core node x cut to index u in C_m, of the same kind
+    core_orders = [subgroup_order(params, d) for d in core]
     return Lattice(
         params=params,
         mode=mode,
         nodes=nodes,
-        orders=tuple(subgroup_order(params, d) for d in nodes),
+        orders=tuple(core_orders[x] // u for x, u in coords),
         top_index=top_index,
         coords=tuple(coords),
         core_above=tuple(map(tuple, _strict_order_edges(core))),

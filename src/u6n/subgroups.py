@@ -329,6 +329,9 @@ def subgroup_elements(params: GroupParams, d: SubgroupDescriptor) -> frozenset[E
 
 
 def subgroup_order(params: GroupParams, d: SubgroupDescriptor) -> int:
+    """|subgroup_elements(d)|: 2n/t, or 3*(2n/t) for Full.  ValueError for
+    a descriptor validate_descriptor refuses."""
+    validate_descriptor(params, d)
     q = params.two_n // d.t
     return 3 * q if d.kind == "F" else q
 

@@ -5,10 +5,10 @@ recomputation, or count_chains with the full-lattice DP, and returns None
 when they agree or its failure text, naming a counterexample, when they
 do not.  run_verification alone turns an answer into a CheckResult: it
 spells each label once, beside the gate that decides at which n the
-check runs.  The one exception is shape-dependence, which compares
-across n and returns its own results.  What follows from checks that
-run at the same n is not checked again; each check's docstring says
-what covers it.
+check runs.  That includes shape-dependence, which compares counts
+across n: it keys on the shape the per-shape gates compute.  What
+follows from checks that run at the same n is not checked again; each
+check's docstring says what covers it.
 
 run_verification computes each object once per n and hands every check
 the object it checks: one GroupOracle (integer Cayley table, conjugacy
@@ -416,30 +416,6 @@ def check_fuzzy_axioms(oracle: GroupOracle) -> tuple[str | None, str | None]:
     return failure, f"{len(seen)} classes from {chains} set chains, count_chains {want}"
 
 
-def check_divisor_shape_dependence(
-    fuzzy_counts: dict[int, tuple[int, ...]],
-) -> list[CheckResult]:
-    """Full-lattice counts agree across n whose 2n share a factorization
-    shape, the premise count_chains is built on.  fuzzy_counts maps n to
-    the fuzzy_count of its full-lattice chain table in each mode.
-
-    The one check that builds its own CheckResults: it compares across n,
-    one result per repeated shape, and a pass carries a detail too
-    (matches n=m)."""
-    results = []
-    first: dict[tuple, tuple[int, tuple[int, ...]]] = {}
-    for n, counts in fuzzy_counts.items():
-        m, m_counts = first.setdefault(factorization_shape(2 * n), (n, counts))
-        if m == n:
-            continue
-        passed = counts == m_counts
-        detail = f"matches n={m}" if passed else (
-            f"n={n} counts {counts} differ from n={m} {m_counts} despite equal shape"
-        )
-        results.append(CheckResult(n, "shape-dependence", passed, detail))
-    return results
-
-
 def run_verification(
     n_max: int,
     fuzzy_n_max: int = DEFAULT_FUZZY_N_MAX,
@@ -447,28 +423,33 @@ def run_verification(
 ) -> list[CheckResult]:
     """The full battery for n = 1..n_max, each check gated by its cost.
 
-    Every check but shape-dependence answers None when it passes and its
-    failure text when it fails; here each answer becomes a CheckResult,
-    named by the label spelled beside its gate.
+    Each check answers None when it passes and its failure text when it
+    fails; here each answer becomes a CheckResult, named by the label
+    spelled beside its gate.
 
     set-chains and the four Element-level checks (membership, containment,
     subgroup closure, normal-in-supergroup) run once per factorization
     shape of 2n, at the first n <= n_max of that shape: count_chains
-    depends on n only through the shape.  lattice-vs-oracle runs at every
-    n within the oracle limit: the s relabel of the product coordinates
-    depends on each prime's residue mod 3 too.  A mode that fails
-    lattice-order-laws gets no chain table and no check that reads one."""
+    depends on n only through the shape.  shape-dependence holds the
+    full-lattice fuzzy counts of each later n of a shape to those of its
+    first n, among the n where both modes made a chain table; a pass names
+    that n, and these results follow all the others.  lattice-vs-oracle
+    runs at every n within the oracle limit: the s relabel of the product
+    coordinates depends on each prime's residue mod 3 too.  A mode that
+    fails lattice-order-laws gets no chain table and no check that reads
+    one."""
     exact_int(n_max, 1, "n_max")
     exact_int(fuzzy_n_max, 0, "fuzzy_n_max")
     exact_int(oracle_limit, 0, "oracle_limit")
     results: list[CheckResult] = []
+    shape_results: list[CheckResult] = []
 
     def record(label: str, failure: str | None) -> None:
         """One result at the loop's current n."""
         results.append(CheckResult(n, label, failure is None, failure or ""))
 
-    fuzzy_counts: dict[int, tuple[int, ...]] = {}
     shapes: set[tuple[int, int, tuple[int, ...]]] = set()
+    first_counts: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     for n in range(1, n_max + 1):
         params = GroupParams(n)
         shape = factorization_shape(2 * n)
@@ -513,9 +494,16 @@ def run_verification(
             record("fuzzy-axioms", fuzzy)
             record("equivalence-classes", classes)
         if len(counts) == len(MODES):
-            fuzzy_counts[n] = tuple(counts)
-    results.extend(check_divisor_shape_dependence(fuzzy_counts))
-    return results
+            counts = tuple(counts)
+            m, m_counts = first_counts.setdefault(shape, (n, counts))
+            if m != n:
+                passed = counts == m_counts
+                detail = f"matches n={m}" if passed else (
+                    f"n={n} counts {counts} differ from n={m} {m_counts} "
+                    "despite equal shape"
+                )
+                shape_results.append(CheckResult(n, "shape-dependence", passed, detail))
+    return results + shape_results
 
 
 def render_report(results: list[CheckResult]) -> str:

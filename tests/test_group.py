@@ -115,6 +115,18 @@ def test_inverse_both_sides(pe):
     assert multiply(params, inverse(params, x), x) == identity(params)
 
 
+def test_inverse_of_a_non_canonical_word_is_canonical():
+    # exponents outside 0 <= a_exp < 2n, 0 <= b_exp < 3 still name a word
+    # a^u b^v; inverse reduces both, as multiply does
+    params = GroupParams(2)
+    assert inverse(params, Element(1, 4)) == Element(3, 1)
+    for u, v in itertools.product(range(-5, 9), range(-4, 7)):
+        x = Element(u, v)
+        y = inverse(params, x)
+        assert 0 <= y.a_exp < params.two_n and 0 <= y.b_exp < 3, x
+        assert multiply(params, x, y) == multiply(params, y, x) == identity(params), x
+
+
 def test_exhaustive_group_laws_small():
     for n in (1, 2):
         params = GroupParams(n)

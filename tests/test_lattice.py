@@ -83,6 +83,15 @@ def test_trivial_subgroup_excluded():
             assert min(lat.orders) > 1
 
 
+@pytest.mark.parametrize("n", [5, 35, 360360])
+def test_orders_hold_off_the_core(n):
+    # 2n has primes above 3 here, so most nodes are a core node cut to
+    # index u > 1 in C_m and take their order from it
+    for mode in ("all", "normal"):
+        lat = build_lattice(GroupParams(n), mode)
+        assert lat.orders == tuple(subgroup_order(lat.params, d) for d in lat.nodes)
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         build_lattice(GroupParams(1), "everything")

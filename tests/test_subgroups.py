@@ -326,6 +326,16 @@ def test_subgroup_elements_rejects_bad_descriptor():
         subgroup_elements(params, twisted(2, 1))  # T(2,s) is F(2) in disguise
 
 
+@pytest.mark.parametrize("d, message", [
+    (cyclic(3), r"^C\(3\) invalid: t = 3 does not divide 4$"),
+    (twisted(2, 1), r"^T\(2,1\) invalid: t = 2 is even "),
+], ids=["t-not-a-divisor", "twisted-in-disguise"])
+def test_subgroup_order_refuses_what_subgroup_elements_refuses(d, message):
+    # the closed form alone would answer 1 and 2 for these
+    with pytest.raises(ValueError, match=message):
+        subgroup_order(GroupParams(2), d)
+
+
 @pytest.mark.parametrize("d, x, message", [
     # 2n = 4: a^8 is a^0 in a non-canonical form
     (cyclic(2), Element(8, 0), r"^Element\(a_exp=8, b_exp=0\) is not a canonical "),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from u6n import ChainCounts, GroupParams, count_chains, full
-from u6n.chains import chain_counts, compute_chain_table
+from u6n.chains import compute_chain_table
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
 from u6n.subgroups import enumerate_subgroups
@@ -16,7 +16,6 @@ from u6n.verify import (
     catalog_sets,
     check_containment,
     check_count_formula,
-    check_divisor_shape_dependence,
     check_dp_vs_dfs,
     check_fuzzy_axioms,
     check_group_laws,
@@ -42,14 +41,6 @@ def _reported(n, label, **kwargs):
     None for a pass, else the failure text."""
     [r] = [r for r in run_verification(n, **kwargs) if (r.n, r.check) == (n, label)]
     return None if r.passed else r.detail
-
-
-def _fuzzy_counts(n_values):
-    """n -> full-lattice fuzzy_count per mode, as run_verification keeps it."""
-    return {
-        n: tuple(chain_counts(_table(n, m)).fuzzy_count for m in ("all", "normal"))
-        for n in n_values
-    }
 
 
 def test_full_battery_to_8():
@@ -331,30 +322,23 @@ def _top_level_uses(predicate):
 def test_run_verification_spells_each_label_once():
     # a label is one string literal in the package, beside its gate in
     # run_verification; a mode label is spelled up to its "[", the rest
-    # is the f-string's mode.  shape-dependence compares across n and
-    # names its own results.
+    # is the f-string's mode
     labels = {r.check for r in run_verification(16)}
+    assert "shape-dependence" in labels
     for label in labels:
         spelled = label.partition("[")[0] + ("[" if "[" in label else "")
-        owner = (
-            "check_divisor_shape_dependence" if label == "shape-dependence"
-            else "run_verification"
-        )
         assert _top_level_uses(
             lambda node: isinstance(node, ast.Constant) and node.value == spelled
-        ) == [("verify.py", owner)], label
+        ) == [("verify.py", "run_verification")], label
 
 
-def test_only_run_verification_and_shape_dependence_build_results():
-    # every other check answers None or its failure text
+def test_only_run_verification_builds_results():
+    # every check answers None or its failure text
     builders = _top_level_uses(
         lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "CheckResult"
     )
-    assert sorted(set(builders)) == [
-        ("verify.py", "check_divisor_shape_dependence"),
-        ("verify.py", "run_verification"),
-    ]
+    assert set(builders) == {("verify.py", "run_verification")}
 
 
 def test_one_lattice_and_chain_table_per_n_and_mode(monkeypatch):
@@ -681,14 +665,29 @@ def test_group_laws_name_the_first_non_associative_triple(monkeypatch):
     assert result == f"associativity fails at ({names})"
 
 
-def test_shape_dependence_reports_matches():
-    results = check_divisor_shape_dependence(_fuzzy_counts([5, 7]))
+def test_shape_dependence_reports_matches(monkeypatch):
+    # up to n = 7 only 2n = 10 and 14 share a shape
+    import u6n.verify as verify_module
+
+    results = [r for r in run_verification(7) if r.check == "shape-dependence"]
     assert len(results) == 1
-    assert results[0].passed
+    assert (results[0].n, results[0].passed) == (7, True)
     assert "matches n=5" in results[0].detail
-    counts = _fuzzy_counts([5, 7])
-    counts[7] = (counts[7][0] + 2, counts[7][1])
-    [result] = check_divisor_shape_dependence(counts)
+
+    def one_more_chain_at_7(lat):
+        # a chain table fault at n = 7 only: a level of one chain past the
+        # last raises the all-mode fuzzy count by 2
+        table = compute_chain_table(lat)
+        if (lat.params.n, lat.mode) == (7, "all"):
+            return table._replace(levels=(*table.levels, (1,)))
+        return table
+
+    monkeypatch.setattr(verify_module, "compute_chain_table", one_more_chain_at_7)
+    failed = {(r.n, r.check): r for r in run_verification(7) if not r.passed}
+    assert sorted(failed) == [
+        (7, "dp-vs-dfs[all]"), (7, "shape-dependence"), (7, "shape-vs-lattice[all]"),
+    ]
+    result = failed[7, "shape-dependence"]
     assert not result.passed
     assert "differ from n=5" in result.detail
 
@@ -696,8 +695,13 @@ def test_shape_dependence_reports_matches():
 def test_shape_dependence_keys_by_core_and_exponents():
     # 2n = 10 and 50 share the core 2 and one prime above 3, not its
     # exponent; 2n = 2 and 4 share the empty m, not the core
-    assert check_divisor_shape_dependence(_fuzzy_counts([5, 25])) == []
-    assert check_divisor_shape_dependence(_fuzzy_counts([1, 2])) == []
+    checked = {
+        r.n for r in run_verification(25, oracle_limit=0)
+        if r.check == "shape-dependence"
+    }
+    assert 7 in checked
+    assert 25 not in checked
+    assert 2 not in checked
 
 
 def test_render_report_formats():
