@@ -65,6 +65,17 @@ class Element(namedtuple("Element", "a_exp b_exp")):
     __slots__ = ()
 
 
+def canonical_element(params: GroupParams, x: Element) -> Element:
+    """x, if it is a canonical Element of this group: int exponents,
+    0 <= a_exp < 2n and 0 <= b_exp < 3.  ValueError otherwise: a word
+    outside those ranges would alias a canonical one."""
+    if type(x) is Element:
+        u, v = x
+        if type(u) is type(v) is int and 0 <= u < 2 * params.n and 0 <= v < 3:
+            return x
+    raise ValueError(f"{x!r} is not a canonical element of U_{params.order}")
+
+
 def identity(params: GroupParams) -> Element:
     return Element(0, 0)
 

@@ -58,6 +58,7 @@ from .group import (
     GroupParams,
     OracleLimitExceeded,
     all_elements,
+    canonical_element,
     exact_int,
     identity,
     inverse,
@@ -67,7 +68,8 @@ from .lattice import Lattice, check_mode
 
 
 def _index(x: Element) -> int:
-    """Position of x in all_elements."""
+    """Position of x in all_elements, for an x known canonical; index_set
+    and FuzzyMap check theirs (group.canonical_element) first."""
     return 3 * x.a_exp + x.b_exp
 
 
@@ -79,7 +81,9 @@ class GroupOracle:
     and the subgroup families are read off the rows of mult on first use
     and kept for the life of the object, never beyond it; no normality
     answer is kept.  Subgroups are frozensets of element indices;
-    index_set and element_set convert to and from Elements.  A limit that
+    index_set and element_set convert to and from Elements, and refuse
+    (ValueError) a non-canonical Element or an index outside
+    range(order), which would alias another element.  A limit that
     is not an int >= 0 raises ValueError (group.exact_int), and a group
     of order above it OracleLimitExceeded.
     """
@@ -104,10 +108,17 @@ class GroupOracle:
         self.identity = _index(identity(params))
 
     def index_set(self, elements: Iterable[Element]) -> frozenset[int]:
-        return frozenset(map(_index, elements))
+        params = self.params
+        return frozenset(_index(canonical_element(params, x)) for x in elements)
 
     def element_set(self, ids: Iterable[int]) -> frozenset[Element]:
-        return frozenset(self.elements[i] for i in ids)
+        elements, order = self.elements, self.params.order
+        members = []
+        for i in ids:
+            if type(i) is not int or not 0 <= i < order:
+                raise ValueError(f"{i!r} is not an element index of U_{order}")
+            members.append(elements[i])
+        return frozenset(members)
 
     def generated(self, gens: Sequence[int]) -> frozenset[int]:
         # products of generators suffice: in a finite group the closure
@@ -405,7 +416,7 @@ class FuzzyMap(namedtuple("FuzzyMap", "params grades ranks")):
         return cls(params, grades)
 
     def __getitem__(self, x: Element) -> Fraction:
-        return self.grades[_index(x)]
+        return self.grades[_index(canonical_element(self.params, x))]
 
 
 def _exact(grade: object) -> Fraction:

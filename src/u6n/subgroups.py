@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .group import Element, GroupParams, exact_int
+from .group import Element, GroupParams, canonical_element, exact_int
 
 
 #: The descriptor kinds, as they print and sort: Cyclic, Full, Twisted.
@@ -342,15 +342,11 @@ def contains_element(params: GroupParams, d: SubgroupDescriptor, x: Element) -> 
     The b-exponent of the member a^(tk) b^? depends only on k mod 2 (t odd)
     or k mod 3 (t even), both of which are determined by x.a_exp because
     2n/t is even respectively divisible by 3.  ValueError for a descriptor
-    validate_descriptor refuses, or an x that is not a canonical Element
-    of this group: int exponents, 0 <= a_exp < 2n and 0 <= b_exp < 3.
+    validate_descriptor refuses, or an x that group.canonical_element
+    refuses.
     """
     validate_descriptor(params, d)
-    if type(x) is not Element or not (
-        type(x.a_exp) is type(x.b_exp) is int
-        and 0 <= x.a_exp < params.two_n and 0 <= x.b_exp < 3
-    ):
-        raise ValueError(f"{x!r} is not a canonical element of U_{params.order}")
+    canonical_element(params, x)
     if x.a_exp % d.t != 0:
         return False
     if d.kind == "F":

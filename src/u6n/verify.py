@@ -11,12 +11,13 @@ follows from checks that run at the same n is not checked again; each
 check's docstring says what covers it.
 
 run_verification computes each object once per n and hands every check
-the object it checks: one GroupOracle (integer Cayley table, conjugacy
-classes, subgroup families) and one catalog_sets map from
-the catalog's descriptors to the oracle's index sets when the group is
-within the oracle limit, and one Lattice and one ChainTable per
-mode.  The oracle limit is the one gate of every exhaustive check: the
-group laws, membership, containment, subgroup closure,
+the objects it reads: the shape of 2n, the two catalogs, count_chains
+and one Lattice with its DP's chain_counts per mode, and, within the
+oracle limit, one GroupOracle (integer Cayley table, conjugacy classes,
+subgroup families) and one catalog_sets map from the catalog's
+descriptors to the oracle's index sets.  A check calls only the fast
+path it owns.  The oracle limit is the one gate of every exhaustive
+check: the group laws, membership, containment, subgroup closure,
 normal-in-supergroup, the oracle families and the fuzzy checks are
 skipped above it, whatever fuzzy_n_max says.  Under it the group laws
 keep n <= 4 and the fuzzy checks fuzzy_n_max; membership, containment,
@@ -46,7 +47,7 @@ from fractions import Fraction
 from math import prod
 
 from .chains import (
-    ChainTable,
+    ChainCounts,
     chain_counts,
     compute_chain_table,
     count_chains,
@@ -81,6 +82,10 @@ from .subgroups import (
 
 class CheckResult(namedtuple("CheckResult", "n check passed detail", defaults=("",))):
     __slots__ = ()
+
+
+Catalog = list[SubgroupDescriptor]
+CatalogSets = dict[SubgroupDescriptor, frozenset[int]]
 
 
 def _set_name(s: frozenset) -> str:
@@ -122,38 +127,30 @@ def check_group_laws(oracle: GroupOracle) -> str | None:
     return None
 
 
-def check_count_formula(params: GroupParams) -> str | None:
-    """Catalog sizes against closed forms in the shape of 2n, not against
-    the catalog's own divisor and twisted_exists rules.  With
+def check_count_formula(shape: tuple, catalog: Catalog, normal: Catalog) -> str | None:
+    """The sizes of the two catalogs against closed forms in the shape of
+    2n, not against the catalog's own divisor and twisted_exists rules.  With
     P = prod_p (a_p + 1), 2n = 2^e2 * 3^e3 * prod_p p^a_p has
     P (e2 + 1)(e3 + 1) divisors t, P (e3 + 1) odd and P e2 e3 even with
     3 | 2n/t; C(t), F(t) and, for those t, T(t, 1) and T(t, 2) make
     2 P (2 e2 e3 + e2 + 2 e3 + 2) subgroups, and every F(t) with the C(t)
     of even t makes P (e3 + 1)(2 e2 + 1) normal ones."""
-    e2, e3, exponents = factorization_shape(params.two_n)
+    e2, e3, exponents = shape
     p = prod(a + 1 for a in exponents)
     want_all = 2 * p * (2 * e2 * e3 + e2 + 2 * e3 + 2)
     want_normal = p * (e3 + 1) * (2 * e2 + 1)
-    got_all = len(enumerate_subgroups(params))
-    got_normal = len(enumerate_normal_subgroups(params))
-    if got_all != want_all:
-        return f"all: expected {want_all}, got {got_all}"
-    if got_normal != want_normal:
-        return f"normal: expected {want_normal}, got {got_normal}"
+    if len(catalog) != want_all:
+        return f"all: expected {want_all}, got {len(catalog)}"
+    if len(normal) != want_normal:
+        return f"normal: expected {want_normal}, got {len(normal)}"
     return None
 
 
-CatalogSets = dict[SubgroupDescriptor, frozenset[int]]
-
-
-def catalog_sets(oracle: GroupOracle) -> CatalogSets:
-    """Each catalog descriptor, in catalog order, with its element set as
-    oracle indices.  The one place where descriptors meet the oracle."""
+def catalog_sets(oracle: GroupOracle, catalog: Catalog) -> CatalogSets:
+    """Each descriptor of catalog, in catalog order, with its element set
+    as oracle indices.  The one place where descriptors meet the oracle."""
     params = oracle.params
-    return {
-        d: oracle.index_set(subgroup_elements(params, d))
-        for d in enumerate_subgroups(params)
-    }
+    return {d: oracle.index_set(subgroup_elements(params, d)) for d in catalog}
 
 
 def check_subgroup_family(oracle: GroupOracle, sets: CatalogSets) -> str | None:
@@ -170,16 +167,17 @@ def check_subgroup_family(oracle: GroupOracle, sets: CatalogSets) -> str | None:
     return None
 
 
-def check_normal_family(oracle: GroupOracle, sets: CatalogSets) -> str | None:
+def check_normal_family(
+    oracle: GroupOracle, sets: CatalogSets, normal: Catalog
+) -> str | None:
     """Each descriptor is normal per conjugation iff the normal catalog lists
     it: with subgroups-vs-oracle, the normal family is the oracle's."""
-    normal_descs = enumerate_normal_subgroups(oracle.params)
-    missing = next((d for d in normal_descs if d not in sets), None)
+    missing = next((d for d in normal if d not in sets), None)
     if missing is not None:
         return f"normal {missing} is not in the catalog"
-    normal = set(normal_descs)
+    listed = set(normal)
     for d, h in sets.items():
-        expected = d in normal
+        expected = d in listed
         if oracle.is_normal(h) != expected:
             verdict = "should be normal" if expected else "should not be normal"
             return f"{d} {verdict} per conjugation"
@@ -298,12 +296,12 @@ def check_hasse_closure(lat: Lattice) -> str | None:
     return f"{lat.nodes[i]} -> {lat.nodes[j]} is a missing cover"
 
 
-def check_dp_vs_dfs(table: ChainTable) -> str | None:
-    """DP per-length chain counts == explicit DFS enumeration.  Neither list
-    has a zero entry, so equal lists also give a level table as long as the
-    longest chain.  No cycle runs through the top: lattice-order-laws passed."""
-    counts = list(chain_counts(table).per_length)
-    dfs = oracle_count_chains(table.lattice)
+def check_dp_vs_dfs(lat: Lattice, dp: ChainCounts) -> str | None:
+    """DP per-length chain counts of lat == explicit DFS enumeration.  Neither
+    list has a zero entry, so equal lists also give a level table as long as
+    the longest chain.  No cycle runs through the top: lattice-order-laws passed."""
+    counts = list(dp.per_length)
+    dfs = oracle_count_chains(lat)
     if counts != dfs:
         return f"DP {counts} != DFS {dfs}"
     return None
@@ -331,29 +329,25 @@ def check_lattice_vs_oracle(
     return None
 
 
-def check_shape_vs_lattice(table: ChainTable) -> str | None:
+def check_shape_vs_lattice(shape_counts: ChainCounts, dp: ChainCounts) -> str | None:
     """count_chains equals the level DP on the full lattice: the core zeta
     closed form times the chain factors, inverted by the difference
     table, against predecessor sums over the product lattice, whose
     strict order is pairwise on the core only (lattice-vs-oracle holds
     that order to the oracle's sets)."""
-    lat = table.lattice
-    shape = count_chains(lat.params, lat.mode)
-    lattice = chain_counts(table)
-    if shape != lattice:
-        return f"shape {list(shape.per_length)} != lattice {list(lattice.per_length)}"
+    if shape_counts != dp:
+        return f"shape {list(shape_counts.per_length)} != lattice {list(dp.per_length)}"
     return None
 
 
-def check_set_chains(oracle: GroupOracle, mode: str) -> str | None:
-    """Catalog-free chain counts over oracle sets match count_chains, and
-    the with-trivial total is exactly twice the proper total."""
-    counts = count_chains(oracle.params, mode)
+def check_set_chains(oracle: GroupOracle, counts: ChainCounts) -> str | None:
+    """Catalog-free chain counts over oracle sets match count_chains in its
+    mode, and the with-trivial total is exactly twice the proper total."""
     # one walk, {e} included: {e} is the least subgroup, so the chains that
     # do not start at it are exactly the proper chains; the rest count at 0
     lengths = Counter(
         len(chain) if len(chain[0]) > 1 else 0
-        for chain in oracle.set_chains(mode)
+        for chain in oracle.set_chains(counts.mode)
     )
     total = sum(lengths.values())
     proper = [lengths[k] for k in range(1, max(lengths) + 1)]
@@ -364,7 +358,9 @@ def check_set_chains(oracle: GroupOracle, mode: str) -> str | None:
     return None
 
 
-def check_fuzzy_axioms(oracle: GroupOracle) -> tuple[str | None, str | None]:
+def check_fuzzy_axioms(
+    oracle: GroupOracle, all_counts: ChainCounts
+) -> tuple[str | None, str | None]:
     """The fuzzy-axioms and equivalence-classes answers, in that order,
     from one walk over the oracle's set chains ending at G, {e} included.
 
@@ -373,7 +369,7 @@ def check_fuzzy_axioms(oracle: GroupOracle) -> tuple[str | None, str | None]:
     subgroup is normal, keep its class when re-leveled, and differ in
     ranks from every other chain's map.  The classes are counted as the
     distinct ranks, which must equal both the number of chains and the
-    doubled count_chains total."""
+    doubled count_chains total, all_counts.fuzzy_count."""
     params = oracle.params
 
     def label(chain):
@@ -410,7 +406,7 @@ def check_fuzzy_axioms(oracle: GroupOracle) -> tuple[str | None, str | None]:
         ranks = [r.ranks for r in reps]
         if not len(set(pats)) == len(set(ranks)) == len(set(zip(pats, ranks))):
             failure = "all-pairs equivalence cross-check failed"
-    want = count_chains(params, "all").fuzzy_count
+    want = all_counts.fuzzy_count
     if len(seen) == chains == want:
         return failure, None
     return failure, f"{len(seen)} classes from {chains} set chains, count_chains {want}"
@@ -425,7 +421,8 @@ def run_verification(
 
     Each check answers None when it passes and its failure text when it
     fails; here each answer becomes a CheckResult, named by the label
-    spelled beside its gate.
+    spelled beside its gate.  The fast-path answers the checks read are
+    computed here, before the first check of their n.
 
     set-chains and the four Element-level checks (membership, containment,
     subgroup closure, normal-in-supergroup) run once per factorization
@@ -448,23 +445,25 @@ def run_verification(
         """One result at the loop's current n."""
         results.append(CheckResult(n, label, failure is None, failure or ""))
 
-    shapes: set[tuple[int, int, tuple[int, ...]]] = set()
+    first_n: dict[tuple, int] = {}
     first_counts: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     for n in range(1, n_max + 1):
         params = GroupParams(n)
         shape = factorization_shape(2 * n)
-        first_of_shape = shape not in shapes
-        shapes.add(shape)
+        first_of_shape = first_n.setdefault(shape, n) == n
         within = params.order <= oracle_limit
         oracle = GroupOracle(params, oracle_limit) if within else None
+        catalog = enumerate_subgroups(params)
+        normal = enumerate_normal_subgroups(params)
+        all_counts, _ = shape_counts = [count_chains(params, m) for m in MODES]
         _, lat_normal = lats = [build_lattice(params, m) for m in MODES]
-        record("count-formula", check_count_formula(params))
+        record("count-formula", check_count_formula(shape, catalog, normal))
         if oracle is not None:
-            sets = catalog_sets(oracle)
+            sets = catalog_sets(oracle, catalog)
             if n <= 4:
                 record("group-laws", check_group_laws(oracle))
             record("subgroups-vs-oracle", check_subgroup_family(oracle, sets))
-            record("normality-vs-oracle", check_normal_family(oracle, sets))
+            record("normality-vs-oracle", check_normal_family(oracle, sets, normal))
             failure = check_normal_restriction(oracle, sets, lat_normal)
             record("normal-restriction", failure)
             if first_of_shape:
@@ -474,23 +473,23 @@ def run_verification(
                 failure = check_normal_in_supergroup(oracle, sets, lat_normal)
                 record("normal-in-supergroup", failure)
         counts = []
-        for lat in lats:
+        for lat, shaped in zip(lats, shape_counts):
             mode = lat.mode
             laws = check_lattice_order_laws(lat)
             record(f"lattice-order-laws[{mode}]", laws)
             record(f"hasse-closure[{mode}]", check_hasse_closure(lat))
             if laws is None:  # irreflexive and transitive: acyclic, so the DP ends
-                table = compute_chain_table(lat)
-                record(f"dp-vs-dfs[{mode}]", check_dp_vs_dfs(table))
-                record(f"shape-vs-lattice[{mode}]", check_shape_vs_lattice(table))
-                counts.append(chain_counts(table).fuzzy_count)
+                dp = chain_counts(compute_chain_table(lat))
+                record(f"dp-vs-dfs[{mode}]", check_dp_vs_dfs(lat, dp))
+                record(f"shape-vs-lattice[{mode}]", check_shape_vs_lattice(shaped, dp))
+                counts.append(dp.fuzzy_count)
             if oracle is not None:
                 if first_of_shape:
-                    record(f"set-chains[{mode}]", check_set_chains(oracle, mode))
+                    record(f"set-chains[{mode}]", check_set_chains(oracle, shaped))
                 failure = check_lattice_vs_oracle(oracle, sets, lat)
                 record(f"lattice-vs-oracle[{mode}]", failure)
         if n <= fuzzy_n_max and oracle is not None:
-            fuzzy, classes = check_fuzzy_axioms(oracle)
+            fuzzy, classes = check_fuzzy_axioms(oracle, all_counts)
             record("fuzzy-axioms", fuzzy)
             record("equivalence-classes", classes)
         if len(counts) == len(MODES):

@@ -106,7 +106,7 @@ def test_criterion_4_fuzzy_axioms_end_to_end():
     for n in range(1, 5):
         params = GroupParams(n)
         oracle = GroupOracle(params)
-        catalog = catalog_sets(oracle)
+        catalog = catalog_sets(oracle, enumerate_subgroups(params))
         lat = build_lattice(params, "all")
         chains = list(lattice_chains(lat))
         signatures = set()
@@ -131,7 +131,7 @@ def test_criterion_4_fuzzy_axioms_end_to_end():
         all_chains_total = sum(oracle_count_set_chains(params))
         ok = ok and all_chains_total == counts.fuzzy_count
         # distinct classes from the set chains, as many as the doubled total
-        fuzzy, classes = check_fuzzy_axioms(oracle)
+        fuzzy, classes = check_fuzzy_axioms(oracle, counts)
         ok = ok and fuzzy is None and classes is None
     # run_verification reports the second answer as equivalence-classes
     ok = ok and [r.n for r in run_verification(4)

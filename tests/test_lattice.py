@@ -13,6 +13,7 @@ from u6n import (
     chain_counts,
     compute_chain_table,
     count_chains,
+    enumerate_subgroups,
     factorize,
     full,
     hasse_edges,
@@ -129,7 +130,7 @@ def test_strict_order_is_the_oracles_proper_inclusion(n, mode):
     # the lattice against the oracle's element sets, not against subgroup_leq
     params = GroupParams(n)
     lat = build_lattice(params, mode)
-    sets = catalog_sets(GroupOracle(params))
+    sets = catalog_sets(GroupOracle(params), enumerate_subgroups(params))
     node_sets = [sets[d] for d in lat.nodes]
     for i, h in enumerate(node_sets):
         assert set(lat.row(i)) == {

@@ -23,7 +23,7 @@ import u6n.chains as chains_module
 import u6n.group as group_module
 import u6n.lattice as lattice_module
 import u6n.subgroups as subgroups_module
-from u6n.chains import compute_chain_table
+from u6n.chains import chain_counts, compute_chain_table, count_chains
 from u6n.group import Element, GroupParams
 from u6n.lattice import build_lattice
 from u6n.verify import check_shape_vs_lattice, run_verification
@@ -298,8 +298,9 @@ MUTANTS = {
 
 
 def _shape_vs_lattice_fails(n):
-    lat = build_lattice(GroupParams(n), "all")
-    return check_shape_vs_lattice(compute_chain_table(lat)) is not None
+    params = GroupParams(n)
+    dp = chain_counts(compute_chain_table(build_lattice(params, "all")))
+    return check_shape_vs_lattice(count_chains(params, "all"), dp) is not None
 
 
 #: name -> (mutant, n_max, a check the fault fails where verify does not run

@@ -41,7 +41,7 @@ from u6n.verify import catalog_sets, check_fuzzy_axioms, run_verification
 
 def _rep(params, chain, levels=None):
     """The representative of a descriptor chain, through verify's bridge."""
-    sets = catalog_sets(GroupOracle(params))
+    sets = catalog_sets(GroupOracle(params), enumerate_subgroups(params))
     return representative_from_sets(params, [sets[d] for d in chain], levels)
 
 
@@ -372,6 +372,37 @@ def test_fuzzy_map_validation():
         FuzzyMap(params, with_a(0.5))
     with pytest.raises(ValueError, match="^grade True is not an exact rational$"):
         FuzzyMap(params, [True] * params.order)
+
+
+def test_fuzzy_map_refuses_a_non_canonical_element():
+    # at n = 2, b^3 is e and a^4 is e: read as 3u + v, Element(0, 3) would
+    # be a's index and Element(4, 0) past the last one
+    params = GroupParams(2)
+    mu = representative_from_sets(
+        params, [frozenset({0}), frozenset(range(params.order))]
+    )
+    assert mu[Element(1, 0)] == Fraction(1, 2)
+    for x in (Element(0, 3), Element(4, 0), Element(-1, 0)):
+        with pytest.raises(ValueError, match=r"is not a canonical element of U_12$"):
+            mu[x]
+
+
+def test_index_set_refuses_a_non_canonical_element():
+    # Element(0, 3) and Element(-1, 0) would be the indices 3 and -3
+    oracle = GroupOracle(GroupParams(2))
+    assert oracle.index_set([Element(0, 1), Element(1, 0)]) == {1, 3}
+    for x in (Element(0, 3), Element(-1, 0), Element(1.0, 0), (1, 0)):
+        with pytest.raises(ValueError, match=r"is not a canonical element of U_12$"):
+            oracle.index_set([Element(0, 0), x])
+
+
+def test_element_set_refuses_an_index_outside_the_group():
+    # -1 would read the last element, a^3 b^2
+    oracle = GroupOracle(GroupParams(2))
+    assert oracle.element_set([0, 11]) == {Element(0, 0), Element(3, 2)}
+    for i in (-1, 12, True, 1.0):
+        with pytest.raises(ValueError, match=f"^{i!r} is not an element index of U_12$"):
+            oracle.element_set([0, i])
 
 
 def test_fuzzy_map_grades_are_read_only():
@@ -713,7 +744,7 @@ def test_equivalence_class_counts():
     for n in (1, 2, 3, 4):
         params = GroupParams(n)
         oracle = GroupOracle(params)
-        fuzzy, classes = check_fuzzy_axioms(oracle)
+        fuzzy, classes = check_fuzzy_axioms(oracle, count_chains(params, "all"))
         assert fuzzy is None and classes is None
         got[n] = sum(1 for _ in oracle.set_chains("all"))
         assert got[n] % 2 == 0

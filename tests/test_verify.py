@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from u6n import ChainCounts, GroupParams, count_chains, full
-from u6n.chains import compute_chain_table
+from u6n.chains import chain_counts, compute_chain_table, factorization_shape
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
-from u6n.subgroups import enumerate_subgroups
+from u6n.subgroups import enumerate_normal_subgroups, enumerate_subgroups
 from u6n.verify import (
     CheckResult,
     catalog_sets,
@@ -32,8 +32,11 @@ from u6n.verify import (
 )
 
 
-def _table(n, mode):
-    return compute_chain_table(build_lattice(GroupParams(n), mode))
+def _lattice_and_dp(n, mode):
+    """The lattice at n and the chain_counts of its level DP, as
+    run_verification hands them to the checks."""
+    lat = build_lattice(GroupParams(n), mode)
+    return lat, chain_counts(compute_chain_table(lat))
 
 
 def _reported(n, label, **kwargs):
@@ -79,16 +82,19 @@ def test_full_battery_to_8():
 
 def test_individual_checks_pass():
     params = GroupParams(3)
+    catalog, normal = enumerate_subgroups(params), enumerate_normal_subgroups(params)
     assert check_group_laws(GroupOracle(params)) is None
-    assert check_count_formula(params) is None
+    assert check_count_formula(factorization_shape(6), catalog, normal) is None
     oracle = GroupOracle(params, 300)
-    sets = catalog_sets(oracle)
+    sets = catalog_sets(oracle, catalog)
     assert check_subgroup_family(oracle, sets) is None
     assert check_containment(oracle, sets) is None
-    assert check_normal_family(oracle, sets) is None
-    assert check_dp_vs_dfs(_table(3, "all")) is None
-    assert check_shape_vs_lattice(_table(35, "normal")) is None
-    assert check_fuzzy_axioms(GroupOracle(params)) == (None, None)
+    assert check_normal_family(oracle, sets, normal) is None
+    assert check_dp_vs_dfs(*_lattice_and_dp(3, "all")) is None
+    _, dp = _lattice_and_dp(35, "normal")
+    assert check_shape_vs_lattice(count_chains(GroupParams(35), "normal"), dp) is None
+    all_counts = count_chains(params, "all")
+    assert check_fuzzy_axioms(GroupOracle(params), all_counts) == (None, None)
     fuzzy_labels = ("fuzzy-axioms", "equivalence-classes")
     results = [r for r in run_verification(3) if r.n == 3 and r.check in fuzzy_labels]
     assert [(r.check, r.passed) for r in results] == [
@@ -178,7 +184,7 @@ def test_group_laws_catch_a_non_canonical_product(monkeypatch, shift):
 
 def test_subgroup_family_reports_colliding_descriptors():
     oracle = GroupOracle(GroupParams(3))
-    sets = catalog_sets(oracle)
+    sets = catalog_sets(oracle, enumerate_subgroups(oracle.params))
     first, second = list(sets)[:2]
     sets[second] = sets[first]
     result = check_subgroup_family(oracle, sets)
@@ -379,7 +385,8 @@ def test_one_group_oracle_per_n_within_the_limit(monkeypatch):
 def test_oracle_checks_name_the_missing_subgroup():
     oracle = GroupOracle(GroupParams(2), 300)
     # drop the normal subgroup F(2) = <a^2, b> from the catalog
-    sets = {d: h for d, h in catalog_sets(oracle).items() if d != full(2)}
+    catalog = enumerate_subgroups(oracle.params)
+    sets = {d: h for d, h in catalog_sets(oracle, catalog).items() if d != full(2)}
     result = check_subgroup_family(oracle, sets)
     assert result is not None
     assert result == "oracle-only subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
@@ -387,12 +394,11 @@ def test_oracle_checks_name_the_missing_subgroup():
 
 def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     import u6n.verify as verify_module
-    from u6n.subgroups import enumerate_normal_subgroups
 
     params = GroupParams(2)
     oracle = GroupOracle(params)
     lat = build_lattice(params, "normal")
-    sets = catalog_sets(oracle)
+    sets = catalog_sets(oracle, enumerate_subgroups(params))
     assert check_subgroup_closure(oracle, sets) is None
     assert check_normal_in_supergroup(oracle, sets, lat) is None
 
@@ -400,7 +406,7 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
         # run_verification meets the corrupted sets at n = 2 only
         monkeypatch.setattr(
             verify_module, "catalog_sets",
-            lambda o: corrupted if o.params == params else catalog_sets(o),
+            lambda o, c: corrupted if o.params == params else catalog_sets(o, c),
         )
         return corrupted
 
@@ -434,9 +440,10 @@ def test_fuzzy_axioms_cross_check_catches_a_wrong_pattern(monkeypatch, n):
     from u6n.oracle import comparison_pattern
 
     oracle = GroupOracle(GroupParams(n))
+    all_counts = count_chains(oracle.params, "all")
     for doctored in (lambda mu: (), lambda mu: comparison_pattern(mu)[len(mu.grades):]):
         monkeypatch.setattr(verify_module, "comparison_pattern", doctored)
-        fuzzy, classes = check_fuzzy_axioms(oracle)
+        fuzzy, classes = check_fuzzy_axioms(oracle, all_counts)
         assert fuzzy is not None
         assert _reported(n, "fuzzy-axioms") == fuzzy
         assert fuzzy == "all-pairs equivalence cross-check failed"
@@ -447,10 +454,13 @@ def test_shape_vs_lattice_catches_mismatch(monkeypatch):
     import u6n.verify as verify_module
 
     wrong = ChainCounts(n=5, mode="all", per_length=(1, 2))
-    monkeypatch.setattr(verify_module, "count_chains", lambda params, mode: wrong)
-    result = check_shape_vs_lattice(_table(5, "all"))
+    _, dp = _lattice_and_dp(5, "all")
+    result = check_shape_vs_lattice(wrong, dp)
     assert result is not None
     assert "shape [1, 2] != lattice" in result
+    # run_verification hands the check the count_chains answer it computed
+    monkeypatch.setattr(verify_module, "count_chains", lambda params, mode: wrong)
+    assert _reported(5, "shape-vs-lattice[all]") == result
 
 
 def test_hasse_closure_catches_a_non_cover_edge(monkeypatch):
@@ -615,7 +625,7 @@ def test_lattice_vs_oracle_catches_a_broken_s_relabel(monkeypatch, relabel_odd_t
 
 def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
     oracle = GroupOracle(GroupParams(2))
-    sets = catalog_sets(oracle)
+    sets = catalog_sets(oracle, enumerate_subgroups(oracle.params))
     lat = build_lattice(oracle.params, "all")
     assert check_lattice_vs_oracle(oracle, sets, lat) is None
     # a lattice whose row for node i also holds a node not above it
@@ -766,3 +776,49 @@ def test_run_verification_calls_every_check():
     }
     assert checks
     assert checks - called == set()
+
+
+#: the fast paths several checks read: run_verification computes each
+#: answer once per n and hands it over
+SHARED_FAST_PATHS = {
+    "count_chains", "chain_counts", "compute_chain_table", "factorization_shape",
+    "enumerate_subgroups", "enumerate_normal_subgroups",
+}
+
+
+def test_only_run_verification_calls_the_shared_fast_paths():
+    import ast
+
+    import u6n.verify as verify_module
+
+    tree = ast.parse(Path(verify_module.__file__).read_text())
+    callers = {
+        (node.name, call.func.id)
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in SHARED_FAST_PATHS
+    }
+    assert callers == {("run_verification", name) for name in SHARED_FAST_PATHS}
+
+
+def test_run_verification_counts_chains_once_per_n_and_mode(monkeypatch):
+    # 16 n in two modes: one count_chains and one DP's chain_counts each
+    import u6n.verify as verify_module
+
+    calls = {"count_chains": 0, "chain_counts": 0}
+
+    def spy(name):
+        real = getattr(verify_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify_module, name, counted)
+
+    for name in calls:
+        spy(name)
+    results = run_verification(16)
+    assert all(r.passed for r in results)
+    assert calls == {"count_chains": 32, "chain_counts": 32}
