@@ -7,13 +7,9 @@ Usage:
 
 import argparse
 
-from u6n import (
-    GroupParams,
-    count_chains,
-    enumerate_normal_subgroups,
-    enumerate_subgroups,
-)
+from u6n import GroupParams, count_chains, enumerate_subgroups
 from u6n.cli import _POSITIVE
+from u6n.group import MODES
 
 
 def main() -> None:
@@ -27,10 +23,8 @@ def main() -> None:
     rows = []
     for n in range(1, args.n_max + 1):
         params = GroupParams(n)
-        subgroups = len(enumerate_subgroups(params))
-        normal = len(enumerate_normal_subgroups(params))
-        nf = count_chains(params, "all").fuzzy_count
-        nnf = count_chains(params, "normal").fuzzy_count
+        subgroups, normal = [len(enumerate_subgroups(params, m)) for m in MODES]
+        nf, nnf = [count_chains(params, m).fuzzy_count for m in MODES]
         rows.append((n, params.order, subgroups, normal, nf, nnf))
 
     widths = [

@@ -1,8 +1,8 @@
 """Exact subgroup lattices and fuzzy-subgroup counts for the groups U_6n.
 
 U_6n is the order-6n group generated by a and b with a^(2n) = b^3 = 1
-and bab = a.  The package enumerates its subgroups from the divisor
-structure of 2n, orders them by containment, counts subgroup chains
+and bab = a.  The package enumerates its (normal) subgroups from the
+divisors of 2n, orders them by containment, counts subgroup chains
 from the factorization shape of 2n, and derives from those chains the
 number of fuzzy subgroups (and normal fuzzy subgroups) up to the
 grade-comparison equivalence.  A brute-force oracle recomputes everything the slow way
@@ -45,7 +45,6 @@ from .subgroups import (
     contains_element,
     cyclic,
     divisors,
-    enumerate_normal_subgroups,
     enumerate_subgroups,
     factorize,
     format_descriptor,
@@ -76,7 +75,6 @@ __all__ = [
     "contains_element",
     "cyclic",
     "divisors",
-    "enumerate_normal_subgroups",
     "enumerate_subgroups",
     "factorize",
     "format_descriptor",

@@ -100,8 +100,8 @@ from collections.abc import Iterator, Sequence
 from math import prod
 from operator import sub
 
-from .group import GroupParams, exact_int
-from .lattice import Lattice, check_mode
+from .group import GroupParams, check_mode, exact_int
+from .lattice import Lattice
 from .subgroups import factorize
 
 #: The largest lattice height shape_chain_counts answers: at H = 2000

@@ -23,11 +23,10 @@ from .chains import (
     factorization_shape,
     shape_chain_counts,
 )
-from .group import DEFAULT_FUZZY_N_MAX, DEFAULT_ORACLE_LIMIT, GroupParams
-from .lattice import MODES, build_lattice, dot_text, hasse_edges, write_json
+from .group import DEFAULT_FUZZY_N_MAX, DEFAULT_ORACLE_LIMIT, MODES, GroupParams
+from .lattice import build_lattice, dot_text, hasse_edges, write_json
 from .subgroups import (
     FactorizationBudgetExceeded,
-    enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
     subgroup_order,
@@ -147,13 +146,13 @@ def build_parser() -> _Parser:
 
 def _cmd_listing(args: argparse.Namespace) -> int:
     params = GroupParams(args.n)
-    normal = args.command == "normal"
-    descs = enumerate_normal_subgroups(params) if normal else enumerate_subgroups(params)
-    rows = [(format_descriptor(d), subgroup_order(params, d)) for d in descs]
+    mode = "normal" if args.command == "normal" else "all"
+    rows = [(format_descriptor(d), subgroup_order(params, d))
+            for d in enumerate_subgroups(params, mode)]
     if args.fmt == "json":
         payload = {
             "n": params.n,
-            "mode": "normal" if normal else "all",
+            "mode": mode,
             "subgroups": [{"desc": d, "order": o} for d, o in rows],
         }
         _print_json(payload)

@@ -4,7 +4,8 @@ Every element has a unique canonical word a^u b^v with 0 <= u < 2n and
 0 <= v < 3.  The defining relations give b a = a b^2 (and b^2 a = a b),
 so pushing b^v through a^u multiplies the b-exponent by 2^u mod 3, i.e.
 leaves it alone for even u and doubles it for odd u.  All operations
-below are therefore O(1) integer arithmetic on the two exponents.
+below are therefore O(1) integer arithmetic on the two exponents.  Every
+u6n module takes its argument rules from here: exact_int and check_mode.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def exact_int(value: int, least: int, name: str) -> int:
     if type(value) is not int or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
     return value
+
+
+MODES = ("all", "normal")
+
+
+def check_mode(mode: str) -> str:
+    """mode, if it is one of MODES; ValueError otherwise."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode
 
 
 # The eight value types (these two, SubgroupDescriptor, Lattice, ChainTable,

@@ -55,22 +55,11 @@ from .group import GroupParams
 from .subgroups import (
     SubgroupDescriptor,
     core_of,
-    enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
     subgroup_leq,
     subgroup_order,
 )
-
-MODES = ("all", "normal")
-
-
-def check_mode(mode: str) -> str:
-    """mode, if it is one of MODES; ValueError otherwise."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
 
 class Lattice(namedtuple("Lattice", (
     "params", "mode", "nodes",
@@ -144,10 +133,7 @@ def _product_coords(
 
 def build_lattice(params: GroupParams, mode: str) -> Lattice:
     """Lattice of all (or all normal) subgroups, trivial subgroup excluded."""
-    if check_mode(mode) == "all":
-        descs = enumerate_subgroups(params)
-    else:
-        descs = enumerate_normal_subgroups(params)
+    descs = enumerate_subgroups(params, mode)
     # the trivial C(2n) is the last Cyclic, just before the top F(1)
     top_index = descs.index(("F", 1, None)) - 1
     nodes = (*descs[:top_index], *descs[top_index + 1:])

@@ -59,12 +59,13 @@ from .group import (
     OracleLimitExceeded,
     all_elements,
     canonical_element,
+    check_mode,
     exact_int,
     identity,
     inverse,
     multiply,
 )
-from .lattice import Lattice, check_mode
+from .lattice import Lattice
 
 
 def _index(x: Element) -> int:
@@ -81,11 +82,11 @@ class GroupOracle:
     and the subgroup families are read off the rows of mult on first use
     and kept for the life of the object, never beyond it; no normality
     answer is kept.  Subgroups are frozensets of element indices;
-    index_set and element_set convert to and from Elements, and refuse
-    (ValueError) a non-canonical Element or an index outside
-    range(order), which would alias another element.  A limit that
-    is not an int >= 0 raises ValueError (group.exact_int), and a group
-    of order above it OracleLimitExceeded.
+    index_set and element_set convert to and from Elements.  They and
+    every method that takes indices refuse (ValueError) a non-canonical
+    Element or an index outside range(order), which would alias another
+    element.  A limit that is not an int >= 0 raises ValueError
+    (group.exact_int), and a group of order above it OracleLimitExceeded.
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
@@ -106,6 +107,7 @@ class GroupOracle:
                               for shift in range(3, order, 3) for row in b_rows]
         self.inv = [_index(inverse(params, x)) for x in elements]
         self.identity = _index(identity(params))
+        self._ids = frozenset(ids)
 
     def index_set(self, elements: Iterable[Element]) -> frozenset[int]:
         params = self.params
@@ -120,9 +122,15 @@ class GroupOracle:
             members.append(elements[i])
         return frozenset(members)
 
+    def _check_ids(self, *groups: Iterable[int]) -> None:
+        """element_set's ValueError unless every id is in range(order)."""
+        if not all(map(self._ids.issuperset, groups)):  # C-level, every call
+            self.element_set([i for ids in groups for i in ids])  # raises
+
     def generated(self, gens: Sequence[int]) -> frozenset[int]:
         # products of generators suffice: in a finite group the closure
         # under multiplication alone already contains every inverse
+        self._check_ids(gens)
         seen = {self.identity}
         frontier = [self.identity]
         while frontier:
@@ -147,6 +155,7 @@ class GroupOracle:
         multiplication by every generator and holds e, so it holds <gens>;
         it lies inside <gens> as h does.
         """
+        self._check_ids(h, gens)
         mult = self.mult
         seen = set(h)
         reps = [self.identity]
@@ -225,11 +234,13 @@ class GroupOracle:
     def is_normal(self, h: frozenset[int]) -> bool:
         """True iff g x g^-1 lies in h for every x in h and every g in G:
         iff h holds the conjugacy class of each of its elements."""
+        self._check_ids(h)
         classes = self.classes
         return all(classes[x] <= h for x in h)
 
     def normalizer(self, h: frozenset[int]) -> frozenset[int]:
         """{g : g x g^-1 in h for all x in h}, read off row g as classes is."""
+        self._check_ids(h)
         inv = self.inv
         return frozenset(g for g, row in enumerate(self.mult)
                          if h.issuperset(inv[row[inv[row[x]]]] for x in h))

@@ -1,4 +1,4 @@
-"""Symbolic catalog of the subgroups of U_6n.
+"""Symbolic catalog of the subgroups of U_6n, all or the normal ones.
 
 Every subgroup is one of three shapes, indexed by a divisor t of 2n:
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .group import Element, GroupParams, canonical_element, exact_int
+from .group import Element, GroupParams, canonical_element, check_mode, exact_int
 
 
 #: The descriptor kinds, as they print and sort: Cyclic, Full, Twisted.
@@ -286,8 +286,10 @@ def validate_descriptor(params: GroupParams, d: SubgroupDescriptor) -> None:
         )
 
 
-def enumerate_subgroups(params: GroupParams) -> list[SubgroupDescriptor]:
-    """All subgroups of U_6n as descriptors, in (kind, t, s) order.
+def enumerate_subgroups(params: GroupParams, mode: str) -> list[SubgroupDescriptor]:
+    """The mode's subgroups as descriptors, in (kind, t, s) order: all of
+    them, or the normal ones, Cyclic(t) for even t and Full(t) for every t.
+    ValueError, before 2n is factorized, for a mode check_mode refuses.
 
     The order needs no sort: divisors is ascending, and the lists go
     Cyclic, Full, Twisted, each Twisted t with s = 1 before s = 2.
@@ -295,19 +297,12 @@ def enumerate_subgroups(params: GroupParams) -> list[SubgroupDescriptor]:
     that distinct descriptors name distinct subgroups is checked against
     the element sets by verify's subgroups-vs-oracle check, not here.
     """
+    every = check_mode(mode) == "all"
     divs = divisors(params.two_n)
-    out = [cyclic(t) for t in divs]
+    out = [cyclic(t) for t in divs if every or t % 2 == 0]
     out += [full(t) for t in divs]
-    out += [twisted(t, s) for t in divs if twisted_exists(params, t) for s in (1, 2)]
-    return out
-
-
-def enumerate_normal_subgroups(params: GroupParams) -> list[SubgroupDescriptor]:
-    """All normal subgroups, in (kind, t, s) order as enumerate_subgroups:
-    Cyclic(t) for even t, Full(t) for every t."""
-    divs = divisors(params.two_n)
-    out = [cyclic(t) for t in divs if t % 2 == 0]
-    out += [full(t) for t in divs]
+    if every:
+        out += [twisted(t, s) for t in divs if twisted_exists(params, t) for s in (1, 2)]
     return out
 
 

@@ -56,13 +56,14 @@ from .chains import (
 from .group import (
     DEFAULT_FUZZY_N_MAX,
     DEFAULT_ORACLE_LIMIT,
+    MODES,
     GroupParams,
     exact_int,
     format_element,
     inverse,
     multiply,
 )
-from .lattice import MODES, Lattice, build_lattice, hasse_edges
+from .lattice import Lattice, build_lattice, hasse_edges
 from .oracle import (
     GroupOracle,
     comparison_pattern,
@@ -73,7 +74,6 @@ from .oracle import (
 from .subgroups import (
     SubgroupDescriptor,
     contains_element,
-    enumerate_normal_subgroups,
     enumerate_subgroups,
     subgroup_elements,
     subgroup_leq,
@@ -453,8 +453,7 @@ def run_verification(
         first_of_shape = first_n.setdefault(shape, n) == n
         within = params.order <= oracle_limit
         oracle = GroupOracle(params, oracle_limit) if within else None
-        catalog = enumerate_subgroups(params)
-        normal = enumerate_normal_subgroups(params)
+        catalog, normal = [enumerate_subgroups(params, m) for m in MODES]
         all_counts, _ = shape_counts = [count_chains(params, m) for m in MODES]
         _, lat_normal = lats = [build_lattice(params, m) for m in MODES]
         record("count-formula", check_count_formula(shape, catalog, normal))

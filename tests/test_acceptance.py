@@ -18,7 +18,6 @@ from u6n import (
     compute_chain_table,
     count_chains,
     divisors,
-    enumerate_normal_subgroups,
     enumerate_subgroups,
     identity,
     inverse,
@@ -47,7 +46,7 @@ def test_criterion_1_subgroup_enumeration_equivalence():
     for n in range(1, 13):
         params = GroupParams(n)
         catalog = {
-            subgroup_elements(params, d) for d in enumerate_subgroups(params)
+            subgroup_elements(params, d) for d in enumerate_subgroups(params, "all")
         }
         oracle = GroupOracle(params)
         ok = ok and catalog == {oracle.element_set(h) for h in oracle.subgroups}
@@ -63,8 +62,8 @@ def test_criterion_2_normality_equivalence():
     for n in range(1, 13):
         params = GroupParams(n)
         oracle = GroupOracle(params)
-        normal_descs = set(enumerate_normal_subgroups(params))
-        for d in enumerate_subgroups(params):
+        normal_descs = set(enumerate_subgroups(params, "normal"))
+        for d in enumerate_subgroups(params, "all"):
             is_normal = oracle.is_normal(
                 oracle.index_set(subgroup_elements(params, d))
             )
@@ -106,7 +105,7 @@ def test_criterion_4_fuzzy_axioms_end_to_end():
     for n in range(1, 5):
         params = GroupParams(n)
         oracle = GroupOracle(params)
-        catalog = catalog_sets(oracle, enumerate_subgroups(params))
+        catalog = catalog_sets(oracle, enumerate_subgroups(params, "all"))
         lat = build_lattice(params, "all")
         chains = list(lattice_chains(lat))
         signatures = set()
@@ -167,7 +166,7 @@ def test_criterion_6_count_formula():
         ]
         eligible = sum(1 for t in divs if twisted_exists(params, t))
         expected = 2 * len(divs) + 2 * eligible
-        got = len(enumerate_subgroups(params))
+        got = len(enumerate_subgroups(params, "all"))
         ok = ok and got == expected
         if n <= 12:
             ok = ok and len(GroupOracle(params).subgroups) == expected

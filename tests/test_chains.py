@@ -253,7 +253,7 @@ def test_count_chains_builds_no_lattice(monkeypatch):
 
     for module in (u6n, u6n.chains, u6n.lattice, u6n.subgroups):
         for name in ("build_lattice", "_strict_order_edges", "enumerate_subgroups",
-                     "enumerate_normal_subgroups", "compute_chain_table"):
+                     "compute_chain_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     for mode, counts in expected.items():
@@ -357,11 +357,12 @@ def test_counts_refuse_a_bad_field(n, mode, per_length, message):
 
 
 def test_one_mode_check():
-    # build_lattice, shape_chain_counts, ChainCounts and the oracle's
-    # set_chains all refuse a mode through lattice.check_mode
+    # enumerate_subgroups (so build_lattice), shape_chain_counts, ChainCounts
+    # and the oracle's set_chains all refuse a mode through group.check_mode
     src = Path(u6n.chains.__file__).parent
     assert sum(p.read_text().count("mode must be one of")
                for p in src.glob("*.py")) == 1
+    assert (src / "group.py").read_text().count("mode must be one of") == 1
 
 
 def test_json_round_trip():

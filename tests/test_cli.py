@@ -22,7 +22,6 @@ from u6n import (
     GroupParams,
     build_lattice,
     count_chains,
-    enumerate_normal_subgroups,
     enumerate_subgroups,
     format_descriptor,
     subgroup_order,
@@ -332,9 +331,9 @@ def test_batch_rows_recompute(capsys):
 
 def _listing_rows(command, n):
     params = GroupParams(n)
-    enum = enumerate_normal_subgroups if command == "normal" else enumerate_subgroups
+    descs = enumerate_subgroups(params, "normal" if command == "normal" else "all")
     return [("desc", "order"),
-            *((format_descriptor(d), subgroup_order(params, d)) for d in enum(params))]
+            *((format_descriptor(d), subgroup_order(params, d)) for d in descs)]
 
 
 def _chains_rows(n, mode):

@@ -22,9 +22,8 @@ from u6n import (
 )
 from u6n.chains import factorization_shape
 from u6n.cli import main
-from u6n.group import DEFAULT_ORACLE_LIMIT
+from u6n.group import DEFAULT_ORACLE_LIMIT, MODES
 from u6n.lattice import (
-    MODES,
     Lattice,
     _strict_order_edges,
     dot_text,
@@ -130,7 +129,7 @@ def test_strict_order_is_the_oracles_proper_inclusion(n, mode):
     # the lattice against the oracle's element sets, not against subgroup_leq
     params = GroupParams(n)
     lat = build_lattice(params, mode)
-    sets = catalog_sets(GroupOracle(params), enumerate_subgroups(params))
+    sets = catalog_sets(GroupOracle(params), enumerate_subgroups(params, "all"))
     node_sets = [sets[d] for d in lat.nodes]
     for i, h in enumerate(node_sets):
         assert set(lat.row(i)) == {

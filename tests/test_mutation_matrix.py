@@ -56,15 +56,24 @@ def _method(cls, name, change):
 
 
 def _drops_trivial(real):
-    return lambda params: [d for d in real(params) if d != ("C", params.two_n, None)]
+    # the "all" catalog only
+    def fake(params, mode):
+        descs = real(params, mode)
+        if mode != "all":
+            return descs
+        return [d for d in descs if d != ("C", params.two_n, None)]
+    return fake
 
 
 def _odd_cyclic_normal(real):
-    # C(t) for odd t too: <a^t> with t odd is not normal (b a^t = a^t b^2)
-    def fake(params):
+    # the "normal" catalog gets C(t) for odd t too: <a^t> with t odd is not
+    # normal (b a^t = a^t b^2)
+    def fake(params, mode):
+        if mode != "normal":
+            return real(params, mode)
         extra = [subgroups_module.cyclic(t)
                  for t in subgroups_module.divisors(params.two_n) if t % 2]
-        return sorted(real(params) + extra)
+        return sorted(real(params, mode) + extra)
     return fake
 
 
@@ -238,8 +247,8 @@ MUTANTS = {
     "enumerate_subgroups drops {e}": (
         _wrap(S, "enumerate_subgroups", _drops_trivial), 16,
         {"count-formula", NORMALITY, FAMILY, f"{SVL}[all]"}),
-    "enumerate_normal_subgroups adds odd C(t)": (
-        _wrap(S, "enumerate_normal_subgroups", _odd_cyclic_normal), 16,
+    "enumerate_subgroups adds odd C(t) to normal": (
+        _wrap(S, "enumerate_subgroups", _odd_cyclic_normal), 16,
         {"count-formula", NORMALITY, "normal-restriction", "normal-in-supergroup",
          f"{SVL}[normal]"}),
     "twisted_exists only for odd t": (

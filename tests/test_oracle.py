@@ -19,7 +19,6 @@ from u6n import (
     build_lattice,
     count_chains,
     cyclic,
-    enumerate_normal_subgroups,
     enumerate_subgroups,
     full,
     inverse,
@@ -41,7 +40,7 @@ from u6n.verify import catalog_sets, check_fuzzy_axioms, run_verification
 
 def _rep(params, chain, levels=None):
     """The representative of a descriptor chain, through verify's bridge."""
-    sets = catalog_sets(GroupOracle(params), enumerate_subgroups(params))
+    sets = catalog_sets(GroupOracle(params), enumerate_subgroups(params, "all"))
     return representative_from_sets(params, [sets[d] for d in chain], levels)
 
 
@@ -63,7 +62,7 @@ def test_oracle_matches_catalog():
     for n in range(1, 9):
         params = GroupParams(n)
         catalog = {
-            subgroup_elements(params, d) for d in enumerate_subgroups(params)
+            subgroup_elements(params, d) for d in enumerate_subgroups(params, "all")
         }
         oracle = GroupOracle(params)
         assert {oracle.element_set(h) for h in oracle.subgroups} == catalog
@@ -97,7 +96,7 @@ def test_oracle_normal_matches_catalog():
         params = GroupParams(n)
         catalog = {
             subgroup_elements(params, d)
-            for d in enumerate_normal_subgroups(params)
+            for d in enumerate_subgroups(params, "normal")
         }
         oracle = GroupOracle(params)
         assert {oracle.element_set(h) for h in oracle.normal_subgroups} == catalog
@@ -115,8 +114,9 @@ def test_group_oracle_families_equal_the_catalog(n):
         return {oracle.index_set(subgroup_elements(params, d)) for d in descs}
 
     assert len(set(oracle.subgroups)) == len(oracle.subgroups)
-    assert set(oracle.subgroups) == index_sets(enumerate_subgroups(params))
-    assert set(oracle.normal_subgroups) == index_sets(enumerate_normal_subgroups(params))
+    assert set(oracle.subgroups) == index_sets(enumerate_subgroups(params, "all"))
+    normal = enumerate_subgroups(params, "normal")
+    assert set(oracle.normal_subgroups) == index_sets(normal)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -403,6 +403,46 @@ def test_element_set_refuses_an_index_outside_the_group():
     for i in (-1, 12, True, 1.0):
         with pytest.raises(ValueError, match=f"^{i!r} is not an element index of U_12$"):
             oracle.element_set([0, i])
+
+
+# -1 would read the last element and 12 is past the table; before these
+# methods refused them, generated((-1,)) was {0, 5, 6, 11}, normalizer of
+# {0, -3, -6, -9} was empty and is_normal({12}) raised a bare IndexError
+_BAD_ID = r"is not an element index of U_12$"
+
+
+@pytest.mark.parametrize("i", [-1, 12])
+def test_generated_refuses_an_index_outside_the_group(i):
+    oracle = GroupOracle(GroupParams(2))
+    assert oracle.generated((3,)) == {0, 3, 6, 9}
+    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+        oracle.generated((i,))
+
+
+@pytest.mark.parametrize("i", [-1, 12])
+def test_join_refuses_an_index_outside_the_group(i):
+    oracle = GroupOracle(GroupParams(2))
+    assert oracle.join(frozenset({0}), (3,)) == {0, 3, 6, 9}
+    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+        oracle.join(frozenset({0}), (i,))
+    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+        oracle.join(frozenset({i}), (3,))
+
+
+@pytest.mark.parametrize("i", [-1, 12])
+def test_is_normal_refuses_an_index_outside_the_group(i):
+    oracle = GroupOracle(GroupParams(2))
+    assert oracle.is_normal(frozenset({0}))
+    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+        oracle.is_normal(frozenset({i}))
+
+
+@pytest.mark.parametrize("i", [-1, 12])
+def test_normalizer_refuses_an_index_outside_the_group(i):
+    oracle = GroupOracle(GroupParams(2))
+    assert oracle.normalizer(frozenset({0})) == set(range(12))
+    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+        oracle.normalizer(frozenset({i}))
 
 
 def test_fuzzy_map_grades_are_read_only():

@@ -58,3 +58,21 @@ def test_one_integer_argument_rule():
     assert bare_int_tests == []
     assert text.count("must be an int >= ") == 1
     assert "positive integer" not in text
+
+
+def test_the_catalog_is_one_function_of_the_mode():
+    # one enumerate_subgroups(params, mode); the mode rule lives in group.py,
+    # which every module imports, and lattice.py neither owns nor passes it on
+    import u6n.subgroups
+
+    assert not hasattr(u6n.subgroups, "enumerate_normal_subgroups")
+    tree = ast.parse((INIT.parent / "lattice.py").read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            named.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.asname or alias.name for alias in node.names)
+    assert named & {"MODES", "check_mode"} == set()

@@ -17,7 +17,6 @@ from u6n import (
     contains_element,
     cyclic,
     divisors,
-    enumerate_normal_subgroups,
     enumerate_subgroups,
     factorize,
     format_descriptor,
@@ -30,6 +29,7 @@ from u6n import (
     twisted,
     twisted_exists,
 )
+from u6n.group import MODES
 from u6n.oracle import trial_division_factorize
 
 params_st = st.integers(min_value=1, max_value=30).map(GroupParams)
@@ -231,24 +231,24 @@ def test_twisted_exists():
 
 
 def test_enumerate_n1():
-    descs = enumerate_subgroups(GroupParams(1))
+    descs = enumerate_subgroups(GroupParams(1), "all")
     assert [str(d) for d in descs] == [
         "C(1)", "C(2)", "F(1)", "F(2)", "T(1,1)", "T(1,2)",
     ]
 
 
 def test_enumerate_n2():
-    descs = enumerate_subgroups(GroupParams(2))
+    descs = enumerate_subgroups(GroupParams(2), "all")
     assert [str(d) for d in descs] == [
         "C(1)", "C(2)", "C(4)", "F(1)", "F(2)", "F(4)", "T(1,1)", "T(1,2)",
     ]
 
 
 def test_enumerate_normal():
-    assert [str(d) for d in enumerate_normal_subgroups(GroupParams(1))] == [
+    assert [str(d) for d in enumerate_subgroups(GroupParams(1), "normal")] == [
         "C(2)", "F(1)", "F(2)",
     ]
-    assert [str(d) for d in enumerate_normal_subgroups(GroupParams(2))] == [
+    assert [str(d) for d in enumerate_subgroups(GroupParams(2), "normal")] == [
         "C(2)", "C(4)", "F(1)", "F(2)", "F(4)",
     ]
 
@@ -257,9 +257,9 @@ def test_enumerate_normal():
 def test_count_formula(params):
     divs = divisors(params.two_n)
     eligible = [t for t in divs if twisted_exists(params, t)]
-    assert len(enumerate_subgroups(params)) == 2 * len(divs) + 2 * len(eligible)
+    assert len(enumerate_subgroups(params, "all")) == 2 * len(divs) + 2 * len(eligible)
     even = [t for t in divs if t % 2 == 0]
-    assert len(enumerate_normal_subgroups(params)) == len(divs) + len(even)
+    assert len(enumerate_subgroups(params, "normal")) == len(divs) + len(even)
 
 
 def test_element_sets_match_published_forms():
@@ -284,14 +284,14 @@ def test_element_sets_match_published_forms():
 @settings(max_examples=60)
 @given(params_st)
 def test_subgroup_order_matches_set(params):
-    for d in enumerate_subgroups(params):
+    for d in enumerate_subgroups(params, "all"):
         assert subgroup_order(params, d) == len(subgroup_elements(params, d))
 
 
 @settings(max_examples=30)
 @given(st.integers(1, 8).map(GroupParams))
 def test_sets_are_subgroups(params):
-    for d in enumerate_subgroups(params):
+    for d in enumerate_subgroups(params, "all"):
         members = subgroup_elements(params, d)
         assert Element(0, 0) in members
         assert all(inverse(params, x) in members for x in members)
@@ -303,7 +303,7 @@ def test_sets_are_subgroups(params):
 @settings(max_examples=30)
 @given(st.integers(1, 8).map(GroupParams))
 def test_membership_closed_form(params):
-    for d in enumerate_subgroups(params):
+    for d in enumerate_subgroups(params, "all"):
         members = subgroup_elements(params, d)
         for x in all_elements(params):
             assert contains_element(params, d, x) == (x in members)
@@ -313,7 +313,7 @@ def test_exclusivity_up_to_12():
     for n in range(1, 13):
         params = GroupParams(n)
         sets = [
-            subgroup_elements(params, d) for d in enumerate_subgroups(params)
+            subgroup_elements(params, d) for d in enumerate_subgroups(params, "all")
         ]
         assert len(set(sets)) == len(sets)
 
@@ -363,7 +363,7 @@ def test_leq_published_cases():
 @settings(max_examples=30)
 @given(st.integers(1, 8).map(GroupParams))
 def test_leq_equals_set_inclusion(params):
-    descs = enumerate_subgroups(params)
+    descs = enumerate_subgroups(params, "all")
     sets = {d: subgroup_elements(params, d) for d in descs}
     for d1 in descs:
         for d2 in descs:
@@ -372,13 +372,13 @@ def test_leq_equals_set_inclusion(params):
 
 def test_format_descriptor_is_injective():
     for n in (3, 12):
-        descs = enumerate_subgroups(GroupParams(n))
+        descs = enumerate_subgroups(GroupParams(n), "all")
         assert len({format_descriptor(d) for d in descs}) == len(descs)
     assert format_descriptor(twisted(2, 1)) == str(twisted(2, 1)) == "T(2,1)"
 
 
 def test_descriptor_ordering_is_kind_then_t_then_s():
-    descs = enumerate_subgroups(GroupParams(6))
+    descs = enumerate_subgroups(GroupParams(6), "all")
     assert descs == sorted(descs)
     assert descs == sorted(descs, key=lambda d: (d.kind, d.t, d.s or 0))
     kinds = [d.kind for d in descs]
@@ -397,23 +397,25 @@ def _parse_descriptor(text):
 def test_descriptor_text_round_trips(n):
     for m in range(n, n + 50):
         params = GroupParams(m)
-        for descs in (enumerate_subgroups(params), enumerate_normal_subgroups(params)):
-            for d in descs:
+        for mode in MODES:
+            for d in enumerate_subgroups(params, mode):
                 assert _parse_descriptor(format_descriptor(d)) == d
 
 
-def _assert_catalog_in_order(params):
+def _assert_catalog_in_order(params, mode):
     # the catalogs are built in (kind, t, s) order, with no sort to fall back on
-    for descs in (enumerate_subgroups(params), enumerate_normal_subgroups(params)):
-        assert descs == sorted(descs)
-        assert len(set(descs)) == len(descs)
+    descs = enumerate_subgroups(params, mode)
+    assert descs == sorted(descs)
+    assert len(set(descs)) == len(descs)
 
 
 @pytest.mark.parametrize("n", range(1, 301))
 def test_catalogs_come_in_sort_key_order(n):
-    _assert_catalog_in_order(GroupParams(n))
+    for mode in MODES:
+        _assert_catalog_in_order(GroupParams(n), mode)
 
 
+@pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 12),
@@ -421,7 +423,16 @@ def test_catalogs_come_in_sort_key_order(n):
     st.dictionaries(st.sampled_from([5, 7, 11, 13, 101, 2**31 - 1]),
                     st.integers(1, 3), max_size=3),
 )
-def test_catalogs_come_in_sort_key_order_for_any_shape(e2, e3, others):
+def test_catalogs_come_in_sort_key_order_for_any_shape(mode, e2, e3, others):
     # 2n = 2^e2 * 3^e3 * prod p^a
     n = 2 ** (e2 - 1) * 3**e3 * math.prod(p**a for p, a in others.items())
-    _assert_catalog_in_order(GroupParams(n))
+    _assert_catalog_in_order(GroupParams(n), mode)
+
+
+@pytest.mark.parametrize("mode", ["bogus", True, None, "All", ("all",)])
+def test_enumerate_subgroups_refuses_a_mode_before_factorizing(mode, monkeypatch):
+    calls = []
+    monkeypatch.setattr(u6n.subgroups, "factorize", lambda m: calls.append(m) or [])
+    with pytest.raises(ValueError, match=r"^mode must be one of \('all', 'normal'\), got "):
+        enumerate_subgroups(GroupParams(6), mode)
+    assert calls == []

@@ -10,7 +10,7 @@ from u6n import ChainCounts, GroupParams, count_chains, full
 from u6n.chains import chain_counts, compute_chain_table, factorization_shape
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
-from u6n.subgroups import enumerate_normal_subgroups, enumerate_subgroups
+from u6n.subgroups import enumerate_subgroups
 from u6n.verify import (
     CheckResult,
     catalog_sets,
@@ -82,7 +82,7 @@ def test_full_battery_to_8():
 
 def test_individual_checks_pass():
     params = GroupParams(3)
-    catalog, normal = enumerate_subgroups(params), enumerate_normal_subgroups(params)
+    catalog, normal = [enumerate_subgroups(params, m) for m in ("all", "normal")]
     assert check_group_laws(GroupOracle(params)) is None
     assert check_count_formula(factorization_shape(6), catalog, normal) is None
     oracle = GroupOracle(params, 300)
@@ -184,7 +184,7 @@ def test_group_laws_catch_a_non_canonical_product(monkeypatch, shift):
 
 def test_subgroup_family_reports_colliding_descriptors():
     oracle = GroupOracle(GroupParams(3))
-    sets = catalog_sets(oracle, enumerate_subgroups(oracle.params))
+    sets = catalog_sets(oracle, enumerate_subgroups(oracle.params, "all"))
     first, second = list(sets)[:2]
     sets[second] = sets[first]
     result = check_subgroup_family(oracle, sets)
@@ -269,7 +269,7 @@ def test_catalog_sets_once_per_n_and_one_oracle_walk_per_chain_check(monkeypatch
     results = run_verification(8)
     assert all(r.passed for r in results)
     assert {n: converted.count(n) for n in range(1, 9)} == {
-        n: len(enumerate_subgroups(GroupParams(n))) for n in range(1, 9)
+        n: len(enumerate_subgroups(GroupParams(n), "all")) for n in range(1, 9)
     }
     chain_checks = [
         r.n for r in results
@@ -288,7 +288,9 @@ def test_a_normal_descriptor_missing_from_the_catalog_is_a_failure(monkeypatch):
     want = [f"n={r.n} {r.check}" for r in run_verification(2)]
     monkeypatch.setattr(
         verify_module, "enumerate_subgroups",
-        lambda p: [d for d in enumerate_subgroups(p) if d != full(2)],
+        lambda p, mode: [
+            d for d in enumerate_subgroups(p, mode) if mode == "normal" or d != full(2)
+        ],
     )
     results = run_verification(2)
     assert [f"n={r.n} {r.check}" for r in results] == want
@@ -385,7 +387,7 @@ def test_one_group_oracle_per_n_within_the_limit(monkeypatch):
 def test_oracle_checks_name_the_missing_subgroup():
     oracle = GroupOracle(GroupParams(2), 300)
     # drop the normal subgroup F(2) = <a^2, b> from the catalog
-    catalog = enumerate_subgroups(oracle.params)
+    catalog = enumerate_subgroups(oracle.params, "all")
     sets = {d: h for d, h in catalog_sets(oracle, catalog).items() if d != full(2)}
     result = check_subgroup_family(oracle, sets)
     assert result is not None
@@ -398,7 +400,7 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     params = GroupParams(2)
     oracle = GroupOracle(params)
     lat = build_lattice(params, "normal")
-    sets = catalog_sets(oracle, enumerate_subgroups(params))
+    sets = catalog_sets(oracle, enumerate_subgroups(params, "all"))
     assert check_subgroup_closure(oracle, sets) is None
     assert check_normal_in_supergroup(oracle, sets, lat) is None
 
@@ -421,7 +423,7 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     assert str(bad) in result
     # give a normal node the elements of a non-normal subgroup: conjugation
     # by the whole group, a node above it, moves them
-    normal = set(enumerate_normal_subgroups(params))
+    normal = set(enumerate_subgroups(params, "normal"))
     outsider = next(d for d in sets if d not in normal)
     node = lat.nodes[next(i for i in range(len(lat.nodes)) if lat.row(i))]
     result = check_normal_in_supergroup(
@@ -625,7 +627,7 @@ def test_lattice_vs_oracle_catches_a_broken_s_relabel(monkeypatch, relabel_odd_t
 
 def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
     oracle = GroupOracle(GroupParams(2))
-    sets = catalog_sets(oracle, enumerate_subgroups(oracle.params))
+    sets = catalog_sets(oracle, enumerate_subgroups(oracle.params, "all"))
     lat = build_lattice(oracle.params, "all")
     assert check_lattice_vs_oracle(oracle, sets, lat) is None
     # a lattice whose row for node i also holds a node not above it
@@ -782,7 +784,7 @@ def test_run_verification_calls_every_check():
 #: answer once per n and hands it over
 SHARED_FAST_PATHS = {
     "count_chains", "chain_counts", "compute_chain_table", "factorization_shape",
-    "enumerate_subgroups", "enumerate_normal_subgroups",
+    "enumerate_subgroups",
 }
 
 
