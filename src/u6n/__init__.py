@@ -42,7 +42,6 @@ from .lattice import (
 from .subgroups import (
     FactorizationBudgetExceeded,
     SubgroupDescriptor,
-    contains_element,
     cyclic,
     divisors,
     enumerate_subgroups,
@@ -72,7 +71,6 @@ __all__ = [
     "chain_counts",
     "compute_chain_table",
     "count_chains",
-    "contains_element",
     "cyclic",
     "divisors",
     "enumerate_subgroups",

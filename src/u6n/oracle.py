@@ -47,7 +47,7 @@ All of this is exponential in spirit and guarded by an order limit.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -74,6 +74,18 @@ def _index(x: Element) -> int:
     return 3 * x.a_exp + x.b_exp
 
 
+def _check_ids(whole: frozenset[int], groups: Iterable[Collection[int]]) -> None:
+    """ValueError unless every id in groups is an int in whole, the indices
+    range(order) of one group: an int outside it, or True or 1.0, which
+    equal the index 1, would alias an element.  The test of a passing
+    call stays at C level, as every oracle query makes it."""
+    if all(whole.issuperset(ids) and {int}.issuperset(map(type, ids))
+           for ids in groups):
+        return
+    bad = next(i for ids in groups for i in ids if type(i) is not int or i not in whole)
+    raise ValueError(f"{bad!r} is not an element index of U_{len(whole)}")
+
+
 class GroupOracle:
     """The brute-force view of one group U_6n, built once and asked often.
 
@@ -84,9 +96,10 @@ class GroupOracle:
     answer is kept.  Subgroups are frozensets of element indices;
     index_set and element_set convert to and from Elements.  They and
     every method that takes indices refuse (ValueError) a non-canonical
-    Element or an index outside range(order), which would alias another
-    element.  A limit that is not an int >= 0 raises ValueError
-    (group.exact_int), and a group of order above it OracleLimitExceeded.
+    Element or an index that is not an int in range(order) (_check_ids),
+    which would alias another element.  A limit that is not an int >= 0
+    raises ValueError (group.exact_int), and a group of order above it
+    OracleLimitExceeded.
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
@@ -114,23 +127,14 @@ class GroupOracle:
         return frozenset(_index(canonical_element(params, x)) for x in elements)
 
     def element_set(self, ids: Iterable[int]) -> frozenset[Element]:
-        elements, order = self.elements, self.params.order
-        members = []
-        for i in ids:
-            if type(i) is not int or not 0 <= i < order:
-                raise ValueError(f"{i!r} is not an element index of U_{order}")
-            members.append(elements[i])
-        return frozenset(members)
-
-    def _check_ids(self, *groups: Iterable[int]) -> None:
-        """element_set's ValueError unless every id is in range(order)."""
-        if not all(map(self._ids.issuperset, groups)):  # C-level, every call
-            self.element_set([i for ids in groups for i in ids])  # raises
+        ids = list(ids)
+        _check_ids(self._ids, (ids,))
+        return frozenset(map(self.elements.__getitem__, ids))
 
     def generated(self, gens: Sequence[int]) -> frozenset[int]:
         # products of generators suffice: in a finite group the closure
         # under multiplication alone already contains every inverse
-        self._check_ids(gens)
+        _check_ids(self._ids, (gens,))
         seen = {self.identity}
         frontier = [self.identity]
         while frontier:
@@ -155,7 +159,7 @@ class GroupOracle:
         multiplication by every generator and holds e, so it holds <gens>;
         it lies inside <gens> as h does.
         """
-        self._check_ids(h, gens)
+        _check_ids(self._ids, (h, gens))
         mult = self.mult
         seen = set(h)
         reps = [self.identity]
@@ -234,13 +238,13 @@ class GroupOracle:
     def is_normal(self, h: frozenset[int]) -> bool:
         """True iff g x g^-1 lies in h for every x in h and every g in G:
         iff h holds the conjugacy class of each of its elements."""
-        self._check_ids(h)
+        _check_ids(self._ids, (h,))
         classes = self.classes
         return all(classes[x] <= h for x in h)
 
     def normalizer(self, h: frozenset[int]) -> frozenset[int]:
         """{g : g x g^-1 in h for all x in h}, read off row g as classes is."""
-        self._check_ids(h)
+        _check_ids(self._ids, (h,))
         inv = self.inv
         return frozenset(g for g, row in enumerate(self.mult)
                          if h.issuperset(inv[row[inv[row[x]]]] for x in h))
@@ -448,14 +452,17 @@ def representative_from_sets(
     form GroupOracle.set_chains yields.
 
     Elements first appearing in the i-th set get the i-th level; the
-    default levels are 1, 1/2, ..., 1/k.
+    default levels are 1, 1/2, ..., 1/k.  An id element_set refuses
+    raises its ValueError here too.
     """
     if not sets:
         raise ValueError("chain must be nonempty")
+    whole = frozenset(range(params.order))
+    _check_ids(whole, sets)
     for small, big in zip(sets, sets[1:]):
         if not small < big:
             raise ValueError("chain sets must be strictly ascending")
-    if sets[-1] != frozenset(range(params.order)):
+    if sets[-1] != whole:
         raise ValueError("chain must end at the whole group")
     if levels is None:
         levels = [Fraction(1, i) for i in range(1, len(sets) + 1)]

@@ -12,12 +12,14 @@ A SubgroupDescriptor is the plain tuple (kind, t, s), and its kind is the
 letter it prints as: C(t), F(t) or T(t,s).  As "C" < "F" < "T", tuples
 sort in catalog order, kind then t then s.
 
-Membership (contains_element), containment (subgroup_leq) and orders all
-reduce to modular arithmetic on the t and s parameters, so the catalog
-never materializes element sets; subgroup_elements does, for the checks
-that compare against them.  subgroup_leq is the one containment rule:
-build_lattice applies it pairwise to the core nodes, and verify's
-containment-closed-form holds it to the oracle's set inclusion.
+Containment (subgroup_leq) and orders reduce to modular arithmetic on
+the t and s parameters, so the catalog never materializes element sets;
+subgroup_elements does, for the checks that compare against them, and
+is the one membership rule: verify's membership-closed-form holds each
+set to the subgroup its descriptor's generators generate on the oracle's
+table.  subgroup_leq is the one containment rule: build_lattice applies
+it pairwise to the core nodes, and verify's containment-closed-form
+holds it to the oracle's set inclusion.
 
 The divisors come from factorize(2n), Baillie-PSW plus Pollard rho; its
 docstring gives the method, what is proven of its primality test and the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .group import Element, GroupParams, canonical_element, check_mode, exact_int
+from .group import Element, GroupParams, check_mode, exact_int
 
 
 #: The descriptor kinds, as they print and sort: Cyclic, Full, Twisted.
@@ -331,37 +333,14 @@ def subgroup_order(params: GroupParams, d: SubgroupDescriptor) -> int:
     return 3 * q if d.kind == "F" else q
 
 
-def contains_element(params: GroupParams, d: SubgroupDescriptor, x: Element) -> bool:
-    """Closed-form membership test, equivalent to x in subgroup_elements(d).
-
-    The b-exponent of the member a^(tk) b^? depends only on k mod 2 (t odd)
-    or k mod 3 (t even), both of which are determined by x.a_exp because
-    2n/t is even respectively divisible by 3.  ValueError for a descriptor
-    validate_descriptor refuses, or an x that group.canonical_element
-    refuses.
-    """
-    validate_descriptor(params, d)
-    canonical_element(params, x)
-    if x.a_exp % d.t != 0:
-        return False
-    if d.kind == "F":
-        return True
-    if d.kind == "C":
-        return x.b_exp == 0
-    k = x.a_exp // d.t
-    if d.t % 2 == 1:
-        return x.b_exp == d.s * (k % 2) % 3
-    return x.b_exp == d.s * (k % 3) % 3
-
-
 def subgroup_leq(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
     """Containment d1 <= d2, in closed form on (kind, t, s).
 
     d1's a-exponents are the multiples of t1, so t2 | t1 is needed.  Only
     Full subgroups hold b.  Otherwise a^t1 = (a^t2 b^s2)^k with k = t1/t2
     carries b-part s2 * km, km = k mod 2 for odd t2 or k mod 3 for even t2
-    (contains_element), and must match d1's generator: b^0 for Cyclic d1,
-    b^s1 for Twisted d1, which a Cyclic d2 never holds.
+    (as in subgroup_elements), and must match d1's generator: b^0 for
+    Cyclic d1, b^s1 for Twisted d1, which a Cyclic d2 never holds.
     """
     t1, t2 = d1.t, d2.t
     if t1 % t2:

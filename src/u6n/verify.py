@@ -36,7 +36,9 @@ the oracle's set_chains("all"), {e} included, which also holds the
 normal-fuzzy test to the normality of each chain's levels.  The
 catalog's normal lattice is tied to the oracle's normal sets by
 normality-vs-oracle and normal-restriction (its nodes), and
-lattice-vs-oracle[normal] owns its relation.
+lattice-vs-oracle[normal] owns its relation.  membership-closed-form ties
+each descriptor's set to oracle.generated of the generators that name it,
+so the catalog's closed forms are not the reference for their own sets.
 No result depends on an assert statement, so python -O reports the same.
 """
 
@@ -57,6 +59,7 @@ from .group import (
     DEFAULT_FUZZY_N_MAX,
     DEFAULT_ORACLE_LIMIT,
     MODES,
+    Element,
     GroupParams,
     exact_int,
     format_element,
@@ -73,7 +76,6 @@ from .oracle import (
 )
 from .subgroups import (
     SubgroupDescriptor,
-    contains_element,
     enumerate_subgroups,
     subgroup_elements,
     subgroup_leq,
@@ -185,12 +187,23 @@ def check_normal_family(
 
 
 def check_membership(oracle: GroupOracle, sets: CatalogSets) -> str | None:
-    """contains_element == literal element-set membership."""
-    params = oracle.params
+    """Each catalog set is the subgroup its descriptor's generators generate
+    on the oracle's table: a^t for C(t), a^t and b for F(t), a^t b^s for
+    T(t,s), read off the definitions in subgroups.py, not off the fast
+    path.  So the text of a descriptor is tied to its subgroup: a catalog
+    that swaps T(t,1) and T(t,2) fails here alone."""
+    two_n = oracle.params.two_n
     for d, h in sets.items():
-        for i, x in enumerate(oracle.elements):
-            if contains_element(params, d, x) != (i in h):
-                return f"{d} disagrees at {format_element(x)}"
+        # a^(t mod 2n), as a^(2n) = e names C(2n) and F(2n); b^s for T only
+        gens = [Element(d.t % two_n, d.s or 0)]
+        if d.kind == "F":
+            gens.append(Element(0, 1))
+        want = oracle.generated(tuple(oracle.index_set(gens)))
+        if want != h:
+            x = min(want ^ h)
+            span = "<" + ", ".join(map(format_element, gens)) + ">"
+            where = f"its set, not {span}" if x in h else f"{span}, not its set"
+            return f"{d}: {format_element(oracle.elements[x])} is in {where}"
     return None
 
 

@@ -17,6 +17,7 @@ from u6n import (
     inverse,
     multiply,
 )
+from u6n.group import canonical_element
 from u6n.oracle import GroupOracle
 
 params_st = st.integers(min_value=1, max_value=40).map(GroupParams)
@@ -125,6 +126,23 @@ def test_inverse_of_a_non_canonical_word_is_canonical():
         y = inverse(params, x)
         assert 0 <= y.a_exp < params.two_n and 0 <= y.b_exp < 3, x
         assert multiply(params, x, y) == multiply(params, y, x) == identity(params), x
+
+
+@pytest.mark.parametrize("x, message", [
+    # 2n = 4: a^8 is a^0 in a non-canonical form
+    (Element(8, 0), r"^Element\(a_exp=8, b_exp=0\) is not a canonical "),
+    (Element(-2, 0), r"^Element\(a_exp=-2, b_exp=0\) is not "),
+    (Element(0, 3), r"^Element\(a_exp=0, b_exp=3\) is not "),
+    (Element(2.0, 0), r"^Element\(a_exp=2.0, b_exp=0\) is not "),
+    (Element(0, True), r"^Element\(a_exp=0, b_exp=True\) is not "),
+    ((0, 0), r"^\(0, 0\) is not a canonical element of U_12$"),
+], ids=["a_exp-2n", "a_exp-negative", "b_exp-3", "a_exp-float", "b_exp-bool",
+        "plain-tuple"])
+def test_canonical_element_refuses_what_is_not_in_the_group(x, message):
+    params = GroupParams(2)
+    assert canonical_element(params, Element(3, 2)) == Element(3, 2)
+    with pytest.raises(ValueError, match=message):
+        canonical_element(params, x)
 
 
 def test_exhaustive_group_laws_small():

@@ -100,15 +100,6 @@ def _leq_two_cycle(mp):
                lambda d1, d2: (d1 in _CYCLE and d2 in _CYCLE) or real(d1, d2))
 
 
-def _member_mod_three(real):
-    # odd t read as k mod 3, the rule of even t
-    def fake(params, d, x):
-        if d.kind == "T" and d.t % 2 == 1 and x.a_exp % d.t == 0:
-            return x.b_exp == d.s * (x.a_exp // d.t % 3) % 3
-        return real(params, d, x)
-    return fake
-
-
 def _elements_parity(real):
     # even t read as k mod 2, the rule of odd t
     def fake(params, d):
@@ -130,6 +121,14 @@ def _elements_shared(real):
     # T(1,2) gets the element set of T(1,1)
     def fake(params, d):
         return real(params, subgroups_module.twisted(1, 1) if d == ("T", 1, 2) else d)
+    return fake
+
+
+def _elements_swap_s(real):
+    # every T(t,s) gets the set of T(t,3-s): still the subgroup family, but
+    # each twisted descriptor names the other's subgroup
+    def fake(params, d):
+        return real(params, subgroups_module.twisted(d.t, 3 - d.s) if d.kind == "T" else d)
     return fake
 
 
@@ -260,14 +259,14 @@ MUTANTS = {
     # a cycle, on which the level DP would never reach an empty level
     "lattice's subgroup_leq 2-cycle T(1,1), T(1,2)": (
         _leq_two_cycle, 16, {f"{LAWS}[all]", f"{HASSE}[all]", f"{LVO}[all]"}),
-    "contains_element mod 3 for odd t": (
-        _wrap(S, "contains_element", _member_mod_three), 16, {MEMBER}),
     "subgroup_elements parity rule for even t": (
         _wrap(S, "subgroup_elements", _elements_parity), 16,
         {FAMILY, MEMBER, CONTAIN, "subgroup-closure", f"{LVO}[all]"}),
     "subgroup_elements gives T(1,2) the set of T(1,1)": (
         _wrap(S, "subgroup_elements", _elements_shared), 16,
         {FAMILY, MEMBER, CONTAIN, f"{LVO}[all]"}),
+    "subgroup_elements swaps s on every T(t,s)": (
+        _wrap(S, "subgroup_elements", _elements_swap_s), 16, {MEMBER}),
     "_product_coords without the s relabel": (_coords(False), 16, {f"{LVO}[all]"}),
     "_product_coords relabels odd t": (_coords(True), 16, {f"{LVO}[all]"}),
     "hasse_edges drops the last cover": (
@@ -295,8 +294,9 @@ MUTANTS = {
         both(SETS) | {"equivalence-classes"}),
     "multiply is abelian": (
         _wrap(G, "multiply", _abelian_multiply), 16,
-        {"group-laws", FAMILY, NORMALITY, "normal-restriction", "subgroup-closure",
-         "normal-in-supergroup", "fuzzy-axioms", "equivalence-classes"} | both(SETS)),
+        {"group-laws", FAMILY, NORMALITY, "normal-restriction", MEMBER,
+         "subgroup-closure", "normal-in-supergroup", "fuzzy-axioms",
+         "equivalence-classes"} | both(SETS)),
     "multiply gives a * b as a^(1+2n) b": (
         _wrap(G, "multiply", _non_canonical_product((1, 0))), 16, {"group-laws"}),
     "multiply gives a * b as a b^4": (

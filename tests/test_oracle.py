@@ -405,44 +405,58 @@ def test_element_set_refuses_an_index_outside_the_group():
             oracle.element_set([0, i])
 
 
-# -1 would read the last element and 12 is past the table; before these
-# methods refused them, generated((-1,)) was {0, 5, 6, 11}, normalizer of
-# {0, -3, -6, -9} was empty and is_normal({12}) raised a bare IndexError
+# -1 would read the last element and 12 is past the table; True and 1.0
+# equal the index 1.  Before these methods refused them, generated((-1,))
+# was {0, 5, 6, 11}, normalizer of {0, -3, -6, -9} was empty,
+# is_normal({12}) raised a bare IndexError, generated((True,)) answered
+# {0, 1, 2} as for index 1 and generated((1.0,)) raised a bare TypeError
 _BAD_ID = r"is not an element index of U_12$"
+_BAD_IDS = [-1, 12, True, 1.0]
 
 
-@pytest.mark.parametrize("i", [-1, 12])
+@pytest.mark.parametrize("i", _BAD_IDS)
 def test_generated_refuses_an_index_outside_the_group(i):
     oracle = GroupOracle(GroupParams(2))
     assert oracle.generated((3,)) == {0, 3, 6, 9}
-    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+    with pytest.raises(ValueError, match=f"^{i!r} {_BAD_ID}"):
         oracle.generated((i,))
 
 
-@pytest.mark.parametrize("i", [-1, 12])
+@pytest.mark.parametrize("i", _BAD_IDS)
 def test_join_refuses_an_index_outside_the_group(i):
     oracle = GroupOracle(GroupParams(2))
     assert oracle.join(frozenset({0}), (3,)) == {0, 3, 6, 9}
-    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+    with pytest.raises(ValueError, match=f"^{i!r} {_BAD_ID}"):
         oracle.join(frozenset({0}), (i,))
-    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+    with pytest.raises(ValueError, match=f"^{i!r} {_BAD_ID}"):
         oracle.join(frozenset({i}), (3,))
 
 
-@pytest.mark.parametrize("i", [-1, 12])
+@pytest.mark.parametrize("i", _BAD_IDS)
 def test_is_normal_refuses_an_index_outside_the_group(i):
     oracle = GroupOracle(GroupParams(2))
     assert oracle.is_normal(frozenset({0}))
-    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+    with pytest.raises(ValueError, match=f"^{i!r} {_BAD_ID}"):
         oracle.is_normal(frozenset({i}))
 
 
-@pytest.mark.parametrize("i", [-1, 12])
+@pytest.mark.parametrize("i", _BAD_IDS)
 def test_normalizer_refuses_an_index_outside_the_group(i):
     oracle = GroupOracle(GroupParams(2))
     assert oracle.normalizer(frozenset({0})) == set(range(12))
-    with pytest.raises(ValueError, match=f"^{i} {_BAD_ID}"):
+    with pytest.raises(ValueError, match=f"^{i!r} {_BAD_ID}"):
         oracle.normalizer(frozenset({i}))
+
+
+@pytest.mark.parametrize("i", [-1, 6, True, 3.0])
+def test_representative_from_sets_refuses_what_element_set_refuses(i):
+    # grades[True] would grade index 1 and grades[3.0] raise a bare TypeError
+    params = GroupParams(1)
+    whole = frozenset(range(params.order))
+    assert representative_from_sets(params, [frozenset({0}), whole]).ranks == (
+        1, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=f"^{i!r} is not an element index of U_6$"):
+        representative_from_sets(params, [frozenset({0, i}), whole])
 
 
 def test_fuzzy_map_grades_are_read_only():

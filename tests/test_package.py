@@ -76,3 +76,12 @@ def test_the_catalog_is_one_function_of_the_mode():
         elif isinstance(node, ast.ImportFrom):
             named.update(alias.asname or alias.name for alias in node.names)
     assert named & {"MODES", "check_mode"} == set()
+
+
+def test_membership_is_one_closed_form():
+    # subgroup_elements is the catalog's one membership rule; verify's
+    # membership-closed-form holds it to each descriptor's generators
+    import u6n.subgroups
+
+    assert not hasattr(u6n, "contains_element")
+    assert not hasattr(u6n.subgroups, "contains_element")

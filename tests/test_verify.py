@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from u6n import ChainCounts, GroupParams, count_chains, full
+from u6n import ChainCounts, GroupParams, count_chains, cyclic, full, twisted
 from u6n.chains import chain_counts, compute_chain_table, factorization_shape
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
@@ -21,6 +21,7 @@ from u6n.verify import (
     check_group_laws,
     check_hasse_closure,
     check_lattice_vs_oracle,
+    check_membership,
     check_normal_family,
     check_normal_in_supergroup,
     check_shape_vs_lattice,
@@ -88,6 +89,7 @@ def test_individual_checks_pass():
     oracle = GroupOracle(params, 300)
     sets = catalog_sets(oracle, catalog)
     assert check_subgroup_family(oracle, sets) is None
+    assert check_membership(oracle, sets) is None
     assert check_containment(oracle, sets) is None
     assert check_normal_family(oracle, sets, normal) is None
     assert check_dp_vs_dfs(*_lattice_and_dp(3, "all")) is None
@@ -432,6 +434,44 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     assert result is not None
     assert _reported(2, "normal-in-supergroup") == result
     assert result.startswith(f"{node} not normal in ")
+
+
+def test_membership_ties_each_descriptor_to_its_generators(monkeypatch):
+    # T(1,1) and T(1,2) swapped is still the subgroup family, each set
+    # closed and the pair ordered alike, but each names the other's subgroup
+    import u6n.verify as verify_module
+
+    params = GroupParams(2)
+    oracle = GroupOracle(params)
+    sets = catalog_sets(oracle, enumerate_subgroups(params, "all"))
+    t1, t2 = twisted(1, 1), twisted(1, 2)
+    swapped = {**sets, t1: sets[t2], t2: sets[t1]}
+    result = check_membership(oracle, swapped)
+    assert result == "T(1,1): a b is in <a b>, not its set"
+    assert check_subgroup_family(oracle, swapped) is None
+    result = check_membership(oracle, {**sets, cyclic(4): sets[cyclic(2)]})
+    assert result == "C(4): a^2 is in its set, not <e>"
+    monkeypatch.setattr(
+        verify_module, "catalog_sets",
+        lambda o, c: swapped if o.params == params else catalog_sets(o, c),
+    )
+    assert _reported(2, "membership-closed-form") == "T(1,1): a b is in <a b>, not its set"
+
+
+def test_membership_takes_no_reference_from_the_fast_path():
+    # the generators come from the descriptor's definition, so a fault the
+    # catalog's closed forms share cannot pass on both sides
+    import u6n.subgroups
+    import u6n.verify as verify_module
+
+    fast = {name for name, value in vars(u6n.subgroups).items()
+            if getattr(value, "__module__", None) == "u6n.subgroups"}
+    tree = ast.parse(Path(verify_module.__file__).read_text())
+    [check] = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "check_membership"]
+    read = {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
+    assert "subgroup_elements" in fast
+    assert read & fast == set()
 
 
 @pytest.mark.parametrize("n", [1, 2])
