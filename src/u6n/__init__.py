@@ -42,16 +42,13 @@ from .lattice import (
 from .subgroups import (
     FactorizationBudgetExceeded,
     SubgroupDescriptor,
-    cyclic,
     divisors,
     enumerate_subgroups,
     factorize,
     format_descriptor,
-    full,
     subgroup_elements,
     subgroup_leq,
     subgroup_order,
-    twisted,
     twisted_exists,
 )
 
@@ -71,13 +68,11 @@ __all__ = [
     "chain_counts",
     "compute_chain_table",
     "count_chains",
-    "cyclic",
     "divisors",
     "enumerate_subgroups",
     "factorize",
     "format_descriptor",
     "format_element",
-    "full",
     "hasse_edges",
     "identity",
     "inverse",
@@ -85,6 +80,5 @@ __all__ = [
     "subgroup_elements",
     "subgroup_leq",
     "subgroup_order",
-    "twisted",
     "twisted_exists",
 ]

@@ -16,13 +16,7 @@ import argparse
 import os
 import sys
 
-from .chains import (
-    ChainCounts,
-    HeightLimitExceeded,
-    count_chains,
-    factorization_shape,
-    shape_chain_counts,
-)
+from .chains import HeightLimitExceeded, count_chains, factorization_shape
 from .group import DEFAULT_FUZZY_N_MAX, DEFAULT_ORACLE_LIMIT, MODES, GroupParams
 from .lattice import build_lattice, dot_text, hasse_edges, write_json
 from .subgroups import (
@@ -73,6 +67,18 @@ _NATURAL, _POSITIVE = _integer(0), _integer(1)
 _ORACLE_LIMIT = _integer(0, MAX_ORACLE_LIMIT)
 
 
+def _group_n(text: str) -> int:
+    """argparse type of --n: _POSITIVE, with 2n no longer than the digits
+    str() prints (sys.get_int_max_str_digits(), 0 for no limit), since the
+    listings print C(2n).  Refused before 2n is factorized."""
+    n = _POSITIVE(text)
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) >= limit and 2 * n >= 10**limit:
+        raise argparse.ArgumentTypeError(
+            f"2n has more than {limit} digits, Python's limit for printing an int")
+    return n
+
+
 def _n_range(text: str) -> tuple[int, int]:
     """argparse type of --range: N or A..B, each end read by _POSITIVE."""
     a, dots, b = text.partition("..")
@@ -99,7 +105,7 @@ def build_parser() -> _Parser:
 
     def add_common(p: _Parser, handler, mode: bool = True, fmt: bool = True) -> None:
         p.set_defaults(handler=handler)
-        p.add_argument("--n", type=_POSITIVE, required=True,
+        p.add_argument("--n", type=_group_n, required=True,
                        help="group parameter n >= 1")
         if mode:
             p.add_argument("--mode", choices=MODES, default="all")
@@ -242,7 +248,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         shape = factorization_shape(2 * n)
         tail = tails.get(shape)
         if tail is None:
-            c = ChainCounts(n, args.mode, shape_chain_counts(*shape, args.mode))
+            c = count_chains(GroupParams(n), args.mode)
             tail = tails[shape] = (
                 f",{c.mode},{';'.join(map(str, c.per_length))},"
                 f"{c.total},{c.fuzzy_count},{c.mm_count}\n"

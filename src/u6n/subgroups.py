@@ -9,8 +9,10 @@ Every subgroup is one of three shapes, indexed by a divisor t of 2n:
                               (otherwise <a^t b^s> collapses to <a^t, b>)
 
 A SubgroupDescriptor is the plain tuple (kind, t, s), and its kind is the
-letter it prints as: C(t), F(t) or T(t,s).  As "C" < "F" < "T", tuples
-sort in catalog order, kind then t then s.
+letter it prints as: C(t), F(t) or T(t,s).  Its constructor is the one
+way to build one: SubgroupDescriptor("C", t), SubgroupDescriptor("F", t)
+or SubgroupDescriptor("T", t, s).  As "C" < "F" < "T", tuples sort in
+catalog order, kind then t then s.
 
 Containment (subgroup_leq) and orders reduce to modular arithmetic on
 the t and s parameters, so the catalog never materializes element sets;
@@ -63,18 +65,6 @@ class SubgroupDescriptor(namedtuple("SubgroupDescriptor", "kind t s")):
 
     def __str__(self) -> str:
         return format_descriptor(self)
-
-
-def cyclic(t: int) -> SubgroupDescriptor:
-    return SubgroupDescriptor("C", t)
-
-
-def full(t: int) -> SubgroupDescriptor:
-    return SubgroupDescriptor("F", t)
-
-
-def twisted(t: int, s: int) -> SubgroupDescriptor:
-    return SubgroupDescriptor("T", t, s)
 
 
 #: Trial divisors; any cofactor below 101**2 left after them is prime.
@@ -301,10 +291,11 @@ def enumerate_subgroups(params: GroupParams, mode: str) -> list[SubgroupDescript
     """
     every = check_mode(mode) == "all"
     divs = divisors(params.two_n)
-    out = [cyclic(t) for t in divs if every or t % 2 == 0]
-    out += [full(t) for t in divs]
+    out = [SubgroupDescriptor("C", t) for t in divs if every or t % 2 == 0]
+    out += [SubgroupDescriptor("F", t) for t in divs]
     if every:
-        out += [twisted(t, s) for t in divs if twisted_exists(params, t) for s in (1, 2)]
+        out += [SubgroupDescriptor("T", t, s)
+                for t in divs if twisted_exists(params, t) for s in (1, 2)]
     return out
 
 

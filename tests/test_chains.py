@@ -1,6 +1,6 @@
 """Chain-counting DP and the derived fuzzy-subgroup counts."""
 
-from itertools import accumulate
+from itertools import accumulate, product
 from math import prod
 from operator import add, sub
 from pathlib import Path
@@ -17,12 +17,15 @@ from u6n import (
     ChainCounts,
     GroupParams,
     Lattice,
+    SubgroupDescriptor,
+    all_elements,
     build_lattice,
     chain_counts,
     compute_chain_table,
     count_chains,
     factorize,
-    full,
+    inverse,
+    multiply,
 )
 from u6n.chains import (
     MAX_HEIGHT,
@@ -51,6 +54,28 @@ def test_anchor_counts(n, mode):
     assert counts.total == sum(per_length)
 
 
+def test_fuzzy_count_at_n_1_is_the_count_from_the_definition():
+    # no chain in between: a fuzzy subgroup up to equivalence is a weak
+    # order on U_6, here a rank vector onto 0..k-1, that satisfies FG1
+    # mu(xy) >= min(mu(x), mu(y)) and FG2 mu(x^-1) >= mu(x); a normal one
+    # also has mu(xy) = mu(yx)
+    params = GroupParams(1)
+    elements = all_elements(params)
+    index = {x: i for i, x in enumerate(elements)}
+    products = [(i, j, index[multiply(params, x, y)], index[multiply(params, y, x)])
+                for i, x in enumerate(elements) for j, y in enumerate(elements)]
+    inverses = [(i, index[inverse(params, x)]) for i, x in enumerate(elements)]
+    weak_orders = [r for r in product(range(6), repeat=6)
+                   if set(r) == set(range(max(r) + 1))]
+    assert len(weak_orders) == 4683
+    fuzzy = [r for r in weak_orders
+             if all(r[xy] >= min(r[x], r[y]) for x, y, xy, _ in products)
+             and all(r[inv] >= r[x] for x, inv in inverses)]
+    normal = [r for r in fuzzy if all(r[xy] == r[yx] for _, _, xy, yx in products)]
+    assert len(fuzzy) == count_chains(params, "all").fuzzy_count == 10
+    assert len(normal) == count_chains(params, "normal").fuzzy_count == 4
+
+
 def test_murali_makamba_examples():
     assert count_chains(GroupParams(1), "all").mm_count == 19
     assert count_chains(GroupParams(1), "normal").mm_count == 7
@@ -71,7 +96,7 @@ def test_single_node_lattice():
     lat = Lattice(
         params=GroupParams(1),
         mode="all",
-        nodes=(full(1),),
+        nodes=(SubgroupDescriptor("F", 1),),
         orders=(6,),
         top_index=0,
         coords=((0, 1),),

@@ -159,6 +159,35 @@ def test_height_above_the_limit_exits_1_within_1_s(capsys):
     assert run_cli(capsys, "chains", "--n", n) == (1, "", message)
 
 
+@pytest.mark.parametrize("command", ["subgroups", "normal", "lattice"])
+def test_n_whose_2n_str_cannot_print_exits_1_within_1_s(capsys, command):
+    # n has 4300 digits, as many as int() reads, but 2n = 10^4300 has 4301
+    # and the listings print C(2n); refused before 2n is factorized
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    result = run_cli(capsys, command, "--n", "5" + "0" * (limit - 1))
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", f"u6n {command}: error: argument --n: 2n has more "
+                             f"than {limit} digits, Python's limit for printing an int\n")
+
+
+def test_the_2n_digit_rule_reads_the_interpreter_limit(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    largest = "4" + "9" * (limit - 1)  # 2n has `limit` digits
+    assert u6n.cli._group_n(largest) == int(largest)
+    message = f"2n has more than {limit - 1} digits"
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit - 1)
+    with pytest.raises(argparse.ArgumentTypeError, match=message):
+        u6n.cli._group_n("5" + "0" * (limit - 2))
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    assert u6n.cli._group_n("5" + "0" * (limit - 1)) == 5 * 10 ** (limit - 1)
+    # a 2n that fits goes on to the count's own refusal
+    n = "1" + "0" * (limit - 1)
+    assert run_cli(capsys, "count", "--n", n) == (
+        1, "", f"error: lattice height {2 * limit} is above {MAX_HEIGHT}, "
+               "the largest the chain count answers\n")
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     # the reader takes one line and goes away, as `u6n batch ... | head -1`
     src = str(Path(u6n.__file__).resolve().parent.parent)
@@ -493,7 +522,7 @@ def test_every_integer_option_reads_the_one_grammar():
     }
     positive, natural = u6n.cli._POSITIVE, u6n.cli._NATURAL
     assert free == {
-        **{(cmd, "n"): positive
+        **{(cmd, "n"): u6n.cli._group_n
            for cmd in ("subgroups", "normal", "chains", "count", "lattice")},
         ("verify", "n_max"): positive,
         ("verify", "fuzzy_n_max"): natural,
@@ -568,13 +597,13 @@ def test_verify_does_not_ride_on_assert():
 @pytest.mark.parametrize("mode", ["all", "normal"])
 def test_batch_counts_each_shape_once_per_call(capsys, monkeypatch, mode):
     calls = []
-    real = u6n.cli.shape_chain_counts
+    real = u6n.chains.shape_chain_counts
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(u6n.cli, "shape_chain_counts", counting)
+    monkeypatch.setattr(u6n.chains, "shape_chain_counts", counting)
     shapes = set(map(factorization_shape, range(2, 162, 2)))
     for _ in range(2):  # the second call recomputes: nothing outlives a call
         calls.clear()

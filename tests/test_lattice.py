@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from u6n import (
     GroupParams,
+    SubgroupDescriptor,
     build_lattice,
     chain_counts,
     compute_chain_table,
     count_chains,
     enumerate_subgroups,
     factorize,
-    full,
     hasse_edges,
     subgroup_leq,
     subgroup_order,
@@ -54,7 +54,7 @@ def _strict_pairs(lat):
 def test_n1_all_lattice():
     lat = build_lattice(GroupParams(1), "all")
     assert [str(d) for d in lat.nodes] == ["C(1)", "F(1)", "F(2)", "T(1,1)", "T(1,2)"]
-    assert lat.nodes[lat.top_index] == full(1)
+    assert lat.nodes[lat.top_index] == SubgroupDescriptor("F", 1)
     assert _strict_pairs(lat) == {
         ("C(1)", "F(1)"),
         ("F(2)", "F(1)"),
@@ -266,7 +266,7 @@ def _first_difference(a, b):
 def test_write_json_one_node_lattice_writes_empty_pair_lists():
     # F(1) alone: both pair lists are empty and take the "[]" branch
     lat = Lattice(params=GroupParams(1), mode="all",
-                  nodes=(full(1),), orders=(6,), top_index=0, coords=((0, 1),),
+                  nodes=(SubgroupDescriptor("F", 1),), orders=(6,), top_index=0, coords=((0, 1),),
                   core_above=((),), column={1: [(0,)]})
     text = "".join(_written(lat))
     assert text == json.dumps(export_json(lat), indent=2) + "\n"

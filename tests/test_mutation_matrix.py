@@ -71,7 +71,7 @@ def _odd_cyclic_normal(real):
     def fake(params, mode):
         if mode != "normal":
             return real(params, mode)
-        extra = [subgroups_module.cyclic(t)
+        extra = [subgroups_module.SubgroupDescriptor("C", t)
                  for t in subgroups_module.divisors(params.two_n) if t % 2]
         return sorted(real(params, mode) + extra)
     return fake
@@ -120,7 +120,9 @@ def _coords(relabel_odd_t):
 def _elements_shared(real):
     # T(1,2) gets the element set of T(1,1)
     def fake(params, d):
-        return real(params, subgroups_module.twisted(1, 1) if d == ("T", 1, 2) else d)
+        if d == ("T", 1, 2):
+            d = subgroups_module.SubgroupDescriptor("T", 1, 1)
+        return real(params, d)
     return fake
 
 
@@ -128,7 +130,9 @@ def _elements_swap_s(real):
     # every T(t,s) gets the set of T(t,3-s): still the subgroup family, but
     # each twisted descriptor names the other's subgroup
     def fake(params, d):
-        return real(params, subgroups_module.twisted(d.t, 3 - d.s) if d.kind == "T" else d)
+        if d.kind == "T":
+            d = subgroups_module.SubgroupDescriptor("T", d.t, 3 - d.s)
+        return real(params, d)
     return fake
 
 

@@ -15,16 +15,14 @@ from u6n import (
     Element,
     GroupParams,
     OracleLimitExceeded,
+    SubgroupDescriptor,
     all_elements,
     build_lattice,
     count_chains,
-    cyclic,
     enumerate_subgroups,
-    full,
     inverse,
     multiply,
     subgroup_elements,
-    twisted,
 )
 from u6n.oracle import (
     FuzzyMap,
@@ -36,6 +34,8 @@ from u6n.oracle import (
     representative_from_sets,
 )
 from u6n.verify import catalog_sets, check_fuzzy_axioms, run_verification
+
+D = SubgroupDescriptor
 
 
 def _rep(params, chain, levels=None):
@@ -84,11 +84,11 @@ def test_normality_examples():
     def is_normal(h_set):
         return oracle.is_normal(oracle.index_set(h_set))
 
-    assert not is_normal(subgroup_elements(params, twisted(1, 1)))
+    assert not is_normal(subgroup_elements(params, D("T", 1, 1)))
     assert is_normal(frozenset({Element(0, 0), Element(0, 1), Element(0, 2)}))
     assert is_normal(frozenset(all_elements(params)))
     # <a> has index 3 in U_6 and is not normal there
-    assert not is_normal(subgroup_elements(params, cyclic(1)))
+    assert not is_normal(subgroup_elements(params, D("C", 1)))
 
 
 def test_oracle_normal_matches_catalog():
@@ -471,13 +471,13 @@ def test_fuzzy_map_grades_are_read_only():
 
 def test_representative_construction():
     params = GroupParams(1)
-    mu = _rep(params, [full(2), full(1)])
+    mu = _rep(params, [D("F", 2), D("F", 1)])
     for x in all_elements(params):
         expected = Fraction(1) if x.a_exp == 0 else Fraction(1, 2)
         assert mu[x] == expected
     assert len(set(mu.grades)) == 2
 
-    constant = _rep(params, [full(1)])
+    constant = _rep(params, [D("F", 1)])
     assert set(constant.grades) == {Fraction(1)}
     assert GroupOracle(params).is_fuzzy_subgroup(constant)
 
@@ -487,32 +487,32 @@ def test_representative_validation():
     with pytest.raises(ValueError):
         _rep(params, [])
     with pytest.raises(ValueError):
-        _rep(params, [full(2)])  # must end at F(1)
+        _rep(params, [D("F", 2)])  # must end at F(1)
     with pytest.raises(ValueError):
-        _rep(params, [full(1), full(2)])
+        _rep(params, [D("F", 1), D("F", 2)])
     with pytest.raises(ValueError):
-        _rep(params, [full(2), full(1)], [Fraction(1)])
+        _rep(params, [D("F", 2), D("F", 1)], [Fraction(1)])
     with pytest.raises(ValueError):
         _rep(
-            params, [full(2), full(1)], [Fraction(1, 2), Fraction(1, 2)]
+            params, [D("F", 2), D("F", 1)], [Fraction(1, 2), Fraction(1, 2)]
         )
     with pytest.raises(ValueError):
-        _rep(params, [full(2), full(1)], [1.0, 0.5])
+        _rep(params, [D("F", 2), D("F", 1)], [1.0, 0.5])
     with pytest.raises(ValueError):
-        _rep(params, [full(2), full(1)], [Fraction(3, 2), 1])
+        _rep(params, [D("F", 2), D("F", 1)], [Fraction(3, 2), 1])
     with pytest.raises(ValueError):
-        _rep(params, [full(2), full(1)], [1, Fraction(-1, 2)])
+        _rep(params, [D("F", 2), D("F", 1)], [1, Fraction(-1, 2)])
     with pytest.raises(ValueError, match="^grade True is not an exact rational$"):
-        _rep(params, [full(1)], [True])
+        _rep(params, [D("F", 1)], [True])
 
 
 def test_levels_need_not_start_at_one():
     params = GroupParams(1)
     mu = _rep(
-        params, [full(2), full(1)], [Fraction(1, 3), Fraction(1, 7)]
+        params, [D("F", 2), D("F", 1)], [Fraction(1, 3), Fraction(1, 7)]
     )
     assert GroupOracle(params).is_fuzzy_subgroup(mu)
-    assert mu.ranks == _rep(params, [full(2), full(1)]).ranks
+    assert mu.ranks == _rep(params, [D("F", 2), D("F", 1)]).ranks
 
 
 def test_fuzzy_axiom_checks():
@@ -548,19 +548,19 @@ def test_normal_fuzzy_with_close_levels():
     oracle = GroupOracle(params)
     levels = [Fraction(1, 2) + Fraction(1, 10**9), Fraction(1, 2)]
     assert oracle.is_normal_fuzzy(
-        _rep(params, [full(2), full(1)], levels)
+        _rep(params, [D("F", 2), D("F", 1)], levels)
     )
     assert not oracle.is_normal_fuzzy(
-        _rep(params, [cyclic(1), full(1)], levels)
+        _rep(params, [D("C", 1), D("F", 1)], levels)
     )
 
 
 def test_normal_fuzzy_examples():
     params = GroupParams(1)
     oracle = GroupOracle(params)
-    assert oracle.is_normal_fuzzy(_rep(params, [full(2), full(1)]))
+    assert oracle.is_normal_fuzzy(_rep(params, [D("F", 2), D("F", 1)]))
     assert not oracle.is_normal_fuzzy(
-        _rep(params, [cyclic(1), full(1)])
+        _rep(params, [D("C", 1), D("F", 1)])
     )
 
 
@@ -594,20 +594,20 @@ def test_oracle_fuzzy_checks_run_on_its_own_tables():
 
 def test_equivalence_examples():
     params = GroupParams(1)
-    mu = _rep(params, [full(2), full(1)])
+    mu = _rep(params, [D("F", 2), D("F", 1)])
     nu = _rep(
-        params, [full(2), full(1)], [Fraction(1), Fraction(1, 3)]
+        params, [D("F", 2), D("F", 1)], [Fraction(1), Fraction(1, 3)]
     )
     assert mu.ranks == nu.ranks
     assert comparison_pattern(mu) == comparison_pattern(nu)
-    other = _rep(params, [cyclic(1), full(1)])
+    other = _rep(params, [D("C", 1), D("F", 1)])
     assert mu.ranks != other.ranks
     assert comparison_pattern(mu) != comparison_pattern(other)
 
 
 def test_comparison_pattern_is_the_strict_order_on_grades():
     params = GroupParams(1)
-    mu = _rep(params, [full(2), full(1)])
+    mu = _rep(params, [D("F", 2), D("F", 1)])
     pattern = comparison_pattern(mu)
     order = params.order
     assert len(pattern) == order * order
@@ -619,7 +619,7 @@ def test_comparison_pattern_is_the_strict_order_on_grades():
 
 def test_ranks_are_dense():
     params = GroupParams(2)
-    mu = _rep(params, [cyclic(2), full(2), full(1)])
+    mu = _rep(params, [D("C", 2), D("F", 2), D("F", 1)])
     assert set(mu.ranks) == {0, 1, 2}
     assert len(mu.ranks) == len(all_elements(params))
 
@@ -630,7 +630,7 @@ def test_signature_agrees_with_pairwise():
     reps = []
     for i in range(len(lat.nodes)):
         if lat.top_index in lat.row(i):
-            reps.append(_rep(params, [lat.nodes[i], full(1)]))
+            reps.append(_rep(params, [lat.nodes[i], D("F", 1)]))
     for mu in reps:
         for nu in reps:
             assert (mu.ranks == nu.ranks) == (
@@ -753,7 +753,7 @@ def test_oracle_is_independent_of_the_catalog():
 def test_representative_from_sets_checks_ascent():
     params = GroupParams(1)
     whole = frozenset(range(params.order))
-    sub = GroupOracle(params).index_set(subgroup_elements(params, full(2)))
+    sub = GroupOracle(params).index_set(subgroup_elements(params, D("F", 2)))
     with pytest.raises(ValueError):
         representative_from_sets(params, [whole, sub])
     with pytest.raises(ValueError):
@@ -773,7 +773,7 @@ def test_index_sets_and_descriptors_build_the_same_map():
         lat = build_lattice(params, "all")
         for chain in lattice_chains(lat):
             descs = [lat.nodes[i] for i in chain]
-            for descs in (descs, [cyclic(params.two_n)] + descs):
+            for descs in (descs, [D("C", params.two_n)] + descs):
                 mu = _rep(params, descs)
                 members = [subgroup_elements(params, d) for d in descs]
                 assert all(

@@ -85,3 +85,17 @@ def test_membership_is_one_closed_form():
 
     assert not hasattr(u6n, "contains_element")
     assert not hasattr(u6n.subgroups, "contains_element")
+
+
+def test_one_descriptor_constructor_and_one_counting_entry_point():
+    # SubgroupDescriptor(kind, t, s) is the one way to build a descriptor,
+    # and batch counts through count_chains as count and chains do
+    import u6n.subgroups
+
+    for module in (u6n, u6n.subgroups):
+        assert [name for name in ("cyclic", "full", "twisted")
+                if hasattr(module, name)] == []
+    tree = ast.parse((INIT.parent / "cli.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"ChainCounts", "shape_chain_counts"} == set()

@@ -13,22 +13,21 @@ from u6n import (
     FactorizationBudgetExceeded,
     GroupParams,
     SubgroupDescriptor,
-    cyclic,
     divisors,
     enumerate_subgroups,
     factorize,
     format_descriptor,
-    full,
     inverse,
     multiply,
     subgroup_elements,
     subgroup_leq,
     subgroup_order,
-    twisted,
     twisted_exists,
 )
 from u6n.group import MODES
 from u6n.oracle import trial_division_factorize
+
+D = SubgroupDescriptor
 
 params_st = st.integers(min_value=1, max_value=30).map(GroupParams)
 
@@ -189,9 +188,9 @@ def test_divisors_complete_and_sorted(m):
 def test_descriptor_validation():
     needs_s = r"^twisted subgroup needs s in \{1, 2\}, got "
     with pytest.raises(ValueError, match="^t must be an int >= 1, got 0$"):
-        cyclic(0)
+        D("C", 0)
     with pytest.raises(ValueError, match=needs_s + "3$"):
-        twisted(1, 3)
+        D("T", 1, 3)
     with pytest.raises(ValueError, match=r"^C\(2\) takes no s parameter$"):
         SubgroupDescriptor("C", 2, 1)  # s only belongs on twisted
     with pytest.raises(ValueError, match=r"^F\(4\) takes no s parameter$"):
@@ -263,18 +262,18 @@ def test_count_formula(params):
 def test_element_sets_match_published_forms():
     params = GroupParams(2)
     e = Element(0, 0)
-    assert subgroup_elements(params, cyclic(2)) == {e, Element(2, 0)}
-    assert subgroup_elements(params, full(4)) == {e, Element(0, 1), Element(0, 2)}
+    assert subgroup_elements(params, D("C", 2)) == {e, Element(2, 0)}
+    assert subgroup_elements(params, D("F", 4)) == {e, Element(0, 1), Element(0, 2)}
     # odd t: the b exponent alternates with the step parity
-    assert subgroup_elements(params, twisted(1, 1)) == {
+    assert subgroup_elements(params, D("T", 1, 1)) == {
         e, Element(1, 1), Element(2, 0), Element(3, 1),
     }
     # even t: the b exponent walks with the step count mod 3
     params3 = GroupParams(3)
-    assert subgroup_elements(params3, twisted(2, 1)) == {
+    assert subgroup_elements(params3, D("T", 2, 1)) == {
         e, Element(2, 1), Element(4, 2),
     }
-    assert subgroup_elements(params3, twisted(2, 2)) == {
+    assert subgroup_elements(params3, D("T", 2, 2)) == {
         e, Element(2, 2), Element(4, 1),
     }
 
@@ -310,14 +309,14 @@ def test_exclusivity_up_to_12():
 def test_subgroup_elements_rejects_bad_descriptor():
     params = GroupParams(2)
     with pytest.raises(ValueError):
-        subgroup_elements(params, cyclic(3))  # 3 does not divide 4
+        subgroup_elements(params, D("C", 3))  # 3 does not divide 4
     with pytest.raises(ValueError):
-        subgroup_elements(params, twisted(2, 1))  # T(2,s) is F(2) in disguise
+        subgroup_elements(params, D("T", 2, 1))  # T(2,s) is F(2) in disguise
 
 
 @pytest.mark.parametrize("d, message", [
-    (cyclic(3), r"^C\(3\) invalid: t = 3 does not divide 4$"),
-    (twisted(2, 1), r"^T\(2,1\) invalid: t = 2 is even "),
+    (D("C", 3), r"^C\(3\) invalid: t = 3 does not divide 4$"),
+    (D("T", 2, 1), r"^T\(2,1\) invalid: t = 2 is even "),
 ], ids=["t-not-a-divisor", "twisted-in-disguise"])
 def test_subgroup_order_refuses_what_subgroup_elements_refuses(d, message):
     # the closed form alone would answer 1 and 2 for these
@@ -326,9 +325,9 @@ def test_subgroup_order_refuses_what_subgroup_elements_refuses(d, message):
 
 
 def test_leq_published_cases():
-    assert subgroup_leq(cyclic(2), twisted(1, 1))
-    assert not subgroup_leq(cyclic(1), full(2))
-    assert not subgroup_leq(full(2), cyclic(1))
+    assert subgroup_leq(D("C", 2), D("T", 1, 1))
+    assert not subgroup_leq(D("C", 1), D("F", 2))
+    assert not subgroup_leq(D("F", 2), D("C", 1))
 
 
 @settings(max_examples=30)
@@ -345,7 +344,7 @@ def test_format_descriptor_is_injective():
     for n in (3, 12):
         descs = enumerate_subgroups(GroupParams(n), "all")
         assert len({format_descriptor(d) for d in descs}) == len(descs)
-    assert format_descriptor(twisted(2, 1)) == str(twisted(2, 1)) == "T(2,1)"
+    assert format_descriptor(D("T", 2, 1)) == str(D("T", 2, 1)) == "T(2,1)"
 
 
 def test_descriptor_ordering_is_kind_then_t_then_s():

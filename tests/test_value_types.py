@@ -16,17 +16,16 @@ from u6n import (
     GroupParams,
     Lattice,
     SubgroupDescriptor,
-    cyclic,
-    full,
-    twisted,
 )
 from u6n.oracle import FuzzyMap
 from u6n.verify import CheckResult
 
+D = SubgroupDescriptor
+
 
 def _lattice(n=1):
     # F(1) alone, as the one-node lattice of the lattice and chains tests
-    return Lattice(params=GroupParams(n), mode="all", nodes=(full(1),),
+    return Lattice(params=GroupParams(n), mode="all", nodes=(D("F", 1),),
                    orders=(6 * n,), top_index=0, coords=((0, 1),),
                    core_above=((),), column={1: [(0,)]})
 
@@ -100,10 +99,10 @@ def test_value_type_copy_and_pickle_round_trip(name):
 
 
 def test_descriptor_keywords_and_default_s():
-    assert SubgroupDescriptor(kind="C", t=4) == cyclic(4)
-    assert cyclic(4).s is None and full(2).s is None
-    assert SubgroupDescriptor("T", t=3, s=2) == twisted(3, 2)
-    assert twisted(3, 2).s == 2
+    assert SubgroupDescriptor(kind="C", t=4) == D("C", 4)
+    assert D("C", 4).s is None and D("F", 2).s is None
+    assert SubgroupDescriptor("T", t=3, s=2) == D("T", 3, 2)
+    assert D("T", 3, 2).s == 2
 
 
 def test_element_sorts_as_its_exponent_pair():
@@ -120,7 +119,7 @@ _REFUSED = {
     "GroupParams._make([0])": lambda: GroupParams._make([0]),
     "SubgroupDescriptor._make(['X', 0, 7])":
         lambda: SubgroupDescriptor._make(["X", 0, 7]),
-    "SubgroupDescriptor._replace(s=1)": lambda: cyclic(4)._replace(s=1),
+    "SubgroupDescriptor._replace(s=1)": lambda: D("C", 4)._replace(s=1),
     "ChainCounts._make([1, 'all', (0,)])":
         lambda: ChainCounts._make([1, "all", (0,)]),
     "FuzzyMap._replace(grades=2)":
@@ -137,8 +136,8 @@ def test_make_and_replace_run_the_constructor_checks(call):
 
 def test_make_and_replace_build_what_the_constructor_builds():
     assert GroupParams(5)._replace(n=6) == GroupParams(6)
-    assert twisted(3, 1)._replace(s=2) == twisted(3, 2)
-    assert SubgroupDescriptor._make(("C", 4, None)) == cyclic(4)
+    assert D("T", 3, 1)._replace(s=2) == D("T", 3, 2)
+    assert SubgroupDescriptor._make(("C", 4, None)) == D("C", 4)
     counts = ChainCounts(5, "all", (1, 4))._replace(mode="normal")
     assert counts == ChainCounts(5, "normal", (1, 4))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from u6n import ChainCounts, GroupParams, count_chains, cyclic, full, twisted
+from u6n import ChainCounts, GroupParams, SubgroupDescriptor, count_chains
 from u6n.chains import chain_counts, compute_chain_table, factorization_shape
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
@@ -31,6 +31,8 @@ from u6n.verify import (
     report_json,
     run_verification,
 )
+
+D = SubgroupDescriptor
 
 
 def _lattice_and_dp(n, mode):
@@ -291,7 +293,7 @@ def test_a_normal_descriptor_missing_from_the_catalog_is_a_failure(monkeypatch):
     monkeypatch.setattr(
         verify_module, "enumerate_subgroups",
         lambda p, mode: [
-            d for d in enumerate_subgroups(p, mode) if mode == "normal" or d != full(2)
+            d for d in enumerate_subgroups(p, mode) if mode == "normal" or d != D("F", 2)
         ],
     )
     results = run_verification(2)
@@ -390,7 +392,7 @@ def test_oracle_checks_name_the_missing_subgroup():
     oracle = GroupOracle(GroupParams(2), 300)
     # drop the normal subgroup F(2) = <a^2, b> from the catalog
     catalog = enumerate_subgroups(oracle.params, "all")
-    sets = {d: h for d, h in catalog_sets(oracle, catalog).items() if d != full(2)}
+    sets = {d: h for d, h in catalog_sets(oracle, catalog).items() if d != D("F", 2)}
     result = check_subgroup_family(oracle, sets)
     assert result is not None
     assert result == "oracle-only subgroup {a^2, a^2 b, a^2 b^2, b, b^2, e}"
@@ -444,12 +446,12 @@ def test_membership_ties_each_descriptor_to_its_generators(monkeypatch):
     params = GroupParams(2)
     oracle = GroupOracle(params)
     sets = catalog_sets(oracle, enumerate_subgroups(params, "all"))
-    t1, t2 = twisted(1, 1), twisted(1, 2)
+    t1, t2 = D("T", 1, 1), D("T", 1, 2)
     swapped = {**sets, t1: sets[t2], t2: sets[t1]}
     result = check_membership(oracle, swapped)
     assert result == "T(1,1): a b is in <a b>, not its set"
     assert check_subgroup_family(oracle, swapped) is None
-    result = check_membership(oracle, {**sets, cyclic(4): sets[cyclic(2)]})
+    result = check_membership(oracle, {**sets, D("C", 4): sets[D("C", 2)]})
     assert result == "C(4): a^2 is in its set, not <e>"
     monkeypatch.setattr(
         verify_module, "catalog_sets",
