@@ -17,7 +17,9 @@ and 9999991 * 9999973, whose 2n has two prime factors near 1e7: there the
 lattices are tiny and factorizing 2n is the whole cost.  It ends with the
 core-heavy n = 2^15 * 3^10, whose 2n = 2^16 * 3^10 has no prime factor
 above 3, so the whole lattice is the core.  Exits 1 if the two paths give
-different counts.
+different counts, and 1 with one line on stderr, as `u6n count` does,
+for an n whose count the CLI refuses (2n too hard to factor, or a lattice
+above the height limit).
 
 Usage:
     python3 scripts/benchmark_large_n.py
@@ -30,16 +32,18 @@ import sys
 import time
 
 from u6n import (
+    FactorizationBudgetExceeded,
     GroupParams,
+    HeightLimitExceeded,
     build_lattice,
     chain_counts,
     compute_chain_table,
     count_chains,
     factorize,
-    format_descriptor,
     hasse_edges,
 )
 from u6n.cli import _POSITIVE
+from u6n.group import MODES
 from u6n.lattice import dot_text, write_json
 
 LADDER = [5040, 55440, 360360, 2**61 - 1, 9999991 * 9999973, 2**15 * 3**10]
@@ -52,7 +56,7 @@ def bench(n: int) -> bool:
     factorize(params.two_n)
     factorize_s = time.perf_counter() - start
     agree = True
-    for mode in ("all", "normal"):
+    for mode in MODES:
         start = time.perf_counter()
         shape = count_chains(params, mode)
         counted = time.perf_counter()
@@ -61,7 +65,7 @@ def bench(n: int) -> bool:
         covers = hasse_edges(lat)
         reduced = time.perf_counter()
         sizes = []  # the JSON is ASCII: one byte per character
-        texts = list(map(format_descriptor, lat.nodes))
+        texts = list(map(str, lat.nodes))
         write_json(lat, covers, texts, lambda chunk: sizes.append(len(chunk)))
         exported = time.perf_counter()
         dot_bytes = len(dot_text(lat, covers, texts))
@@ -90,8 +94,12 @@ def main() -> int:
     parser.add_argument("--n", type=_POSITIVE, nargs="+", default=LADDER)
     args = parser.parse_args()
     agree = True
-    for n in args.n:
-        agree = bench(n) and agree
+    try:
+        for n in args.n:
+            agree = bench(n) and agree
+    except (FactorizationBudgetExceeded, HeightLimitExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if agree else 1
 
 

@@ -45,7 +45,6 @@ from .subgroups import (
     divisors,
     enumerate_subgroups,
     factorize,
-    format_descriptor,
     subgroup_elements,
     subgroup_leq,
     subgroup_order,
@@ -71,7 +70,6 @@ __all__ = [
     "divisors",
     "enumerate_subgroups",
     "factorize",
-    "format_descriptor",
     "format_element",
     "hasse_edges",
     "identity",

@@ -22,7 +22,6 @@ from .lattice import build_lattice, dot_text, hasse_edges, write_json
 from .subgroups import (
     FactorizationBudgetExceeded,
     enumerate_subgroups,
-    format_descriptor,
     subgroup_order,
 )
 
@@ -153,7 +152,7 @@ def build_parser() -> _Parser:
 def _cmd_listing(args: argparse.Namespace) -> int:
     params = GroupParams(args.n)
     mode = "normal" if args.command == "normal" else "all"
-    rows = [(format_descriptor(d), subgroup_order(params, d))
+    rows = [(str(d), subgroup_order(params, d))
             for d in enumerate_subgroups(params, mode)]
     if args.fmt == "json":
         payload = {
@@ -212,7 +211,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     lat = build_lattice(GroupParams(args.n), args.mode)
-    covers, texts = hasse_edges(lat), list(map(format_descriptor, lat.nodes))
+    covers, texts = hasse_edges(lat), list(map(str, lat.nodes))
     if args.dot_path is not None:
         try:
             with open(args.dot_path, "w") as fh:

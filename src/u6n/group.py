@@ -87,7 +87,7 @@ def canonical_element(params: GroupParams, x: Element) -> Element:
     raise ValueError(f"{x!r} is not a canonical element of U_{params.order}")
 
 
-def identity(params: GroupParams) -> Element:
+def identity() -> Element:
     return Element(0, 0)
 
 

@@ -56,7 +56,6 @@ from .subgroups import (
     SubgroupDescriptor,
     core_of,
     enumerate_subgroups,
-    format_descriptor,
     subgroup_leq,
     subgroup_order,
 )
@@ -184,8 +183,8 @@ def hasse_edges(lat: Lattice) -> list[tuple[int, int]]:
 
 
 def dot_text(lat: Lattice, covers: list[tuple[int, int]], texts: list[str]) -> str:
-    """export_dot(lat), given hasse_edges(lat) and the format_descriptor
-    text of each node."""
+    """export_dot(lat), given hasse_edges(lat) and the text (str) of each
+    node."""
     lines = [f"digraph u6n_lattice_{lat.mode} {{", "  rankdir=BT;"]
     lines += [f'  n{i} [label="{text} (order {o})"];'
               for i, (text, o) in enumerate(zip(texts, lat.orders))]
@@ -196,7 +195,7 @@ def dot_text(lat: Lattice, covers: list[tuple[int, int]], texts: list[str]) -> s
 
 def export_dot(lat: Lattice) -> str:
     """DOT digraph, edges oriented subgroup -> supergroup, deterministic."""
-    return dot_text(lat, hasse_edges(lat), list(map(format_descriptor, lat.nodes)))
+    return dot_text(lat, hasse_edges(lat), list(map(str, lat.nodes)))
 
 
 def export_json(lat: Lattice) -> dict:
@@ -205,7 +204,7 @@ def export_json(lat: Lattice) -> dict:
         "n": lat.params.n,
         "mode": lat.mode,
         "nodes": [
-            {"id": i, "desc": format_descriptor(d), "order": o}
+            {"id": i, "desc": str(d), "order": o}
             for i, (d, o) in enumerate(zip(lat.nodes, lat.orders))
         ],
         "edges_strict": [[i, j] for i in range(len(lat.nodes))

@@ -33,8 +33,10 @@ integers: the ranking keys each grade on its (numerator, denominator),
 and the distinct grades are ordered, as comparison_pattern compares all
 grades, after scaling each to the lcm of their denominators.  None of it
 consults the divisor-based catalog, so agreement between the two paths is
-evidence, not circularity: descriptors meet the oracle only in
-verify.catalog_sets, which maps each one to its index set.
+evidence, not circularity: descriptors meet the oracle only in verify,
+at two bridges.  catalog_sets maps each descriptor's closed-form element
+set to its index set, and check_membership maps each descriptor's
+generators through index_set to the subgroup they generate.
 Factorization is plain trial division, the reference for the catalog's
 BPSW and Pollard-rho factorizer.
 
@@ -119,7 +121,7 @@ class GroupOracle:
         self.mult = b_rows + [[ids[(shift + z) % order] for z in row]
                               for shift in range(3, order, 3) for row in b_rows]
         self.inv = [_index(inverse(params, x)) for x in elements]
-        self.identity = _index(identity(params))
+        self.identity = _index(identity())
         self._ids = frozenset(ids)
 
     def index_set(self, elements: Iterable[Element]) -> frozenset[int]:

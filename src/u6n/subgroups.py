@@ -64,7 +64,10 @@ class SubgroupDescriptor(namedtuple("SubgroupDescriptor", "kind t s")):
         return cls(*fields)
 
     def __str__(self) -> str:
-        return format_descriptor(self)
+        """C(t), F(t) or T(t,s): plain ASCII, so JSON needs no escaping."""
+        if self.kind == "T":
+            return f"T({self.t},{self.s})"
+        return f"{self.kind}({self.t})"
 
 
 #: Trial divisors; any cofactor below 101**2 left after them is prime.
@@ -346,10 +349,3 @@ def subgroup_leq(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
     k = t1 // t2
     km = k % 2 if t2 % 2 else k % 3
     return d2.s * km % 3 == (0 if kind1 == "C" else d1.s)
-
-
-def format_descriptor(d: SubgroupDescriptor) -> str:
-    """C(t), F(t) or T(t,s): plain ASCII, so JSON needs no escaping."""
-    if d.kind == "T":
-        return f"T({d.t},{d.s})"
-    return f"{d.kind}({d.t})"

@@ -23,7 +23,6 @@ from u6n import (
     build_lattice,
     count_chains,
     enumerate_subgroups,
-    format_descriptor,
     subgroup_order,
 )
 from u6n.chains import MAX_HEIGHT, factorization_shape
@@ -362,7 +361,7 @@ def _listing_rows(command, n):
     params = GroupParams(n)
     descs = enumerate_subgroups(params, "normal" if command == "normal" else "all")
     return [("desc", "order"),
-            *((format_descriptor(d), subgroup_order(params, d)) for d in descs)]
+            *((str(d), subgroup_order(params, d)) for d in descs)]
 
 
 def _chains_rows(n, mode):

@@ -9,6 +9,9 @@ from pathlib import Path
 import u6n
 
 INIT = Path(u6n.__file__)
+#: the package's modules but its __init__, and the scripts
+SOURCES = sorted(p for p in INIT.parent.glob("*.py") if p != INIT)
+SOURCES += sorted((INIT.parents[2] / "scripts").glob("*.py"))
 
 
 def test_all_is_exactly_the_imported_names():
@@ -27,11 +30,8 @@ def test_all_is_exactly_the_imported_names():
 def test_every_public_name_is_read_outside_the_package_init():
     # a public name that only tests or the benchmark read is API kept for
     # its own tests; they import it from its module
-    root = INIT.parents[2]
-    files = [p for p in INIT.parent.glob("*.py") if p != INIT]
-    files += (root / "scripts").glob("*.py")
     read = set()
-    for path in files:
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -99,3 +99,30 @@ def test_one_descriptor_constructor_and_one_counting_entry_point():
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported & {"ChainCounts", "shape_chain_counts"} == set()
+
+
+def test_every_parameter_is_read():
+    # a parameter no statement reads is an argument every caller must pass
+    # for nothing; self and cls are exempt
+    unread = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
+                       for p in params if p not in read and p not in ("self", "cls")]
+    assert unread == []
+
+
+def test_a_descriptor_has_one_text():
+    # str(d) is the one text of a descriptor
+    import u6n.subgroups
+
+    for module in (u6n, u6n.subgroups):
+        assert not hasattr(module, "format_descriptor")

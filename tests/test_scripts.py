@@ -6,8 +6,10 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import re
 import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,6 +76,22 @@ def test_benchmark_large_n_exits_1_on_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["benchmark_large_n.py", "--n", "35"])
     assert script.main() == 1
     assert "PATHS DIFFER" in capsys.readouterr().out
+
+
+def test_benchmark_large_n_refuses_as_the_cli_does():
+    # an n the CLI refuses (here a lattice above the height limit) is one
+    # line on stderr and exit 1, not a traceback
+    result = subprocess.run(
+        [sys.executable, SCRIPTS / "benchmark_large_n.py", "--n", str(2**2000)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: lattice height 2002 is above 2000, the largest the chain count "
+        "answers\n"
+    )
 
 
 def test_sweep_counts_table(monkeypatch, capsys):

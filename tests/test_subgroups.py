@@ -16,7 +16,6 @@ from u6n import (
     divisors,
     enumerate_subgroups,
     factorize,
-    format_descriptor,
     inverse,
     multiply,
     subgroup_elements,
@@ -340,11 +339,11 @@ def test_leq_equals_set_inclusion(params):
             assert subgroup_leq(d1, d2) == (sets[d1] <= sets[d2])
 
 
-def test_format_descriptor_is_injective():
+def test_descriptor_text_is_injective():
     for n in (3, 12):
         descs = enumerate_subgroups(GroupParams(n), "all")
-        assert len({format_descriptor(d) for d in descs}) == len(descs)
-    assert format_descriptor(D("T", 2, 1)) == str(D("T", 2, 1)) == "T(2,1)"
+        assert len({str(d) for d in descs}) == len(descs)
+    assert str(D("T", 2, 1)) == "T(2,1)"
 
 
 def test_descriptor_ordering_is_kind_then_t_then_s():
@@ -356,8 +355,7 @@ def test_descriptor_ordering_is_kind_then_t_then_s():
 
 
 def _parse_descriptor(text):
-    """The descriptor that format_descriptor prints as text: its letter,
-    then its integers."""
+    """The descriptor whose str() is text: its letter, then its integers."""
     kind, args = text[0], text[2:-1].split(",")
     assert text[1] + text[-1] == "()"
     return SubgroupDescriptor(kind, *map(int, args))
@@ -369,7 +367,7 @@ def test_descriptor_text_round_trips(n):
         params = GroupParams(m)
         for mode in MODES:
             for d in enumerate_subgroups(params, mode):
-                assert _parse_descriptor(format_descriptor(d)) == d
+                assert _parse_descriptor(str(d)) == d
 
 
 def _assert_catalog_in_order(params, mode):

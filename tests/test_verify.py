@@ -92,7 +92,7 @@ def test_individual_checks_pass():
     sets = catalog_sets(oracle, catalog)
     assert check_subgroup_family(oracle, sets) is None
     assert check_membership(oracle, sets) is None
-    assert check_containment(oracle, sets) is None
+    assert check_containment(sets) is None
     assert check_normal_family(oracle, sets, normal) is None
     assert check_dp_vs_dfs(*_lattice_and_dp(3, "all")) is None
     _, dp = _lattice_and_dp(35, "normal")
@@ -671,7 +671,7 @@ def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
     oracle = GroupOracle(GroupParams(2))
     sets = catalog_sets(oracle, enumerate_subgroups(oracle.params, "all"))
     lat = build_lattice(oracle.params, "all")
-    assert check_lattice_vs_oracle(oracle, sets, lat) is None
+    assert check_lattice_vs_oracle(sets, lat) is None
     # a lattice whose row for node i also holds a node not above it
     i = 0
     outside = min(set(range(len(lat.nodes))) - set(lat.row(i)) - {i})
@@ -681,13 +681,13 @@ def test_lattice_vs_oracle_names_the_differing_pair(monkeypatch):
         lambda self, k: real_row(self, k)
         + ([outside] if (k, self) == (i, lat) else []),
     )
-    result = check_lattice_vs_oracle(oracle, sets, lat)
+    result = check_lattice_vs_oracle(sets, lat)
     assert _reported(2, "lattice-vs-oracle[all]") == result
     assert result == (
         f"{lat.nodes[i]} < {lat.nodes[outside]} is in the lattice only"
     )
     missing = {d: h for d, h in sets.items() if d != lat.nodes[i]}
-    result = check_lattice_vs_oracle(oracle, missing, lat)
+    result = check_lattice_vs_oracle(missing, lat)
     assert result == f"{lat.nodes[i]} is not in the catalog"
 
 
