@@ -17,6 +17,10 @@ r H.  Each conjugate g x g^-1 = (g (g x)^-1)^-1 is read off row g and
 the inverse table, with no generator shortcut: a subgroup is normal iff
 it holds the conjugacy class of each of its elements, the classes built
 once, on first use, and normalizer(h) keeps each g conjugating h into h.
+Both read the same conjugate of each x in h, so h is normal exactly when
+normalizer(h) is G.  The public methods check the ids they are given;
+subgroups and normal_subgroups join and test the sets the oracle made
+itself through the unchecked _join and _is_normal.
 Chains are listed by explicit depth-first search, over the oracle's own
 index sets (set_chains(mode), {e} always in) or over a catalog lattice
 (lattice_chains).
@@ -94,14 +98,15 @@ class GroupOracle:
     The Cayley table mult, its one order x order structure, and the
     inverse table inv are built on construction.  The conjugacy classes
     and the subgroup families are read off the rows of mult on first use
-    and kept for the life of the object, never beyond it; no normality
-    answer is kept.  Subgroups are frozensets of element indices;
-    index_set and element_set convert to and from Elements.  They and
-    every method that takes indices refuse (ValueError) a non-canonical
-    Element or an index that is not an int in range(order) (_check_ids),
-    which would alias another element.  A limit that is not an int >= 0
-    raises ValueError (group.exact_int), and a group of order above it
-    OracleLimitExceeded.
+    and kept for the life of the object, never beyond it; normal_subgroups
+    is the one normality answer kept.  Subgroups are frozensets of element
+    indices; index_set and element_set convert to and from Elements.  They
+    and every public method that takes indices refuse (ValueError) a
+    non-canonical Element or an index that is not an int in range(order)
+    (_check_ids), which would alias another element; only the private
+    _join and _is_normal skip that check, for the oracle's own sets.  A
+    limit that is not an int >= 0 raises ValueError (group.exact_int), and
+    a group of order above it OracleLimitExceeded.
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
@@ -162,6 +167,10 @@ class GroupOracle:
         it lies inside <gens> as h does.
         """
         _check_ids(self._ids, (h, gens))
+        return self._join(h, gens)
+
+    def _join(self, h: frozenset[int], gens: Sequence[int]) -> frozenset[int]:
+        """join on ids the oracle made itself, unchecked."""
         mult = self.mult
         seen = set(h)
         reps = [self.identity]
@@ -219,7 +228,7 @@ class GroupOracle:
             gens = found[h]
             for g in prime_power:
                 if g not in h:
-                    joined = self.join(h, gens + (g,))
+                    joined = self._join(h, gens + (g,))
                     if joined not in found:
                         found[joined] = gens + (g,)
                         work.append(joined)
@@ -241,6 +250,10 @@ class GroupOracle:
         """True iff g x g^-1 lies in h for every x in h and every g in G:
         iff h holds the conjugacy class of each of its elements."""
         _check_ids(self._ids, (h,))
+        return self._is_normal(h)
+
+    def _is_normal(self, h: frozenset[int]) -> bool:
+        """is_normal on ids the oracle made itself, unchecked."""
         classes = self.classes
         return all(classes[x] <= h for x in h)
 
@@ -253,7 +266,7 @@ class GroupOracle:
 
     @cached_property
     def normal_subgroups(self) -> list[frozenset[int]]:
-        return [h for h in self.subgroups if self.is_normal(h)]
+        return [h for h in self.subgroups if self._is_normal(h)]
 
     def _ranks(self, mu: FuzzyMap) -> tuple[int, ...]:
         if mu.params != self.params:
@@ -288,8 +301,9 @@ class GroupOracle:
         ascending index sets, on the discovered sets ordered by strict
         inclusion, with no catalog descriptors involved."""
         family = self.subgroups if check_mode(mode) == "all" else self.normal_subgroups
-        below = [[j for j, t in enumerate(family) if t < s] for s in family]
-        # the family is sorted by size, so G comes last
+        # the family is sorted by size, so every proper subset of a set comes
+        # before it, and G comes last
+        below = [[j for j in range(i) if family[j] < s] for i, s in enumerate(family)]
         return (tuple(map(family.__getitem__, chain))
                 for chain in _chains_from(len(family) - 1, below))
 
@@ -454,8 +468,9 @@ def representative_from_sets(
     form GroupOracle.set_chains yields.
 
     Elements first appearing in the i-th set get the i-th level; the
-    default levels are 1, 1/2, ..., 1/k.  An id element_set refuses
-    raises its ValueError here too.
+    default levels are 1, 1/2, ..., 1/k, valid as built, so only levels
+    the caller passes are checked.  An id element_set refuses raises its
+    ValueError here too.
     """
     if not sets:
         raise ValueError("chain must be nonempty")
@@ -467,14 +482,15 @@ def representative_from_sets(
     if sets[-1] != whole:
         raise ValueError("chain must end at the whole group")
     if levels is None:
-        levels = [Fraction(1, i) for i in range(1, len(sets) + 1)]
-    if len(levels) != len(sets):
-        raise ValueError(f"expected {len(sets)} levels, got {len(levels)}")
-    values = list(map(_exact, levels))
-    if any(a <= b for a, b in zip(values, values[1:])):
-        raise ValueError("levels must be strictly decreasing")
-    if values[-1] < 0 or values[0] > 1:
-        raise ValueError("levels must lie in [0, 1]")
+        values = [Fraction(1, i) for i in range(1, len(sets) + 1)]
+    else:
+        if len(levels) != len(sets):
+            raise ValueError(f"expected {len(sets)} levels, got {len(levels)}")
+        values = list(map(_exact, levels))
+        if any(a <= b for a, b in zip(values, values[1:])):
+            raise ValueError("levels must be strictly decreasing")
+        if values[-1] < 0 or values[0] > 1:
+            raise ValueError("levels must lie in [0, 1]")
     grades: list[Fraction | None] = [None] * params.order
     for value, members in zip(reversed(values), reversed(sets)):
         for i in members:

@@ -30,15 +30,21 @@ each cover once, in sorted order, and as a set transitive_reduction.
 
 The group laws run on the oracle's tables once the tables are shown to
 be multiply and inverse; every other check asks the oracle, as
-normalizer(h) or set_chains(mode), and reads no table itself.  The
-fuzzy-axioms and equivalence-classes results come from one walk over
-the oracle's set_chains("all"), {e} included, which also holds the
-normal-fuzzy test to the normality of each chain's levels.  The
-catalog's normal lattice is tied to the oracle's normal sets by
-normality-vs-oracle and normal-restriction (its nodes), and
-lattice-vs-oracle[normal] owns its relation.  membership-closed-form ties
-each descriptor's set to oracle.generated of the generators that name it,
-so the catalog's closed forms are not the reference for their own sets.
+is_normal(h), normalizer(h) or set_chains(mode), and reads no table
+itself.  Normality is read off the conjugacy classes: normality-vs-oracle
+asks is_normal of each catalog set, and normal-restriction and
+fuzzy-axioms read oracle.normal_subgroups.  normal-in-supergroup asks
+normalizer(h) only of a node that is_normal finds not normal in G, whose
+normalizer is not G.  Every set handed to the oracle's public methods is
+checked there, catalog sets included.  The fuzzy-axioms and
+equivalence-classes results come from one walk over the oracle's
+set_chains("all"), {e} included, which also holds the normal-fuzzy test
+to the normality of each chain's levels.  The catalog's normal lattice is
+tied to the oracle's normal sets by normality-vs-oracle and
+normal-restriction (its nodes), and lattice-vs-oracle[normal] owns its
+relation.  membership-closed-form ties each descriptor's set to
+oracle.generated of the generators that name it, so the catalog's closed
+forms are not the reference for their own sets.
 No result depends on an assert statement, so python -O reports the same.
 """
 
@@ -268,7 +274,10 @@ def check_normal_in_supergroup(
     oracle: GroupOracle, sets: CatalogSets, lat_normal: Lattice
 ) -> str | None:
     """Each normal node is normal inside every node above it, not just in
-    G: every element of the node above lies in oracle.normalizer(node)."""
+    G: every element of the node above lies in oracle.normalizer(node).
+    A node oracle.is_normal finds normal in G has normalizer G and is
+    passed without asking normalizer; on a correct catalog every node is,
+    so normalizer runs only where a catalog set is not normal in G."""
     nodes = lat_normal.nodes
     missing = next((d for d in nodes if d not in sets), None)
     if missing is not None:
@@ -276,7 +285,7 @@ def check_normal_in_supergroup(
     node_sets = [sets[d] for d in nodes]
     for i, h in enumerate(node_sets):
         ups = lat_normal.row(i)
-        if not ups:
+        if not ups or oracle.is_normal(h):
             continue
         normalizer = oracle.normalizer(h)
         for j in ups:
@@ -378,7 +387,9 @@ def check_fuzzy_axioms(
 
     Each chain gives one exact grade map that must satisfy FG1/FG2 on the
     tables, be normal fuzzy (mu(xy) = mu(yx)) exactly when every level
-    subgroup is normal, keep its class when re-leveled, and differ in
+    subgroup is normal, read off one set of oracle.normal_subgroups (the
+    chains are drawn from oracle.subgroups, which it filters by
+    is_normal), keep its class when re-leveled, and differ in
     ranks from every other chain's map.  The classes are counted as the
     distinct ranks, which must equal both the number of chains and the
     doubled count_chains total, all_counts.fuzzy_count."""
@@ -387,6 +398,7 @@ def check_fuzzy_axioms(
     def label(chain):
         return " < ".join(_set_name(oracle.element_set(h)) for h in chain)
 
+    normal_sets = set(oracle.normal_subgroups)
     failure = None
     seen: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
     reps = []
@@ -395,7 +407,7 @@ def check_fuzzy_axioms(
         chains += 1
         rep = representative_from_sets(params, chain)
         if failure is None:
-            normal = all(oracle.is_normal(h) for h in chain)
+            normal = normal_sets.issuperset(chain)
             relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(chain) + 1)]
             if not oracle.is_fuzzy_subgroup(rep):
                 failure = f"FG1/FG2 fail for chain {label(chain)}"

@@ -26,6 +26,7 @@ import u6n.subgroups as subgroups_module
 from u6n.chains import chain_counts, compute_chain_table, count_chains
 from u6n.group import Element, GroupParams
 from u6n.lattice import build_lattice
+from u6n.oracle import GroupOracle
 from u6n.verify import check_shape_vs_lattice, run_verification
 
 import test_subgroups
@@ -350,6 +351,20 @@ def failing_checks(name):
 @pytest.mark.parametrize("name", sorted(set(MUTANTS) - IN_SUBPROCESS))
 def test_mutant_fails_exactly_its_checks(name):
     assert failing_checks(name) == MUTANTS[name][2]
+
+
+@pytest.mark.parametrize("name", ["enumerate_subgroups adds odd C(t) to normal",
+                                  "multiply is abelian"])
+def test_normal_in_supergroup_asks_the_normalizer_under_mutants_it_catches(name):
+    # these mutants give a normal node a set that is not normal in G, so
+    # the check still reads its normalizer instead of passing the node
+    asked = []
+    real = GroupOracle.normalizer
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GroupOracle, "normalizer",
+                   lambda oracle, h: asked.append(h) or real(oracle, h))
+        assert "normal-in-supergroup" in failing_checks(name)
+    assert asked
 
 
 def test_every_mutant_fails_a_check():

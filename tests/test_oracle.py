@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from u6n import (
     multiply,
     subgroup_elements,
 )
+from u6n.group import MODES
 from u6n.oracle import (
     FuzzyMap,
     GroupOracle,
@@ -285,6 +287,44 @@ def test_set_chains_walk_the_family_of_the_mode():
     assert sum(1 for _ in oracle.set_chains("normal")) == 4
     normal = set(oracle.normal_subgroups)
     assert all(set(chain) <= normal for chain in oracle.set_chains("normal"))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_normal_subgroups_and_set_chains_match_their_definitions(n):
+    # normal_subgroups tests the oracle's own sets unchecked, and
+    # set_chains looks for proper subsets only among the smaller sets
+    # before each one: both answer as the public is_normal and the
+    # all-pairs below lists do
+    oracle = GroupOracle(GroupParams(n))
+    normal = [h for h in oracle.subgroups if oracle.is_normal(h)]
+    assert oracle.normal_subgroups == normal
+    for mode, family in zip(MODES, (oracle.subgroups, oracle.normal_subgroups)):
+        below = [[j for j, t in enumerate(family) if t < s] for s in family]
+
+        def lengths(at, length):
+            yield length
+            for j in below[at]:
+                yield from lengths(j, length + 1)
+
+        want = Counter(lengths(len(family) - 1, 1))
+        assert Counter(map(len, oracle.set_chains(mode))) == want
+
+
+def test_the_oracle_does_not_recheck_its_own_sets(monkeypatch):
+    # subgroups and normal_subgroups join and test sets the oracle made;
+    # the public join and is_normal still check what they are given
+    import u6n.oracle as oracle_module
+
+    calls = []
+    real = oracle_module._check_ids
+    monkeypatch.setattr(oracle_module, "_check_ids",
+                        lambda *args: calls.append(args) or real(*args))
+    oracle = GroupOracle(GroupParams(4))
+    assert len(oracle.subgroups) > len(oracle.normal_subgroups) > 1
+    assert calls == []
+    oracle.join(frozenset({0}), (3,))
+    oracle.is_normal(frozenset({0}))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("mode", [True, False, None, "bogus", "All", 0])
@@ -762,6 +802,31 @@ def test_representative_from_sets_checks_ascent():
         representative_from_sets(params, [sub])  # does not reach the whole group
     with pytest.raises(ValueError):  # a level no element takes is still checked
         representative_from_sets(params, [frozenset(), whole], [2, 1])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_default_levels_are_one_over_the_position(n):
+    # the default levels are not checked, as they are valid by construction
+    params = GroupParams(n)
+    for chain in GroupOracle(params).set_chains("all"):
+        levels = [Fraction(1, i) for i in range(1, len(chain) + 1)]
+        assert representative_from_sets(params, chain) == representative_from_sets(
+            params, chain, levels)
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([1, 1], "levels must be strictly decreasing"),
+    ([Fraction(1, 2), 1], "levels must be strictly decreasing"),
+    ([2, 1], r"levels must lie in \[0, 1\]"),
+    ([1, -1], r"levels must lie in \[0, 1\]"),
+    ([1], "expected 2 levels, got 1"),
+])
+def test_levels_the_caller_passes_are_checked(levels, message):
+    params = GroupParams(1)
+    oracle = GroupOracle(params)
+    chain = (frozenset({oracle.identity}), frozenset(range(params.order)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        representative_from_sets(params, chain, levels)
 
 
 def test_index_sets_and_descriptors_build_the_same_map():

@@ -8,6 +8,7 @@ import pytest
 
 from u6n import ChainCounts, GroupParams, SubgroupDescriptor, count_chains
 from u6n.chains import chain_counts, compute_chain_table, factorization_shape
+from u6n.group import format_element
 from u6n.lattice import build_lattice
 from u6n.oracle import GroupOracle
 from u6n.subgroups import enumerate_subgroups
@@ -426,16 +427,72 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     assert _reported(2, "subgroup-closure") == result
     assert str(bad) in result
     # give a normal node the elements of a non-normal subgroup: conjugation
-    # by the whole group, a node above it, moves them
+    # by the whole group, a node above it, moves them, and the check asks
+    # the normalizer of that set alone
     normal = set(enumerate_subgroups(params, "normal"))
     outsider = next(d for d in sets if d not in normal)
     node = lat.nodes[next(i for i in range(len(lat.nodes)) if lat.row(i))]
+    asked = _spy_normalizer(monkeypatch)
     result = check_normal_in_supergroup(
         oracle, corrupt({**sets, node: sets[outsider]}), lat
     )
     assert result is not None
+    assert asked == [sets[outsider]]
     assert _reported(2, "normal-in-supergroup") == result
     assert result.startswith(f"{node} not normal in ")
+
+
+def _spy_normalizer(monkeypatch):
+    """The list of the sets GroupOracle.normalizer is asked about from now on."""
+    asked = []
+    real = GroupOracle.normalizer
+
+    def spy(oracle, h):
+        asked.append(h)
+        return real(oracle, h)
+
+    monkeypatch.setattr(GroupOracle, "normalizer", spy)
+    return asked
+
+
+def _normal_in_supergroup_by_normalizers(oracle, sets, lat_normal):
+    """check_normal_in_supergroup as it reads with oracle.normalizer asked
+    of every node that has a node above it."""
+    nodes = lat_normal.nodes
+    missing = next((d for d in nodes if d not in sets), None)
+    if missing is not None:
+        return f"normal {missing} is not in the catalog"
+    for i, d in enumerate(nodes):
+        ups = lat_normal.row(i)
+        normalizer = oracle.normalizer(sets[d]) if ups else None
+        for j in ups:
+            for g in sets[nodes[j]]:
+                if g not in normalizer:
+                    by = format_element(oracle.elements[g])
+                    return f"{d} not normal in {nodes[j]} (conjugation by {by})"
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_normal_in_supergroup_answers_as_with_every_normalizer(n, monkeypatch):
+    # nodes normal in G are passed without their normalizer, which is G; a
+    # correct catalog asks no normalizer, and a node given the set of a
+    # non-normal subgroup still is asked about and fails the same way
+    params = GroupParams(n)
+    oracle = GroupOracle(params)
+    lat = build_lattice(params, "normal")
+    sets = catalog_sets(oracle, enumerate_subgroups(params, "all"))
+    normal = set(enumerate_subgroups(params, "normal"))
+    outsider = sets[next(d for d in sets if d not in normal)]
+    asked = _spy_normalizer(monkeypatch)
+    assert check_normal_in_supergroup(oracle, sets, lat) is None
+    assert asked == []
+    assert _normal_in_supergroup_by_normalizers(oracle, sets, lat) is None
+    for i, node in enumerate(lat.nodes):
+        corrupted = {**sets, node: outsider}
+        want = _normal_in_supergroup_by_normalizers(oracle, corrupted, lat)
+        assert check_normal_in_supergroup(oracle, corrupted, lat) == want
+        assert (want is None) == (not lat.row(i))
 
 
 def test_membership_ties_each_descriptor_to_its_generators(monkeypatch):
@@ -697,7 +754,6 @@ def test_group_laws_name_the_first_non_associative_triple(monkeypatch):
     import itertools
 
     import u6n.verify as verify_module
-    from u6n.group import format_element
 
     params = GroupParams(2)
     oracle = GroupOracle(params)
