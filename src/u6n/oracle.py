@@ -19,8 +19,8 @@ it holds the conjugacy class of each of its elements, the classes built
 once, on first use, and normalizer(h) keeps each g conjugating h into h.
 Both read the same conjugate of each x in h, so h is normal exactly when
 normalizer(h) is G.  The public methods check the ids they are given;
-subgroups and normal_subgroups join and test the sets the oracle made
-itself through the unchecked _join and _is_normal.
+the one coset join, the private _join that subgroups calls, and
+_is_normal skip that check, for the sets the oracle made itself.
 Chains are listed by explicit depth-first search, over the oracle's own
 index sets (set_chains(mode), {e} always in) or over a catalog lattice
 (lattice_chains).
@@ -104,9 +104,10 @@ class GroupOracle:
     and every public method that takes indices refuse (ValueError) a
     non-canonical Element or an index that is not an int in range(order)
     (_check_ids), which would alias another element; only the private
-    _join and _is_normal skip that check, for the oracle's own sets.  A
-    limit that is not an int >= 0 raises ValueError (group.exact_int), and
-    a group of order above it OracleLimitExceeded.
+    coset join _join, which subgroups calls, and _is_normal skip that
+    check, for the oracle's own sets.  A limit that is not an int >= 0
+    raises ValueError (group.exact_int), and a group of order above it
+    OracleLimitExceeded.
     """
 
     def __init__(self, params: GroupParams, limit: int = DEFAULT_ORACLE_LIMIT):
@@ -156,7 +157,7 @@ class GroupOracle:
             frontier = nxt
         return frozenset(seen)
 
-    def join(self, h: frozenset[int], gens: Sequence[int]) -> frozenset[int]:
+    def _join(self, h: frozenset[int], gens: Sequence[int]) -> frozenset[int]:
         """<gens> as a union of left cosets r H, for a subgroup h inside <gens>.
 
         Starts from the coset e H = H and left-multiplies each new coset
@@ -164,13 +165,9 @@ class GroupOracle:
         the cosets found so far adds the coset x H = {x y : y in H}, read
         off row x.  As s (r H) = (s r) H, the union is closed under left
         multiplication by every generator and holds e, so it holds <gens>;
-        it lies inside <gens> as h does.
+        it lies inside <gens> as h does.  subgroups calls it on ids the
+        oracle made itself, so it does not check them.
         """
-        _check_ids(self._ids, (h, gens))
-        return self._join(h, gens)
-
-    def _join(self, h: frozenset[int], gens: Sequence[int]) -> frozenset[int]:
-        """join on ids the oracle made itself, unchecked."""
         mult = self.mult
         seen = set(h)
         reps = [self.identity]
@@ -213,7 +210,7 @@ class GroupOracle:
         Seeds with the cyclic subgroups (cyclic_subgroups), one generator
         kept for each, then joins every found H with every cyclic subgroup
         <g> of prime-power order not inside it (g not in H) until nothing
-        new appears, each join as a union of left cosets of H (join).
+        new appears, each join as a union of left cosets of H (_join).
         An element of order p^i q^j ... is the product of powers of itself
         of orders p^i, q^j, ..., so a subgroup is the join of the cyclic
         subgroups of prime-power order inside it, and is reached by adding

@@ -20,11 +20,11 @@ path it owns.  The oracle limit is the one gate of every exhaustive
 check: the group laws, membership, containment, subgroup closure,
 normal-in-supergroup, the oracle families and the fuzzy checks are
 skipped above it, whatever fuzzy_n_max says.  Under it the group laws
-keep n <= 4 and the fuzzy checks fuzzy_n_max; membership, containment,
-subgroup closure, normal-in-supergroup and set-chains run at the first n
-of each factorization shape of 2n.  lattice-vs-oracle runs at every n and
-holds the rows to proper inclusion of the oracle's sets, so the s relabel
-and the divisor columns are checked, not only subgroup_leq.
+keep n <= 4 and the fuzzy checks fuzzy_n_max; membership, which answers
+subgroup closure too, containment, normal-in-supergroup and set-chains run
+at the first n of each factorization shape of 2n.  lattice-vs-oracle runs
+at every n and holds the rows to proper inclusion of the oracle's sets, so
+the s relabel and the divisor columns are checked, not only subgroup_leq.
 hasse-closure owns the printed cover list at every n and in both modes:
 each cover once, in sorted order, and as a set transitive_reduction.
 
@@ -193,25 +193,34 @@ def check_normal_family(
     return None
 
 
-def check_membership(oracle: GroupOracle, sets: CatalogSets) -> str | None:
-    """Each catalog set is the subgroup its descriptor's generators generate
-    on the oracle's table: a^t for C(t), a^t and b for F(t), a^t b^s for
-    T(t,s), read off the definitions in subgroups.py, not off the fast
-    path.  So the text of a descriptor is tied to its subgroup: a catalog
-    that swaps T(t,1) and T(t,2) fails here alone."""
+def check_membership(
+    oracle: GroupOracle, sets: CatalogSets
+) -> tuple[str | None, str | None]:
+    """The membership-closed-form and subgroup-closure answers, in that
+    order.  Each catalog set is the subgroup its descriptor's generators
+    generate on the oracle's table: a^t for C(t), a^t and b for F(t), a^t b^s
+    for T(t,s), read off subgroups.py's definitions, not the fast path, so a
+    catalog that swaps T(t,1) and T(t,2) fails here alone.  A set that passes
+    is a subgroup, so closed; only a set that fails is regenerated."""
     two_n = oracle.params.two_n
+    membership = None
     for d, h in sets.items():
         # a^(t mod 2n), as a^(2n) = e names C(2n) and F(2n); b^s for T only
         gens = [Element(d.t % two_n, d.s or 0)]
         if d.kind == "F":
             gens.append(Element(0, 1))
         want = oracle.generated(tuple(oracle.index_set(gens)))
-        if want != h:
+        if want == h:
+            continue
+        if membership is None:
             x = min(want ^ h)
             span = "<" + ", ".join(map(format_element, gens)) + ">"
             where = f"its set, not {span}" if x in h else f"{span}, not its set"
-            return f"{d}: {format_element(oracle.elements[x])} is in {where}"
-    return None
+            membership = f"{d}: {format_element(oracle.elements[x])} is in {where}"
+        closure = oracle.generated(tuple(h))
+        if closure != h:
+            return membership, f"{d} has {len(h)} elements, generates {len(closure)}"
+    return membership, None
 
 
 def check_containment(sets: CatalogSets) -> str | None:
@@ -223,17 +232,6 @@ def check_containment(sets: CatalogSets) -> str | None:
             got = subgroup_leq(d1, d2)
             if got != (s1 <= s2):
                 return f"leq({d1}, {d2}) = {got} is wrong"
-    return None
-
-
-def check_subgroup_closure(oracle: GroupOracle, sets: CatalogSets) -> str | None:
-    """Each catalog element set is the subgroup it generates on the
-    oracle's table: it holds e and is closed under products (and so under
-    inverses, the group being finite)."""
-    for d, h in sets.items():
-        closure = oracle.generated(tuple(h))
-        if closure != h:
-            return f"{d} has {len(h)} elements, generates {len(closure)}"
     return None
 
 
@@ -490,9 +488,10 @@ def run_verification(
             failure = check_normal_restriction(oracle, sets, lat_normal)
             record("normal-restriction", failure)
             if first_of_shape:
-                record("membership-closed-form", check_membership(oracle, sets))
+                membership, closure = check_membership(oracle, sets)
+                record("membership-closed-form", membership)
                 record("containment-closed-form", check_containment(sets))
-                record("subgroup-closure", check_subgroup_closure(oracle, sets))
+                record("subgroup-closure", closure)
                 failure = check_normal_in_supergroup(oracle, sets, lat_normal)
                 record("normal-in-supergroup", failure)
         counts = []

@@ -372,6 +372,38 @@ def test_every_mutant_fails_a_check():
     assert all(checks for _, _, checks in MUTANTS.values())
 
 
+#: checks that no row fails alone.  IMPLIED holds what is implied where it
+#: runs, each label kept only while the benchmark freezes it: subgroup-closure
+#: by membership-closed-form, normal-in-supergroup by normality in G, and
+#: shape-dependence by shape-vs-lattice.  NEED_A_ROW holds the checks that
+#: need a row of their own to show what they catch.  A new label or row
+#: updates these on purpose.
+IMPLIED = {"subgroup-closure", "normal-in-supergroup", "shape-dependence"}
+NEED_A_ROW = {
+    "containment-closed-form", "count-formula", "dp-vs-dfs", "equivalence-classes",
+    "fuzzy-axioms", "lattice-order-laws", "normal-restriction", "normality-vs-oracle",
+    "set-chains", "shape-vs-lattice", "subgroups-vs-oracle",
+}
+
+
+def _label(check):
+    """A check's label without its [mode]."""
+    return check.split("[")[0]
+
+
+def test_each_check_fails_alone_under_some_row_or_is_named():
+    alone = set()
+    for _, _, checks in MUTANTS.values():
+        labels = set(map(_label, checks))
+        if len(labels) == 1:
+            alone |= labels
+    assert alone == {"group-laws", "hasse-closure", "lattice-vs-oracle",
+                     "membership-closed-form"}
+    assert not IMPLIED & NEED_A_ROW
+    emitted = {_label(r.check) for r in run_verification(16)}
+    assert emitted - alone == IMPLIED | NEED_A_ROW
+
+
 @pytest.mark.parametrize("name", sorted(KNOWN_GAPS))
 def test_known_gap_passes_verify_though_a_check_would_catch_it(name):
     mutant, _, caught_elsewhere = KNOWN_GAPS[name]

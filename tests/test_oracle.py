@@ -183,7 +183,7 @@ def test_coset_join_is_the_generated_subgroup(n):
         gens = _small_generators(oracle, h)
         assert oracle.generated(gens) == h
         for g in range(len(oracle.elements)):
-            assert oracle.join(h, gens + (g,)) == oracle.generated(gens + (g,))
+            assert oracle._join(h, gens + (g,)) == oracle.generated(gens + (g,))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -312,7 +312,7 @@ def test_normal_subgroups_and_set_chains_match_their_definitions(n):
 
 def test_the_oracle_does_not_recheck_its_own_sets(monkeypatch):
     # subgroups and normal_subgroups join and test sets the oracle made;
-    # the public join and is_normal still check what they are given
+    # the public generated and is_normal still check what they are given
     import u6n.oracle as oracle_module
 
     calls = []
@@ -322,7 +322,7 @@ def test_the_oracle_does_not_recheck_its_own_sets(monkeypatch):
     oracle = GroupOracle(GroupParams(4))
     assert len(oracle.subgroups) > len(oracle.normal_subgroups) > 1
     assert calls == []
-    oracle.join(frozenset({0}), (3,))
+    oracle.generated((3,))
     oracle.is_normal(frozenset({0}))
     assert len(calls) == 2
 
@@ -460,16 +460,6 @@ def test_generated_refuses_an_index_outside_the_group(i):
     assert oracle.generated((3,)) == {0, 3, 6, 9}
     with pytest.raises(ValueError, match=f"^{i!r} {_BAD_ID}"):
         oracle.generated((i,))
-
-
-@pytest.mark.parametrize("i", _BAD_IDS)
-def test_join_refuses_an_index_outside_the_group(i):
-    oracle = GroupOracle(GroupParams(2))
-    assert oracle.join(frozenset({0}), (3,)) == {0, 3, 6, 9}
-    with pytest.raises(ValueError, match=f"^{i!r} {_BAD_ID}"):
-        oracle.join(frozenset({0}), (i,))
-    with pytest.raises(ValueError, match=f"^{i!r} {_BAD_ID}"):
-        oracle.join(frozenset({i}), (3,))
 
 
 @pytest.mark.parametrize("i", _BAD_IDS)

@@ -175,6 +175,7 @@ UNTRACEABLE = {
     ("u6n.subgroups", "enumerate_normal_subgroups"),
     ("u6n.verify", "check_divisor_shape_dependence"),
     ("u6n.verify", "check_equivalence_count"),
+    ("u6n.verify", "check_subgroup_closure"),
 }
 
 

@@ -26,7 +26,6 @@ from u6n.verify import (
     check_normal_family,
     check_normal_in_supergroup,
     check_shape_vs_lattice,
-    check_subgroup_closure,
     check_subgroup_family,
     render_report,
     report_json,
@@ -92,7 +91,7 @@ def test_individual_checks_pass():
     oracle = GroupOracle(params, 300)
     sets = catalog_sets(oracle, catalog)
     assert check_subgroup_family(oracle, sets) is None
-    assert check_membership(oracle, sets) is None
+    assert check_membership(oracle, sets) == (None, None)
     assert check_containment(sets) is None
     assert check_normal_family(oracle, sets, normal) is None
     assert check_dp_vs_dfs(*_lattice_and_dp(3, "all")) is None
@@ -406,7 +405,7 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     oracle = GroupOracle(params)
     lat = build_lattice(params, "normal")
     sets = catalog_sets(oracle, enumerate_subgroups(params, "all"))
-    assert check_subgroup_closure(oracle, sets) is None
+    assert check_membership(oracle, sets)[1] is None
     assert check_normal_in_supergroup(oracle, sets, lat) is None
 
     def corrupt(corrupted):
@@ -422,7 +421,7 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     bad = next(d for d, h in sets.items() if len(h) >= 3)
     dropped = next(x for x in sets[bad] if x != oracle.identity)
     corrupted = corrupt({**sets, bad: sets[bad] - {dropped}})
-    result = check_subgroup_closure(oracle, corrupted)
+    result = check_membership(oracle, corrupted)[1]
     assert result is not None
     assert _reported(2, "subgroup-closure") == result
     assert str(bad) in result
@@ -505,16 +504,55 @@ def test_membership_ties_each_descriptor_to_its_generators(monkeypatch):
     sets = catalog_sets(oracle, enumerate_subgroups(params, "all"))
     t1, t2 = D("T", 1, 1), D("T", 1, 2)
     swapped = {**sets, t1: sets[t2], t2: sets[t1]}
-    result = check_membership(oracle, swapped)
+    result = check_membership(oracle, swapped)[0]
     assert result == "T(1,1): a b is in <a b>, not its set"
     assert check_subgroup_family(oracle, swapped) is None
-    result = check_membership(oracle, {**sets, D("C", 4): sets[D("C", 2)]})
+    result = check_membership(oracle, {**sets, D("C", 4): sets[D("C", 2)]})[0]
     assert result == "C(4): a^2 is in its set, not <e>"
     monkeypatch.setattr(
         verify_module, "catalog_sets",
         lambda o, c: swapped if o.params == params else catalog_sets(o, c),
     )
     assert _reported(2, "membership-closed-form") == "T(1,1): a b is in <a b>, not its set"
+
+
+def _closure_by_generating_every_set(oracle, sets):
+    """The subgroup-closure answer with oracle.generated asked of every set."""
+    for d, h in sets.items():
+        closure = oracle.generated(tuple(h))
+        if closure != h:
+            return f"{d} has {len(h)} elements, generates {len(closure)}"
+    return None
+
+
+#: the first n <= 16 of each factorization shape of 2n, where membership runs
+FIRST_OF_SHAPE = sorted({factorization_shape(2 * n): n for n in range(16, 0, -1)}.values())
+
+
+@pytest.mark.parametrize("n", FIRST_OF_SHAPE)
+def test_closure_read_off_membership_answers_as_generating_every_set(n):
+    # a set its generators generate is a subgroup, so membership regenerates
+    # only the sets that fail it; the closure answer is still the first
+    # unclosed set in catalog order, also past the first membership failure
+    oracle = GroupOracle(GroupParams(n))
+    sets = catalog_sets(oracle, enumerate_subgroups(oracle.params, "all"))
+    bad = next(d for d, h in sets.items() if len(h) >= 3)
+    dropped = next(x for x in sets[bad] if x != oracle.identity)
+    t1, t2 = D("T", 1, 1), D("T", 1, 2)
+    swapped = {**sets, t1: sets[t2], t2: sets[t1]}
+    # T(1,1) closed but misnamed, then T(1,2) without e, which is not closed
+    both = {**swapped, t2: sets[t1] - {oracle.identity}}
+    cases = [sets, {**sets, bad: sets[bad] - {dropped}}, swapped, both]
+    answers = [check_membership(oracle, case) for case in cases]
+    assert [a[1] for a in answers] == [
+        _closure_by_generating_every_set(oracle, case) for case in cases
+    ]
+    real, dropping, swapping, two = answers
+    assert real == (None, None)
+    assert dropping[0].startswith(f"{bad}: ") and dropping[1].startswith(f"{bad} has ")
+    assert swapping[0].startswith("T(1,1): ") and swapping[1] is None
+    assert two[0] == swapping[0]
+    assert two[1].startswith("T(1,2) has ")
 
 
 def test_membership_takes_no_reference_from_the_fast_path():
