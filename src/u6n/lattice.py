@@ -33,7 +33,8 @@ cover is a chief factor, of prime order.  With Lagrange's theorem for the
 converse, a strict pair H < K is a cover exactly when |K|/|H| is prime,
 in both modes: a prime step in one coordinate (hasse_edges).  The normal
 lattice is the restriction of containment to normal subgroups, as each is
-normal in every subgroup above it (verify re-checks this at small n).
+normal in every subgroup above it; a subgroup normal in G is normal in
+each subgroup that holds it, so verify checks normality in G alone.
 
 The lattice command prints json.dumps(export_json(lat), indent=2).  json's
 indent encoder is pure Python, so write_json produces the same bytes with

@@ -16,11 +16,12 @@ order to a fixpoint, each join <H, g> closed as a union of left cosets
 r H.  Each conjugate g x g^-1 = (g (g x)^-1)^-1 is read off row g and
 the inverse table, with no generator shortcut: a subgroup is normal iff
 it holds the conjugacy class of each of its elements, the classes built
-once, on first use, and normalizer(h) keeps each g conjugating h into h.
-Both read the same conjugate of each x in h, so h is normal exactly when
-normalizer(h) is G.  The public methods check the ids they are given;
-the one coset join, the private _join that subgroups calls, and
-_is_normal skip that check, for the sets the oracle made itself.
+once, on first use.  Normality in G is the only normality the oracle
+answers, and verify's normal-in-supergroup reads it too: a subgroup
+normal in G is normal in every subgroup that holds it.  The public
+methods check the ids they are given; the one coset join, the private
+_join that subgroups calls, and _is_normal skip that check, for the sets
+the oracle made itself.
 Chains are listed by explicit depth-first search, over the oracle's own
 index sets (set_chains(mode), {e} always in) or over a catalog lattice
 (lattice_chains).
@@ -33,9 +34,9 @@ comparisons.  GroupOracle checks the defining axioms on those ranks over
 its tables, and two maps are equivalent exactly when their ranks
 coincide, that is, when their comparison_pattern, the literal all-pairs
 relation mu(x) > mu(y), coincides.  Grades are compared as exact
-integers: the ranking keys each grade on its (numerator, denominator),
-and the distinct grades are ordered, as comparison_pattern compares all
-grades, after scaling each to the lcm of their denominators.  None of it
+integers: the ranking, as comparison_pattern, scales each grade to an
+integer over the lcm of the denominators, and each grade's rank is its
+place among the distinct scaled values.  None of it
 consults the divisor-based catalog, so agreement between the two paths is
 evidence, not circularity: descriptors meet the oracle only in verify,
 at two bridges.  catalog_sets maps each descriptor's closed-form element
@@ -254,13 +255,6 @@ class GroupOracle:
         classes = self.classes
         return all(classes[x] <= h for x in h)
 
-    def normalizer(self, h: frozenset[int]) -> frozenset[int]:
-        """{g : g x g^-1 in h for all x in h}, read off row g as classes is."""
-        _check_ids(self._ids, (h,))
-        inv = self.inv
-        return frozenset(g for g, row in enumerate(self.mult)
-                         if h.issuperset(inv[row[inv[row[x]]]] for x in h))
-
     @cached_property
     def normal_subgroups(self) -> list[frozenset[int]]:
         return [h for h in self.subgroups if self._is_normal(h)]
@@ -417,22 +411,16 @@ class FuzzyMap(namedtuple("FuzzyMap", "params grades ranks")):
         if len(grades) != params.order:
             raise ValueError("grades must cover exactly the group elements")
         grades = tuple(map(_exact, grades))
-        # each grade's first-appearance id, keyed on its exact (numerator,
-        # denominator), cheaper than a Fraction hash; then the k distinct
-        # grades sorted as integers scaled to the lcm of their denominators
-        # and each id relabelled by its rank
-        first: dict[tuple[int, int], int] = {}
-        ids = [first.setdefault((g.numerator, g.denominator), len(first))
-               for g in grades]
-        scale = lcm(*(q for _, q in first))
-        scaled = [p * (scale // q) for p, q in first]
-        order = sorted(range(len(scaled)), key=scaled.__getitem__)
-        if scaled[order[0]] < 0 or scaled[order[-1]] > scale:
+        # each grade scaled to an integer over the lcm of the denominators,
+        # as comparison_pattern compares them, and ranked among the
+        # distinct scaled values
+        scale = lcm(*(g.denominator for g in grades))
+        scaled = [g.numerator * (scale // g.denominator) for g in grades]
+        distinct = sorted(set(scaled))
+        if distinct[0] < 0 or distinct[-1] > scale:
             raise ValueError("grades must lie in [0, 1]")
-        rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-        return tuple.__new__(cls, (params, grades, tuple(map(rank.__getitem__, ids))))
+        rank = {v: r for r, v in enumerate(distinct)}
+        return tuple.__new__(cls, (params, grades, tuple(map(rank.__getitem__, scaled))))
 
     def __getnewargs__(self) -> tuple:
         # copy and pickle call __new__ with these, not with all three fields

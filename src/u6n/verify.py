@@ -30,19 +30,20 @@ each cover once, in sorted order, and as a set transitive_reduction.
 
 The group laws run on the oracle's tables once the tables are shown to
 be multiply and inverse; every other check asks the oracle, as
-is_normal(h), normalizer(h) or set_chains(mode), and reads no table
-itself.  Normality is read off the conjugacy classes: normality-vs-oracle
-asks is_normal of each catalog set, and normal-restriction and
-fuzzy-axioms read oracle.normal_subgroups.  normal-in-supergroup asks
-normalizer(h) only of a node that is_normal finds not normal in G, whose
-normalizer is not G.  Every set handed to the oracle's public methods is
-checked there, catalog sets included.  The fuzzy-axioms and
-equivalence-classes results come from one walk over the oracle's
-set_chains("all"), {e} included, which also holds the normal-fuzzy test
-to the normality of each chain's levels.  The catalog's normal lattice is
-tied to the oracle's normal sets by normality-vs-oracle and
-normal-restriction (its nodes), and lattice-vs-oracle[normal] owns its
-relation.  membership-closed-form ties each descriptor's set to
+is_normal(h) or set_chains(mode), and reads no table itself.  Normality
+is read off the conjugacy classes: normality-vs-oracle asks is_normal of
+each catalog set, and normal-restriction and fuzzy-axioms read
+oracle.normal_subgroups.  normal-in-supergroup reads normality in G too:
+a subgroup normal in G is normal in every subgroup that holds it, so a
+node with a node above it fails only where is_normal finds it not normal
+in G, where normality-vs-oracle fails as well.  Every set handed to the
+oracle's public methods is checked there, catalog sets included.  The
+fuzzy-axioms and equivalence-classes results come from one walk over the
+oracle's set_chains("all"), {e} included, which also holds the
+normal-fuzzy test to the normality of each chain's levels.  The catalog's
+normal lattice is tied to the oracle's normal sets by normality-vs-oracle
+and normal-restriction (its nodes), and lattice-vs-oracle[normal] owns
+its relation.  membership-closed-form ties each descriptor's set to
 oracle.generated of the generators that name it, so the catalog's closed
 forms are not the reference for their own sets.
 No result depends on an assert statement, so python -O reports the same.
@@ -272,25 +273,16 @@ def check_normal_in_supergroup(
     oracle: GroupOracle, sets: CatalogSets, lat_normal: Lattice
 ) -> str | None:
     """Each normal node is normal inside every node above it, not just in
-    G: every element of the node above lies in oracle.normalizer(node).
-    A node oracle.is_normal finds normal in G has normalizer G and is
-    passed without asking normalizer; on a correct catalog every node is,
-    so normalizer runs only where a catalog set is not normal in G."""
+    G.  A subgroup normal in G is normal in every subgroup that holds it,
+    so a node with a node above it passes when oracle.is_normal finds it
+    normal in G; one it does not fails normality-vs-oracle too."""
     nodes = lat_normal.nodes
     missing = next((d for d in nodes if d not in sets), None)
     if missing is not None:
         return f"normal {missing} is not in the catalog"
-    node_sets = [sets[d] for d in nodes]
-    for i, h in enumerate(node_sets):
-        ups = lat_normal.row(i)
-        if not ups or oracle.is_normal(h):
-            continue
-        normalizer = oracle.normalizer(h)
-        for j in ups:
-            for g in node_sets[j]:
-                if g not in normalizer:
-                    by = format_element(oracle.elements[g])
-                    return f"{nodes[i]} not normal in {nodes[j]} (conjugation by {by})"
+    for i, d in enumerate(nodes):
+        if lat_normal.row(i) and not oracle.is_normal(sets[d]):
+            return f"{d} not normal in G"
     return None
 
 
@@ -446,9 +438,10 @@ def run_verification(
     spelled beside its gate.  The fast-path answers the checks read are
     computed here, before the first check of their n.
 
-    set-chains and the four Element-level checks (membership, containment,
-    subgroup closure, normal-in-supergroup) run once per factorization
-    shape of 2n, at the first n <= n_max of that shape: count_chains
+    set-chains, the three Element-level checks (membership, containment,
+    subgroup closure) and normal-in-supergroup, which reads normality in
+    G, run once per factorization shape of 2n, at the first n <= n_max of
+    that shape: count_chains
     depends on n only through the shape.  shape-dependence holds the
     full-lattice fuzzy counts of each later n of a shape to those of its
     first n, among the n where both modes made a chain table; a pass names

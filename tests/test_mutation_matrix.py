@@ -26,7 +26,6 @@ import u6n.subgroups as subgroups_module
 from u6n.chains import chain_counts, compute_chain_table, count_chains
 from u6n.group import Element, GroupParams
 from u6n.lattice import build_lattice
-from u6n.oracle import GroupOracle
 from u6n.verify import check_shape_vs_lattice, run_verification
 
 import test_subgroups
@@ -353,20 +352,6 @@ def test_mutant_fails_exactly_its_checks(name):
     assert failing_checks(name) == MUTANTS[name][2]
 
 
-@pytest.mark.parametrize("name", ["enumerate_subgroups adds odd C(t) to normal",
-                                  "multiply is abelian"])
-def test_normal_in_supergroup_asks_the_normalizer_under_mutants_it_catches(name):
-    # these mutants give a normal node a set that is not normal in G, so
-    # the check still reads its normalizer instead of passing the node
-    asked = []
-    real = GroupOracle.normalizer
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(GroupOracle, "normalizer",
-                   lambda oracle, h: asked.append(h) or real(oracle, h))
-        assert "normal-in-supergroup" in failing_checks(name)
-    assert asked
-
-
 def test_every_mutant_fails_a_check():
     assert len(MUTANTS) >= 12
     assert all(checks for _, _, checks in MUTANTS.values())
@@ -374,7 +359,8 @@ def test_every_mutant_fails_a_check():
 
 #: checks that no row fails alone.  IMPLIED holds what is implied where it
 #: runs, each label kept only while the benchmark freezes it: subgroup-closure
-#: by membership-closed-form, normal-in-supergroup by normality in G, and
+#: by membership-closed-form, normal-in-supergroup by normality-vs-oracle,
+#: as it fails only on a node is_normal finds not normal in G, and
 #: shape-dependence by shape-vs-lattice.  NEED_A_ROW holds the checks that
 #: need a row of their own to show what they catch.  A new label or row
 #: updates these on purpose.

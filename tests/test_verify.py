@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from u6n import ChainCounts, GroupParams, SubgroupDescriptor, count_chains
+from u6n import (
+    ChainCounts,
+    GroupParams,
+    SubgroupDescriptor,
+    count_chains,
+    inverse,
+    multiply,
+)
 from u6n.chains import chain_counts, compute_chain_table, factorization_shape
 from u6n.group import format_element
 from u6n.lattice import build_lattice
@@ -426,72 +433,102 @@ def test_closure_checks_catch_a_corrupted_catalog_set(monkeypatch):
     assert _reported(2, "subgroup-closure") == result
     assert str(bad) in result
     # give a normal node the elements of a non-normal subgroup: conjugation
-    # by the whole group, a node above it, moves them, and the check asks
-    # the normalizer of that set alone
+    # by the whole group, a node above it, moves them
     normal = set(enumerate_subgroups(params, "normal"))
     outsider = next(d for d in sets if d not in normal)
     node = lat.nodes[next(i for i in range(len(lat.nodes)) if lat.row(i))]
-    asked = _spy_normalizer(monkeypatch)
     result = check_normal_in_supergroup(
         oracle, corrupt({**sets, node: sets[outsider]}), lat
     )
     assert result is not None
-    assert asked == [sets[outsider]]
     assert _reported(2, "normal-in-supergroup") == result
     assert result.startswith(f"{node} not normal in ")
 
 
-def _spy_normalizer(monkeypatch):
-    """The list of the sets GroupOracle.normalizer is asked about from now on."""
-    asked = []
-    real = GroupOracle.normalizer
+def _normalizers(oracle):
+    """h -> {g : g x g^-1 in h for all x in h}, from multiply and inverse
+    on the group's elements, not from the oracle's tables; each set's
+    normalizer is computed once."""
+    params, elems = oracle.params, oracle.elements
+    memo = {}
 
-    def spy(oracle, h):
-        asked.append(h)
-        return real(oracle, h)
+    def normalizer(h):
+        if h not in memo:
+            members = oracle.element_set(h)
+            memo[h] = oracle.index_set(
+                g for g in elems
+                if all(multiply(params, multiply(params, g, x), inverse(params, g))
+                       in members for x in members)
+            )
+        return memo[h]
 
-    monkeypatch.setattr(GroupOracle, "normalizer", spy)
-    return asked
+    return normalizer
 
 
-def _normal_in_supergroup_by_normalizers(oracle, sets, lat_normal):
-    """check_normal_in_supergroup as it reads with oracle.normalizer asked
-    of every node that has a node above it."""
+def _normal_in_supergroup_by_normalizers(oracle, sets, lat_normal, normalizer):
+    """normal-in-supergroup read literally: each element of every node
+    above a normal node lies in that node's normalizer."""
     nodes = lat_normal.nodes
     missing = next((d for d in nodes if d not in sets), None)
     if missing is not None:
         return f"normal {missing} is not in the catalog"
     for i, d in enumerate(nodes):
-        ups = lat_normal.row(i)
-        normalizer = oracle.normalizer(sets[d]) if ups else None
-        for j in ups:
+        for j in lat_normal.row(i):
             for g in sets[nodes[j]]:
-                if g not in normalizer:
+                if g not in normalizer(sets[d]):
                     by = format_element(oracle.elements[g])
                     return f"{d} not normal in {nodes[j]} (conjugation by {by})"
     return None
 
 
 @pytest.mark.parametrize("n", range(1, 17))
-def test_normal_in_supergroup_answers_as_with_every_normalizer(n, monkeypatch):
-    # nodes normal in G are passed without their normalizer, which is G; a
-    # correct catalog asks no normalizer, and a node given the set of a
-    # non-normal subgroup still is asked about and fails the same way
+def test_normal_in_supergroup_answers_as_with_every_normalizer(n):
+    # normality in G stands in for normality in each node above: a correct
+    # catalog passes both ways, and a node given the set of a non-normal
+    # subgroup fails both ways exactly when a node lies above it
     params = GroupParams(n)
     oracle = GroupOracle(params)
     lat = build_lattice(params, "normal")
     sets = catalog_sets(oracle, enumerate_subgroups(params, "all"))
     normal = set(enumerate_subgroups(params, "normal"))
     outsider = sets[next(d for d in sets if d not in normal)]
-    asked = _spy_normalizer(monkeypatch)
+    normalizer = _normalizers(oracle)
     assert check_normal_in_supergroup(oracle, sets, lat) is None
-    assert asked == []
-    assert _normal_in_supergroup_by_normalizers(oracle, sets, lat) is None
+    assert _normal_in_supergroup_by_normalizers(oracle, sets, lat, normalizer) is None
     for i, node in enumerate(lat.nodes):
         corrupted = {**sets, node: outsider}
-        want = _normal_in_supergroup_by_normalizers(oracle, corrupted, lat)
-        assert check_normal_in_supergroup(oracle, corrupted, lat) == want
+        want = _normal_in_supergroup_by_normalizers(oracle, corrupted, lat, normalizer)
+        got = check_normal_in_supergroup(oracle, corrupted, lat)
+        assert (got is None) == (want is None)
         assert (want is None) == (not lat.row(i))
+
+
+#: the first n <= 16 of each factorization shape of 2n, where membership runs
+FIRST_OF_SHAPE = sorted({factorization_shape(2 * n): n for n in range(16, 0, -1)}.values())
+
+
+@pytest.mark.parametrize("n", FIRST_OF_SHAPE)
+def test_normal_in_supergroup_is_implied_by_normality_in_g(n):
+    # every normal node given, in turn, the set of every non-normal
+    # descriptor: normal-in-supergroup fails only where normality-vs-oracle
+    # fails too, and passes only where the literal reading passes
+    params = GroupParams(n)
+    oracle = GroupOracle(params)
+    lat = build_lattice(params, "normal")
+    sets = catalog_sets(oracle, enumerate_subgroups(params, "all"))
+    normal = enumerate_subgroups(params, "normal")
+    outsiders = [h for d, h in sets.items() if d not in set(normal)]
+    assert outsiders
+    normalizer = _normalizers(oracle)
+    for node in lat.nodes:
+        for outsider in outsiders:
+            corrupted = {**sets, node: outsider}
+            got = check_normal_in_supergroup(oracle, corrupted, lat)
+            if got is None:
+                assert _normal_in_supergroup_by_normalizers(
+                    oracle, corrupted, lat, normalizer) is None
+            else:
+                assert check_normal_family(oracle, corrupted, normal) is not None
 
 
 def test_membership_ties_each_descriptor_to_its_generators(monkeypatch):
@@ -523,10 +560,6 @@ def _closure_by_generating_every_set(oracle, sets):
         if closure != h:
             return f"{d} has {len(h)} elements, generates {len(closure)}"
     return None
-
-
-#: the first n <= 16 of each factorization shape of 2n, where membership runs
-FIRST_OF_SHAPE = sorted({factorization_shape(2 * n): n for n in range(16, 0, -1)}.values())
 
 
 @pytest.mark.parametrize("n", FIRST_OF_SHAPE)
