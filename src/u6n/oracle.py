@@ -31,7 +31,12 @@ tuple per FuzzyMap in the tables' index order, ranked once when built:
 each grade becomes its rank among the distinct grades, an order-preserving
 one-to-one relabel, so >=, min and = carry over exactly to int
 comparisons.  GroupOracle checks the defining axioms on those ranks over
-its tables, and two maps are equivalent exactly when their ranks
+its tables: FG2 at every element, FG1 over the pairs whose members both
+have rank above 0, since no rank lies below 0 and so a pair with a
+member of rank 0 cannot fail FG1, on any table, group or not.
+representative_from_sets checks the chain it is given; _chain_map fills
+the grades unchecked, for the oracle's own set_chains, which verify's
+fuzzy walk maps.  Two maps are equivalent exactly when their ranks
 coincide, that is, when their comparison_pattern, the literal all-pairs
 relation mu(x) > mu(y), coincides.  Grades are compared as exact
 integers: the ranking, as comparison_pattern, scales each grade to an
@@ -238,11 +243,8 @@ class GroupOracle:
         every g, read off row g alone: g x g^-1 = (g (g x)^-1)^-1, so no
         column is read."""
         mult, inv = self.mult, self.inv
-        classes = [set() for _ in mult]
-        for row in mult:
-            for x, gx in enumerate(row):
-                classes[x].add(inv[row[inv[gx]]])
-        return list(map(frozenset, classes))
+        return [frozenset({inv[row[inv[row[x]]]] for row in mult})
+                for x in range(len(mult))]
 
     def is_normal(self, h: frozenset[int]) -> bool:
         """True iff g x g^-1 lies in h for every x in h and every g in G:
@@ -265,14 +267,26 @@ class GroupOracle:
         return mu.ranks
 
     def is_fuzzy_subgroup(self, mu: FuzzyMap) -> bool:
-        """mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x), on the tables."""
+        """mu(xy) >= min(mu(x), mu(y)) and mu(x^-1) >= mu(x), on the tables.
+
+        FG2 is read for every x, FG1 only over the pairs of raised
+        elements, both of rank above 0: FG1 fails at (x, y) only when
+        mu(xy) lies below both mu(x) and mu(y), and no rank lies below 0,
+        so a pair with a member of rank 0 cannot fail.  That holds on any
+        table and any map, with no group law, so the verdict is the
+        all-pairs one.  A chain map's raised elements are its second
+        largest level set, at most half the group.
+        """
         ranks = self._ranks(mu)
-        for x, row in enumerate(self.mult):
-            rx = ranks[x]
-            if ranks[self.inv[x]] < rx:
-                return False
-            for y, xy in enumerate(row):
-                r = ranks[xy]
+        inv = self.inv
+        if any(ranks[inv[x]] < rx for x, rx in enumerate(ranks)):
+            return False
+        mult = self.mult
+        raised = [x for x, rx in enumerate(ranks) if rx]
+        for x in raised:
+            row, rx = mult[x], ranks[x]
+            for y in raised:
+                r = ranks[row[y]]
                 if r < rx and r < ranks[y]:
                     return False
         return True
@@ -455,7 +469,9 @@ def representative_from_sets(
     Elements first appearing in the i-th set get the i-th level; the
     default levels are 1, 1/2, ..., 1/k, valid as built, so only levels
     the caller passes are checked.  An id element_set refuses raises its
-    ValueError here too.
+    ValueError here too.  The grades are filled by _chain_map, which
+    verify's fuzzy walk calls directly on the oracle's own chains, whose
+    ids, ascent and end at G hold as set_chains makes them.
     """
     if not sets:
         raise ValueError("chain must be nonempty")
@@ -476,6 +492,14 @@ def representative_from_sets(
             raise ValueError("levels must be strictly decreasing")
         if values[-1] < 0 or values[0] > 1:
             raise ValueError("levels must lie in [0, 1]")
+    return _chain_map(params, sets, values)
+
+
+def _chain_map(
+    params: GroupParams, sets: Sequence[frozenset[int]], values: Sequence[Fraction]
+) -> FuzzyMap:
+    """representative_from_sets on a chain and levels known valid,
+    unchecked: one level per set, each set's members graded from G down."""
     grades: list[Fraction | None] = [None] * params.order
     for value, members in zip(reversed(values), reversed(sets)):
         for i in members:

@@ -40,12 +40,13 @@ in G, where normality-vs-oracle fails as well.  Every set handed to the
 oracle's public methods is checked there, catalog sets included.  The
 fuzzy-axioms and equivalence-classes results come from one walk over the
 oracle's set_chains("all"), {e} included, which also holds the
-normal-fuzzy test to the normality of each chain's levels.  The catalog's
-normal lattice is tied to the oracle's normal sets by normality-vs-oracle
-and normal-restriction (its nodes), and lattice-vs-oracle[normal] owns
-its relation.  membership-closed-form ties each descriptor's set to
-oracle.generated of the generators that name it, so the catalog's closed
-forms are not the reference for their own sets.
+normal-fuzzy test to the normality of each chain's levels; it maps those
+chains, the oracle's own, through the oracle module's unchecked
+_chain_map.  The catalog's normal lattice is tied to the oracle's normal
+sets by normality-vs-oracle and normal-restriction (its nodes), and
+lattice-vs-oracle[normal] owns its relation.  membership-closed-form ties
+each descriptor's set to oracle.generated of the generators that name it,
+so the catalog's closed forms are not the reference for their own sets.
 No result depends on an assert statement, so python -O reports the same.
 """
 
@@ -76,9 +77,9 @@ from .group import (
 from .lattice import Lattice, build_lattice, hasse_edges
 from .oracle import (
     GroupOracle,
+    _chain_map,
     comparison_pattern,
     oracle_count_chains,
-    representative_from_sets,
     transitive_reduction,
 )
 from .subgroups import (
@@ -382,7 +383,13 @@ def check_fuzzy_axioms(
     is_normal), keep its class when re-leveled, and differ in
     ranks from every other chain's map.  The classes are counted as the
     distinct ranks, which must equal both the number of chains and the
-    doubled count_chains total, all_counts.fuzzy_count."""
+    doubled count_chains total, all_counts.fuzzy_count.
+
+    Both maps of a chain, at the levels 1, 1/2, ..., 1/k and at the
+    re-levels 2/(2i+1), come from the oracle module's _chain_map, unchecked:
+    the chains are the oracle's own, strictly ascending and ending at G,
+    and both lists of levels, valid as built, are built once per chain
+    length k."""
     params = oracle.params
 
     def label(chain):
@@ -393,18 +400,24 @@ def check_fuzzy_axioms(
     seen: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
     reps = []
     chains = 0
+    # chain length -> (default levels 1, ..., 1/k; re-levels 2/(2i+1))
+    levels: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
     for chain in oracle.set_chains("all"):
         chains += 1
-        rep = representative_from_sets(params, chain)
+        k = len(chain)
+        if k not in levels:
+            levels[k] = ([Fraction(1, i) for i in range(1, k + 1)],
+                         [Fraction(2, 2 * i + 1) for i in range(1, k + 1)])
+        default, relevel = levels[k]
+        rep = _chain_map(params, chain, default)
         if failure is None:
             normal = normal_sets.issuperset(chain)
-            relevel = [Fraction(2, 2 * i + 1) for i in range(1, len(chain) + 1)]
             if not oracle.is_fuzzy_subgroup(rep):
                 failure = f"FG1/FG2 fail for chain {label(chain)}"
             elif oracle.is_normal_fuzzy(rep) != normal:
                 verdict = "fails" if normal else "holds"
                 failure = f"mu(xy) = mu(yx) {verdict} for chain {label(chain)}"
-            elif representative_from_sets(params, chain, relevel).ranks != rep.ranks:
+            elif _chain_map(params, chain, relevel).ranks != rep.ranks:
                 failure = f"re-leveling broke chain {label(chain)}"
             elif rep.ranks in seen:
                 first = label(seen[rep.ranks])

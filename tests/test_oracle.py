@@ -25,10 +25,12 @@ from u6n import (
     multiply,
     subgroup_elements,
 )
+from u6n.chains import factorization_shape
 from u6n.group import MODES
 from u6n.oracle import (
     FuzzyMap,
     GroupOracle,
+    _chain_map,
     comparison_pattern,
     lattice_chains,
     oracle_count_chains,
@@ -712,6 +714,44 @@ _GRADES = st.integers(1, 60).flatmap(
 )
 
 
+@st.composite
+def _tables_and_maps(draw):
+    """A fresh oracle at n <= 3 whose mult and inv are overwritten with
+    arbitrary entries in range(order), no group law kept, and a map of
+    arbitrary grades.  The grades are drawn from a few values, so that
+    maps of two grades, whose raised elements all have rank 1, are
+    common, and inv is often x -> x, so that FG2 often holds."""
+    oracle = GroupOracle(GroupParams(draw(st.integers(1, 3))))
+    order = len(oracle.elements)
+    entry = st.integers(0, order - 1)
+    oracle.mult = draw(st.lists(st.lists(entry, min_size=order, max_size=order),
+                                min_size=order, max_size=order))
+    oracle.inv = draw(st.one_of(st.just(list(range(order))),
+                                st.lists(entry, min_size=order, max_size=order)))
+    pool = draw(st.lists(st.one_of(st.sampled_from(_GRADE_POOL), _GRADES),
+                         min_size=1, max_size=4))
+    grades = draw(st.lists(st.sampled_from(pool), min_size=order, max_size=order))
+    return oracle, FuzzyMap(oracle.params, grades)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_and_maps())
+def test_fg1_over_raised_elements_and_classes_on_any_table(drawn):
+    # FG1 read over pairs of raised elements only, and the classes read
+    # element by element, against the literal definitions on tables that
+    # need not be a group's
+    oracle, mu = drawn
+    mult, inv, grades = oracle.mult, oracle.inv, mu.grades
+    order = len(mult)
+    assert oracle.is_fuzzy_subgroup(mu) == all(
+        grades[mult[x][y]] >= min(grades[x], grades[y]) and grades[inv[x]] >= grades[x]
+        for x in range(order) for y in range(order)
+    )
+    assert oracle.classes == [
+        {inv[row[inv[row[x]]]] for row in mult} for x in range(order)
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_GRADES, min_size=6, max_size=6))
 def test_integer_grade_comparisons_match_fractions(grades):
@@ -793,6 +833,21 @@ def test_default_levels_are_one_over_the_position(n):
         levels = [Fraction(1, i) for i in range(1, len(chain) + 1)]
         assert representative_from_sets(params, chain) == representative_from_sets(
             params, chain, levels)
+
+
+@pytest.mark.parametrize(
+    "n", sorted({factorization_shape(2 * n): n for n in range(8, 0, -1)}.values()))
+def test_unchecked_chain_map_is_representative_from_sets(n):
+    # the fuzzy walk maps the oracle's own chains through _chain_map,
+    # unchecked, with the default levels and the re-levels 2/(2i+1)
+    params = GroupParams(n)
+    for chain in GroupOracle(params).set_chains("all"):
+        k = len(chain)
+        for levels in ([Fraction(1, i) for i in range(1, k + 1)],
+                       [Fraction(2, 2 * i + 1) for i in range(1, k + 1)]):
+            fast = _chain_map(params, chain, levels)
+            checked = representative_from_sets(params, chain, levels)
+            assert (fast.grades, fast.ranks) == (checked.grades, checked.ranks)
 
 
 @pytest.mark.parametrize("levels, message", [
